@@ -2,10 +2,24 @@
 
 Ground truth for approximation minima is brute force: walk every candidate
 multiplier q (or every lattice vector in a sup-norm box) and take certified
-minima.  All arithmetic is integer arithmetic over a common denominator D of
-the vector's coordinates; numpy int64 fast paths are used only when every
-intermediate provably fits in 62 bits, otherwise pure-Python big ints do the
-same walk.  No floats anywhere.
+minima.  All decisions use integer arithmetic over a common denominator D of
+the vector's coordinates: the distance of q*theta to the lattice is the
+integer D_q = max_i min(q*p_i mod D, D - q*p_i mod D) over D.  No floats
+anywhere.
+
+Multiplier scans (simultaneous records, baseline domination) run one numpy
+engine for every D: a 64-bit fixed-point filter, then an exact re-check of
+its survivors.  With P_i = floor(p_i * 2^64 / D), the position q*P_i wraps
+mod 2^64 and a_q = max_i min(x, 2^64 - x) is the filter's distance.  Since
+0 <= q*p_i*2^64/D - q*P_i < q and the distance is 1-Lipschitz,
+|a_q - 2^64 * D_q / D| < q_max =: E.  A multiplier is kept ("hot") when a_q
+could still satisfy the exact walk's test: a_q <= (running fixed-point
+minimum) + fast + 2E for records, a_q <= fast + E for baseline domination,
+with every exact bound rounded up to fixed point.  The exact running minimum
+is within E of the fixed-point one, so the hot set contains every multiplier
+the exact walk would look at; each hot q gets its exact D_q from Python ints
+and goes through the exact logic, and every other q provably changes
+nothing.
 
 Certified bookkeeping: with a coordinate radius r, the distance attached to
 multiplier q carries radius q*r (the lattice distance is 1-Lipschitz), and a
@@ -18,7 +32,6 @@ PrecisionError naming the offending pair.
 from __future__ import annotations
 
 import itertools
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -29,6 +42,7 @@ from .exact import CertifiedScalar, CertifiedVector, Verdict
 DEFAULT_BUDGET = 10**8
 _NP_LIMIT = 1 << 62
 _PY_ENUM_CAP = 6 * 10**6  # pure-python box enumeration ceiling
+_CHUNK = 1 << 20  # multipliers per fixed-point block
 
 
 def scan_data(theta: CertifiedVector) -> tuple[tuple[int, ...], int, Fraction]:
@@ -44,20 +58,40 @@ def _margin(r: Fraction, d: int, scale: int) -> int:
     return -((-v.numerator) // v.denominator)
 
 
-def _pair_verdict(dist_a: int, mult_a: int, dist_b: int, mult_b: int,
-                  den: int, r: Fraction) -> Verdict:
+def _order(dist_a: int, mult_a: int, dist_b: int, mult_b: int,
+           den: int, r: Fraction) -> Verdict:
+    """Certified order of two distances over den whose radii are mult*r."""
+    if r == 0:
+        return (Verdict.LESS if dist_a < dist_b
+                else Verdict.EQUAL if dist_a == dist_b else Verdict.GREATER)
     a = CertifiedScalar(Fraction(dist_a, den), mult_a * r)
     b = CertifiedScalar(Fraction(dist_b, den), mult_b * r)
     return a.compare(b)
 
 
-def _np_dist(nums, den: int, qs: np.ndarray) -> np.ndarray:
-    dist = None
-    for p in nums:
-        m = (qs * p) % den
-        np.minimum(m, den - m, out=m)
-        dist = m if dist is None else np.maximum(dist, m, out=dist)
-    return dist
+def _dist(nums, den: int, q: int) -> int:
+    """Exact integer distance D_q of q*theta to the lattice, over den."""
+    return max(min(m, den - m) for m in (q * p % den for p in nums))
+
+
+def _fp_up(x: int, den: int) -> int:
+    """ceil(x * 2^64 / den): an exact distance bound in fixed-point units."""
+    return -((-x << 64) // den)
+
+
+def _fp_blocks(nums, den: int, q_max: int):
+    """Yield (q0, a) for blocks of multipliers q0, q0+1, ... <= q_max, where
+    a holds the fixed-point distances a_q (uint64, each within q_max of
+    2^64 * D_q / den)."""
+    steps = [np.uint64((p << 64) // den) for p in nums]
+    for q0 in range(1, q_max + 1, _CHUNK):
+        qs = np.arange(q0, min(q0 + _CHUNK, q_max + 1), dtype=np.uint64)
+        a = None
+        for s in steps:
+            x = qs * s  # wraps mod 2^64
+            np.minimum(x, np.negative(x), out=x)
+            a = x if a is None else np.maximum(a, x, out=a)
+        yield q0, a
 
 
 # ---------------------------------------------------------------------------
@@ -79,73 +113,28 @@ def simultaneous_scan(theta: CertifiedVector, q_max: int, *,
     if q_max > budget:
         raise ResourceError(f"scan of {q_max} multipliers exceeds budget {budget}")
     nums, den, r = scan_data(theta)
-    if (den > 1 and q_max * (den - 1) < _NP_LIMIT
-            and den + _margin(r, den, 2 * q_max) < _NP_LIMIT):
-        return _np_sim_scan(nums, den, r, q_max, records)
-    return _py_sim_scan(nums, den, r, q_max, records)
-
-
-def _py_sim_scan(nums, den, r, q_max, want_records):
-    dim = len(nums)
-    ms = [0] * dim
     fast = _margin(r, den, 2 * q_max)
     exact = r == 0
+    # fixed-point slack: the margin plus q_max for a_q and q_max for the
+    # running minimum it is compared with
+    slack = _fp_up(fast, den) + 2 * q_max
     best_d = -1
     best_q = 0
     out = []
-    for q in range(1, q_max + 1):
-        dist = 0
-        for i in range(dim):
-            m = ms[i] + nums[i]
-            if m >= den:
-                m -= den
-            ms[i] = m
-            dd = m if (m << 1) < den else den - m
-            if dd > dist:
-                dist = dd
-        if best_q and dist > best_d + fast:
-            continue
-        if best_q == 0:
-            best_d, best_q = dist, q
-            out.append((q, dist))
-        elif dist < best_d or (not exact and dist <= best_d + fast):
-            v = (Verdict.LESS if exact and dist < best_d
-                 else Verdict.EQUAL if exact
-                 else _pair_verdict(dist, q, best_d, best_q, den, r))
-            if v is Verdict.INCONCLUSIVE:
-                raise PrecisionError(
-                    f"cannot order |{q}*theta| against |{best_q}*theta| at radius {r}")
-            if v is Verdict.LESS:
-                best_d, best_q = dist, q
-                if want_records:
-                    out.append((q, dist))
-                else:
-                    out[-1] = (q, dist)
-        if best_d == 0 and exact:
-            return out, den, True
-    return out, den, False
-
-
-def _np_sim_scan(nums, den, r, q_max, want_records, chunk=1 << 21):
-    fast = _margin(r, den, 2 * q_max)
-    exact = r == 0
-    best_d = -1
-    best_q = 0
-    out = []
-    for q0 in range(1, q_max + 1, chunk):
-        q1 = min(q0 + chunk, q_max + 1)
-        qs = np.arange(q0, q1, dtype=np.int64)
-        dist = _np_dist(nums, den, qs)
-        # positions that could matter: strict center improvements, plus any
-        # candidate within the uniform margin of the running minimum
-        seed = best_d if best_q else den  # den exceeds every distance
-        run = np.minimum.accumulate(dist)
-        prev = np.empty_like(run)
-        prev[0] = seed
-        np.minimum(run[:-1], seed, out=prev[1:])
-        hot = np.nonzero(dist <= prev + fast)[0]
-        for i in hot.tolist():
-            dq, q = int(dist[i]), q0 + i
+    for q0, a in _fp_blocks(nums, den, q_max):
+        if slack >= 1 << 63:  # degenerate radius: a_q <= 2^63 is always hot
+            hot = range(len(a))
+        else:
+            # seed <= 2^63 and slack < 2^63, so seed + slack fits in uint64
+            seed = np.uint64(_fp_up(best_d, den) if best_q else 1 << 63)
+            lim = np.empty_like(a)
+            lim[0] = seed
+            np.minimum(np.minimum.accumulate(a[:-1]), seed, out=lim[1:])
+            lim += np.uint64(slack)
+            hot = np.flatnonzero(a <= lim).tolist()
+        for i in hot:
+            q = q0 + i
+            dq = _dist(nums, den, q)
             if best_q == 0:
                 best_d, best_q = dq, q
                 out.append((q, dq))
@@ -154,16 +143,13 @@ def _np_sim_scan(nums, den, r, q_max, want_records, chunk=1 << 21):
                 continue
             if dq > best_d + fast:
                 continue
-            v = (Verdict.LESS if exact and dq < best_d
-                 else Verdict.EQUAL if exact and dq == best_d
-                 else Verdict.GREATER if exact
-                 else _pair_verdict(dq, q, best_d, best_q, den, r))
+            v = _order(dq, q, best_d, best_q, den, r)
             if v is Verdict.INCONCLUSIVE:
                 raise PrecisionError(
                     f"cannot order |{q}*theta| against |{best_q}*theta| at radius {r}")
             if v is Verdict.LESS:
                 best_d, best_q = dq, q
-                if want_records:
+                if records:
                     out.append((q, dq))
                 else:
                     out[-1] = (q, dq)
@@ -280,7 +266,7 @@ def linear_min(theta: CertifiedVector, h: int, *, budget: int = DEFAULT_BUDGET):
                     pt = _np_head_to_point(head + np.unravel_index(i, row.shape), h, dim)
                     if pt == witness:
                         continue
-                    v = _pair_verdict(int(row.flat[i]), _l1(pt), best, _l1(witness), den, r)
+                    v = _order(int(row.flat[i]), _l1(pt), best, _l1(witness), den, r)
                     if v is Verdict.INCONCLUSIVE:
                         raise PrecisionError(
                             f"cannot order <{pt},theta> against <{witness},theta> at radius {r}")
@@ -301,7 +287,7 @@ def linear_min(theta: CertifiedVector, h: int, *, budget: int = DEFAULT_BUDGET):
         fast = _margin(r, den, 2 * dim * h)
         for dd, pt in close:
             if dd <= best + fast and pt != witness:
-                v = _pair_verdict(dd, _l1(pt), best, _l1(witness), den, r)
+                v = _order(dd, _l1(pt), best, _l1(witness), den, r)
                 if v is Verdict.INCONCLUSIVE:
                     raise PrecisionError(
                         f"cannot order <{pt},theta> against <{witness},theta> at radius {r}")
@@ -349,10 +335,7 @@ def linear_records(theta: CertifiedVector, h_max: int, *, budget: int = DEFAULT_
             best_d, best_pt = sh_best, sh_pt
             out.append((s, sh_pt, sh_best))
         else:
-            v = (Verdict.LESS if exact and sh_best < best_d
-                 else Verdict.EQUAL if exact and sh_best == best_d
-                 else Verdict.GREATER if exact
-                 else _pair_verdict(sh_best, _l1(sh_pt), best_d, _l1(best_pt), den, r))
+            v = _order(sh_best, _l1(sh_pt), best_d, _l1(best_pt), den, r)
             if v is Verdict.INCONCLUSIVE:
                 raise PrecisionError(
                     f"cannot order <{sh_pt},theta> against <{best_pt},theta> at radius {r}")
@@ -378,10 +361,7 @@ def _np_linear_records_2d(nums, den, r, h_max):
             best_d, best_pt = dd, pt
             out.append((s, pt, dd))
             return
-        v = (Verdict.LESS if exact and dd < best_d
-             else Verdict.EQUAL if exact and dd == best_d
-             else Verdict.GREATER if exact
-             else _pair_verdict(dd, _l1(pt), best_d, _l1(best_pt), den, r))
+        v = _order(dd, _l1(pt), best_d, _l1(best_pt), den, r)
         if v is Verdict.INCONCLUSIVE:
             raise PrecisionError(
                 f"cannot order <{pt},theta> against <{best_pt},theta> at radius {r}")
@@ -430,51 +410,29 @@ def all_greater_than_baseline(theta: CertifiedVector, q_hi: int, base_q: int,
     if q_hi - 1 > budget:
         raise ResourceError(f"scan of {q_hi - 1} multipliers exceeds budget {budget}")
     nums, den, r = scan_data(theta)
-    base_dist = 0
-    for p in nums:
-        m = (base_q * p) % den
-        base_dist = max(base_dist, min(m, den - m))
+    base_dist = _dist(nums, den, base_q)
     fast = base_dist + _margin(r, den, q_hi + base_q)
+    lim = _fp_up(fast, den) + q_hi  # a_q is within q_hi - 1 of the exact value
     violations = []
     report = {}
-
-    def handle(q, dist):
-        if q == base_q:
-            return
-        v = _pair_verdict(dist, q, base_dist, base_q, den, r)
-        if q in exceptions:
-            report[q] = {Verdict.GREATER: "greater", Verdict.LESS: "leq",
-                         Verdict.EQUAL: "leq"}.get(v, "unresolved")
-            return
-        if v is Verdict.INCONCLUSIVE:
-            raise PrecisionError(
-                f"comparison of |{q}*theta| with |{base_q}*theta| inconclusive; "
-                "extend the construction depth for a smaller radius")
-        if v is not Verdict.GREATER:
-            violations.append(q)
-
-    if den > 1 and (q_hi - 1) * (den - 1) < _NP_LIMIT and fast < _NP_LIMIT:
-        chunk = 1 << 21
-        for q0 in range(1, q_hi, chunk):
-            qs = np.arange(q0, min(q0 + chunk, q_hi), dtype=np.int64)
-            dist = _np_dist(nums, den, qs)
-            for i in np.nonzero(dist <= fast)[0].tolist():
-                handle(q0 + i, int(dist[i]))
-    else:
-        dim = len(nums)
-        ms = [0] * dim
-        for q in range(1, q_hi):
-            dist = 0
-            for i in range(dim):
-                m = ms[i] + nums[i]
-                if m >= den:
-                    m -= den
-                ms[i] = m
-                dd = m if (m << 1) < den else den - m
-                if dd > dist:
-                    dist = dd
-            if dist <= fast:
-                handle(q, dist)
+    for q0, a in _fp_blocks(nums, den, q_hi - 1):
+        hot = (range(len(a)) if lim >= 1 << 63
+               else np.flatnonzero(a <= np.uint64(lim)).tolist())
+        for i in hot:
+            q = q0 + i
+            dist = _dist(nums, den, q)
+            if dist > fast or q == base_q:
+                continue
+            v = _order(dist, q, base_dist, base_q, den, r)
+            if q in exceptions:
+                report[q] = {Verdict.GREATER: "greater", Verdict.LESS: "leq",
+                             Verdict.EQUAL: "leq"}.get(v, "unresolved")
+            elif v is Verdict.INCONCLUSIVE:
+                raise PrecisionError(
+                    f"comparison of |{q}*theta| with |{base_q}*theta| inconclusive; "
+                    "extend the construction depth for a smaller radius")
+            elif v is not Verdict.GREATER:
+                violations.append(q)
     for q in exceptions:
         if 0 < q < q_hi and q not in report:
             # excepted multiplier never fell inside the fast margin: it is

@@ -33,20 +33,11 @@ from . import __version__, bestapprox, criteria
 from .construct import (ConstructionState, build_theta, minimal_heights,
                         verify_construction)
 from .errors import ConfigError, DomainError, exit_code_for
-from .exact import CertifiedVector, rational
+from .exact import CertifiedVector, _dec, rational
 from .orbit import (OrbitConfig, bc_window_estimate, hit_census,
                     write_census_csv, write_summary_json)
 
-_DEC_PLACES = 12
-
-
-def _dec(x, places: int = _DEC_PLACES) -> str:
-    """Decimal string by integer division (round toward zero), no floats."""
-    x = rational(x)
-    sign = "-" if x < 0 else ""
-    scaled = (abs(x).numerator * 10 ** places) // x.denominator
-    whole, frac = divmod(scaled, 10 ** places)
-    return f"{sign}{whole}.{str(frac).zfill(places)}"
+_DEC_PLACES = 12  # the default places of _dec
 
 
 # ---------------------------------------------------------------------------

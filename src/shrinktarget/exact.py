@@ -60,6 +60,18 @@ def rational(x) -> Fraction:
     raise DomainError(f"cannot interpret {type(x).__name__} as an exact rational")
 
 
+def _dec(x, places: int = 12) -> str:
+    """Decimal string by integer division (round toward zero), no floats;
+    None gives the empty string."""
+    if x is None:
+        return ""
+    x = rational(x)
+    sign = "-" if x < 0 else ""
+    scaled = (abs(x).numerator * 10 ** places) // x.denominator
+    whole, frac = divmod(scaled, 10 ** places)
+    return f"{sign}{whole}.{str(frac).zfill(places)}"
+
+
 class Verdict(Enum):
     """Outcome of a certified comparison.
 

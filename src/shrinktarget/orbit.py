@@ -32,7 +32,7 @@ import numpy as np
 
 from . import __version__
 from .errors import DomainError, PrecisionError, ResourceError
-from .exact import CertifiedVector, as_vector, dist_nearest_int, rational
+from .exact import CertifiedVector, _dec, as_vector, dist_nearest_int, rational
 from .roots import iroot, log2_enclosure, sqrt_upper
 
 _PY_SWEEP_CAP = 2 * 10 ** 6  # bigint path: refuse absurdly long orbits
@@ -620,18 +620,6 @@ def _window_np(config, starts, l_lo, l_hi):
 
 # ---------------------------------------------------------------------------
 # serialization
-
-
-def _dec(x, places: int = 12) -> str:
-    """Decimal string by integer division (round toward zero), no floats."""
-    if x is None:
-        return ""
-    x = rational(x)
-    sign = "-" if x < 0 else ""
-    x = abs(x)
-    scaled = (x.numerator * 10 ** places) // x.denominator
-    whole, frac = divmod(scaled, 10 ** places)
-    return f"{sign}{whole}.{str(frac).zfill(places)}"
 
 
 def write_census_csv(census: CensusSummary, path) -> None:

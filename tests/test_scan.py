@@ -1,17 +1,24 @@
-"""Internal scan engine: numpy fast paths against pure-python reference."""
+"""Internal scan engines against brute-force references.
+
+The multiplier scans are checked against `oracle_simultaneous` and
+`oracle_baseline`: the plain per-q walks, with every decision made on exact
+integers, that the fixed-point engine must reproduce record for record and
+error for error.
+"""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shrinktarget._scan import (DEFAULT_BUDGET, all_greater_than_baseline,
-                                linear_min, linear_records,
-                                simultaneous_scan)
-from shrinktarget.errors import ResourceError
-from shrinktarget.exact import (CertifiedVector, dist_nearest_int,
-                                dist_nearest_lattice)
+from shrinktarget._scan import (_CHUNK, DEFAULT_BUDGET, _margin,
+                                all_greater_than_baseline, linear_min,
+                                linear_records, scan_data, simultaneous_scan)
+from shrinktarget.errors import PrecisionError, ResourceError
+from shrinktarget.exact import (CertifiedScalar, CertifiedVector, Verdict,
+                                dist_nearest_int, dist_nearest_lattice)
 
 F = Fraction
 
@@ -99,3 +106,222 @@ def test_all_greater_than_baseline_detects_smaller():
     assert offenders == [4] and 3 in noted
     offenders, _ = all_greater_than_baseline(theta, 2, 1, exceptions=set())
     assert offenders == []
+
+
+# --- exact per-q walks: the oracle for the multiplier scans --------------------
+
+
+def _verdict(dist_a, mult_a, dist_b, mult_b, den, r):
+    a = CertifiedScalar(F(dist_a, den), mult_a * r)
+    b = CertifiedScalar(F(dist_b, den), mult_b * r)
+    return a.compare(b)
+
+
+def _walk(nums, den, q_hi):
+    """Yield (q, D_q) for q = 1..q_hi - 1, D_q the exact integer distance."""
+    ms = [0] * len(nums)
+    for q in range(1, q_hi):
+        dist = 0
+        for i, p in enumerate(nums):
+            m = ms[i] + p
+            if m >= den:
+                m -= den
+            ms[i] = m
+            dist = max(dist, m if (m << 1) < den else den - m)
+        yield q, dist
+
+
+def oracle_simultaneous(theta, q_max, records=True):
+    """simultaneous_scan as a plain walk over every q."""
+    nums, den, r = scan_data(theta)
+    fast = _margin(r, den, 2 * q_max)
+    exact = r == 0
+    best_d, best_q, out = -1, 0, []
+    for q, dist in _walk(nums, den, q_max + 1):
+        if best_q and dist > best_d + fast:
+            continue
+        if best_q == 0:
+            best_d, best_q = dist, q
+            out.append((q, dist))
+        elif dist < best_d or (not exact and dist <= best_d + fast):
+            v = _verdict(dist, q, best_d, best_q, den, r)
+            if v is Verdict.INCONCLUSIVE:
+                raise PrecisionError(
+                    f"cannot order |{q}*theta| against |{best_q}*theta| at radius {r}")
+            if v is Verdict.LESS:
+                best_d, best_q = dist, q
+                if records:
+                    out.append((q, dist))
+                else:
+                    out[-1] = (q, dist)
+        if best_d == 0 and exact:
+            return out, den, True
+    return out, den, False
+
+
+def oracle_baseline(theta, q_hi, base_q, exceptions):
+    """all_greater_than_baseline as a plain walk over every q."""
+    nums, den, r = scan_data(theta)
+    base_dist = max(min(base_q * p % den, -base_q * p % den) for p in nums)
+    fast = base_dist + _margin(r, den, q_hi + base_q)
+    violations, report = [], {}
+    for q, dist in _walk(nums, den, q_hi):
+        if dist > fast or q == base_q:
+            continue
+        v = _verdict(dist, q, base_dist, base_q, den, r)
+        if q in exceptions:
+            report[q] = {Verdict.GREATER: "greater", Verdict.LESS: "leq",
+                         Verdict.EQUAL: "leq"}.get(v, "unresolved")
+        elif v is Verdict.INCONCLUSIVE:
+            raise PrecisionError(
+                f"comparison of |{q}*theta| with |{base_q}*theta| inconclusive; "
+                "extend the construction depth for a smaller radius")
+        elif v is not Verdict.GREATER:
+            violations.append(q)
+    for q in exceptions:
+        if 0 < q < q_hi and q not in report:
+            report[q] = "greater"
+    return violations, report
+
+
+def outcome(fn, *args, **kwargs):
+    """Result of fn, or the PrecisionError text it raised; reports are
+    compared with their key order."""
+    try:
+        res = fn(*args, **kwargs)
+    except PrecisionError as exc:
+        return "PrecisionError", str(exc)
+    if isinstance(res[1], dict):
+        return res[0], list(res[1].items())
+    return res
+
+
+def _near(x):
+    return st.integers(-40, 40).map(lambda k: x + k)
+
+
+# denominators: 1, small (exact zero termination), 2^60..2^140, around the
+# uint64 word (2^63, 2^64); _straddle adds the int64 overflow line of q*p
+DENS = st.one_of(st.just(1), st.integers(2, 600), st.integers(2**60, 2**140),
+                 _near(2**63), _near(2**64))
+Q_MAX = st.one_of(st.integers(1, 30), st.integers(300, 1500))
+
+
+@st.composite
+def _radius(draw, den):
+    kind = draw(st.sampled_from(["exact", "exact", "tiny", "close", "huge"]))
+    if kind == "exact":
+        return F(0)
+    if kind == "huge":  # degenerate: every comparison is inconclusive
+        return F(1, draw(st.integers(2, 50)))
+    bits = den.bit_length() + (16 if kind == "tiny" else 0)
+    return F(1, 2 ** max(1, bits - draw(st.integers(0, 24))))
+
+
+@st.composite
+def _theta_for(draw, den, q_max):
+    # numerators uniform in [0, den) (plain integer draws crowd the ends of
+    # the range, where q*theta stays near 0 and every scan is one record),
+    # with the odd edge value; the first one is a unit so den is exact
+    rnd = draw(st.randoms(use_true_random=True))
+    edges = [0, 1, den - 1, den // 2]
+    nums = [draw(st.sampled_from(edges)) if draw(st.integers(0, 5)) == 0
+            else rnd.randrange(den) for _ in range(draw(st.integers(1, 3)))]
+    while den > 1 and math.gcd(nums[0], den) != 1:
+        nums[0] = rnd.randrange(1, den)
+    theta = CertifiedVector([F(p, den) for p in nums], draw(_radius(den)))
+    assert scan_data(theta)[1] == den
+    return theta, q_max
+
+
+@st.composite
+def _scan_case(draw):
+    return draw(_theta_for(draw(DENS), draw(Q_MAX)))
+
+
+@st.composite
+def _straddle(draw):
+    """q_max*(den - 1) within a few units of 2^62, on either side: the
+    largest q*p_i of the scan at the edge of exact int64 arithmetic."""
+    q_max = draw(Q_MAX)
+    den = max(2, (1 << 62) // q_max + 1 + draw(st.integers(-3, 3)))
+    return draw(_theta_for(den, q_max))
+
+
+CASES = st.one_of(_scan_case(), _straddle())
+
+
+@settings(deadline=None, max_examples=150)
+@given(CASES, st.booleans())
+def test_simultaneous_scan_matches_oracle(case, records):
+    theta, q_max = case
+    assert (outcome(simultaneous_scan, theta, q_max, records=records)
+            == outcome(oracle_simultaneous, theta, q_max, records))
+
+
+@settings(deadline=None, max_examples=150)
+@given(CASES, st.data())
+def test_all_greater_than_baseline_matches_oracle(case, data):
+    theta, q_hi = case
+    base_q = data.draw(st.integers(1, q_hi + 3))
+    exceptions = (set(range(q_hi)) if data.draw(st.integers(0, 7)) == 0
+                  else set(data.draw(st.lists(st.integers(0, q_hi + 3), max_size=6))))
+    assert (outcome(all_greater_than_baseline, theta, q_hi, base_q, exceptions)
+            == outcome(oracle_baseline, theta, q_hi, base_q, exceptions))
+
+
+def test_exact_theta_terminates_at_zero():
+    theta = CertifiedVector((F(3, 7), F(5, 11)))
+    got = simultaneous_scan(theta, 10**6)
+    assert got == oracle_simultaneous(theta, 10**6)
+    assert got[2] and got[0][-1] == (77, 0)
+    assert simultaneous_scan(CertifiedVector((F(0),)), 5) == ([(1, 0)], 1, True)
+
+
+def test_scans_cross_block_boundary_on_big_denominator():
+    # a 2^64-size prime denominator with a radius, over more than one block
+    den = 2**64 - 59
+    theta = CertifiedVector((F(7640891576956012809, den),), F(1, 2**90))
+    q_max = _CHUNK + 300
+    assert simultaneous_scan(theta, q_max) == oracle_simultaneous(theta, q_max)
+    recs, _den, _zero = simultaneous_scan(theta, q_max)
+    base_q = recs[-2][0]
+    exceptions = {recs[-1][0], _CHUNK + 7}
+    assert (all_greater_than_baseline(theta, q_max, base_q, exceptions)
+            == oracle_baseline(theta, q_max, base_q, exceptions))
+
+
+def _filter_value(nums, den, q):
+    """The engine's fixed-point distance a_q, from Python ints."""
+    one = 1 << 64
+    return max(min(x, one - x) for x in (q * ((p << 64) // den) % one for p in nums))
+
+
+@pytest.mark.parametrize("den", [2**63 - 25, 2**63 + 29, 2**64 - 59, 2**64 + 13,
+                                 2**100 + 277, 2**140 + 1])
+def test_one_unit_ties_on_big_denominators(den):
+    # a baseline tie: |1*theta| = |2*theta| = x
+    x = den // 2 - 3
+    x -= x % 2
+    tie = CertifiedVector((F(x // 2, den), F(x, den)))
+    assert all_greater_than_baseline(tie, 3, 1, set()) == ([2], {})
+    assert all_greater_than_baseline(tie, 3, 1, {2}) == ([], {2: "leq"})
+    # a record by one unit of 1/den: |1*theta| = x at position x (a_1 rounds
+    # down), |2*theta| = x - 1 at position den - x + 1 (a_2 rounds up); from
+    # 2^64 on, pick one where a_2 > a_1, which only the slack recovers
+    for k in range(3, 400):
+        x = den // 2 - k
+        nums = ((den - x + 1) // 2, x)
+        if (den - x) % 2 and (den < 2**64 - 59
+                              or _filter_value(nums, den, 2) > _filter_value(nums, den, 1)):
+            break
+    else:
+        raise AssertionError("no filter inversion found")
+    step = CertifiedVector([F(p, den) for p in nums])
+    recs, den_, _zero = simultaneous_scan(step, 2)
+    assert den_ == den and [(q, x - d) for q, d in recs] == [(1, 0), (2, 1)]
+    for theta in (tie, step):
+        for q_max in (2, 50):
+            assert simultaneous_scan(theta, q_max) == oracle_simultaneous(theta, q_max)
+            assert (all_greater_than_baseline(theta, q_max, 1, set())
+                    == oracle_baseline(theta, q_max, 1, set()))
