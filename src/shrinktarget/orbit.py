@@ -1,13 +1,37 @@
 """Certified simulation of torus translations against shrinking targets.
 
-The orbit x, x + theta, x + 2 theta, ... on T^d is iterated in fixed-point
-arithmetic (precision_bits fractional bits) with a single rigorously tracked
-error term: after n steps the fixed-point position is within
-1/2 + n*(1/2 + radius*2^B) units of the true one.  Time n is a *hit* when
-the certified distance to 0 is conclusively <= n^(-1/delta); comparisons the
-error band cannot decide are re-run in exact rational arithmetic, and only a
-genuine straddle of the threshold (possible when theta itself carries a
-radius) is tallied as inconclusive.
+The orbit x, x + theta, x + 2 theta, ... on T^d is iterated in fixed point
+with B = precision_bits fractional bits and one tracked error term: after n
+steps the position is within err = 1/2 + n*(1/2 + radius*2^B) units of the
+true one.  Time n is a *hit* when the certified distance d_B to 0 is
+conclusively <= n^(-1/delta); what that band cannot decide is re-run in
+exact rational arithmetic, and only a genuine straddle of the threshold
+(theta carrying a radius) is tallied as inconclusive.
+
+One numpy engine serves every B, filtering in *top units* (2^-64 of the
+torus; top(v) = floor(v/2^s) with s = B - 64, an exact left shift when
+B < 64).  No float sits on a decision path:
+
+- Rebased top limb.  A time block of L <= 2^16 steps from b0 puts step k at
+  top(x) + top(b0*theta mod 2^B) + k*top(theta) mod 2^64, within E = L + 1
+  top units of the true position (E = 0 when s <= 0), however large b0 is.
+  d64 is the largest coordinate |pos| read as int64 (pos = 2^63 gives 2^63).
+- Integer brackets.  A block splits into sub-blocks [a, b], b - a = a // 64.
+  The threshold falls with n, so with (t_lo, t_hi) from _threshold_pair and
+  e = ceil(err/2^s), d64 <= top(t_lo(b + 1)) - E - e is a certain hit and
+  d64 > ceil(t_hi(a)/2^s) + E + e a certain miss on all of [a, b].  The
+  limits are computed once per block and shared by every sample.
+- Exact re-check.  Every other step gets its exact B-bit distance from
+  Python integers and the full-precision rule (_threshold_pair, then exact
+  arithmetic), which would decide a filtered step the same way; so hits
+  and inconclusive counts are those of a B-bit step-by-step walk.  The
+  steps with d64 <= (block minimum) + 2E hold the exact minimum distance.
+
+Window estimates classify samples x times densely, with early exit, while
+the target radius is >= 1/16.  Beyond that they bucket the centres -l*theta
+of a batch of rebased blocks on the top units of at most two coordinates
+(cells wider than the largest target plus E); each sample probes its
+neighbouring cells and the candidate pairs are classified as above.
 
 The log-law statistic reported per orbit is the depth-N surrogate of the
 limsup exponent: (-log min_{2<=n<=N} d_n) / log N, as an outward-rounded
@@ -25,8 +49,10 @@ from __future__ import annotations
 
 import csv
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,7 +61,13 @@ from .errors import DomainError, PrecisionError, ResourceError
 from .exact import CertifiedVector, _dec, as_vector, dist_nearest_int, rational
 from .roots import iroot, log2_enclosure, sqrt_upper
 
-_PY_SWEEP_CAP = 2 * 10 ** 6  # bigint path: refuse absurdly long orbits
+_PY_SWEEP_CAP = 2 * 10 ** 6  # precision_bits != 64: longest orbit - 1
+_WINDOW_CAP = 10 ** 8  # precision_bits != 64 or d = 3: window sample-steps
+_BLOCK = 1 << 16  # longest time block: bounds E and the arrays of one sample
+_BATCH = 1 << 20  # (sample, time) pairs per vectorised window batch
+_SUB = 64  # a sub-block [a, b] of a time block has b - a = a // _SUB
+_NO_MISS = 1 << 63  # limits for auto-hit times: d64 <= 2^63 < 2^63 + 1
+_ALL_HIT = (1 << 63) + 1
 
 
 def _ceil_frac(x: Fraction) -> int:
@@ -169,140 +201,178 @@ def _exact_classify(x0_frac, theta: CertifiedVector, n: int,
     return None
 
 
-class _SweepResult:
-    __slots__ = ("hits", "inconclusive", "min_lo", "min_hi")
-
-    def __init__(self, hits, inconclusive, min_lo, min_hi):
-        self.hits = hits
-        self.inconclusive = inconclusive
-        self.min_lo = min_lo  # certified bounds on min_{n>=2} distance,
-        self.min_hi = min_hi  # in fixed-point units; None if no n >= 2
+class _SweepResult(NamedTuple):
+    hits: list[int]
+    inconclusive: int
+    min_lo: int | None  # certified bounds on min_{n>=2} distance, in
+    min_hi: int | None  # fixed-point units; None if no n >= 2
 
 
-def _sweep_np(config: OrbitConfig, x0u: list[int], n_lo: int, n_hi: int,
-              x0_frac=None) -> _SweepResult:
-    """uint64 engine (precision_bits = 64): positions n*T wrap mod 2^64.
+def _d64(positions) -> np.ndarray:
+    """Largest |pos| over the coordinates' uint64 positions, each read as
+    int64: |-2^63| wraps back to 2^63.  Overwrites the positions."""
+    d = None
+    for pos in positions:
+        signed = pos.view(np.int64)
+        np.abs(signed, out=signed)
+        d = pos if d is None else np.maximum(d, pos, out=d)
+    return d
 
-    x0_frac is the true rational start for the exact fallback; by default the
-    grid point x0u/2^bits (exact for starts drawn on the grid).
-    """
-    bits = 64
-    theta_u = _theta_units(config.theta, bits)
-    if x0_frac is None:
-        x0_frac = [Fraction(u, 1 << bits) for u in x0u]
-    err = _error_units(n_hi, config.theta.radius, bits)
-    auto = _auto_hit_bound(config.delta)
-    p, q = config.delta.numerator, config.delta.denominator
-    hits: list[int] = []
-    inconclusive = 0
-    dmin = None
-    chunk = 1 << 21
-    for start in range(n_lo, n_hi + 1, chunk):
-        stop = min(start + chunk - 1, n_hi)
-        ns = np.arange(start, stop + 1, dtype=np.uint64)
-        dist = np.zeros(len(ns), dtype=np.uint64)
-        for tu, xu in zip(theta_u, x0u):
-            pos = np.uint64(xu) + np.uint64(tu) * ns
-            np.maximum(dist, np.minimum(pos, np.uint64(0) - pos), out=dist)
-        lo2 = max(start, 2)
-        if lo2 <= stop:
-            m = int(dist[lo2 - start:].min())
-            dmin = m if dmin is None else min(dmin, m)
-        # classification: auto-hits, then float thresholds with safety slack
-        n_auto_end = min(auto, stop)
-        if start <= n_auto_end:
-            hits.extend(range(start, n_auto_end + 1))
-        if stop > auto:
-            tail = slice(max(auto + 1, start) - start, None)
-            ns_t = ns[tail]
-            d_t = dist[tail]
-            tf = np.power(ns_t.astype(np.float64), -q / p) * float(1 << bits)
-            slack = tf * 1e-10 + 4.0
-            t_lo = np.maximum(tf - slack, 0.0).astype(np.uint64)
-            t_hi = (tf + slack).astype(np.uint64)
-            e = np.uint64(err)
-            hit_m = d_t + e <= t_lo
-            miss_m = (d_t >= e) & (d_t - e > t_hi)
-            hits.extend(int(n) for n in ns_t[hit_m])
-            for n in ns_t[~(hit_m | miss_m)]:
-                n = int(n)
-                verdict = _exact_classify(x0_frac, config.theta, n, config.delta)
+
+class _Engine:
+    """The top-unit frame of one configuration (see the module doc): what
+    every sample shares, and the exact full-precision rule for survivors."""
+
+    def __init__(self, config: OrbitConfig, n_hi: int):
+        self.config = config
+        self.bits = config.precision_bits
+        self.s = self.bits - 64
+        self.theta_u = _theta_units(config.theta, self.bits)
+        self.err = _error_units(n_hi, config.theta.radius, self.bits)
+        self.e = self.top(self.err, ceil=True)
+        self.auto = _auto_hit_bound(config.delta)
+        k = np.arange(_BLOCK, dtype=np.uint64)
+        self.k_theta = [k * np.uint64(self.top(t)) for t in self.theta_u]
+
+    def top(self, v: int, ceil: bool = False) -> int:
+        if self.s < 0:
+            return v << -self.s
+        return -((-v) >> self.s) if ceil else v >> self.s
+
+    def slack(self, length: int) -> int:
+        """E: bound on |d_B / 2^s - d64| within a block of `length` steps."""
+        return length + 1 if self.s > 0 else 0
+
+    def tops(self, points, n: int) -> np.ndarray:
+        """(len(points), dim) uint64 top units of the positions at time n."""
+        mask = (1 << self.bits) - 1
+        return np.array([[self.top((x + n * t) & mask)
+                          for x, t in zip(pt, self.theta_u)] for pt in points],
+                        dtype=np.uint64)
+
+    def distances(self, tops: np.ndarray, base: np.ndarray, length: int) -> np.ndarray:
+        """d64[r, k] of the rows starting at tops + base, for k < length."""
+        return _d64((tops[:, c] + base[c])[:, None] + kt[:length]
+                    for c, kt in enumerate(self.k_theta))
+
+    def bounds(self, b0: int, length: int, slack: int):
+        """Shared limits for the steps b0 .. b0+length-1: d64 < hit[k] is a
+        certain hit and d64 > miss[k] a certain miss for every sample whose
+        d64 is within `slack` of its d_B / 2^s."""
+        hit, miss = np.empty((2, length), dtype=np.uint64)
+        a, end = b0, b0 + length - 1
+        if a <= self.auto:
+            k = min(self.auto, end) - b0 + 1
+            hit[:k], miss[:k] = _ALL_HIT, _NO_MISS
+            a += k
+        delta, bits = self.config.delta, self.bits
+        pair = _threshold_pair(a, delta, bits)
+        while a <= end:
+            # t_lo(b + 1) bounds [a, b] from below; t_hi(b + 1) serves next
+            b = min(a + a // _SUB, end)
+            after = _threshold_pair(b + 1, delta, bits)
+            hit[a - b0:b - b0 + 1] = min(max(
+                self.top(after[0]) - slack - self.e + 1, 0), _ALL_HIT)
+            miss[a - b0:b - b0 + 1] = min(
+                self.top(pair[1], ceil=True) + slack + self.e, _NO_MISS)
+            a, pair = b + 1, after
+        return hit, miss
+
+    def dist(self, pt, n: int) -> int:
+        """Exact B-bit fixed-point distance to 0 of pt + n*theta."""
+        one = 1 << self.bits
+        return max(min((x + n * t) % one, -(x + n * t) % one)
+                   for x, t in zip(pt, self.theta_u))
+
+    def classify(self, pt, n: int, x0_frac=None) -> bool | None:
+        """The full-precision rule at time n; None = genuine straddle.
+
+        x0_frac is the true rational start, by default the grid point
+        pt/2^bits (exact for starts drawn on the grid)."""
+        d = self.dist(pt, n)
+        t_lo, t_hi = _threshold_pair(n, self.config.delta, self.bits)
+        if d + self.err <= t_lo:
+            return True
+        if d - self.err > t_hi:
+            return False
+        if x0_frac is None:
+            x0_frac = [Fraction(u, 1 << self.bits) for u in pt]
+        return _exact_classify(x0_frac, self.config.theta, n, self.config.delta)
+
+    def minimum(self, pt, n0: int, d: np.ndarray, slack: int, best: int) -> int:
+        """min(best, exact B-bit distance at times n0 + k, k < len(d))."""
+        m = int(d.min())
+        if self.s <= 0:
+            return min(best, m >> -self.s)
+        if (m - slack) << self.s > best:
+            return best
+        return min([best] + [self.dist(pt, n0 + k) for k in
+                             np.flatnonzero(d <= m + 2 * slack).tolist()])
+
+    def settle(self, starts, hit, amb, rows, b0: int, ks, sure) -> None:
+        """Window verdicts for the pairs (rows[m], b0 + ks[m]) that are not
+        certain misses; sure[m] marks the certain hits."""
+        hit[rows[sure]] = True
+        for i, k in zip(rows[~sure].tolist(), ks[~sure].tolist()):
+            if not hit[i]:
+                verdict = self.classify(starts[i], b0 + k)
+                hit[i] = verdict is True
+                amb[i] |= verdict is None
+
+
+def _sweep(config: OrbitConfig, starts, x0_fracs=None) -> list[_SweepResult]:
+    """Hits, inconclusive counts and minimum distances over n = 1..n_max for
+    every start (B-bit fixed-point units); time blocks outside, samples
+    inside, so each block's brackets are computed once."""
+    n_max = config.n_max
+    eng = _Engine(config, n_max)
+    x0_fracs = x0_fracs or [None] * len(starts)
+    tops = eng.tops(starts, 0)
+    hits = [[] for _ in starts]
+    inconclusive = [0] * len(starts)
+    dmin = [1 << config.precision_bits] * len(starts)  # above any distance
+    for b0 in range(1, n_max + 1, _BLOCK):
+        length = min(_BLOCK, n_max - b0 + 1)
+        slack = eng.slack(length)
+        hit_lim, miss_lim = eng.bounds(b0, length, slack)
+        base = eng.tops([[0] * config.dim], b0)[0]
+        lo2 = max(2 - b0, 0)
+        for i, pt in enumerate(starts):
+            d = eng.distances(tops[i:i + 1], base, length)[0]
+            ks = np.flatnonzero(d <= miss_lim)
+            sure = d[ks] < hit_lim[ks]
+            hits[i] += [b0 + k for k in ks[sure].tolist()]
+            for k in ks[~sure].tolist():
+                verdict = eng.classify(pt, b0 + k, x0_fracs[i])
                 if verdict is True:
-                    hits.append(n)
-                elif verdict is None:
-                    inconclusive += 1
-    if dmin is None:
-        return _SweepResult(sorted(hits), inconclusive, None, None)
-    return _SweepResult(sorted(hits), inconclusive, dmin - err, dmin + err)
+                    hits[i].append(b0 + k)
+                inconclusive[i] += verdict is None
+            if lo2 < length:
+                dmin[i] = eng.minimum(pt, b0 + lo2, d[lo2:], slack, dmin[i])
+    return [_SweepResult(sorted(h), c, *((m - eng.err, m + eng.err)
+                                         if n_max >= 2 else (None, None)))
+            for h, c, m in zip(hits, inconclusive, dmin)]
 
 
-def _sweep_py(config: OrbitConfig, x0u: list[int], n_lo: int, n_hi: int,
-              x0_frac=None) -> _SweepResult:
-    """Arbitrary-precision fixed-point engine (any precision_bits)."""
-    bits = config.precision_bits
-    if n_hi - n_lo > _PY_SWEEP_CAP:
-        raise ResourceError(
-            f"orbit of length {n_hi - n_lo + 1} at {bits} fractional bits "
-            f"exceeds the bigint engine cap {_PY_SWEEP_CAP}; use "
-            f"precision_bits = 64 for long orbits")
-    theta_u = _theta_units(config.theta, bits)
-    if x0_frac is None:
-        x0_frac = [Fraction(u, 1 << bits) for u in x0u]
-    mask = (1 << bits) - 1
-    half = 1 << (bits - 1)
-    err = _error_units(n_hi, config.theta.radius, bits)
-    auto = _auto_hit_bound(config.delta)
-    pos = [(xu + n_lo * tu) & mask for xu, tu in zip(x0u, theta_u)]
-    hits: list[int] = []
-    inconclusive = 0
-    dmin = None
-    for n in range(n_lo, n_hi + 1):
-        d = 0
-        for c in range(len(pos)):
-            v = pos[c]
-            dv = v if v <= half else (1 << bits) - v
-            if dv > d:
-                d = dv
-            pos[c] = (v + theta_u[c]) & mask
-        if n >= 2 and (dmin is None or d < dmin):
-            dmin = d
-        if n <= auto:
-            hits.append(n)
-            continue
-        t = _threshold_pair(n, config.delta, bits)
-        if d + err <= t[0]:
-            hits.append(n)
-        elif d - err > t[1]:
-            pass
-        else:
-            verdict = _exact_classify(x0_frac, config.theta, n, config.delta)
-            if verdict is True:
-                hits.append(n)
-            elif verdict is None:
-                inconclusive += 1
-    if dmin is None:
-        return _SweepResult(hits, inconclusive, None, None)
-    return _SweepResult(hits, inconclusive, dmin - err, dmin + err)
-
-
-def _sweep(config: OrbitConfig, x0u: list[int], n_lo: int, n_hi: int,
-           x0_frac=None) -> _SweepResult:
-    if config.precision_bits == 64:
-        return _sweep_np(config, x0u, n_lo, n_hi, x0_frac)
-    return _sweep_py(config, x0u, n_lo, n_hi, x0_frac)
-
-
-def _stat_enclosure(res: _SweepResult, n_hi: int, bits: int):
-    """Outward enclosure of (-log2 min dist)/(log2 N); (None, None) when the
-    distance interval touches 0 or no n >= 2 exists."""
-    if res.min_lo is None or res.min_lo <= 0 or n_hi < 2:
+def _stat_enclosure(res: _SweepResult, log_n, bits: int):
+    """Outward enclosure of (-log2 min dist)/(log2 N), with log_n the
+    enclosure of log2 N; (None, None) when the distance interval touches 0
+    or no n >= 2 exists."""
+    if res.min_lo is None or res.min_lo <= 0:
         return None, None
     la1 = log2_enclosure(res.min_lo)[0]
     lb2 = log2_enclosure(res.min_hi)[1]
-    ln_lo, ln_hi = log2_enclosure(n_hi)
-    hi = (bits - la1) / ln_lo
-    lo = (bits - lb2) / ln_hi
+    hi = (bits - la1) / log_n[0]
+    lo = (bits - lb2) / log_n[1]
     return max(lo, Fraction(0)), max(hi, Fraction(0))
+
+
+def _check_sweep_cap(config: OrbitConfig) -> None:
+    if config.precision_bits != 64 and config.n_max - 1 > _PY_SWEEP_CAP:
+        raise ResourceError(
+            f"orbit of length {config.n_max} at {config.precision_bits} "
+            f"fractional bits exceeds the orbit length cap {_PY_SWEEP_CAP}; "
+            f"use precision_bits = 64 for long orbits")
 
 
 def orbit_hits(config: OrbitConfig, x0=None, sample_id: int = 0) -> HitRecord:
@@ -314,10 +384,12 @@ def orbit_hits(config: OrbitConfig, x0=None, sample_id: int = 0) -> HitRecord:
     """
     if config.n_max == 0:
         return HitRecord(sample_id, (), 0, None, None)
+    _check_sweep_cap(config)
     x0u = _x0_units(x0, config.dim, config.precision_bits)
     x0_frac = None if x0 is None else [rational(c) % 1 for c in x0]
-    res = _sweep(config, x0u, 1, config.n_max, x0_frac)
-    lo, hi = _stat_enclosure(res, config.n_max, config.precision_bits)
+    (res,) = _sweep(config, [x0u], [x0_frac])
+    log_n = log2_enclosure(config.n_max) if config.n_max >= 2 else None
+    lo, hi = _stat_enclosure(res, log_n, config.precision_bits)
     return HitRecord(sample_id, tuple(res.hits), res.inconclusive, lo, hi)
 
 
@@ -408,18 +480,17 @@ def hit_census(config: OrbitConfig, n_lo: int = 1) -> CensusSummary:
     """
     if not 1 <= n_lo <= max(config.n_max, 1):
         raise DomainError("n_lo must lie in [1, n_max]")
+    _check_sweep_cap(config)
     starts = _draw_starts(config, config.samples)
-    records = []
-    counts = []
-    for i, x0u in enumerate(starts):
-        if config.n_max == 0:
-            rec = HitRecord(i, (), 0, None, None)
-        else:
-            res = _sweep(config, x0u, 1, config.n_max)
-            lo, hi = _stat_enclosure(res, config.n_max, config.precision_bits)
-            rec = HitRecord(i, tuple(res.hits), res.inconclusive, lo, hi)
-        records.append(rec)
-        counts.append(sum(1 for n in rec.hits if n >= n_lo))
+    if config.n_max == 0:
+        records = [HitRecord(i, (), 0, None, None) for i in range(len(starts))]
+    else:
+        log_n = log2_enclosure(config.n_max) if config.n_max >= 2 else None
+        records = [
+            HitRecord(i, tuple(res.hits), res.inconclusive,
+                      *_stat_enclosure(res, log_n, config.precision_bits))
+            for i, res in enumerate(_sweep(config, starts))]
+    counts = [len(r.hits) - bisect_left(r.hits, n_lo) for r in records]
     s = sorted(counts)
     m = len(s)
     return CensusSummary(
@@ -470,152 +541,80 @@ def bc_window_estimate(config: OrbitConfig, window: tuple[int, int]) -> WindowEs
     if lo <= _auto_hit_bound(config.delta):
         # the window contains a target of radius >= 1/2: everything hits
         return WindowEstimate((lo, hi), config.samples, config.samples, 0)
-    starts = _draw_starts(config, config.samples)
-    if config.precision_bits == 64 and config.dim <= 2:
-        hit_flags, amb_flags = _window_np(config, starts, lo, hi - 1)
-    else:
-        hit_flags, amb_flags = _window_py(config, starts, lo, hi - 1)
-    hits = sum(hit_flags)
-    inconclusive = sum(1 for h, a in zip(hit_flags, amb_flags) if a and not h)
-    return WindowEstimate((lo, hi), config.samples, hits, inconclusive)
-
-
-def _window_py(config, starts, l_lo, l_hi):
-    """Per-sample scan with early exit; thresholds shared across samples."""
-    if (l_hi - l_lo + 1) * len(starts) > 10 ** 8:
+    if (config.precision_bits != 64 or config.dim > 2) \
+            and (hi - lo) * config.samples > _WINDOW_CAP:
         raise ResourceError(
-            f"window of length {l_hi - l_lo + 1} for {len(starts)} samples "
+            f"window of length {hi - lo} for {config.samples} samples "
             f"exceeds the scan budget at {config.precision_bits} bits; "
             f"shorten the window or use precision_bits = 64")
-    bits = config.precision_bits
-    mask = (1 << bits) - 1
-    half = 1 << (bits - 1)
-    theta_u = _theta_units(config.theta, bits)
-    err = _error_units(l_hi, config.theta.radius, bits)
-    auto = _auto_hit_bound(config.delta)
-    pairs = {l: _threshold_pair(l, config.delta, bits)
-             for l in range(max(l_lo, auto + 1), l_hi + 1)}
-    hit_flags = [False] * len(starts)
-    amb_flags = [False] * len(starts)
-    for i, x0u in enumerate(starts):
-        if l_lo <= auto:
-            hit_flags[i] = True
-            continue
-        pos = [(xu + l_lo * tu) & mask for xu, tu in zip(x0u, theta_u)]
-        x0_frac = None
-        for l in range(l_lo, l_hi + 1):
-            d = 0
-            for c in range(len(pos)):
-                v = pos[c]
-                dv = v if v <= half else (1 << bits) - v
-                if dv > d:
-                    d = dv
-                pos[c] = (v + theta_u[c]) & mask
-            t_lo, t_hi = pairs[l]
-            if d + err <= t_lo:
-                hit_flags[i] = True
-                break
-            if d - err > t_hi:
-                continue
-            if x0_frac is None:
-                x0_frac = [Fraction(u, 1 << bits) for u in x0u]
-            verdict = _exact_classify(x0_frac, config.theta, l, config.delta)
-            if verdict is True:
-                hit_flags[i] = True
-                break
-            if verdict is None:
-                amb_flags[i] = True
-    return hit_flags, amb_flags
+    hit, amb = _window(config, _draw_starts(config, config.samples), lo, hi - 1)
+    return WindowEstimate((lo, hi), config.samples, int(hit.sum()), int(amb.sum()))
 
 
-def _classify_units(d: int, l: int, config: OrbitConfig, err: int,
-                    x0_frac) -> bool | None:
-    """Certified hit test from a fixed-point distance d at time l."""
-    t_lo, t_hi = _threshold_pair(l, config.delta, config.precision_bits)
-    if d + err <= t_lo:
-        return True
-    if d - err > t_hi:
-        return False
-    return _exact_classify(x0_frac, config.theta, l, config.delta)
-
-
-def _window_np(config, starts, l_lo, l_hi):
-    """Bucket engine: hash target centers -l*theta on a grid coarser than
-    the largest target, then test every sample against nearby centers only.
-
-    Times l whose target is wider than 2^-4 (cells would be too coarse to
-    bucket) are handled per sample with an early-exit scan; the expected
-    number of scanned times per sample is O(1) because hits there are dense.
-    """
-    bits = 64
-    theta_u = _theta_units(config.theta, bits)
-    dim = config.dim
-    err = _error_units(l_hi, config.theta.radius, bits)
+def _window(config: OrbitConfig, starts, l_lo: int, l_hi: int):
+    """Per-start (hit, inconclusive) flags for the times l_lo..l_hi: a hit is
+    a conclusive hit at some l, inconclusive means no hit and a straddle."""
+    eng = _Engine(config, l_hi)
+    hit, amb = np.zeros((2, len(starts)), dtype=bool)
+    tops = eng.tops(starts, 0)
+    origin = [[0] * config.dim]
     p, q = config.delta.numerator, config.delta.denominator
-    hit_flags = np.zeros(len(starts), dtype=bool)
-    amb_flags = np.zeros(len(starts), dtype=bool)
-    xs = np.array(starts, dtype=np.uint64)
-    x0_fracs = [[Fraction(u, 1 << bits) for u in pt] for pt in starts]
     l0 = iroot(16 ** p, q) + 1  # first l with target radius < 1/16
-    for i, pt in enumerate(starts):
-        for l in range(l_lo, min(l0 - 1, l_hi) + 1):
-            d = 0
-            for c in range(dim):
-                v = (pt[c] + l * theta_u[c]) % (1 << bits)
-                d = max(d, min(v, (1 << bits) - v))
-            verdict = _classify_units(d, l, config, err, x0_fracs[i])
-            if verdict is True:
-                hit_flags[i] = True
-                break
-            if verdict is None:
-                amb_flags[i] = True
-    chunk = 1 << 22
-    offsets = np.array([[o // 3 ** c % 3 - 1 for c in range(dim)]
-                        for o in range(3 ** dim)], dtype=np.int64)
-    for start in range(max(l_lo, l0), l_hi + 1, chunk):
-        stop = min(start + chunk - 1, l_hi)
-        active = np.nonzero(~hit_flags)[0]
-        if not len(active):
-            break
-        # cell size: one bit above the largest radius (+error) in the chunk
-        t_hi0 = _threshold_pair(start, config.delta, bits)[1]
-        shift = max(int(t_hi0 + err + 4).bit_length() + 1, 33)
-        span = np.uint64(1 << (64 - shift))
-        ls = np.arange(start, stop + 1, dtype=np.uint64)
-        centers = [np.uint64(0) - np.uint64(tu) * ls for tu in theta_u]
-        keys = centers[0] >> np.uint64(shift)
-        if dim == 2:
-            keys = keys * span + (centers[1] >> np.uint64(shift))
-        order = np.argsort(keys, kind="stable")
+    b0 = l_lo
+    # wide targets: hits are dense, so classify samples x times directly
+    while b0 <= min(l0 - 1, l_hi) and not hit.all():
+        active = np.flatnonzero(~hit)
+        length = min(l0 - b0, l_hi - b0 + 1, _BLOCK,
+                     max(1, _BATCH // len(active)))
+        hit_lim, miss_lim = eng.bounds(b0, length, eng.slack(length))
+        d = eng.distances(tops[active], eng.tops(origin, b0)[0], length)
+        r, k = np.nonzero(d <= miss_lim)
+        eng.settle(starts, hit, amb, active[r], b0, k, d[r, k] < hit_lim[k])
+        b0 += length
+    # narrow targets: bucket the centres -l*theta by the top units of at
+    # most two coordinates, probe each sample's neighbouring cells
+    keyed = min(config.dim, 2)
+    offsets = np.array([[o // 3 ** c % 3 - 1 for c in range(keyed)]
+                        for o in range(3 ** keyed)], dtype=np.int64)
+    while b0 <= l_hi and not hit.all():
+        active = np.flatnonzero(~hit)
+        # a cell is wider than any target in the block plus every error
+        reach = (eng.top(_threshold_pair(b0, config.delta, eng.bits)[1], ceil=True)
+                 + eng.e + eng.slack(_BLOCK))
+        shift = max(reach.bit_length(), 33)
+        span = 1 << (64 - shift)
+        # a batch of rebased time blocks: long enough to amortise the
+        # 3^keyed probes per sample, with at most about _BATCH candidate
+        # pairs (each probe covers 2^shift top units per coordinate)
+        probes = 3 ** keyed * len(active)
+        length = min(l_hi - b0 + 1, _BATCH, max(_BLOCK, 16 * probes),
+                     max(1, _BATCH * span ** keyed // probes))
+        hit_lim, miss_lim = eng.bounds(b0, length, eng.slack(min(length, _BLOCK)))
+        bases = np.concatenate([eng.tops(origin, n)
+                                for n in range(b0, b0 + length, _BLOCK)])
+        centres = [(np.uint64(0) - (bases[:, c, None] + kt)).ravel()[:length]
+                   for c, kt in enumerate(eng.k_theta)]
+        keys = np.zeros(length, dtype=np.uint64)
+        for c in range(keyed):
+            keys = keys * np.uint64(span) + (centres[c] >> np.uint64(shift))
+        order = np.argsort(keys)
         sorted_keys = keys[order]
-        # all 3^dim neighbor-cell keys for every still-active sample at once
-        cells = [(xs[active, c] >> np.uint64(shift)).astype(np.int64)
-                 for c in range(dim)]
-        probe = (cells[0][:, None] + offsets[None, :, 0]) % np.int64(span)
-        if dim == 2:
-            probe = probe * np.int64(span) + (
-                cells[1][:, None] + offsets[None, :, 1]) % np.int64(span)
+        probe = np.zeros((len(active), len(offsets)), dtype=np.int64)
+        for c in range(keyed):
+            cell = (tops[active, c] >> np.uint64(shift)).astype(np.int64)
+            probe = probe * span + (cell[:, None] + offsets[None, :, c]) % span
         probe = probe.astype(np.uint64)
-        a = np.searchsorted(sorted_keys, probe, side="left")
-        b = np.searchsorted(sorted_keys, probe, side="right")
-        rows, cols = np.nonzero(b > a)
-        for r, c in zip(rows, cols):
-            i = int(active[r])
-            if hit_flags[i]:
-                continue
-            for j in order[a[r, c]:b[r, c]]:
-                l = int(ls[j])
-                d = 0
-                for cc in range(dim):
-                    v = (int(xs[i, cc]) - int(centers[cc][j])) % (1 << bits)
-                    d = max(d, min(v, (1 << bits) - v))
-                verdict = _classify_units(d, l, config, err, x0_fracs[i])
-                if verdict is True:
-                    hit_flags[i] = True
-                    break
-                if verdict is None:
-                    amb_flags[i] = True
-    return [bool(v) for v in hit_flags], [bool(v) for v in amb_flags]
+        first = np.searchsorted(sorted_keys, probe, side="left").ravel()
+        count = np.searchsorted(sorted_keys, probe, side="right").ravel() - first
+        rows = np.repeat(np.repeat(active, len(offsets)), count)
+        at = np.repeat(first - (np.cumsum(count) - count), count)
+        ks = order[at + np.arange(len(at))]
+        d = _d64(tops[rows, c] - centres[c][ks] for c in range(config.dim))
+        keep = d <= miss_lim[ks]
+        rows, ks, d = rows[keep], ks[keep], d[keep]
+        eng.settle(starts, hit, amb, rows, b0, ks, d < hit_lim[ks])
+        b0 += length
+    return hit, amb & ~hit
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,96 @@
-"""Certified orbit simulation: hits, censuses, window estimates, statistics."""
+"""Certified orbit simulation: hits, censuses, window estimates, statistics.
+
+The engine is checked against `oracle_sweep` and `oracle_window`: plain
+step-by-step walks at the full precision_bits, with every decision made by
+the exact rule, that the top-limb filter must reproduce hit for hit.
+"""
 
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from shrinktarget import orbit
 from shrinktarget.errors import DomainError, PrecisionError, ResourceError
 from shrinktarget.exact import CertifiedVector
-from shrinktarget.orbit import (OrbitConfig, _draw_starts, _window_np,
-                                _window_py, bc_window_estimate,
+from shrinktarget.orbit import (OrbitConfig, _auto_hit_bound, _draw_starts,
+                                _error_units, _exact_classify, _sweep,
+                                _theta_units, _threshold_pair, _window,
+                                _x0_units, bc_window_estimate,
                                 exact_orbit_hits, hit_census, log_law_stat,
                                 orbit_hits)
 
 F = Fraction
+
+
+# --- exact step-by-step walks: the oracle for the orbit engine -----------------
+
+
+def _classify(d, n, config, err, x0_frac):
+    t_lo, t_hi = _threshold_pair(n, config.delta, config.precision_bits)
+    if d + err <= t_lo:
+        return True
+    if d - err > t_hi:
+        return False
+    return _exact_classify(x0_frac, config.theta, n, config.delta)
+
+
+def _grid(x0u, bits):
+    return [F(u, 1 << bits) for u in x0u]
+
+
+def oracle_sweep(config, x0u, x0_frac=None):
+    """(hits, inconclusive, min_lo, min_hi) of the orbit of x0u over
+    n = 1..n_max, one B-bit step at a time."""
+    bits = config.precision_bits
+    theta_u = _theta_units(config.theta, bits)
+    x0_frac = x0_frac or _grid(x0u, bits)
+    one = 1 << bits
+    err = _error_units(config.n_max, config.theta.radius, bits)
+    auto = _auto_hit_bound(config.delta)
+    pos = [(xu + tu) % one for xu, tu in zip(x0u, theta_u)]
+    hits, inconclusive, dmin = [], 0, None
+    for n in range(1, config.n_max + 1):
+        d = max(min(v, one - v) for v in pos)
+        pos = [(v + tu) % one for v, tu in zip(pos, theta_u)]
+        if n >= 2 and (dmin is None or d < dmin):
+            dmin = d
+        verdict = True if n <= auto else _classify(d, n, config, err, x0_frac)
+        if verdict is True:
+            hits.append(n)
+        elif verdict is None:
+            inconclusive += 1
+    if dmin is None:
+        return hits, inconclusive, None, None
+    return hits, inconclusive, dmin - err, dmin + err
+
+
+def oracle_window(config, starts, l_lo, l_hi):
+    """Per-start (hit, inconclusive) flags for l_lo..l_hi: each start walks
+    l = l_lo, l_lo + 1, ... until its first hit."""
+    bits = config.precision_bits
+    one = 1 << bits
+    theta_u = _theta_units(config.theta, bits)
+    err = _error_units(l_hi, config.theta.radius, bits)
+    hit, amb = [False] * len(starts), [False] * len(starts)
+    for i, x0u in enumerate(starts):
+        pos = [(xu + l_lo * tu) % one for xu, tu in zip(x0u, theta_u)]
+        for l in range(l_lo, l_hi + 1):
+            d = max(min(v, one - v) for v in pos)
+            pos = [(v + tu) % one for v, tu in zip(pos, theta_u)]
+            verdict = _classify(d, l, config, err, _grid(x0u, bits))
+            if verdict is True:
+                hit[i] = True
+                break
+            if verdict is None:
+                amb[i] = True
+    return hit, [a and not h for h, a in zip(hit, amb)]
+
+
+def engine_window(config, starts, l_lo, l_hi):
+    hit, amb = _window(config, starts, l_lo, l_hi)
+    return hit.tolist(), amb.tolist()
 
 
 def pell_theta(bits=140):
@@ -214,13 +292,200 @@ def test_window_estimate_validates_window():
 
 
 def test_window_engines_agree_exactly():
-    """The bucketed numpy engine and the plain sweep engine must classify
-    every (start, l) pair identically."""
+    """The window engine must classify every start as the per-start walk
+    does, in both the dense and the bucketed part."""
     for dim, theta in ((1, pell_theta()),
                        (2, CertifiedVector((F(5741, 8119), F(2923, 7561))))):
         config = OrbitConfig(theta=theta, delta=F(dim), n_max=4000,
                              samples=40, seed=424242, precision_bits=64)
         starts = _draw_starts(config, 40)
-        a = _window_np(config, starts, 60, 4000)
-        b = _window_py(config, starts, 60, 4000)
-        assert a == b, f"engines disagree in dimension {dim}"
+        assert engine_window(config, starts, 60, 4000) == \
+            oracle_window(config, starts, 60, 4000), f"dimension {dim}"
+
+
+# --- the engine against the oracles on generated inputs ------------------------
+
+BITS = (8, 63, 64, 65, 96, 128, 160, 200)
+
+
+def fit_budget(theta, delta, n_max, bits, **kw):
+    """The longest horizon <= n_max that the error budget admits (8 bits
+    admits none: it needs 2^bits > 1000 * n)."""
+    while True:
+        try:
+            return OrbitConfig(theta=theta, delta=delta, n_max=n_max,
+                               precision_bits=bits, **kw)
+        except ResourceError:
+            n_max //= 2
+
+
+@st.composite
+def orbit_family(draw, max_n=600):
+    """theta (dyadic, so that distances meet perfect-power thresholds
+    exactly; small or huge denominators), a radius, delta and starts that
+    include 0 and the half-turn 2^(B-1)."""
+    bits = draw(st.sampled_from(BITS))
+    dim = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(("dyadic", "small", "huge")))
+    den = {"dyadic": 2 ** draw(st.integers(1, 7)),
+           "small": draw(st.integers(2, 500)),
+           "huge": draw(st.integers(2 ** 60, 2 ** 220)) | 1}[kind]
+    coords = tuple(F(draw(st.integers(0, den - 1)), den) for _ in range(dim))
+    radius = draw(st.sampled_from((F(0), F(1, 10 ** 9), F(1, 2 ** 70),
+                                   F(1, 2 ** 150))))
+    delta = dim + F(draw(st.integers(0, 4)), draw(st.sampled_from((1, 2, 3))))
+    config = fit_budget(CertifiedVector(coords, radius), delta,
+                        draw(st.integers(0, max_n)), bits,
+                        samples=draw(st.integers(1, 3)),
+                        seed=draw(st.integers(0, 999)))
+    starts = _draw_starts(config, config.samples)
+    for special in draw(st.lists(st.sampled_from((0, 1 << (bits - 1))),
+                                 max_size=2)):
+        starts.append([special] * dim)
+    return config, starts
+
+
+@settings(deadline=None, max_examples=100)
+@given(orbit_family())
+@example((fit_budget(CertifiedVector((F(1, 9),), F(1, 10 ** 9)), F(1), 8, 64),
+          [[0]]))
+@example((fit_budget(CertifiedVector((F(3, 16), F(1, 4))), F(2), 300, 65),
+          [[0, 0], [1 << 64, 1 << 64]]))
+def test_sweep_matches_oracle(family):
+    config, starts = family
+    got = _sweep(config, starts) if config.n_max else []
+    for x0u, res in zip(starts, got):
+        assert tuple(res) == oracle_sweep(config, x0u)
+
+
+@settings(deadline=None, max_examples=25)
+@given(orbit_family(max_n=60), st.lists(st.fractions(0, 1), min_size=3,
+                                        max_size=3))
+def test_orbit_hits_off_grid_start_matches_oracle(family, x0):
+    config, _starts = family
+    x0 = x0[:config.dim]
+    x0u = _x0_units(x0, config.dim, config.precision_bits)
+    hits, inconclusive, _lo, _hi = oracle_sweep(config, x0u, x0)
+    rec = orbit_hits(config, x0=x0)
+    assert (rec.hits, rec.inconclusive) == (tuple(hits), inconclusive)
+
+
+@settings(deadline=None, max_examples=80)
+@given(orbit_family(), st.one_of(st.integers(1, 3000),
+                                  st.integers(2 ** 60, 2 ** 70)),
+       st.integers(1, 400))
+@example((fit_budget(CertifiedVector((F(1, 9),), F(1, 10 ** 9)), F(1), 8, 64),
+          [[0]]), 3, 6)
+def test_window_matches_oracle(family, lo, length):
+    """Windows of both parts (radius >= 1/16 and bucketed), starting
+    anywhere up to 2^70: beyond 2^64 the rebased top limb is required."""
+    config, starts = family
+    lo = max(lo, _auto_hit_bound(config.delta) + 1)
+    config = fit_budget(config.theta, config.delta, lo + length,
+                        config.precision_bits)
+    if config.n_max < lo:
+        return  # the budget admits no window this far out
+    hi = config.n_max
+    assert engine_window(config, starts, lo, hi) == \
+        oracle_window(config, starts, lo, hi)
+
+
+def test_far_window_at_160_bits_matches_oracle():
+    """160-bit windows beyond 2^64 with wide targets, so that they have
+    hits: bucketed at radius about 2^-12 (delta = 6), classified densely at
+    radius about 2^-4 (delta = 17)."""
+    theta = pell_theta(200)
+    for lo, delta in ((2 ** 70 + 12345, F(6)), (2 ** 66, F(17))):
+        config = OrbitConfig(theta=theta, delta=delta, n_max=lo + 3000,
+                             samples=12, seed=3, precision_bits=160)
+        starts = _draw_starts(config, 12)
+        got = engine_window(config, starts, lo, lo + 3000)
+        assert got == oracle_window(config, starts, lo, lo + 3000)
+        assert any(got[0])
+
+
+@pytest.mark.parametrize("bits", [64, 128])
+@pytest.mark.parametrize("n_max", [2 ** 16 - 1, 2 ** 16, 2 ** 16 + 1])
+def test_sweep_across_block_edge_matches_oracle(bits, n_max):
+    config = OrbitConfig(theta=pell_theta(), delta=F(3, 2), n_max=n_max,
+                         seed=5, precision_bits=bits)
+    starts = _draw_starts(config, 1) + [[1 << (bits - 1)]]
+    for x0u, res in zip(starts, _sweep(config, starts)):
+        assert tuple(res) == oracle_sweep(config, x0u)
+
+
+# --- resource guards: refused before any start is drawn --------------------------
+
+def _no_draws(monkeypatch):
+    def refuse(*_args):
+        raise AssertionError("starts drawn before the resource check")
+    monkeypatch.setattr(orbit, "_draw_starts", refuse)
+
+
+def test_long_census_above_64_bits_refused_before_work(monkeypatch):
+    _no_draws(monkeypatch)
+    theta = CertifiedVector((F(1, 3),))
+    config = OrbitConfig(theta=theta, delta=F(1), n_max=2 * 10 ** 6 + 2,
+                         samples=10 ** 9, precision_bits=128)
+    with pytest.raises(ResourceError):
+        hit_census(config)
+    with pytest.raises(ResourceError):
+        orbit_hits(config)
+    # one step shorter is within the cap: the census then draws its starts
+    shorter = OrbitConfig(theta=theta, delta=F(1), n_max=2 * 10 ** 6 + 1,
+                          samples=10 ** 9, precision_bits=128)
+    with pytest.raises(AssertionError):
+        hit_census(shorter)
+
+
+def test_window_budget_refused_before_work(monkeypatch):
+    _no_draws(monkeypatch)
+    theta = CertifiedVector((F(1, 3), F(1, 5), F(1, 7)))
+    for dims, bits in ((1, 128), (3, 64)):
+        config = OrbitConfig(
+            theta=CertifiedVector(theta.coords[:dims]), delta=F(3),
+            n_max=2 * 10 ** 4, samples=10 ** 4 + 1, precision_bits=bits)
+        with pytest.raises(ResourceError):
+            bc_window_estimate(config, (10 ** 4, 2 * 10 ** 4))
+        with pytest.raises(AssertionError):  # 10^8 sample-steps is allowed
+            bc_window_estimate(config, (10 ** 4 + 1, 2 * 10 ** 4))
+
+
+def _placed_start(theta_u, n, target, bits):
+    """The grid start whose orbit sits at `target` (B-bit units) at time n."""
+    return (F((target - n * theta_u) % (1 << bits), 1 << bits),)
+
+
+@pytest.mark.parametrize("margin", [-1000, 1000])
+def test_top_limb_drift_stays_inside_the_filter_margin(margin):
+    """theta's low 64 bits are all ones, so at 128 bits the top limb falls
+    behind the true position by about one unit per step of a block.  At
+    l near 2^60 consecutive thresholds differ by far less than a unit, so
+    only the margin E keeps a distance 1000 units from the threshold, seen
+    5000 steps into a block, on the exact rule's side."""
+    bits, lo, hi = 128, 2 ** 60, 2 ** 60 + 5000
+    theta_u = (0x9E3779B97F4A7C15 << 64) | ((1 << 64) - 1)
+    theta = CertifiedVector((F(theta_u, 1 << bits),))
+    config = OrbitConfig(theta=theta, delta=F(2), n_max=hi, precision_bits=bits)
+    t = _threshold_pair(hi - 1, F(2), bits)[1]
+    x0 = _placed_start(theta_u, hi - 1, t + margin * (1 << 64), bits)
+    starts = [_x0_units(x0, 1, bits)]
+    got = engine_window(config, starts, lo, hi - 1)
+    assert got == oracle_window(config, starts, lo, hi - 1)
+    assert got[0] == [margin < 0]
+
+
+def test_error_budget_widens_the_miss_limit():
+    """With a theta radius the certified band is 10^6 top units wide; a
+    distance 5*10^5 units above the threshold straddles it and must be
+    counted inconclusive, not filtered out as a miss."""
+    bits, n = 128, 100
+    theta_u = 0x9E3779B97F4A7C15 << 64
+    radius = F(10 ** 6, n << 64)
+    theta = CertifiedVector((F(theta_u, 1 << bits),), radius)
+    config = OrbitConfig(theta=theta, delta=F(1), n_max=n, precision_bits=bits)
+    x0 = _placed_start(theta_u, n, (1 << bits) // n + 5 * 10 ** 5 * (1 << 64), bits)
+    rec = orbit_hits(config, x0=x0)
+    hits, inconclusive, _lo, _hi = oracle_sweep(config, _x0_units(x0, 1, bits), x0)
+    assert inconclusive >= 1
+    assert (rec.hits, rec.inconclusive) == (tuple(hits), inconclusive)
