@@ -21,6 +21,26 @@ the exact walk would look at; each hot q gets its exact D_q from Python ints
 and goes through the exact logic, and every other q provably changes
 nothing.
 
+Linear scans (linear_min, linear_records) take the nonzero integer vectors s
+with |s|_sup <= h, first nonzero coordinate positive, and
+D(s) = min(g, D - g) for g = <s, p> mod D.  The same filter puts cell s at
+the wrapping position sum s_i*P_i with |a(s) - 2^64 * D(s) / D| <= E := d*h.
+The positions of the tails (s_2, ..., s_d) are sorted once; head s_1 >= 1
+then finds its nearest cells by np.searchsorted around -s_1*P_1 on the circle,
+and s_1 = 0 takes the canonical tails alone.  A minimum: the least filter
+distance a_min is within E of 2^64 * min D / D, so every exact minimizer has
+a(s) <= a_min + 2E, and every cell within the fast margin of it has a(s) <=
+a_min + 2E + ceil(fast * 2^64 / D); these candidates come from two range
+queries per head, are put back in lexicographic order, get their exact D,
+and the witness is the lexicographically first minimizer.  Records run
+shells in doubling blocks (H/2, H]: the running record is the minimum over
+the box of radius H/2, a shell whose minimum exceeds it by more than the
+fast margin is conclusively greater, so the block only needs the cells with
+a(s) <= ceil((record + fast) * 2^64 / D) + E.  Ties: a minimum's witness is
+the lexicographically first minimizer of the whole box; a record is set by
+the first shell that improves on the last one, with its lexicographically
+first minimizer, and a later shell with an equal minimum sets none.
+
 Certified bookkeeping: with a coordinate radius r, the distance attached to
 multiplier q carries radius q*r (the lattice distance is 1-Lipschitz), and a
 comparison between candidates q, q' is conclusive when the center gap exceeds
@@ -31,7 +51,6 @@ PrecisionError naming the offending pair.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -41,8 +60,8 @@ from .exact import CertifiedScalar, CertifiedVector, Verdict
 
 DEFAULT_BUDGET = 10**8
 _NP_LIMIT = 1 << 62
-_PY_ENUM_CAP = 6 * 10**6  # pure-python box enumeration ceiling
-_CHUNK = 1 << 20  # multipliers per fixed-point block
+_PY_ENUM_CAP = 6 * 10**6  # box cap of the former pure-Python enumeration
+_CHUNK = 1 << 20  # multipliers, or linear cells, per fixed-point block
 
 
 def scan_data(theta: CertifiedVector) -> tuple[tuple[int, ...], int, Fraction]:
@@ -177,63 +196,106 @@ def _check_linear_budget(h, dim, budget):
             f"box scan of {_box_count(h, dim)} candidates exceeds budget {budget}")
 
 
-def _py_canonical_shells(h, dim):
-    """Yield (norm, [points]) for the canonical half box, shells ascending,
-    lexicographic order inside a shell."""
-    if _box_count(h, dim) > _PY_ENUM_CAP:
+def _check_enum_cap(dim, den, h, fast, records):
+    """Refuse, at the sizes where the earlier engines did, a box of more
+    than _PY_ENUM_CAP cells that their int64 rows (d in {2, 3} for minima,
+    d = 2 for records) could not take."""
+    rows = (dim == 2 or (dim == 3 and not records)) and den > 1 \
+        and h * (den - 1) < _NP_LIMIT and 3 * den + fast < _NP_LIMIT
+    if not rows and _box_count(h, dim) > _PY_ENUM_CAP:
         raise ResourceError(
             f"pure-python enumeration of {_box_count(h, dim)} candidates refused; "
             "no integer fast path applies to this input")
-    shells: dict[int, list[tuple[int, ...]]] = {}
-    for pt in itertools.product(range(-h, h + 1), repeat=dim):
-        for c in pt:
-            if c > 0:
-                break
-            if c < 0:
-                pt = None
-                break
-        if pt is None or not any(pt):
-            continue
-        shells.setdefault(max(abs(c) for c in pt), []).append(pt)
-    for s in range(1, h + 1):
-        yield s, sorted(shells.get(s, ()))
 
 
-def _np_linear_rows(nums, den, h, dim):
-    """Yield (s1, dist_row) for the canonical half box.
+class _LinearBox:
+    """The canonical half of the box |s|_sup <= h, filtered in 64-bit fixed
+    point through one sorted list of the tails (s_2, ..., s_d).
 
-    dim == 2: one row per s1 in 0..h, each row indexed by s2 = -h..h
-    (invalid cells masked to den, which exceeds any true distance).
-    dim == 3: one row per (s1,) with a (2h+1)x(2h+1) grid over (s2, s3).
+    Cell s has the key s_1 * T + t, where t is the lexicographic index of its
+    tail among the T = (2h+1)^(d-1) tails, so key order is lexicographic
+    order; with s_1 = 0 only the tails t > T // 2 (first nonzero coordinate
+    positive) are canonical.
     """
-    axes = [(np.arange(-h, h + 1, dtype=np.int64) * p) % den for p in nums]
-    if dim == 2:
-        a1, a2 = axes
-        for s1 in range(0, h + 1):
-            g = (a1[h + s1] + a2) % den
-            row = np.minimum(g, den - g)
-            if s1 == 0:
-                row = row.copy()
-                row[: h + 1] = den  # s2 <= 0 not canonical when s1 == 0
-            yield (s1,), row
-    elif dim == 3:
-        a1, a2, a3 = axes
-        base = (a2[:, None] + a3[None, :]) % den
-        for s1 in range(0, h + 1):
-            g = (a1[h + s1] + base) % den
-            grid = np.minimum(g, den - g)
-            if s1 == 0:
-                grid = grid.copy()
-                grid[:h, :] = den             # s2 < 0, and s2 == 0 ...
-                grid[h, : h + 1] = den        # ... with s3 <= 0, not canonical
-            yield (s1,), grid
-    else:
-        raise DomainError("numpy path only handles dim 2 or 3")
+
+    def __init__(self, nums, den: int, h: int):
+        self.nums, self.den, self.h = nums, den, h
+        self.E = len(nums) * h  # |filter distance - 2^64 * D / den| <= E
+        steps = [np.uint64((p << 64) // den) for p in nums]
+        side = np.arange(-h, h + 1).astype(np.uint64)  # s mod 2^64
+        x = np.zeros(1, dtype=np.uint64)
+        for step in steps[1:]:
+            x = (x[:, None] + side * step).ravel()
+        self.T = len(x)
+        self.head0 = np.minimum(x, np.negative(x))[self.T // 2 + 1:]
+        self.order = np.argsort(x)
+        self.sorted = x[self.order]
+        # cell (s_1, t) with s_1 >= 1 has filter distance |x_t - y| on the
+        # circle, y = -s_1*P_1
+        self.y = np.negative(np.arange(1, h + 1, dtype=np.uint64) * steps[0])
+
+    def filter_min(self) -> int:
+        """Least filter distance over the canonical cells: for each head the
+        circular nearest neighbour of y in the sorted tails."""
+        i = np.searchsorted(self.sorted, self.y)
+        up = self.sorted[i % self.T] - self.y
+        dn = self.y - self.sorted[i - 1]
+        a = np.minimum(np.minimum(up, np.negative(up)), np.minimum(dn, np.negative(dn)))
+        return int(min(a.min(), self.head0.min()))
+
+    def scan(self, limit: int):
+        """Yield (cells, dists): the canonical cells whose filter distance is
+        at most limit, in lexicographic order and in chunks of about _CHUNK
+        cells, with their exact integer distances D over den."""
+        T, h = self.T, self.h
+        first = T // 2 + 1
+        if limit >= 1 << 63:  # every cell
+            starts = np.zeros((h, 2), dtype=np.int64)
+            stops = np.zeros((h, 2), dtype=np.int64)
+            stops[:, 0] = T
+            keys = np.arange(first, T)
+        else:
+            # the tails within limit of y: [y - limit, y + limit] on the
+            # circle, one or two index ranges of the sorted list
+            lim = np.uint64(limit)
+            lo, hi = self.y - lim, self.y + lim
+            i0 = np.searchsorted(self.sorted, lo, "left")
+            i1 = np.searchsorted(self.sorted, hi, "right")
+            wrap = lo > hi
+            starts = np.stack([i0, np.zeros_like(i0)], axis=1)
+            stops = np.stack([np.where(wrap, T, i1), np.where(wrap, i1, 0)], axis=1)
+            keys = first + np.flatnonzero(self.head0 <= lim)
+        if len(keys):
+            yield self._exact(keys)
+        lens = stops - starts
+        cum = np.cumsum(lens.sum(axis=1))
+        k = 0
+        while k < h:
+            base = int(cum[k - 1]) if k else 0
+            k1 = max(k + 1, min(h, int(np.searchsorted(cum, base + _CHUNK)) + 1))
+            st, ln = starts[k:k1].ravel(), lens[k:k1].ravel()
+            pos = np.repeat(st - (np.cumsum(ln) - ln), ln) + np.arange(int(cum[k1 - 1]) - base)
+            keys = np.repeat(np.arange(k + 1, k1 + 1) * T, lens[k:k1].sum(axis=1))
+            keys += self.order[pos]
+            keys.sort()
+            if len(keys):
+                yield self._exact(keys)
+            k = k1
+
+    def _exact(self, keys):
+        s1, t = np.divmod(keys, self.T)
+        tail = np.unravel_index(t, (2 * self.h + 1,) * (len(self.nums) - 1))
+        cells = np.stack([s1, *tail], axis=1)
+        cells[:, 1:] -= self.h
+        if self.E * self.den < _NP_LIMIT:  # |<s, p>| < 2^62: int64 is exact
+            g = cells @ np.array(self.nums, dtype=np.int64) % self.den
+        else:
+            g = cells.astype(object) @ np.array(self.nums, dtype=object) % self.den
+        return cells, np.minimum(g, self.den - g)
 
 
-def _np_linear_ok(nums, den, h, fast=0):
-    return (den > 1 and h * (den - 1) < _NP_LIMIT
-            and 3 * den + fast < _NP_LIMIT)
+def _l1(pt) -> int:
+    return sum(abs(c) for c in pt)
 
 
 def linear_min(theta: CertifiedVector, h: int, *, budget: int = DEFAULT_BUDGET):
@@ -249,60 +311,27 @@ def linear_min(theta: CertifiedVector, h: int, *, budget: int = DEFAULT_BUDGET):
         recs, den_, zero = simultaneous_scan(theta, h, budget=budget, records=False)
         q, dist = recs[-1]
         return CertifiedScalar(Fraction(dist, den_), q * r), (q,)
-    if dim in (2, 3) and _np_linear_ok(nums, den, h, _margin(r, den, 2 * dim * h)):
-        best = None
-        best_at = None
-        for head, row in _np_linear_rows(nums, den, h, dim):
-            i = int(np.argmin(row))
-            v = int(row.flat[i])
-            if best is None or v < best:
-                best = v
-                best_at = head + np.unravel_index(i, row.shape)
-        witness = _np_head_to_point(best_at, h, dim)
-        if r != 0:
-            fast = _margin(r, den, 2 * dim * h)
-            for head, row in _np_linear_rows(nums, den, h, dim):
-                for i in np.nonzero(row.ravel() <= best + fast)[0].tolist():
-                    pt = _np_head_to_point(head + np.unravel_index(i, row.shape), h, dim)
-                    if pt == witness:
-                        continue
-                    v = _order(int(row.flat[i]), _l1(pt), best, _l1(witness), den, r)
-                    if v is Verdict.INCONCLUSIVE:
-                        raise PrecisionError(
-                            f"cannot order <{pt},theta> against <{witness},theta> at radius {r}")
-        return CertifiedScalar(Fraction(best, den), _l1(witness) * r), witness
-    # generic python walk (tie-break matches the numpy path: lexicographically
-    # first canonical minimizer, not first-shell-first)
-    best = None
-    witness = None
-    close = []
-    for _s, pts in _py_canonical_shells(h, dim):
-        for pt in pts:
-            g = sum(c * p for c, p in zip(pt, nums)) % den
-            dd = g if 2 * g < den else den - g
-            if best is None or (dd, pt) < (best, witness):
-                best, witness = dd, pt
-            close.append((dd, pt))
+    fast = _margin(r, den, 2 * dim * h)
+    _check_enum_cap(dim, den, h, fast, records=False)
+    box = _LinearBox(nums, den, h)
+    # every minimizer lies within 2E of the least filter distance
+    lim = box.filter_min() + 2 * box.E
+    best = witness = None
+    for cells, dist in box.scan(lim):
+        i = int(np.argmin(dist))
+        if best is None or dist[i] < best:
+            best, witness = int(dist[i]), tuple(cells[i].tolist())
     if r != 0:
-        fast = _margin(r, den, 2 * dim * h)
-        for dd, pt in close:
-            if dd <= best + fast and pt != witness:
-                v = _order(dd, _l1(pt), best, _l1(witness), den, r)
+        for cells, dist in box.scan(lim + _fp_up(fast, den)):
+            for i in np.flatnonzero(dist <= best + fast).tolist():
+                pt = tuple(cells[i].tolist())
+                if pt == witness:
+                    continue
+                v = _order(int(dist[i]), _l1(pt), best, _l1(witness), den, r)
                 if v is Verdict.INCONCLUSIVE:
                     raise PrecisionError(
                         f"cannot order <{pt},theta> against <{witness},theta> at radius {r}")
     return CertifiedScalar(Fraction(best, den), _l1(witness) * r), witness
-
-
-def _l1(pt) -> int:
-    return sum(abs(c) for c in pt)
-
-
-def _np_head_to_point(idx, h, dim):
-    v = tuple(int(c) for c in idx)
-    if dim == 2:
-        return (v[0], v[1] - h)
-    return (v[0], v[1] - h, v[2] - h)
 
 
 def linear_records(theta: CertifiedVector, h_max: int, *, budget: int = DEFAULT_BUDGET):
@@ -315,82 +344,48 @@ def linear_records(theta: CertifiedVector, h_max: int, *, budget: int = DEFAULT_
     if dim == 1:
         recs, den_, zero = simultaneous_scan(theta, h_max, budget=budget)
         return [(q, (q,), dist) for q, dist in recs], den_, zero
-    if dim == 2 and _np_linear_ok(nums, den, h_max, _margin(r, den, 4 * h_max)):
-        return _np_linear_records_2d(nums, den, r, h_max)
+    fast = _margin(r, den, 2 * dim * h_max)
+    _check_enum_cap(dim, den, h_max, fast, records=True)
     exact = r == 0
     out = []
     best_d = None
     best_pt = None
-    for s, pts in _py_canonical_shells(h_max, dim):
-        sh_best = None
-        sh_pt = None
-        for pt in pts:
-            g = sum(c * p for c, p in zip(pt, nums)) % den
-            dd = g if 2 * g < den else den - g
-            if sh_best is None or dd < sh_best:
-                sh_best, sh_pt = dd, pt
-        if sh_best is None:
-            continue
-        if best_d is None:
-            best_d, best_pt = sh_best, sh_pt
-            out.append((s, sh_pt, sh_best))
-        else:
-            v = _order(sh_best, _l1(sh_pt), best_d, _l1(best_pt), den, r)
-            if v is Verdict.INCONCLUSIVE:
-                raise PrecisionError(
-                    f"cannot order <{sh_pt},theta> against <{best_pt},theta> at radius {r}")
-            if v is Verdict.LESS:
+    lo = 0
+    while lo < h_max:
+        # shells lo < s <= hi; best_d is the minimum over the box of radius
+        # lo, and a shell whose minimum exceeds best_d + fast is conclusively
+        # greater, so only the cells within that limit matter
+        hi = min(2 * lo, h_max) or 1
+        box = _LinearBox(nums, den, hi)
+        limit = 1 << 63 if best_d is None else _fp_up(best_d + fast, den) + box.E
+        shells = {}
+        for cells, dist in box.scan(limit):
+            norm = np.abs(cells).max(axis=1)
+            keep = norm > lo
+            if best_d is not None:
+                keep &= dist <= best_d + fast
+            norm, cells, dist = norm[keep], cells[keep], dist[keep]
+            idx = np.lexsort((dist, norm))  # stable: lexicographic among ties
+            for i in idx[np.flatnonzero(np.diff(norm[idx], prepend=-1))].tolist():
+                s = int(norm[i])
+                if s not in shells or dist[i] < shells[s][0]:
+                    shells[s] = (int(dist[i]), tuple(cells[i].tolist()))
+        for s in sorted(shells):
+            sh_best, sh_pt = shells[s]
+            if best_d is None:
                 best_d, best_pt = sh_best, sh_pt
                 out.append((s, sh_pt, sh_best))
-        if best_d == 0 and exact:
-            return out, den, True
-    return out, den, False
-
-
-def _np_linear_records_2d(nums, den, r, h_max):
-    p1, p2 = nums
-    a2 = (np.arange(-h_max, h_max + 1, dtype=np.int64) * p2) % den
-    exact = r == 0
-    out = []
-    best_d = None
-    best_pt = None
-
-    def consider(dd, pt, s):
-        nonlocal best_d, best_pt
-        if best_d is None:
-            best_d, best_pt = dd, pt
-            out.append((s, pt, dd))
-            return
-        v = _order(dd, _l1(pt), best_d, _l1(best_pt), den, r)
-        if v is Verdict.INCONCLUSIVE:
-            raise PrecisionError(
-                f"cannot order <{pt},theta> against <{best_pt},theta> at radius {r}")
-        if v is Verdict.LESS:
-            best_d, best_pt = dd, pt
-            out.append((s, pt, dd))
-
-    fast = 0 if exact else _margin(r, den, 4 * h_max)
-    for s in range(1, h_max + 1):
-        # canonical shell: (0, s); (t, ±s) for 1 <= t < s; (s, -s..s)
-        faces = []
-        g = (s * p2) % den
-        faces.append((min(g, den - g), (0, s)))
-        if s > 1:
-            ts = np.arange(1, s, dtype=np.int64)
-            for s2 in (s, -s):
-                g = (ts * p1 + (s2 * p2) % den) % den
-                row = np.minimum(g, den - g)
-                i = int(np.argmin(row))
-                faces.append((int(row[i]), (1 + i, s2)))
-        g = ((s * p1) % den + a2[h_max - s: h_max + s + 1]) % den
-        row = np.minimum(g, den - g)
-        i = int(np.argmin(row))
-        faces.append((int(row[i]), (s, i - s)))
-        sh_best, sh_pt = min(faces, key=lambda f: (f[0], f[1]))
-        if best_d is None or sh_best < best_d + fast or (not exact and sh_best <= best_d + fast):
-            consider(sh_best, sh_pt, s)
-        if best_d == 0 and exact:
-            return out, den, True
+            else:
+                v = _order(sh_best, _l1(sh_pt), best_d, _l1(best_pt), den, r)
+                if v is Verdict.INCONCLUSIVE:
+                    raise PrecisionError(
+                        f"cannot order <{sh_pt},theta> against <{best_pt},theta> at radius {r}")
+                if v is Verdict.LESS:
+                    best_d, best_pt = sh_best, sh_pt
+                    out.append((s, sh_pt, sh_best))
+            if best_d == 0 and exact:
+                return out, den, True
+        lo = hi
     return out, den, False
 
 

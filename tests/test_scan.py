@@ -3,7 +3,9 @@
 The multiplier scans are checked against `oracle_simultaneous` and
 `oracle_baseline`: the plain per-q walks, with every decision made on exact
 integers, that the fixed-point engine must reproduce record for record and
-error for error.
+error for error.  The linear scans are checked the same way against
+`oracle_linear_min` and `oracle_linear_records`, walks over every canonical
+cell of the box, shell by shell.
 """
 
 import itertools
@@ -219,14 +221,14 @@ def _radius(draw, den):
 
 
 @st.composite
-def _theta_for(draw, den, q_max):
+def _theta_for(draw, den, q_max, dim=None):
     # numerators uniform in [0, den) (plain integer draws crowd the ends of
     # the range, where q*theta stays near 0 and every scan is one record),
     # with the odd edge value; the first one is a unit so den is exact
     rnd = draw(st.randoms(use_true_random=True))
     edges = [0, 1, den - 1, den // 2]
     nums = [draw(st.sampled_from(edges)) if draw(st.integers(0, 5)) == 0
-            else rnd.randrange(den) for _ in range(draw(st.integers(1, 3)))]
+            else rnd.randrange(den) for _ in range(dim or draw(st.integers(1, 3)))]
     while den > 1 and math.gcd(nums[0], den) != 1:
         nums[0] = rnd.randrange(1, den)
     theta = CertifiedVector([F(p, den) for p in nums], draw(_radius(den)))
@@ -325,3 +327,170 @@ def test_one_unit_ties_on_big_denominators(den):
             assert simultaneous_scan(theta, q_max) == oracle_simultaneous(theta, q_max)
             assert (all_greater_than_baseline(theta, q_max, 1, set())
                     == oracle_baseline(theta, q_max, 1, set()))
+
+
+# --- exact per-shell walks: the oracle for the linear scans --------------------
+
+
+def canonical_shells(h, dim):
+    """Yield (norm, [points]) for the canonical half box (first nonzero
+    coordinate positive), shells ascending, lexicographic inside a shell."""
+    shells = {}
+    for pt in itertools.product(range(-h, h + 1), repeat=dim):
+        lead = next((c for c in pt if c), 0)
+        if lead > 0:
+            shells.setdefault(max(abs(c) for c in pt), []).append(pt)
+    for s in range(1, h + 1):
+        yield s, sorted(shells[s])
+
+
+def _form_dist(nums, den, pt):
+    g = sum(c * p for c, p in zip(pt, nums)) % den
+    return min(g, den - g)
+
+
+def _l1(pt):
+    return sum(abs(c) for c in pt)
+
+
+def oracle_linear_min(theta, h):
+    """linear_min as a walk over every canonical cell: the lexicographically
+    first minimizer, then every cell within the fast margin ordered against
+    it, in lexicographic order."""
+    nums, den, r = scan_data(theta)
+    cells = sorted(pt for _s, pts in canonical_shells(h, theta.dim) for pt in pts)
+    dists = [_form_dist(nums, den, pt) for pt in cells]
+    best = min(dists)
+    witness = cells[dists.index(best)]
+    fast = _margin(r, den, 2 * theta.dim * h)
+    for dd, pt in zip(dists, cells):
+        if r != 0 and dd <= best + fast and pt != witness:
+            if _verdict(dd, _l1(pt), best, _l1(witness), den, r) is Verdict.INCONCLUSIVE:
+                raise PrecisionError(
+                    f"cannot order <{pt},theta> against <{witness},theta> at radius {r}")
+    return (best, _l1(witness) * r, den), witness
+
+
+def oracle_linear_records(theta, h_max):
+    """linear_records as a walk over every shell: the shell's
+    lexicographically first minimizer ordered against the running record."""
+    nums, den, r = scan_data(theta)
+    out, best_d, best_pt = [], None, None
+    for s, pts in canonical_shells(h_max, theta.dim):
+        sh_best, sh_pt = min((_form_dist(nums, den, pt), pt) for pt in pts)
+        if best_d is None:
+            best_d, best_pt = sh_best, sh_pt
+            out.append((s, sh_pt, sh_best))
+        else:
+            v = _verdict(sh_best, _l1(sh_pt), best_d, _l1(best_pt), den, r)
+            if v is Verdict.INCONCLUSIVE:
+                raise PrecisionError(
+                    f"cannot order <{sh_pt},theta> against <{best_pt},theta> at radius {r}")
+            if v is Verdict.LESS:
+                best_d, best_pt = sh_best, sh_pt
+                out.append((s, sh_pt, sh_best))
+        if best_d == 0 and r == 0:
+            return out, den, True
+    return out, den, False
+
+
+def _linear_min_out(theta, h):
+    value, witness = linear_min(theta, h)
+    nums, den, _r = scan_data(theta)
+    return (value.value * den, value.radius, den), witness
+
+
+H_MAX = {2: 40, 3: 9, 4: 4}
+
+
+@st.composite
+def _linear_case(draw):
+    """(theta, h): d = 2..4 over tie-heavy, 30-34-bit, word-size and
+    multi-word denominators, or with h*(den - 1) or d*h*(den - 1) (the
+    int64 limit of the exact re-check) within a few units of 2^62."""
+    dim = draw(st.sampled_from([2, 3, 4]))
+    h = draw(st.integers(1, H_MAX[dim]))
+    kind = draw(st.sampled_from(["tie", "tie", "mid", "word", "multi", "straddle"]))
+    if kind == "tie":
+        den = draw(st.one_of(st.just(1), st.integers(2, 2**13)))
+    elif kind == "mid":
+        den = draw(st.integers(2**30, 2**34))
+    elif kind == "word":
+        den = draw(_near(2**64))
+    elif kind == "multi":
+        den = draw(st.integers(2**65, 2**140))
+    else:
+        scale = h * draw(st.sampled_from([1, dim]))
+        den = (1 << 62) // scale + 1 + draw(st.integers(-3, 3))
+    return draw(_theta_for(den, h, dim))[0], h
+
+
+@settings(deadline=None, max_examples=200)
+@given(_linear_case())
+def test_linear_min_matches_oracle(case):
+    theta, h = case
+    assert outcome(_linear_min_out, theta, h) == outcome(oracle_linear_min, theta, h)
+
+
+@settings(deadline=None, max_examples=200)
+@given(_linear_case())
+def test_linear_records_matches_oracle(case):
+    theta, h = case
+    assert outcome(linear_records, theta, h) == outcome(oracle_linear_records, theta, h)
+
+
+def test_linear_ties_pick_lexicographic_first():
+    # den 7: every residue is hit about (2h+1)^3 / 14 times in the box
+    theta = CertifiedVector((F(2, 7), F(3, 7), F(6, 7)))
+    for h in (1, 2, 5, 12):
+        assert _linear_min_out(theta, h) == oracle_linear_min(theta, h)
+        assert linear_records(theta, h) == oracle_linear_records(theta, h)
+    assert linear_min(theta, 12)[1] == (0, 0, 7)  # 7 * 6/7 = 6
+
+
+@pytest.mark.parametrize("dim,den,h,records,refused", [
+    (4, 2**31 - 1, 24, False, False),   # 49^4 cells
+    (4, 2**31 - 1, 24, True, False),
+    (4, 2**31 - 1, 25, False, True),    # 51^4 cells
+    (4, 2**31 - 1, 25, True, True),
+    (3, 2**31 - 1, 91, False, False),   # 183^3 cells: the d = 3 rows took it
+    (3, 2**31 - 1, 90, True, False),    # 181^3 cells
+    (3, 2**31 - 1, 91, True, True),
+    (3, 2**61 + 1, 90, False, False),
+    (3, 2**61 + 1, 91, False, True),    # h*(den - 1) >= 2^62
+    (2, 1, 1224, True, False),          # 2449^2 cells
+    (2, 1, 1225, True, True),           # den = 1 had no rows
+    (2, 2**64 + 13, 1225, False, True),
+])
+def test_enumeration_cap_refuses_where_it_did(monkeypatch, dim, den, h, records, refused):
+    theta = CertifiedVector([F(1 + 7 * i, den) for i in range(dim)])
+    scan = linear_records if records else linear_min
+    if not refused:
+        assert scan(theta, h)
+        return
+
+    def no_work(*args):
+        raise AssertionError("the scan started before refusing")
+    monkeypatch.setattr("shrinktarget._scan._LinearBox", no_work)
+    with pytest.raises(ResourceError, match="pure-python enumeration"):
+        scan(theta, h)
+
+
+@pytest.mark.parametrize("den", [2**64 - 59, 2**65 + 11, 2**66 + 3])
+def test_linear_record_by_one_unit_past_the_rounded_limit(den):
+    # theta = (t - m, m)/den with 2t = -(m - 1): shell 1 has its minimum m
+    # at (0, 1), and (2, 2) beats it by one unit of 1/den in shell 2; pick
+    # an m whose filter distance at (2, 2) lies above ceil(m * 2^64 / den),
+    # so that only the E slack of the block limit keeps the record
+    one = 1 << 64
+    for m in range(den // 40 * 2, den // 40 * 2 + 800, 2):  # m even
+        t = (den - m + 1) // 2
+        nums = ((t - m) % den, m)
+        x = 2 * sum((p << 64) // den for p in nums) % one
+        if min(x, one - x) > -((-m << 64) // den):
+            break
+    else:
+        raise AssertionError("no rounding past the limit found")
+    theta = CertifiedVector([F(p, den) for p in nums])
+    assert linear_records(theta, 2) == ([(1, (0, 1), m), (2, (2, 2), m - 1)], den, False)
+    assert linear_records(theta, 6) == oracle_linear_records(theta, 6)
