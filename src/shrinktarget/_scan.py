@@ -60,7 +60,6 @@ from .exact import CertifiedScalar, CertifiedVector, Verdict
 
 DEFAULT_BUDGET = 10**8
 _NP_LIMIT = 1 << 62
-_PY_ENUM_CAP = 6 * 10**6  # box cap of the former pure-Python enumeration
 _CHUNK = 1 << 20  # multipliers, or linear cells, per fixed-point block
 
 
@@ -196,18 +195,6 @@ def _check_linear_budget(h, dim, budget):
             f"box scan of {_box_count(h, dim)} candidates exceeds budget {budget}")
 
 
-def _check_enum_cap(dim, den, h, fast, records):
-    """Refuse, at the sizes where the earlier engines did, a box of more
-    than _PY_ENUM_CAP cells that their int64 rows (d in {2, 3} for minima,
-    d = 2 for records) could not take."""
-    rows = (dim == 2 or (dim == 3 and not records)) and den > 1 \
-        and h * (den - 1) < _NP_LIMIT and 3 * den + fast < _NP_LIMIT
-    if not rows and _box_count(h, dim) > _PY_ENUM_CAP:
-        raise ResourceError(
-            f"pure-python enumeration of {_box_count(h, dim)} candidates refused; "
-            "no integer fast path applies to this input")
-
-
 class _LinearBox:
     """The canonical half of the box |s|_sup <= h, filtered in 64-bit fixed
     point through one sorted list of the tails (s_2, ..., s_d).
@@ -312,7 +299,6 @@ def linear_min(theta: CertifiedVector, h: int, *, budget: int = DEFAULT_BUDGET):
         q, dist = recs[-1]
         return CertifiedScalar(Fraction(dist, den_), q * r), (q,)
     fast = _margin(r, den, 2 * dim * h)
-    _check_enum_cap(dim, den, h, fast, records=False)
     box = _LinearBox(nums, den, h)
     # every minimizer lies within 2E of the least filter distance
     lim = box.filter_min() + 2 * box.E
@@ -345,7 +331,6 @@ def linear_records(theta: CertifiedVector, h_max: int, *, budget: int = DEFAULT_
         recs, den_, zero = simultaneous_scan(theta, h_max, budget=budget)
         return [(q, (q,), dist) for q, dist in recs], den_, zero
     fast = _margin(r, den, 2 * dim * h_max)
-    _check_enum_cap(dim, den, h_max, fast, records=True)
     exact = r == 0
     out = []
     best_d = None

@@ -16,7 +16,9 @@ generator rule:
 
 Every run writes ``manifest.json`` (tool version, config echo, timings,
 output list) next to its artifacts.  Failures write ``error.json`` and
-exit with a stable code: 2 domain, 3 precision, 4 resource, 5 internal.
+exit with a stable code: 2 domain, 3 precision, 5 internal, and 4 resource
+-- a refusal made before any work by a scan ``budget``, the orbit error
+budget or the bound of 10^6 samples.
 """
 
 from __future__ import annotations
@@ -554,8 +556,8 @@ _RUNNERS = {
 def run(config: RunConfig, out_dir=".", threads: int = 1) -> list[Path]:
     """Execute a parsed config; returns the artifact paths (manifest last).
 
-    `threads` is recorded in the manifest; results are independent of it
-    (the determinism contract merges samples in id order).
+    `threads` is only recorded in the manifest: every run is
+    single-process, so results are independent of it.
     """
     if threads < 1:
         raise DomainError("threads must be >= 1")
@@ -587,7 +589,7 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="key=value config file")
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker count (recorded; results identical)")
+                        help="recorded in the manifest only; runs are single-process")
     args = parser.parse_args(argv)
     try:
         text = Path(args.config).read_text()

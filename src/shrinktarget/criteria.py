@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _scan
-from .bestapprox import ApproxRecord, best_linear, best_simultaneous, linear_profile
+from .bestapprox import (ApproxRecord, best_linear, best_simultaneous, linear_error,
+                         linear_profile, simultaneous_error)
 from .errors import DegenerateInputError, DomainError, PrecisionError
 from .exact import (CertifiedScalar, CertifiedVector, Verdict, as_vector,
                     certified_dist_nearest_lattice, certified_form_dist, rational)
@@ -214,12 +215,8 @@ def transfer_check(theta, h, *, budget: int = _scan.DEFAULT_BUDGET) -> TransferR
     if c * h ** d < 1:
         raise DomainError(
             f"C h^d = {c * h ** d} < 1: no multiplier available on the right side")
-    h_floor = h.numerator // h.denominator
-    lhs, _w = _scan.linear_min(theta, h_floor, budget=budget)
-    q_cut = (c * h ** d).numerator // (c * h ** d).denominator
-    recs, den, _z = _scan.simultaneous_scan(theta, q_cut, budget=budget, records=False)
-    q_star, dist = recs[-1]
-    eps_s = CertifiedScalar(Fraction(dist, den), q_star * theta.radius)
+    lhs = linear_error(theta, h, budget=budget)
+    eps_s = simultaneous_error(theta, c * h ** d, budget=budget)
     scale = 1 / (c * h ** (d - 1))
     rhs = eps_s * CertifiedScalar.exact(scale)
     verdict = lhs.require_compare(rhs, "transfer inequality sides")

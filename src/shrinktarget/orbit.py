@@ -61,8 +61,7 @@ from .errors import DomainError, PrecisionError, ResourceError
 from .exact import CertifiedVector, _dec, as_vector, dist_nearest_int, rational
 from .roots import iroot, log2_enclosure, sqrt_upper
 
-_PY_SWEEP_CAP = 2 * 10 ** 6  # precision_bits != 64: longest orbit - 1
-_WINDOW_CAP = 10 ** 8  # precision_bits != 64 or d = 3: window sample-steps
+_MAX_SAMPLES = 10 ** 6  # starts per census or window: bounds their memory
 _BLOCK = 1 << 16  # longest time block: bounds E and the arrays of one sample
 _BATCH = 1 << 20  # (sample, time) pairs per vectorised window batch
 _SUB = 64  # a sub-block [a, b] of a time block has b - a = a // _SUB
@@ -78,11 +77,18 @@ def _ceil_frac(x: Fraction) -> int:
 class OrbitConfig:
     """Parameters of one simulation family.
 
-    The error budget is checked exactly at construction: the accumulated
-    per-step error n_max*(2^-precision_bits + theta.radius) must stay below
-    10^-3 of the smallest target radius n_max^(-1/delta), otherwise the
-    configuration is rejected (ResourceError) -- raise precision_bits or
-    shrink n_max.
+    Every resource refusal of the orbit layer happens here, at construction,
+    before any work, and is the same for every precision and dimension
+    (ResourceError):
+
+    - the error budget, checked exactly: the accumulated per-step error
+      n_max*(2^-precision_bits + theta.radius) must stay below 10^-3 of the
+      smallest target radius n_max^(-1/delta) -- raise precision_bits or
+      shrink n_max;
+    - at most _MAX_SAMPLES = 10^6 samples, which bounds the memory of a
+      census or window estimate (their starts and per-sample records).
+
+    Orbit length is bounded by the error budget alone.
     """
 
     theta: CertifiedVector
@@ -106,6 +112,10 @@ class OrbitConfig:
             raise DomainError("seed must fit in 64 bits")
         if self.precision_bits < 8:
             raise DomainError("precision_bits must be >= 8")
+        if self.samples > _MAX_SAMPLES:
+            raise ResourceError(
+                f"{self.samples} samples exceed the bound of {_MAX_SAMPLES}; "
+                f"lower samples")
         if self.n_max and not self._budget_ok():
             raise ResourceError(
                 f"error budget violated: {self.n_max} steps at "
@@ -139,25 +149,20 @@ class HitRecord:
     stat_hi: Fraction | None
 
 
-def _theta_units(theta: CertifiedVector, bits: int) -> list[int]:
-    """Per-coordinate fixed-point representation round(frac(theta)*2^bits)."""
-    out = []
-    for c in theta.coords:
-        c = c % 1
-        scaled = c * (1 << bits)
-        out.append((scaled.numerator * 2 + scaled.denominator)
-                   // (2 * scaled.denominator) % (1 << bits))
-    return out
+def _units(coords, bits: int) -> list[int]:
+    """Per-coordinate fixed-point representation round(frac(c)*2^bits),
+    i.e. floor(c*2^bits + 1/2) mod 2^bits."""
+    return [(c.numerator * 2 ** (bits + 1) + c.denominator)
+            // (2 * c.denominator) % (1 << bits) for c in coords]
 
 
 def _x0_units(x0, dim: int, bits: int) -> list[int]:
     if x0 is None:
         return [0] * dim
-    coords = [rational(c) % 1 for c in x0]
+    coords = [rational(c) for c in x0]
     if len(coords) != dim:
         raise DomainError(f"x0 has dimension {len(coords)}, theta has {dim}")
-    return [(c.numerator * 2 ** (bits + 1) + c.denominator)
-            // (2 * c.denominator) % (1 << bits) for c in coords]
+    return _units(coords, bits)
 
 
 def _error_units(n: int, theta_radius: Fraction, bits: int) -> int:
@@ -227,7 +232,7 @@ class _Engine:
         self.config = config
         self.bits = config.precision_bits
         self.s = self.bits - 64
-        self.theta_u = _theta_units(config.theta, self.bits)
+        self.theta_u = _units(config.theta.coords, self.bits)
         self.err = _error_units(n_hi, config.theta.radius, self.bits)
         self.e = self.top(self.err, ceil=True)
         self.auto = _auto_hit_bound(config.delta)
@@ -367,14 +372,6 @@ def _stat_enclosure(res: _SweepResult, log_n, bits: int):
     return max(lo, Fraction(0)), max(hi, Fraction(0))
 
 
-def _check_sweep_cap(config: OrbitConfig) -> None:
-    if config.precision_bits != 64 and config.n_max - 1 > _PY_SWEEP_CAP:
-        raise ResourceError(
-            f"orbit of length {config.n_max} at {config.precision_bits} "
-            f"fractional bits exceeds the orbit length cap {_PY_SWEEP_CAP}; "
-            f"use precision_bits = 64 for long orbits")
-
-
 def orbit_hits(config: OrbitConfig, x0=None, sample_id: int = 0) -> HitRecord:
     """Sweep one orbit over n = 1..n_max; certified hits and statistic.
 
@@ -384,7 +381,6 @@ def orbit_hits(config: OrbitConfig, x0=None, sample_id: int = 0) -> HitRecord:
     """
     if config.n_max == 0:
         return HitRecord(sample_id, (), 0, None, None)
-    _check_sweep_cap(config)
     x0u = _x0_units(x0, config.dim, config.precision_bits)
     x0_frac = None if x0 is None else [rational(c) % 1 for c in x0]
     (res,) = _sweep(config, [x0u], [x0_frac])
@@ -480,7 +476,6 @@ def hit_census(config: OrbitConfig, n_lo: int = 1) -> CensusSummary:
     """
     if not 1 <= n_lo <= max(config.n_max, 1):
         raise DomainError("n_lo must lie in [1, n_max]")
-    _check_sweep_cap(config)
     starts = _draw_starts(config, config.samples)
     if config.n_max == 0:
         records = [HitRecord(i, (), 0, None, None) for i in range(len(starts))]
@@ -541,12 +536,6 @@ def bc_window_estimate(config: OrbitConfig, window: tuple[int, int]) -> WindowEs
     if lo <= _auto_hit_bound(config.delta):
         # the window contains a target of radius >= 1/2: everything hits
         return WindowEstimate((lo, hi), config.samples, config.samples, 0)
-    if (config.precision_bits != 64 or config.dim > 2) \
-            and (hi - lo) * config.samples > _WINDOW_CAP:
-        raise ResourceError(
-            f"window of length {hi - lo} for {config.samples} samples "
-            f"exceeds the scan budget at {config.precision_bits} bits; "
-            f"shorten the window or use precision_bits = 64")
     hit, amb = _window(config, _draw_starts(config, config.samples), lo, hi - 1)
     return WindowEstimate((lo, hi), config.samples, int(hit.sum()), int(amb.sum()))
 

@@ -288,6 +288,23 @@ def test_main_resource_exhaustion_exit_4(tmp_path):
     assert err["error"] == "ResourceError"
 
 
+def test_main_samples_bound_exit_4(tmp_path):
+    # refused by the samples bound before any start is drawn, not by a
+    # failed allocation of the start table (exit 5)
+    cfg = write_config(tmp_path, """\
+        command=simulate
+        theta=1/3
+        delta=1
+        n_max=100
+        samples=1000000000000
+        precision_bits=64
+    """)
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 4
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "ResourceError" and "samples" in err["message"]
+
+
 def test_run_rejects_bad_thread_count(tmp_path):
     config = parse("""\
         command=approx

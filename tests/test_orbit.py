@@ -16,7 +16,7 @@ from shrinktarget.errors import DomainError, PrecisionError, ResourceError
 from shrinktarget.exact import CertifiedVector
 from shrinktarget.orbit import (OrbitConfig, _auto_hit_bound, _draw_starts,
                                 _error_units, _exact_classify, _sweep,
-                                _theta_units, _threshold_pair, _window,
+                                _threshold_pair, _units, _window,
                                 _x0_units, bc_window_estimate,
                                 exact_orbit_hits, hit_census, log_law_stat,
                                 orbit_hits)
@@ -44,7 +44,7 @@ def oracle_sweep(config, x0u, x0_frac=None):
     """(hits, inconclusive, min_lo, min_hi) of the orbit of x0u over
     n = 1..n_max, one B-bit step at a time."""
     bits = config.precision_bits
-    theta_u = _theta_units(config.theta, bits)
+    theta_u = _units(config.theta.coords, bits)
     x0_frac = x0_frac or _grid(x0u, bits)
     one = 1 << bits
     err = _error_units(config.n_max, config.theta.radius, bits)
@@ -71,7 +71,7 @@ def oracle_window(config, starts, l_lo, l_hi):
     l = l_lo, l_lo + 1, ... until its first hit."""
     bits = config.precision_bits
     one = 1 << bits
-    theta_u = _theta_units(config.theta, bits)
+    theta_u = _units(config.theta.coords, bits)
     err = _error_units(l_hi, config.theta.radius, bits)
     hit, amb = [False] * len(starts), [False] * len(starts)
     for i, x0u in enumerate(starts):
@@ -415,6 +415,9 @@ def test_sweep_across_block_edge_matches_oracle(bits, n_max):
 
 
 # --- resource guards: refused before any start is drawn --------------------------
+# OrbitConfig holds the only refusals: the error budget and at most
+# _MAX_SAMPLES samples.  Orbit length and window size are not capped at any
+# precision or dimension; the former caps' edges are answered.
 
 def _no_draws(monkeypatch):
     def refuse(*_args):
@@ -422,33 +425,49 @@ def _no_draws(monkeypatch):
     monkeypatch.setattr(orbit, "_draw_starts", refuse)
 
 
-def test_long_census_above_64_bits_refused_before_work(monkeypatch):
+def _samples_edge(monkeypatch, run, bits, **kw):
+    """run(config) is refused before any start is drawn at _MAX_SAMPLES + 1
+    samples, and draws its starts at _MAX_SAMPLES."""
     _no_draws(monkeypatch)
-    theta = CertifiedVector((F(1, 3),))
-    config = OrbitConfig(theta=theta, delta=F(1), n_max=2 * 10 ** 6 + 2,
-                         samples=10 ** 9, precision_bits=128)
-    with pytest.raises(ResourceError):
-        hit_census(config)
-    with pytest.raises(ResourceError):
-        orbit_hits(config)
-    # one step shorter is within the cap: the census then draws its starts
-    shorter = OrbitConfig(theta=theta, delta=F(1), n_max=2 * 10 ** 6 + 1,
-                          samples=10 ** 9, precision_bits=128)
-    with pytest.raises(AssertionError):
-        hit_census(shorter)
+    with pytest.raises(ResourceError, match="samples"):
+        run(OrbitConfig(samples=orbit._MAX_SAMPLES + 1, precision_bits=bits, **kw))
+    with pytest.raises(AssertionError, match="starts drawn"):
+        run(OrbitConfig(samples=orbit._MAX_SAMPLES, precision_bits=bits, **kw))
+
+
+def test_long_census_above_64_bits_refused_before_work(monkeypatch):
+    """One step past the former 2*10^6 orbit cap above 64 bits: the orbit
+    from a rational start has the same hits at 128 and 192 bits, none
+    inconclusive, and a census runs; only the samples bound refuses."""
+    n_max = 2 * 10 ** 6 + 2
+    runs = [orbit_hits(OrbitConfig(theta=pell_theta(), delta=F(3, 2), n_max=n_max,
+                                   precision_bits=bits), (F(1, 7),))
+            for bits in (128, 192)]
+    assert runs[0].hits == runs[1].hits and len(runs[0].hits) > 700
+    assert runs[0].inconclusive == runs[1].inconclusive == 0
+    census = hit_census(OrbitConfig(theta=pell_theta(), delta=F(3, 2), n_max=n_max,
+                                    samples=3, precision_bits=128))
+    assert census.inconclusive_total == 0 and min(census.counts) > 700
+    for bits in (64, 160):
+        _samples_edge(monkeypatch, hit_census, bits,
+                      theta=CertifiedVector((F(1, 3),)), delta=F(1), n_max=100)
 
 
 def test_window_budget_refused_before_work(monkeypatch):
-    _no_draws(monkeypatch)
+    """The former 10^8 sample-step window budget (precision_bits != 64 or
+    d = 3) is gone: 10^4 + 1 samples over 10^4 steps are estimated at its
+    two edges; only the samples bound refuses."""
     theta = CertifiedVector((F(1, 3), F(1, 5), F(1, 7)))
     for dims, bits in ((1, 128), (3, 64)):
         config = OrbitConfig(
             theta=CertifiedVector(theta.coords[:dims]), delta=F(3),
             n_max=2 * 10 ** 4, samples=10 ** 4 + 1, precision_bits=bits)
-        with pytest.raises(ResourceError):
-            bc_window_estimate(config, (10 ** 4, 2 * 10 ** 4))
-        with pytest.raises(AssertionError):  # 10^8 sample-steps is allowed
-            bc_window_estimate(config, (10 ** 4 + 1, 2 * 10 ** 4))
+        est = bc_window_estimate(config, (10 ** 4, 2 * 10 ** 4))
+        assert est.samples == 10 ** 4 + 1 and 0 < est.hits < est.samples
+        assert est.inconclusive == 0
+    for bits in (64, 160):
+        _samples_edge(monkeypatch, lambda c: bc_window_estimate(c, (10, 20)), bits,
+                      theta=CertifiedVector(theta.coords[:2]), delta=F(3), n_max=100)
 
 
 def _placed_start(theta_u, n, target, bits):

@@ -462,18 +462,41 @@ def test_linear_ties_pick_lexicographic_first():
     (2, 1, 1225, True, True),           # den = 1 had no rows
     (2, 2**64 + 13, 1225, False, True),
 ])
-def test_enumeration_cap_refuses_where_it_did(monkeypatch, dim, den, h, records, refused):
+def test_enumeration_cap_refuses_where_it_did(dim, den, h, records, refused):
+    """The edges of the removed 6*10^6-cell enumeration cap, which refused
+    the boxes marked `refused`: every one is answered now.  These thetas
+    reach an exact zero in a small shell, so the records are the oracle's
+    zero-terminated records at that shell, and the minimum is 0 at the
+    lexicographically first canonical zero, which a walk in the oracle's
+    order meets within the first witness[0] + 1 rows."""
     theta = CertifiedVector([F(1 + 7 * i, den) for i in range(dim)])
-    scan = linear_records if records else linear_min
-    if not refused:
-        assert scan(theta, h)
+    nums, den, _r = scan_data(theta)
+    if records:
+        small = next(r for r in map(oracle_linear_records, [theta] * 8, range(1, 9))
+                     if r[2])
+        assert linear_records(theta, h) == small
         return
+    value, witness = linear_min(theta, h)
+    assert value.value == 0 and _form_dist(nums, den, witness) == 0
+    cells = itertools.product(range(witness[0] + 1), *[range(-h, h + 1)] * (dim - 1))
+    assert witness == next(pt for pt in cells if next((c for c in pt if c), 0) > 0
+                           and _form_dist(nums, den, pt) == 0)
+
+
+def test_linear_budget_edge(monkeypatch):
+    """The scan budget counts the nominal (2h+1)^d box: one cell over it is
+    refused before the box is built, and the budget itself is answered."""
+    theta = CertifiedVector((F(2, 7), F(3, 11), F(5, 13)))
+    cells = 21 ** 3  # h = 10
+    answers = linear_min(theta, 10, budget=cells), linear_records(theta, 10, budget=cells)
+    assert answers == (linear_min(theta, 10), linear_records(theta, 10))
 
     def no_work(*args):
         raise AssertionError("the scan started before refusing")
     monkeypatch.setattr("shrinktarget._scan._LinearBox", no_work)
-    with pytest.raises(ResourceError, match="pure-python enumeration"):
-        scan(theta, h)
+    for scan in (linear_min, linear_records):
+        with pytest.raises(ResourceError, match=f"{cells} candidates exceeds budget"):
+            scan(theta, 10, budget=cells - 1)
 
 
 @pytest.mark.parametrize("den", [2**64 - 59, 2**65 + 11, 2**66 + 3])
