@@ -117,14 +117,14 @@ def _fp_blocks(nums, den: int, q_max: int):
 
 
 def simultaneous_scan(theta: CertifiedVector, q_max: int, *,
-                      budget: int = DEFAULT_BUDGET, records: bool = True):
+                      budget: int = DEFAULT_BUDGET):
     """Walk q = 1..q_max tracking the running certified minimum of the
     distance from q*theta to the lattice.
 
-    Returns (record list [(q, dist_int)], den, zero_terminated).  With
-    records=False only the final minimum is kept (one-element list).
-    A record is a strict running-min improvement; an exact zero value is
-    emitted and terminates the walk when theta is exact.
+    Returns (record list [(q, dist_int)], den, zero_terminated).  A record is
+    a strict running-min improvement, so the last record is the minimum over
+    1..q_max with its least multiplier; an exact zero value is emitted and
+    terminates the walk when theta is exact.
     """
     if q_max < 1:
         raise DomainError("q_max must be >= 1")
@@ -167,10 +167,7 @@ def simultaneous_scan(theta: CertifiedVector, q_max: int, *,
                     f"cannot order |{q}*theta| against |{best_q}*theta| at radius {r}")
             if v is Verdict.LESS:
                 best_d, best_q = dq, q
-                if records:
-                    out.append((q, dq))
-                else:
-                    out[-1] = (q, dq)
+                out.append((q, dq))
                 if best_d == 0 and exact:
                     return out, den, True
     return out, den, False
@@ -295,7 +292,7 @@ def linear_min(theta: CertifiedVector, h: int, *, budget: int = DEFAULT_BUDGET):
     _check_linear_budget(h, dim, budget)
     nums, den, r = scan_data(theta)
     if dim == 1:
-        recs, den_, zero = simultaneous_scan(theta, h, budget=budget, records=False)
+        recs, den_, zero = simultaneous_scan(theta, h, budget=budget)
         q, dist = recs[-1]
         return CertifiedScalar(Fraction(dist, den_), q * r), (q,)
     fast = _margin(r, den, 2 * dim * h)
@@ -379,7 +376,7 @@ def linear_records(theta: CertifiedVector, h_max: int, *, budget: int = DEFAULT_
 
 
 def all_greater_than_baseline(theta: CertifiedVector, q_hi: int, base_q: int,
-                              exceptions: set[int], *, budget: int = DEFAULT_BUDGET):
+                              exceptions: set[int]):
     """Check |q*theta| > |base_q*theta| for every 1 <= q < q_hi outside
     `exceptions`.  Returns (violations, exception_report) where
     exception_report maps each scanned exception q to 'greater', 'leq' or
@@ -387,8 +384,9 @@ def all_greater_than_baseline(theta: CertifiedVector, q_hi: int, base_q: int,
 
     Raises PrecisionError if some non-excepted comparison is inconclusive.
     """
-    if q_hi - 1 > budget:
-        raise ResourceError(f"scan of {q_hi - 1} multipliers exceeds budget {budget}")
+    if q_hi - 1 > DEFAULT_BUDGET:
+        raise ResourceError(
+            f"scan of {q_hi - 1} multipliers exceeds budget {DEFAULT_BUDGET}")
     nums, den, r = scan_data(theta)
     base_dist = _dist(nums, den, base_q)
     fast = base_dist + _margin(r, den, q_hi + base_q)

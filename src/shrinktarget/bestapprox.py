@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from . import _scan
 from .errors import DomainError
-from .exact import CertifiedScalar, CertifiedVector, as_vector, rational
+from .exact import CertifiedScalar, as_vector, rational
 
 
 @dataclass(frozen=True, slots=True)
@@ -110,7 +110,7 @@ def simultaneous_error(theta, h, *, budget: int = _scan.DEFAULT_BUDGET) -> Certi
     to the lattice."""
     cut = _floor_height(h)
     theta = as_vector(theta)
-    recs, den, _zero = _scan.simultaneous_scan(theta, cut, budget=budget, records=False)
+    recs, den, _zero = _scan.simultaneous_scan(theta, cut, budget=budget)
     q, dist = recs[-1]
     return CertifiedScalar(Fraction(dist, den), q * theta.radius)
 
@@ -154,11 +154,9 @@ class ErrorProfile:
         return self.records[i].value
 
 
-def simultaneous_profile(theta, q_max: int, *,
-                         budget: int = _scan.DEFAULT_BUDGET) -> ErrorProfile:
-    return ErrorProfile(best_simultaneous(theta, q_max, budget=budget), int(q_max))
+def simultaneous_profile(theta, q_max: int) -> ErrorProfile:
+    return ErrorProfile(best_simultaneous(theta, q_max), int(q_max))
 
 
-def linear_profile(theta, h_max: int, *,
-                   budget: int = _scan.DEFAULT_BUDGET) -> ErrorProfile:
-    return ErrorProfile(best_linear(theta, h_max, budget=budget), int(h_max))
+def linear_profile(theta, h_max: int) -> ErrorProfile:
+    return ErrorProfile(best_linear(theta, h_max), int(h_max))

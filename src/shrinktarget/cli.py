@@ -28,7 +28,6 @@ import csv
 import json
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 
 from . import __version__, bestapprox, criteria
@@ -328,6 +327,13 @@ def emit_plot_data(report, path) -> None:
 # command runners
 
 
+def _write_json(path, payload) -> None:
+    """A JSON artifact: indented, keys sorted, newline-terminated."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _theta_from(config: RunConfig):
     if "transcript" in config.values:
         state = ConstructionState.from_text(
@@ -387,17 +393,15 @@ def _run_criteria(config: RunConfig, out: Path) -> list[Path]:
             emit_plot_data(ev, p)
             outputs.append(p)
         summary = out / "type_evidence.json"
-        with open(summary, "w") as fh:
-            json.dump({
-                "mode": limsup.mode, "tau": str(limsup.tau),
-                "limsup": {"running_inf": str(limsup.running_inf),
-                           "tail_sup": str(limsup.tail_sup),
-                           "positive_tail_sup": limsup.positive_tail_sup},
-                "liminf": {"running_inf": str(liminf.running_inf),
-                           "tail_sup": str(liminf.tail_sup),
-                           "positive_inf": liminf.positive_inf},
-            }, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(summary, {
+            "mode": limsup.mode, "tau": str(limsup.tau),
+            "limsup": {"running_inf": str(limsup.running_inf),
+                       "tail_sup": str(limsup.tail_sup),
+                       "positive_tail_sup": limsup.positive_tail_sup},
+            "liminf": {"running_inf": str(liminf.running_inf),
+                       "tail_sup": str(liminf.tail_sup),
+                       "positive_inf": liminf.positive_inf},
+        })
         outputs.append(summary)
         return outputs
     if series == "thm5":
@@ -418,17 +422,15 @@ def _run_criteria(config: RunConfig, out: Path) -> list[Path]:
     plot = out / "series.dat"
     emit_plot_data(report, plot)
     summary = out / "series.json"
-    with open(summary, "w") as fh:
-        total = report.partial_sums[-1] if report.partial_sums else None
-        json.dump({
-            "label": report.label,
-            "series": series,
-            "terms": len(report.terms),
-            "partial_sum_lo": str(total.lo) if total else "0",
-            "partial_sum_hi": str(total.hi) if total else "0",
-            "verdict": report.verdict,
-        }, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    total = report.partial_sums[-1] if report.partial_sums else None
+    _write_json(summary, {
+        "label": report.label,
+        "series": series,
+        "terms": len(report.terms),
+        "partial_sum_lo": str(total.lo) if total else "0",
+        "partial_sum_hi": str(total.hi) if total else "0",
+        "verdict": report.verdict,
+    })
     return [csv_path, plot, summary]
 
 
@@ -441,16 +443,14 @@ def _run_construct(config: RunConfig, out: Path) -> list[Path]:
     transcript.write_text(state.to_text())
     outputs = [transcript]
     theta_path = out / "theta.json"
-    with open(theta_path, "w") as fh:
-        json.dump({
-            "coords": [str(c) for c in state.theta.coords],
-            "coords_decimal": [_dec(c, 30) for c in state.theta.coords],
-            "radius": str(state.theta.radius),
-            "depth": state.depth,
-            "heights": list(state.heights),
-            "denominators": [str(q) for q in state.denominators],
-        }, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(theta_path, {
+        "coords": [str(c) for c in state.theta.coords],
+        "coords_decimal": [_dec(c, 30) for c in state.theta.coords],
+        "radius": str(state.theta.radius),
+        "depth": state.depth,
+        "heights": list(state.heights),
+        "denominators": [str(q) for q in state.denominators],
+    })
     outputs.append(theta_path)
     if config.get("verify", True):
         kwargs = {}
@@ -481,18 +481,16 @@ def _run_simulate(config: RunConfig, out: Path) -> list[Path]:
         lo, hi = config.values["window"]
         est = bc_window_estimate(orbit_cfg, (lo, hi))
         path = out / "window_estimate.json"
-        with open(path, "w") as fh:
-            json.dump({
-                "window": list(est.window),
-                "samples": est.samples,
-                "hits": est.hits,
-                "inconclusive": est.inconclusive,
-                "fraction": str(est.fraction),
-                "fraction_decimal": _dec(est.fraction, 6),
-                "confidence_radius": str(est.confidence_radius),
-                "confidence_radius_decimal": _dec(est.confidence_radius, 6),
-            }, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(path, {
+            "window": list(est.window),
+            "samples": est.samples,
+            "hits": est.hits,
+            "inconclusive": est.inconclusive,
+            "fraction": str(est.fraction),
+            "fraction_decimal": _dec(est.fraction, 6),
+            "confidence_radius": str(est.confidence_radius),
+            "confidence_radius_decimal": _dec(est.confidence_radius, 6),
+        })
         return [path]
     census = hit_census(orbit_cfg, config.get("n_lo", 1))
     csv_path = out / "census.csv"
@@ -518,10 +516,7 @@ def _run_transfer(config: RunConfig, out: Path) -> list[Path]:
             "holds": rep.holds,
         })
     path = out / "transfer.json"
-    with open(path, "w") as fh:
-        json.dump({"dimension": theta.dim, "rows": rows}, fh,
-                  indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, {"dimension": theta.dim, "rows": rows})
     if not all(r["holds"] for r in rows):
         raise DomainError("transfer inequality violated (see transfer.json)")
     return [path]
@@ -566,17 +561,15 @@ def run(config: RunConfig, out_dir=".", threads: int = 1) -> list[Path]:
     started = time.time()
     outputs = _RUNNERS[config.command](config, out)
     manifest = out / "manifest.json"
-    with open(manifest, "w") as fh:
-        json.dump({
-            "tool": "shrinktarget",
-            "version": __version__,
-            "command": config.command,
-            "config": config.raw,
-            "threads": threads,
-            "elapsed_s": round(time.time() - started, 3),
-            "outputs": [p.name for p in outputs],
-        }, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(manifest, {
+        "tool": "shrinktarget",
+        "version": __version__,
+        "command": config.command,
+        "config": config.raw,
+        "threads": threads,
+        "elapsed_s": round(time.time() - started, 3),
+        "outputs": [p.name for p in outputs],
+    })
     return outputs + [manifest]
 
 

@@ -412,15 +412,15 @@ def _form_value_abs(delta: LatticePoint3, theta: CertifiedVector) -> CertifiedSc
 
 def verify_construction(state: ConstructionState,
                         depth_bruteforce: int | None = None, *,
-                        scan_cap: int = 2 * 10 ** 7,
-                        budget: int = _scan.DEFAULT_BUDGET) -> VerifyReport:
+                        scan_cap: int = 2 * 10 ** 7) -> VerifyReport:
     """Re-check the construction: structural identities in exact integer
     arithmetic, the certified enclosures, and (brute force) the
     no-better-approximation property below each scanned level.
 
     depth_bruteforce = None scans every level n with q_{n+1} <= scan_cap;
     an explicit depth requests levels n < depth_bruteforce, and levels whose
-    scan exceeds the budget are reported as skipped rather than attempted.
+    scan exceeds the default scan budget (_scan.DEFAULT_BUDGET multipliers)
+    are reported as skipped rather than attempted.
 
     All certified checks use the refined recentering of theta, whose radius
     is small enough to decide every enclosure at every transcript level; an
@@ -431,46 +431,54 @@ def verify_construction(state: ConstructionState,
     steps = state.steps
     top = state.depth + 1  # last stored index
     a, h0 = state.a_seq, state.h0_seq
+    budget = _scan.DEFAULT_BUDGET
 
     def add(name, scope, ok, detail=""):
         checks.append(CheckResult(name, scope, ok, detail))
 
-    bad = [s.n for s in steps if not (is_primitive(s.delta) and is_primitive(s.p))]
-    add("primitivity of Delta_n and P_n", f"n in [0, {top}]", not bad,
-        f"failing n: {bad}" if bad else "")
-    bad = [s.n for s in steps if s.delta.dot(s.p) != 0]
-    add("<Delta_n, P_n> = 0", f"n in [0, {top}]", not bad,
-        f"failing n: {bad}" if bad else "")
-    bad = [s.n for s in steps
-           if s.delta.norm != s.h or s.p.norm != s.q or s.p.z != s.q
-           or max(abs(s.delta.x), abs(s.delta.y)) != s.h]
-    add("norm bookkeeping (|Delta_n| = h_n, |P_n| = z_n = q_n, "
-        "|(r_n,s_n)| = h_n)", f"n in [0, {top}]", not bad,
-        f"failing n: {bad}" if bad else "")
-    bad = [n for n in range(top)
-           if wedge(steps[n].delta, steps[n + 1].delta) != steps[n].p]
-    add("Delta_n ^ Delta_{n+1} = P_n", f"n in [0, {top - 1}]", not bad,
-        f"failing n: {bad}" if bad else "")
-    bad = [n for n in range(top)
-           if wedge(steps[n].p, steps[n + 1].p) != steps[n + 1].delta]
-    add("P_n ^ P_{n+1} = Delta_{n+1}", f"n in [0, {top - 1}]", not bad,
-        f"failing n: {bad}" if bad else "")
-    bad = [n for n in range(top) if steps[n].delta.dot(steps[n + 1].p) != 1]
-    add("<Delta_n, P_{n+1}> = 1", f"n in [0, {top - 1}]", not bad,
-        f"failing n: {bad}" if bad else "")
-    bad = [s.n for s in steps
-           if not (h0[s.n] <= 2 * s.h and s.h <= 2 * h0[s.n])
-           or not (a[s.n] * h0[s.n] ** 2 <= 2 * s.q and s.q <= 2 * a[s.n] * h0[s.n] ** 2)]
-    add("sandwich bounds h_n ~ h_n°, q_n ~ q_n° (factor 2)",
-        f"n in [0, {top}]", not bad, f"failing n: {bad}" if bad else "")
+    def add_failing(name, scope, bad):
+        add(name, scope, not bad, f"failing n: {bad}" if bad else "")
+
+    def add_enclosure(name, what, bounds):
+        """lo <= value <= hi for (value, lo, hi) = bounds(n), n in [0, depth];
+        the upper bound is compared only when the lower one holds."""
+        bad = []
+        for n in range(state.depth + 1):
+            val, lo, hi = bounds(n)
+            if (val.require_compare(CertifiedScalar.exact(lo), f"{what} lower") is Verdict.LESS
+                    or val.require_compare(CertifiedScalar.exact(hi), f"{what} upper")
+                    is Verdict.GREATER):
+                bad.append(n)
+        add_failing(name, f"n in [0, {state.depth}]", bad)
+
+    add_failing("primitivity of Delta_n and P_n", f"n in [0, {top}]",
+                [s.n for s in steps if not (is_primitive(s.delta) and is_primitive(s.p))])
+    add_failing("<Delta_n, P_n> = 0", f"n in [0, {top}]",
+                [s.n for s in steps if s.delta.dot(s.p) != 0])
+    add_failing("norm bookkeeping (|Delta_n| = h_n, |P_n| = z_n = q_n, "
+                "|(r_n,s_n)| = h_n)", f"n in [0, {top}]",
+                [s.n for s in steps
+                 if s.delta.norm != s.h or s.p.norm != s.q or s.p.z != s.q
+                 or max(abs(s.delta.x), abs(s.delta.y)) != s.h])
+    add_failing("Delta_n ^ Delta_{n+1} = P_n", f"n in [0, {top - 1}]",
+                [n for n in range(top)
+                 if wedge(steps[n].delta, steps[n + 1].delta) != steps[n].p])
+    add_failing("P_n ^ P_{n+1} = Delta_{n+1}", f"n in [0, {top - 1}]",
+                [n for n in range(top)
+                 if wedge(steps[n].p, steps[n + 1].p) != steps[n + 1].delta])
+    add_failing("<Delta_n, P_{n+1}> = 1", f"n in [0, {top - 1}]",
+                [n for n in range(top) if steps[n].delta.dot(steps[n + 1].p) != 1])
+    add_failing("sandwich bounds h_n ~ h_n°, q_n ~ q_n° (factor 2)", f"n in [0, {top}]",
+                [s.n for s in steps
+                 if not (h0[s.n] <= 2 * s.h and s.h <= 2 * h0[s.n])
+                 or not (a[s.n] * h0[s.n] ** 2 <= 2 * s.q
+                         and s.q <= 2 * a[s.n] * h0[s.n] ** 2)])
 
     gaps = [state.gap(n) for n in range(top)]
-    bad = [n for n in range(1, top) if gaps[n] > _GAP_RATIO * gaps[n - 1]]
-    add("projective gap contraction (ratio 1/(2^18*3^3))",
-        f"n in [1, {top - 1}]", not bad, f"failing n: {bad}" if bad else "")
-    bad = [n for n in range(top) if gaps[n] > Fraction(1, 32 ** (n + 1))]
-    add("crude gap decay <= 32^-(n+1)", f"n in [0, {top - 1}]", not bad,
-        f"failing n: {bad}" if bad else "")
+    add_failing("projective gap contraction (ratio 1/(2^18*3^3))", f"n in [1, {top - 1}]",
+                [n for n in range(1, top) if gaps[n] > _GAP_RATIO * gaps[n - 1]])
+    add_failing("crude gap decay <= 32^-(n+1)", f"n in [0, {top - 1}]",
+                [n for n in range(top) if gaps[n] > Fraction(1, 32 ** (n + 1))])
     d00 = projective_distance(LatticePoint3(0, 0, 1), steps[0].p)
     add("base point within 1/32 of the origin", "n = 0", d00 < Fraction(1, 32),
         f"d(0, P~_0) = {d00}")
@@ -495,39 +503,20 @@ def verify_construction(state: ConstructionState,
         f"n in [0, {state.depth}]", not (bad_lo or bad_hi),
         f"lower fails: {bad_lo}, upper fails: {bad_hi}" if bad_lo or bad_hi else "")
 
-    bad = []
-    for n in range(state.depth + 1):
-        val = certified_dist_nearest_lattice(steps[n].q, fine)
-        lo = Fraction(steps[n + 1].h, 2 * steps[n + 1].q)
-        hi = 3 * lo
-        if (val.require_compare(CertifiedScalar.exact(lo), "orbit distance lower") is Verdict.LESS
-                or val.require_compare(CertifiedScalar.exact(hi), "orbit distance upper") is Verdict.GREATER):
-            bad.append(n)
-    add("orbit enclosure h_{n+1}/(2q_{n+1}) <= |q_n theta| <= 3h_{n+1}/(2q_{n+1})",
-        f"n in [0, {state.depth}]", not bad, f"failing n: {bad}" if bad else "")
-
-    bad = []
-    for n in range(state.depth + 1):
-        val = _form_value_abs(steps[n].delta, fine)
-        lo = Fraction(3, 4 * steps[n + 1].q)
-        hi = Fraction(5, 4 * steps[n + 1].q)
-        if (val.require_compare(CertifiedScalar.exact(lo), "line value lower") is Verdict.LESS
-                or val.require_compare(CertifiedScalar.exact(hi), "line value upper") is Verdict.GREATER):
-            bad.append(n)
-    add("line-value enclosure 3/(4q_{n+1}) <= |<Delta_n, theta_bar>| <= 5/(4q_{n+1})",
-        f"n in [0, {state.depth}]", not bad, f"failing n: {bad}" if bad else "")
-
-    bad = []
-    for n in range(state.depth + 1):
-        val = _form_value_abs(steps[n].delta, fine) \
-            * CertifiedScalar.exact(Fraction(steps[n + 1].h ** 2))
-        lo = Fraction(3, 32 * a[n + 1])
-        hi = Fraction(10, a[n + 1])
-        if (val.require_compare(CertifiedScalar.exact(lo), "weighted line value lower") is Verdict.LESS
-                or val.require_compare(CertifiedScalar.exact(hi), "weighted line value upper") is Verdict.GREATER):
-            bad.append(n)
-    add("weighted enclosure 3/(32a_{n+1}) <= h_{n+1}^2 |<Delta_n, theta_bar>| <= 10/a_{n+1}",
-        f"n in [0, {state.depth}]", not bad, f"failing n: {bad}" if bad else "")
+    add_enclosure("orbit enclosure h_{n+1}/(2q_{n+1}) <= |q_n theta| <= 3h_{n+1}/(2q_{n+1})",
+                  "orbit distance",
+                  lambda n: (certified_dist_nearest_lattice(steps[n].q, fine),
+                             Fraction(steps[n + 1].h, 2 * steps[n + 1].q),
+                             Fraction(3 * steps[n + 1].h, 2 * steps[n + 1].q)))
+    add_enclosure("line-value enclosure 3/(4q_{n+1}) <= |<Delta_n, theta_bar>| <= 5/(4q_{n+1})",
+                  "line value",
+                  lambda n: (_form_value_abs(steps[n].delta, fine),
+                             Fraction(3, 4 * steps[n + 1].q), Fraction(5, 4 * steps[n + 1].q)))
+    add_enclosure("weighted enclosure 3/(32a_{n+1}) <= h_{n+1}^2 |<Delta_n, theta_bar>| "
+                  "<= 10/a_{n+1}", "weighted line value",
+                  lambda n: (_form_value_abs(steps[n].delta, fine)
+                             * CertifiedScalar.exact(Fraction(steps[n + 1].h ** 2)),
+                             Fraction(3, 32 * a[n + 1]), Fraction(10, a[n + 1])))
 
     # brute-force minimality below each scanned level: every q < q_{n+1}
     # outside {q_n, q_{n+1} - q_n} satisfies |q theta| > |q_n theta|
@@ -544,7 +533,7 @@ def verify_construction(state: ConstructionState,
             continue
         exceptions = {steps[n + 1].q - steps[n].q}
         violations, report = _scan.all_greater_than_baseline(
-            fine, q_hi, steps[n].q, exceptions, budget=budget)
+            fine, q_hi, steps[n].q, exceptions)
         exc_report[n] = report
         add("no better approximation below q_{n+1} (brute force)", scope,
             not violations,

@@ -17,11 +17,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _scan
-from .bestapprox import (ApproxRecord, best_linear, best_simultaneous, linear_error,
-                         linear_profile, simultaneous_error)
+from .bestapprox import (best_linear, best_simultaneous, linear_error, linear_profile,
+                         simultaneous_error)
 from .errors import DegenerateInputError, DomainError, PrecisionError
-from .exact import (CertifiedScalar, CertifiedVector, Verdict, as_vector,
-                    certified_dist_nearest_lattice, certified_form_dist, rational)
+from .exact import (CertifiedScalar, Verdict, as_vector, certified_dist_nearest_lattice,
+                    certified_form_dist, rational)
 from .roots import pow_enclosure
 
 DEFAULT_REL_BITS = 64
@@ -114,8 +114,7 @@ def series_thm5(theta, x_seq, n_terms: int, *,
 
 
 def series_lemma22(theta, k_max: int, delta, *,
-                   rel_bits: int = DEFAULT_REL_BITS,
-                   budget: int = _scan.DEFAULT_BUDGET) -> SeriesReport:
+                   rel_bits: int = DEFAULT_REL_BITS) -> SeriesReport:
     """Terms k^-1 (k^delta eps_l(k))^(1/(delta+1)) for k = 1..k_max.
 
     delta >= 1 (delta = d recovers the harmonic form of the dyadic
@@ -127,7 +126,7 @@ def series_lemma22(theta, k_max: int, delta, *,
         raise DomainError("delta must be >= 1")
     if k_max < 1:
         raise DomainError("k_max must be >= 1")
-    prof = linear_profile(theta, k_max, budget=budget)
+    prof = linear_profile(theta, k_max)
     # exponent 1/(delta+1) = q/(p+q) for delta = p/q; the term collapses to
     # (eps_l(k)/k)^(1/(delta+1))
     p, q = delta.numerator, delta.denominator
@@ -140,8 +139,7 @@ def series_lemma22(theta, k_max: int, delta, *,
 
 
 def dyadic_condition_iii(theta, n_max: int, *,
-                         rel_bits: int = DEFAULT_REL_BITS,
-                         budget: int = _scan.DEFAULT_BUDGET) -> SeriesReport:
+                         rel_bits: int = DEFAULT_REL_BITS) -> SeriesReport:
     """Terms (2^(n d) eps_l(2^n))^(1/(d+1)) for n = 0..n_max-1."""
     theta = as_vector(theta)
     d = theta.dim
@@ -149,7 +147,7 @@ def dyadic_condition_iii(theta, n_max: int, *,
         raise DomainError("term count must be >= 0")
     terms = []
     if n_max:
-        prof = linear_profile(theta, 2 ** (n_max - 1), budget=budget)
+        prof = linear_profile(theta, 2 ** (n_max - 1))
         for n in range(n_max):
             eps = prof.value(2 ** n)
             base = eps * CertifiedScalar.exact(Fraction(2) ** (n * d))
@@ -266,9 +264,7 @@ def _evidence(mode, kind, tau, samples) -> TypeEvidence:
 
 
 def type_evidence(theta, tau, mode: str, depth: int, *,
-                  records: list[ApproxRecord] | None = None,
-                  rel_bits: int = DEFAULT_REL_BITS,
-                  budget: int = _scan.DEFAULT_BUDGET) -> tuple[TypeEvidence, TypeEvidence]:
+                  rel_bits: int = DEFAULT_REL_BITS) -> tuple[TypeEvidence, TypeEvidence]:
     """Scaled record sequences for Diophantine-type evidence.
 
     Returns (limsup_evidence, liminf_evidence) over the first `depth`
@@ -276,9 +272,8 @@ def type_evidence(theta, tau, mode: str, depth: int, *,
     q_n^((1+tau)/d) applied to |q_n theta|_Z; for linear mode they are
     h_{n+1}^(d(1+tau)) and h_n^(d(1+tau)) applied to the record values.
 
-    records, when given, replaces the internal scan (use for constructed
-    vectors whose records exceed any scan budget); it must hold at least
-    depth+1 records.
+    The records come from scans of doubling height, so depth+1 records must
+    appear within the default scan budget (ResourceError otherwise).
     """
     theta = as_vector(theta)
     d = theta.dim
@@ -291,11 +286,7 @@ def type_evidence(theta, tau, mode: str, depth: int, *,
         raise DomainError("mode must be 'simultaneous' or 'linear'")
     if depth == 0:
         return (_evidence(mode, "limsup", tau, []), _evidence(mode, "liminf", tau, []))
-    if records is None:
-        records = _collect_records(theta, mode, depth + 1, budget)
-    if len(records) < depth + 1:
-        raise DomainError(
-            f"need {depth + 1} records for depth {depth}, have {len(records)}")
+    records = _collect_records(theta, mode, depth + 1)
     one_tau = 1 + tau
     if mode == "simultaneous":
         exp_num, exp_den = one_tau.numerator, one_tau.denominator * d
@@ -315,14 +306,14 @@ def type_evidence(theta, tau, mode: str, depth: int, *,
             _evidence(mode, "liminf", tau, liminf_samples))
 
 
-def _collect_records(theta, mode, count, budget):
+def _collect_records(theta, mode, count):
     """Scan with doubling height until `count` records emerge (or budget)."""
     cut = 256
     while True:
         if mode == "simultaneous":
-            recs = best_simultaneous(theta, cut, budget=budget)
+            recs = best_simultaneous(theta, cut)
         else:
-            recs = best_linear(theta, cut, budget=budget)
+            recs = best_linear(theta, cut)
         if len(recs) >= count:
             return recs
         if recs and recs[-1].value.is_exact and recs[-1].value.value == 0:

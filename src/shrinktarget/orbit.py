@@ -372,21 +372,26 @@ def _stat_enclosure(res: _SweepResult, log_n, bits: int):
     return max(lo, Fraction(0)), max(hi, Fraction(0))
 
 
-def orbit_hits(config: OrbitConfig, x0=None, sample_id: int = 0) -> HitRecord:
+def _hit_records(config: OrbitConfig, results) -> list[HitRecord]:
+    """One HitRecord per _sweep result, sample ids 0, 1, ...; log2 n_max is
+    enclosed once (only orbits with some n >= 2 use it)."""
+    log_n = log2_enclosure(config.n_max) if config.n_max >= 2 else None
+    return [HitRecord(i, tuple(res.hits), res.inconclusive,
+                      *_stat_enclosure(res, log_n, config.precision_bits))
+            for i, res in enumerate(results)]
+
+
+def orbit_hits(config: OrbitConfig, x0=None) -> HitRecord:
     """Sweep one orbit over n = 1..n_max; certified hits and statistic.
 
     x0 is an exact rational point of T^d (default 0).  Hits are conclusive
     certified comparisons; ambiguity the exact fallback cannot settle (theta
     radius straddling a threshold) lands in `inconclusive`.
     """
-    if config.n_max == 0:
-        return HitRecord(sample_id, (), 0, None, None)
     x0u = _x0_units(x0, config.dim, config.precision_bits)
     x0_frac = None if x0 is None else [rational(c) % 1 for c in x0]
-    (res,) = _sweep(config, [x0u], [x0_frac])
-    log_n = log2_enclosure(config.n_max) if config.n_max >= 2 else None
-    lo, hi = _stat_enclosure(res, log_n, config.precision_bits)
-    return HitRecord(sample_id, tuple(res.hits), res.inconclusive, lo, hi)
+    (rec,) = _hit_records(config, _sweep(config, [x0u], [x0_frac]))
+    return rec
 
 
 def exact_orbit_hits(config: OrbitConfig, x0=None) -> tuple[int, ...]:
@@ -476,15 +481,7 @@ def hit_census(config: OrbitConfig, n_lo: int = 1) -> CensusSummary:
     """
     if not 1 <= n_lo <= max(config.n_max, 1):
         raise DomainError("n_lo must lie in [1, n_max]")
-    starts = _draw_starts(config, config.samples)
-    if config.n_max == 0:
-        records = [HitRecord(i, (), 0, None, None) for i in range(len(starts))]
-    else:
-        log_n = log2_enclosure(config.n_max) if config.n_max >= 2 else None
-        records = [
-            HitRecord(i, tuple(res.hits), res.inconclusive,
-                      *_stat_enclosure(res, log_n, config.precision_bits))
-            for i, res in enumerate(_sweep(config, starts))]
+    records = _hit_records(config, _sweep(config, _draw_starts(config, config.samples)))
     counts = [len(r.hits) - bisect_left(r.hits, n_lo) for r in records]
     s = sorted(counts)
     m = len(s)

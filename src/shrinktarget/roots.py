@@ -103,34 +103,36 @@ def log2_enclosure(x, frac_bits: int = 32) -> tuple[Fraction, Fraction]:
     """Enclosure of log2(x) for x > 0, width about 2**(1 - frac_bits).
 
     Digit-by-digit squaring with directed fixed-point rounding: the floor
-    process yields a lower bound, the ceiling process an upper bound.
+    process yields a lower bound, the ceiling process an upper bound.  The
+    digits of both are collected as integers over 2**frac_bits.
     """
     x = rational(x)
     if x <= 0:
         raise DomainError("log of a nonpositive value")
-    e = x.numerator.bit_length() - x.denominator.bit_length()
-    m = x / Fraction(2**e) if e >= 0 else x * Fraction(2**-e)
-    if m < 1:
-        m *= 2
+    num, den = x.numerator, x.denominator
+    e = num.bit_length() - den.bit_length()
+    if num << max(-e, 0) < den << max(e, 0):
         e -= 1
-    # m in [1, 2)
+    # m = x / 2^e in [1, 2) in p-bit fixed point: a rounded down, b up
     p = frac_bits + 8
-    one, two = 1 << p, 2 << p
-    a = m.numerator * one // m.denominator
-    b = -((-m.numerator * one) // m.denominator)
-    lo = Fraction(0)
-    hi = Fraction(0)
-    for i in range(1, frac_bits + 1):
-        w = Fraction(1, 1 << i)
+    k = p - e
+    num, den = (num << k, den) if k >= 0 else (num, den << -k)
+    a, b = num // den, -(-num // den)
+    two = 2 << p
+    lo = hi = 0
+    for _ in range(frac_bits):
         a = (a * a) >> p
+        lo <<= 1
         if a >= two:
             a >>= 1
-            lo += w
+            lo |= 1
         b = -((-(b * b)) >> p)
+        hi <<= 1
         if b >= two:
             b = (b + 1) >> 1
-            hi += w
-    return e + lo, e + hi + Fraction(2, 1 << frac_bits)
+            hi |= 1
+    scale = 1 << frac_bits
+    return Fraction((e << frac_bits) + lo, scale), Fraction((e << frac_bits) + hi + 2, scale)
 
 
 def sqrt_upper(x) -> Fraction:

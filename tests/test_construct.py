@@ -241,3 +241,69 @@ def test_alternating_cf_theta_matches_convergents():
     assert spec.theta.radius > 0
     for coord in spec.theta.coords:
         assert 0 < coord < 1
+
+
+
+# --- the verifier's full report text, recorded before its checks shared
+# helpers ------------------------------------------------------------------------
+
+CONST33_DEPTH2_REPORT = """\
+[PASS] primitivity of Delta_n and P_n (n in [0, 3])
+[PASS] <Delta_n, P_n> = 0 (n in [0, 3])
+[PASS] norm bookkeeping (|Delta_n| = h_n, |P_n| = z_n = q_n, |(r_n,s_n)| = h_n) (n in [0, 3])
+[PASS] Delta_n ^ Delta_{n+1} = P_n (n in [0, 2])
+[PASS] P_n ^ P_{n+1} = Delta_{n+1} (n in [0, 2])
+[PASS] <Delta_n, P_{n+1}> = 1 (n in [0, 2])
+[PASS] sandwich bounds h_n ~ h_n°, q_n ~ q_n° (factor 2) (n in [0, 3])
+[PASS] projective gap contraction (ratio 1/(2^18*3^3)) (n in [1, 2])
+[PASS] crude gap decay <= 32^-(n+1) (n in [0, 2])
+[PASS] base point within 1/32 of the origin (n = 0) -- d(0, P~_0) = 1/33
+[PASS] |theta| <= 1/8 (certified) -- certified sup norm <= 0.030302
+[PASS] theta gap enclosure (1/2)g_n <= |P~_n - theta| <= (3/2)g_n (n in [0, 2])
+[PASS] orbit enclosure h_{n+1}/(2q_{n+1}) <= |q_n theta| <= 3h_{n+1}/(2q_{n+1}) (n in [0, 2])
+[PASS] line-value enclosure 3/(4q_{n+1}) <= |<Delta_n, theta_bar>| <= 5/(4q_{n+1}) (n in [0, 2])
+[PASS] weighted enclosure 3/(32a_{n+1}) <= h_{n+1}^2 |<Delta_n, theta_bar>| <= 10/a_{n+1} (n in [0, 2])
+"""
+
+BRUTE_FORCE_LEVELS_0_1 = """\
+[PASS] no better approximation below q_{n+1} (brute force) (level 0: q < 20699728) -- exceptions [20699695]: ['leq']
+[SKIP] no better approximation below q_{n+1} (brute force) (level 1: q < 12984173432719) -- scan of 12984173432718 exceeds budget 100000000
+"""
+
+TAMPERED_POINT_REPORT = """\
+[FAIL] primitivity of Delta_n and P_n (n in [0, 5]) -- failing n: [3]
+[PASS] <Delta_n, P_n> = 0 (n in [0, 5])
+[PASS] norm bookkeeping (|Delta_n| = h_n, |P_n| = z_n = q_n, |(r_n,s_n)| = h_n) (n in [0, 5])
+[FAIL] Delta_n ^ Delta_{n+1} = P_n (n in [0, 4]) -- failing n: [3]
+[FAIL] P_n ^ P_{n+1} = Delta_{n+1} (n in [0, 4]) -- failing n: [2, 3]
+[FAIL] <Delta_n, P_{n+1}> = 1 (n in [0, 4]) -- failing n: [2]
+[PASS] sandwich bounds h_n ~ h_n°, q_n ~ q_n° (factor 2) (n in [0, 5])
+[PASS] projective gap contraction (ratio 1/(2^18*3^3)) (n in [1, 4])
+[PASS] crude gap decay <= 32^-(n+1) (n in [0, 4])
+[PASS] base point within 1/32 of the origin (n = 0) -- d(0, P~_0) = 1/33
+[PASS] |theta| <= 1/8 (certified) -- certified sup norm <= 0.030302
+[FAIL] theta gap enclosure (1/2)g_n <= |P~_n - theta| <= (3/2)g_n (n in [0, 4]) -- lower fails: [], upper fails: [2, 3]
+[FAIL] orbit enclosure h_{n+1}/(2q_{n+1}) <= |q_n theta| <= 3h_{n+1}/(2q_{n+1}) (n in [0, 4]) -- failing n: [2, 3]
+[FAIL] line-value enclosure 3/(4q_{n+1}) <= |<Delta_n, theta_bar>| <= 5/(4q_{n+1}) (n in [0, 4]) -- failing n: [2]
+[PASS] weighted enclosure 3/(32a_{n+1}) <= h_{n+1}^2 |<Delta_n, theta_bar>| <= 10/a_{n+1} (n in [0, 4])
+"""
+
+
+def test_verifier_report_text_pinned():
+    state = const33(2)
+    # default scan: level 0 has q_1 - 1 > scan_cap multipliers, so none runs
+    assert verify_construction(state).to_lines() == CONST33_DEPTH2_REPORT.splitlines()
+    assert (verify_construction(state, 2).to_lines()
+            == (CONST33_DEPTH2_REPORT + BRUTE_FORCE_LEVELS_0_1).splitlines())
+
+
+def test_verifier_report_text_pinned_on_tampered_point():
+    lines = const33(4).to_text().splitlines()
+    for i, ln in enumerate(lines):
+        if ln.startswith("step 3 "):  # double P_3 and its norm q_3
+            parts = ln.split()
+            parts[5:8] = [str(2 * int(v)) for v in parts[5:8]]
+            parts[9] = str(2 * int(parts[9]))
+            lines[i] = " ".join(parts)
+    tampered = ConstructionState.from_text("\n".join(lines) + "\n")
+    assert verify_construction(tampered, 0).to_lines() == TAMPERED_POINT_REPORT.splitlines()

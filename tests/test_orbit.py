@@ -140,9 +140,16 @@ def test_quarter_rotation_hits_by_hand():
 
 
 def test_empty_horizon():
-    config = cfg(CertifiedVector((F(1, 4),)), F(1), 0)
-    rec = orbit_hits(config)
-    assert rec.hits == () and rec.inconclusive == 0
+    """n_max = 0: no hits, no statistic, for one orbit and for a census."""
+    for bits in (64, 128):
+        config = cfg(CertifiedVector((F(1, 4),)), F(1), 0, precision_bits=bits)
+        assert orbit_hits(config) == orbit.HitRecord(0, (), 0, None, None)
+        census = hit_census(cfg(CertifiedVector((F(1, 4), F(1, 3))), F(2), 0,
+                                samples=3, precision_bits=bits))
+        empty = tuple(orbit.HitRecord(i, (), 0, None, None) for i in range(3))
+        assert census.records == empty and census.counts == (0, 0, 0)
+        assert census.inconclusive_total == 0
+        assert (census.mean, census.median, census.quartiles) == (0, 0, (0, 0))
 
 
 @pytest.mark.parametrize("bits", [64, 96])

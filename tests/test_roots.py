@@ -3,11 +3,13 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from shrinktarget.errors import DomainError
 from shrinktarget.roots import (iroot, iroot_ceil, log2_enclosure,
                                 nth_root_enclosure, pow_enclosure, sqrt_upper)
+
+F = Fraction
 
 
 def test_iroot_small_cases():
@@ -87,6 +89,51 @@ def test_log2_enclosure_brackets(x):
     import math
     ref = math.log2(x.numerator) - math.log2(x.denominator)
     assert float(lo) - 1e-6 <= ref <= float(hi) + 1e-6
+
+
+def oracle_log2_enclosure(x, frac_bits=32):
+    """log2_enclosure with Fraction digit sums and a Fraction mantissa: the
+    reference the integer form must match exactly."""
+    e = x.numerator.bit_length() - x.denominator.bit_length()
+    m = x / F(2**e) if e >= 0 else x * F(2**-e)
+    if m < 1:
+        m *= 2
+        e -= 1
+    p = frac_bits + 8
+    one, two = 1 << p, 2 << p
+    a = m.numerator * one // m.denominator
+    b = -((-m.numerator * one) // m.denominator)
+    lo = hi = F(0)
+    for i in range(1, frac_bits + 1):
+        w = F(1, 1 << i)
+        a = (a * a) >> p
+        if a >= two:
+            a >>= 1
+            lo += w
+        b = -((-(b * b)) >> p)
+        if b >= two:
+            b = (b + 1) >> 1
+            hi += w
+    return e + lo, e + hi + F(2, 1 << frac_bits)
+
+
+_POW2_NEAR = st.builds(lambda k, s, inv: F(2**k + s) if not inv else F(1, 2**k + s),
+                       st.integers(1, 256), st.sampled_from([-1, 0, 1]), st.booleans())
+
+
+@given(st.one_of(st.integers(1, 2**256).map(F),
+                 st.fractions(min_value=F(1, 2**200), max_value=F(2**200)).filter(bool),
+                 st.builds(F, st.integers(1, 2**256), st.integers(1, 2**256)),
+                 _POW2_NEAR),
+       st.sampled_from([0, 1, 8, 32, 33, 64]))
+@example(F(1), 32)
+@example(F(3), 32)
+@example(F(1, 3), 32)
+@example(F(2**200), 32)
+@example(F(1, 2**70), 32)
+def test_log2_enclosure_matches_oracle(x, frac_bits):
+    assert log2_enclosure(x, frac_bits) == oracle_log2_enclosure(x, frac_bits)
+    assert log2_enclosure(x) == oracle_log2_enclosure(x)
 
 
 def test_log2_enclosure_rejects_nonpositive():
