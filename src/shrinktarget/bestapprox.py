@@ -41,20 +41,19 @@ class ApproxRecord:
 class ContinuedFraction:
     quotients: tuple[int, ...]
     convergents: tuple[tuple[int, int], ...]  # (numerator, denominator) pairs
-    complete: bool
 
     def convergent(self, n: int) -> Fraction:
         p, q = self.convergents[n]
         return Fraction(p, q)
 
 
-def continued_fraction(x, max_terms: int | None = None) -> ContinuedFraction:
+def continued_fraction(x) -> ContinuedFraction:
     """Regular continued fraction of a rational x in (0, 1).
 
     Returns the partial quotients a_1, a_2, ... of [0; a_1, a_2, ...] and the
     convergents p_n/q_n starting from p_1/q_1.  Rational input always
-    terminates (with final quotient >= 2, except for x = 1/n); complete is
-    False only when max_terms truncated the expansion.
+    terminates (with final quotient >= 2, except for x = 1/n), and the last
+    convergent is x.
     """
     x = rational(x)
     if not 0 < x < 1:
@@ -64,18 +63,14 @@ def continued_fraction(x, max_terms: int | None = None) -> ContinuedFraction:
     convergents = []
     p_prev, q_prev = 1, 0
     p, q = 0, 1
-    complete = True
     while den:
-        if max_terms is not None and len(quotients) >= max_terms:
-            complete = False
-            break
         a, rem = divmod(num, den)
         num, den = den, rem
         quotients.append(a)
         p, p_prev = a * p + p_prev, p
         q, q_prev = a * q + q_prev, q
         convergents.append((p, q))
-    return ContinuedFraction(tuple(quotients), tuple(convergents), complete)
+    return ContinuedFraction(tuple(quotients), tuple(convergents))
 
 
 def best_simultaneous(theta, q_max: int, *,

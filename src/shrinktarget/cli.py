@@ -305,8 +305,8 @@ def emit_plot_data(report, path) -> None:
     rows: list[tuple]
     if isinstance(report, criteria.SeriesReport):
         header = "index term_hi partial_sum_hi"
-        rows = [(n, _dec(t.hi), _dec(s.hi))
-                for (n, t), s in zip(report.terms, report.partial_sums)]
+        rows = [(n, _dec(t_hi), _dec(s_hi))
+                for n, _t_lo, t_hi, _s_lo, s_hi in report.bounds]
     elif isinstance(report, criteria.TypeEvidence):
         header = "index scaled_value_lo"
         rows = [(n, _dec(v.lo)) for n, v in report.samples]
@@ -375,9 +375,8 @@ def _series_csv(report, path) -> None:
         w = csv.writer(fh)
         w.writerow(["index", "term_lo", "term_hi", "partial_lo", "partial_hi",
                     "term_exact_lo", "term_exact_hi"])
-        for (n, t), s in zip(report.terms, report.partial_sums):
-            w.writerow([n, _dec(t.lo), _dec(t.hi), _dec(s.lo), _dec(s.hi),
-                        str(t.lo), str(t.hi)])
+        for n, t_lo, t_hi, s_lo, s_hi in report.bounds:
+            w.writerow([n, _dec(t_lo), _dec(t_hi), _dec(s_lo), _dec(s_hi), t_lo, t_hi])
 
 
 def _run_criteria(config: RunConfig, out: Path) -> list[Path]:

@@ -8,13 +8,17 @@ Fractional powers are certified root enclosures (default relative tolerance
 2^-64).  Wherever the exponent tower allows it, a term is rewritten as a
 single k-th root of a rational -- e.g. the weighted-error term
 k^-1 (k^delta eps)^(1/(delta+1)) collapses to (eps/k)^(1/(delta+1)) -- so one
-enclosure per term suffices.
+enclosure per term suffices.  That root is taken over the exact endpoints
+lo <= hi of the certified error, read once and scaled by the term's positive
+factor: no interval product is formed, a point (exact theta) costs one root,
+and lo < 0 raises DomainError("invalid base interval") in every series.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import _scan
 from .bestapprox import (best_linear, best_simultaneous, linear_error, linear_profile,
@@ -27,10 +31,9 @@ from .roots import pow_enclosure
 DEFAULT_REL_BITS = 64
 
 
-def _pow_cs(x: CertifiedScalar, num: int, den: int,
-            rel_bits: int = DEFAULT_REL_BITS) -> CertifiedScalar:
-    lo, hi = pow_enclosure(x.lo, x.hi, num, den, rel_bits=rel_bits)
-    return CertifiedScalar.from_bounds(lo, hi)
+def _power(lo: Fraction, hi: Fraction, num: int, den: int, rel_bits: int) -> CertifiedScalar:
+    """[lo, hi]^(num/den) from one `pow_enclosure` call."""
+    return CertifiedScalar.from_bounds(*pow_enclosure(lo, hi, num, den, rel_bits=rel_bits))
 
 
 def _sup_norm(vec) -> int:
@@ -51,6 +54,12 @@ class SeriesReport:
     partial_sums: tuple[CertifiedScalar, ...]
     tail_estimate: CertifiedScalar
     verdict: str
+
+    @cached_property
+    def bounds(self) -> tuple[tuple[int, Fraction, Fraction, Fraction, Fraction], ...]:
+        """(n, term lo, term hi, partial-sum lo, partial-sum hi), read once."""
+        return tuple((n, t.lo, t.hi, s.lo, s.hi)
+                     for (n, t), s in zip(self.terms, self.partial_sums))
 
     def window_sum(self, lo: int, hi: int) -> CertifiedScalar:
         """Sum of the terms with index n in [lo, hi] (inclusive)."""
@@ -108,8 +117,8 @@ def series_thm5(theta, x_seq, n_terms: int, *,
         if eps.is_exact and eps.value == 0:
             raise DegenerateInputError(
                 f"<X_{n}, theta> is exactly an integer; the series degenerates")
-        base = eps * CertifiedScalar.exact(Fraction(norms[n + 1]) ** d)
-        terms.append((n, _pow_cs(base, 1, d + 1, rel_bits)))
+        m = norms[n + 1] ** d
+        terms.append((n, _power(eps.lo * m, eps.hi * m, 1, d + 1, rel_bits)))
     return _assemble("vector-sequence series", terms)
 
 
@@ -133,8 +142,7 @@ def series_lemma22(theta, k_max: int, delta, *,
     terms = []
     for k in range(1, k_max + 1):
         eps = prof.value(k)
-        base = eps * CertifiedScalar.exact(Fraction(1, k))
-        terms.append((k, _pow_cs(base, q, p + q, rel_bits)))
+        terms.append((k, _power(eps.lo / k, eps.hi / k, q, p + q, rel_bits)))
     return _assemble(f"harmonic weighted-error series (delta={delta})", terms)
 
 
@@ -150,8 +158,8 @@ def dyadic_condition_iii(theta, n_max: int, *,
         prof = linear_profile(theta, 2 ** (n_max - 1))
         for n in range(n_max):
             eps = prof.value(2 ** n)
-            base = eps * CertifiedScalar.exact(Fraction(2) ** (n * d))
-            terms.append((n, _pow_cs(base, 1, d + 1, rel_bits)))
+            m = 2 ** (n * d)
+            terms.append((n, _power(eps.lo * m, eps.hi * m, 1, d + 1, rel_bits)))
     return _assemble("dyadic weighted-error series", terms)
 
 
@@ -161,7 +169,8 @@ def series_prop32(theta, q_seq, n_terms: int, *,
 
     Rewritten as (q_n * eps^d)^(1/(d(d+1))) so a single root enclosure per
     term suffices.  q_seq needs n_terms+1 strictly increasing positive
-    entries.
+    entries.  A negative lower bound of |q_{n-1} theta|_Z raises
+    DomainError: its d-th power bounds nothing from below when d is even.
     """
     theta = as_vector(theta)
     d = theta.dim
@@ -178,9 +187,10 @@ def series_prop32(theta, q_seq, n_terms: int, *,
     terms = []
     for n in range(1, n_terms + 1):
         eps = certified_dist_nearest_lattice(q_seq[n - 1], theta)
-        base = CertifiedScalar.from_bounds(eps.lo ** d, eps.hi ** d) \
-            * CertifiedScalar.exact(Fraction(q_seq[n]))
-        terms.append((n, _pow_cs(base, 1, d * (d + 1), rel_bits)))
+        if (lo := eps.lo) < 0:
+            raise DomainError("invalid base interval")
+        q = q_seq[n]
+        terms.append((n, _power(lo ** d * q, eps.hi ** d * q, 1, d * (d + 1), rel_bits)))
     return _assemble("simultaneous-denominator series", terms)
 
 
@@ -298,9 +308,8 @@ def type_evidence(theta, tau, mode: str, depth: int, *,
         value = records[n].value
         for kind, height in (("limsup", records[n + 1].height),
                              ("liminf", records[n].height)):
-            lo, hi = pow_enclosure(Fraction(height), Fraction(height),
-                                   exp_num, exp_den, rel_bits=rel_bits)
-            scaled = CertifiedScalar.from_bounds(lo, hi) * value
+            scaled = _power(Fraction(height), Fraction(height), exp_num, exp_den,
+                            rel_bits) * value
             (limsup_samples if kind == "limsup" else liminf_samples).append((n, scaled))
     return (_evidence(mode, "limsup", tau, limsup_samples),
             _evidence(mode, "liminf", tau, liminf_samples))
@@ -374,15 +383,12 @@ def window_bound(theta, x_seq, delta, n: int, *,
             raise PrecisionError(
                 f"form distance at step {idx - 1} not conclusively positive")
         norm = Fraction(_sup_norm(x_seq[idx]))
-        lo, hi = pow_enclosure(norm / eps.hi, norm / eps.lo, p, p + q, rel_bits=rel_bits)
-        return CertifiedScalar.from_bounds(lo, hi), eps, norm
+        return _power(norm / eps.hi, norm / eps.lo, p, p + q, rel_bits), eps, norm
 
     l_n, eps_prev, norm_n = window_edge(n)
     l_next, eps_n, _ = window_edge(n + 1)
     # L_n^(-1/delta) = (eps_{n-1}/|X_n|)^(1/(delta+1))
-    lo, hi = pow_enclosure(eps_prev.lo / norm_n, eps_prev.hi / norm_n,
-                           q, p + q, rel_bits=rel_bits)
-    inv_root = CertifiedScalar.from_bounds(lo, hi)
+    inv_root = _power(eps_prev.lo / norm_n, eps_prev.hi / norm_n, q, p + q, rel_bits)
     two = CertifiedScalar.exact(2)
     dim_norm = CertifiedScalar.exact(d * norm_n)
     bound = two * (l_next * eps_n + inv_root * dim_norm)

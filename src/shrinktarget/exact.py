@@ -66,10 +66,9 @@ def _dec(x, places: int = 12) -> str:
     if x is None:
         return ""
     x = rational(x)
-    sign = "-" if x < 0 else ""
-    scaled = (abs(x).numerator * 10 ** places) // x.denominator
-    whole, frac = divmod(scaled, 10 ** places)
-    return f"{sign}{whole}.{str(frac).zfill(places)}"
+    num = x.numerator
+    whole, frac = divmod(abs(num) * 10 ** places // x.denominator, 10 ** places)
+    return f"{'-' if num < 0 else ''}{whole}.{frac:0{places}d}"
 
 
 class Verdict(Enum):

@@ -94,9 +94,10 @@ def pow_enclosure(lo, hi, num: int, den: int, rel_bits: int = 64) -> tuple[Fract
         return Fraction(1), Fraction(1)
     g = math.gcd(num, den)
     num, den = num // g, den // g
-    a = nth_root_enclosure(lo**num, den, rel_bits)[0]
-    b = nth_root_enclosure(hi**num, den, rel_bits)[1]
-    return a, b
+    a = nth_root_enclosure(lo**num, den, rel_bits)
+    if hi == lo:  # a point: one enclosure gives both ends
+        return a
+    return a[0], nth_root_enclosure(hi**num, den, rel_bits)[1]
 
 
 def log2_enclosure(x, frac_bits: int = 32) -> tuple[Fraction, Fraction]:

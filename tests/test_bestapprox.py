@@ -134,11 +134,12 @@ def test_continued_fraction_examples():
     cf = continued_fraction(F(1, 3))
     assert cf.quotients == (3,)
     assert cf.convergents == ((1, 3),)
-    assert cf.complete
+    assert cf.convergent(-1) == F(1, 3)
 
     cf = continued_fraction(F(7, 10))
     assert cf.quotients == (1, 2, 3)
     assert cf.convergents == ((1, 1), (2, 3), (7, 10))
+    assert cf.convergent(-1) == F(7, 10)
 
     with pytest.raises(DomainError):
         continued_fraction(F(3, 2))

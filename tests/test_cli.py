@@ -314,3 +314,141 @@ def test_run_rejects_bad_thread_count(tmp_path):
     from shrinktarget.errors import DomainError
     with pytest.raises(DomainError, match="threads"):
         cli.run(config, tmp_path, threads=0)
+
+
+# ---------------------------------------------------------------------------
+# series artifacts, text pinned (prop32 and thm5 on a const:33 transcript)
+
+SERIES_CONFIGS = {
+    "thm5": "series=thm5\ntranscript={t}\nn_terms=3\n",
+    "prop32": "series=prop32\ntranscript={t}\nn_terms=3\n",
+    "lemma22": "series=lemma22\ntheta=2/7, 3/11\nk_max=6\ndelta=3/2\n",
+    "dyadic": "series=dyadic\ntheta=5/13\nk_max=4\n",
+}
+
+# series.csv, series.dat and series.json of each config, recorded before the
+# series terms were computed from exact endpoints
+SERIES_ARTIFACTS = {
+    "thm5": {
+        "series.csv": """\
+index,term_lo,term_hi,partial_lo,partial_hi,term_exact_lo,term_exact_hi
+0,0.315950728819,0.315950728819,0.315950728819,0.315950728819,93252195751068790429/295147905179352825856,186504391502137580859/590295810358705651712
+1,0.315874530091,0.315874530091,0.631825258911,0.631825258911,46614852928081368707/147573952589676412928,186459411712325474829/590295810358705651712
+2,0.316064354239,0.316064354239,0.947889613151,0.947889613151,186571464111179715921/590295810358705651712,11660716506948891191/36893488147419103232
+""",
+        "series.dat": """\
+# columns: index term_hi partial_sum_hi
+# precision: decimals truncated at 12 digits
+0 0.315950728819 0.315950728819
+1 0.315874530091 0.631825258911
+2 0.316064354239 0.947889613151
+""",
+        "series.json": """\
+{
+  "label": "vector-sequence series",
+  "partial_sum_hi": "69941908415705664343/73786976294838206464",
+  "partial_sum_lo": "559535267325642771607/590295810358705651712",
+  "series": "thm5",
+  "terms": 3,
+  "verdict": "partial sums up to 3 terms; no convergence claim"
+}
+""",
+    },
+    "prop32": {
+        "series.csv": """\
+index,term_lo,term_hi,partial_lo,partial_hi,term_exact_lo,term_exact_hi
+1,0.562094946449,0.562094946449,0.562094946449,0.562094946449,41475286489111409599/73786976294838206464,165901145956445638397/295147905179352825856
+2,0.562027161347,0.562027161347,1.124122107796,1.124122107796,165881139325553383979/295147905179352825856,41470284831388345995/73786976294838206464
+3,0.562196010515,0.562196010515,1.686318118312,1.686318118312,20741371850475216255/36893488147419103232,82965487401900888607/147573952589676412928
+""",
+        "series.dat": """\
+# columns: index term_hi partial_sum_hi
+# precision: decimals truncated at 12 digits
+1 0.562094946449 0.562094946449
+2 0.562027161347 1.124122107796
+3 0.562196010515 1.686318118312
+""",
+        "series.json": """\
+{
+  "label": "simultaneous-denominator series",
+  "partial_sum_hi": "497713260085800799591/295147905179352825856",
+  "partial_sum_lo": "497713260085800752415/295147905179352825856",
+  "series": "prop32",
+  "terms": 3,
+  "verdict": "partial sums up to 3 terms; no convergence claim"
+}
+""",
+    },
+    "lemma22": {
+        "series.csv": """\
+index,term_lo,term_hi,partial_lo,partial_hi,term_exact_lo,term_exact_hi
+1,0.175955849814,0.175955849814,0.175955849814,0.175955849814,103866000953415416501/590295810358705651712,207732001906830833003/1180591620717411303424
+2,0.133349598268,0.133349598268,0.309305448083,0.309305448083,78715709171138274389/590295810358705651712,157431418342276548779/1180591620717411303424
+3,0.113384896520,0.113384896520,0.422690344603,0.422690344603,133861258748005356327/1180591620717411303424,16732657343500669541/147573952589676412928
+4,0.101060097616,0.101060097616,0.523750442220,0.523750442220,238621408870617517159/2361183241434822606848,29827676108827189645/295147905179352825856
+5,0.092430586376,0.092430586376,0.616181028597,0.616181028597,218245551549099030695/2361183241434822606848,27280693943637378837/295147905179352825856
+6,0.085929683024,0.085929683024,0.702110711621,0.702110711621,202895727498286667807/2361183241434822606848,6340491484321458369/73786976294838206464
+""",
+        "series.dat": """\
+# columns: index term_hi partial_sum_hi
+# precision: decimals truncated at 12 digits
+1 0.175955849814 0.175955849814
+2 0.133349598268 0.309305448083
+3 0.113384896520 0.422690344603
+4 0.101060097616 0.523750442220
+5 0.092430586376 0.616181028597
+6 0.085929683024 0.702110711621
+""",
+        "series.json": """\
+{
+  "label": "harmonic weighted-error series (delta=3/2)",
+  "partial_sum_hi": "414453011478057172971/590295810358705651712",
+  "partial_sum_lo": "1657812045912228691875/2361183241434822606848",
+  "series": "lemma22",
+  "terms": 6,
+  "verdict": "partial sums up to 6 terms; no convergence claim"
+}
+""",
+    },
+    "dyadic": {
+        "series.csv": """\
+index,term_lo,term_hi,partial_lo,partial_hi,term_exact_lo,term_exact_hi
+0,0.620173672946,0.620173672946,0.620173672946,0.620173672946,45760740104352364507/73786976294838206464,183042960417409458029/295147905179352825856
+1,0.679366220486,0.679366220486,1.299539893432,1.299539893432,100256758413140396577/147573952589676412928,200513516826280793155/295147905179352825856
+2,0.784464540552,0.784464540552,2.084004433985,2.084004433985,115766532915811771119/147573952589676412928,7235408307238235695/9223372036854775808
+3,0.784464540552,0.784464540552,2.868468974538,2.868468974538,115766532915811771119/147573952589676412928,7235408307238235695/9223372036854775808
+""",
+        "series.dat": """\
+# columns: index term_hi partial_sum_hi
+# precision: decimals truncated at 12 digits
+0 0.620173672946 0.620173672946
+1 0.679366220486 1.299539893432
+2 0.784464540552 2.084004433985
+3 0.784464540552 2.868468974538
+""",
+        "series.json": """\
+{
+  "label": "dyadic weighted-error series",
+  "partial_sum_hi": "52913913056683583479/18446744073709551616",
+  "partial_sum_lo": "423311304453468667829/147573952589676412928",
+  "series": "dyadic",
+  "terms": 4,
+  "verdict": "partial sums up to 4 terms; no convergence claim"
+}
+""",
+    },
+}
+
+
+@pytest.mark.parametrize("series", sorted(SERIES_CONFIGS))
+def test_series_artifacts_pinned(tmp_path, series):
+    from shrinktarget.construct import build_theta, minimal_heights
+    a = lambda n: 33
+    transcript = tmp_path / "const33.txt"
+    transcript.write_text(build_theta(a, minimal_heights(a, 1, 6), 3).to_text())
+    cfg = write_config(tmp_path, "command=criteria\n"
+                       + SERIES_CONFIGS[series].format(t=transcript))
+    out = tmp_path / "out"
+    assert cli.main(["criteria", "--config", cfg, "--out", str(out)]) == 0
+    for name, text in SERIES_ARTIFACTS[series].items():
+        assert (out / name).read_text() == text, name

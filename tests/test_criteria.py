@@ -3,14 +3,17 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from shrinktarget.bestapprox import best_linear
+from shrinktarget.bestapprox import best_linear, linear_profile
 from shrinktarget.construct import build_theta, minimal_heights
-from shrinktarget.criteria import (dyadic_condition_iii, series_lemma22,
-                                   series_prop32, series_thm5, transfer_check,
-                                   type_evidence, window_bound)
-from shrinktarget.errors import (DegenerateInputError, DomainError)
-from shrinktarget.exact import CertifiedVector, as_vector, dist_nearest_int
+from shrinktarget.criteria import (SeriesReport, _assemble, _sup_norm,
+                                   dyadic_condition_iii, series_lemma22, series_prop32,
+                                   series_thm5, transfer_check, type_evidence, window_bound)
+from shrinktarget.errors import DegenerateInputError, DomainError, PrecisionError
+from shrinktarget.exact import (CertifiedScalar, CertifiedVector, as_vector,
+                                certified_dist_nearest_lattice, certified_form_dist,
+                                dist_nearest_int, rational)
 from shrinktarget.roots import pow_enclosure
 
 F = Fraction
@@ -221,3 +224,179 @@ def test_window_bound_zero_eps_rejected():
     with pytest.raises(DegenerateInputError):
         window_bound(as_vector(("2/7", "3/7")), [(2, 1), (3, 1), (4, 1)],
                      F(2), 1)
+
+
+# --- the four series against their interval-product formulation -------------
+#
+# The oracles below are the series as they were computed before each term was
+# formed from the exact endpoints of its base interval: the base went through
+# CertifiedScalar interval products, and its root through `_pow_cs`.
+
+def _pow_cs(x, num, den):
+    lo, hi = pow_enclosure(x.lo, x.hi, num, den)
+    return CertifiedScalar.from_bounds(lo, hi)
+
+
+def oracle_series_thm5(theta, x_seq, n_terms):
+    theta = as_vector(theta)
+    d = theta.dim
+    x_seq = [tuple(int(c) for c in x) for x in x_seq]
+    if n_terms < 0:
+        raise DomainError("term count must be >= 0")
+    if n_terms and len(x_seq) < n_terms + 1:
+        raise DomainError(f"{n_terms} terms need {n_terms + 1} vectors, got {len(x_seq)}")
+    norms = [_sup_norm(x) for x in x_seq]
+    for a, b in zip(norms, norms[1:]):
+        if b <= a:
+            raise DomainError("vector norms must be strictly increasing")
+    terms = []
+    for n in range(n_terms):
+        eps = certified_form_dist(x_seq[n], theta)
+        if eps.is_exact and eps.value == 0:
+            raise DegenerateInputError(
+                f"<X_{n}, theta> is exactly an integer; the series degenerates")
+        base = eps * CertifiedScalar.exact(F(norms[n + 1]) ** d)
+        terms.append((n, _pow_cs(base, 1, d + 1)))
+    return _assemble("vector-sequence series", terms)
+
+
+def oracle_series_lemma22(theta, k_max, delta):
+    theta = as_vector(theta)
+    delta = rational(delta)
+    if delta < 1:
+        raise DomainError("delta must be >= 1")
+    if k_max < 1:
+        raise DomainError("k_max must be >= 1")
+    prof = linear_profile(theta, k_max)
+    p, q = delta.numerator, delta.denominator
+    terms = []
+    for k in range(1, k_max + 1):
+        base = prof.value(k) * CertifiedScalar.exact(F(1, k))
+        terms.append((k, _pow_cs(base, q, p + q)))
+    return _assemble(f"harmonic weighted-error series (delta={delta})", terms)
+
+
+def oracle_dyadic_condition_iii(theta, n_max):
+    theta = as_vector(theta)
+    d = theta.dim
+    if n_max < 0:
+        raise DomainError("term count must be >= 0")
+    terms = []
+    if n_max:
+        prof = linear_profile(theta, 2 ** (n_max - 1))
+        for n in range(n_max):
+            base = prof.value(2 ** n) * CertifiedScalar.exact(F(2) ** (n * d))
+            terms.append((n, _pow_cs(base, 1, d + 1)))
+    return _assemble("dyadic weighted-error series", terms)
+
+
+def oracle_series_prop32(theta, q_seq, n_terms):
+    theta = as_vector(theta)
+    d = theta.dim
+    q_seq = [int(q) for q in q_seq]
+    if n_terms < 0:
+        raise DomainError("term count must be >= 0")
+    if n_terms and len(q_seq) < n_terms + 1:
+        raise DomainError(f"{n_terms} terms need {n_terms + 1} denominators")
+    if any(q <= 0 for q in q_seq):
+        raise DomainError("denominators must be positive")
+    for a, b in zip(q_seq, q_seq[1:]):
+        if b <= a:
+            raise DomainError("denominator sequence must be strictly increasing")
+    terms = []
+    for n in range(1, n_terms + 1):
+        eps = certified_dist_nearest_lattice(q_seq[n - 1], theta)
+        base = CertifiedScalar.from_bounds(eps.lo ** d, eps.hi ** d) \
+            * CertifiedScalar.exact(F(q_seq[n]))
+        terms.append((n, _pow_cs(base, 1, d * (d + 1))))
+    return _assemble("simultaneous-denominator series", terms)
+
+
+def _outcome(fn, *args):
+    """The report, or the type and text of the exception raised."""
+    try:
+        return fn(*args)
+    except (DomainError, DegenerateInputError, PrecisionError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def thetas(draw):
+    """d = 1..3 rational coordinates over a common denominator up to 2^300,
+    with radius 0 or a positive radius that may exceed a lattice distance."""
+    d = draw(st.integers(1, 3))
+    den = draw(st.integers(1, 2 ** draw(st.integers(1, 300))))
+    coords = [F(draw(st.integers(0, den)), den) for _ in range(d)]
+    radius = draw(st.one_of(
+        st.just(F(0)),
+        st.builds(F, st.integers(1, 1000),
+                  st.sampled_from([10 ** 3, 10 ** 6, 2 ** 40, 2 ** 100]))))
+    return CertifiedVector(coords, radius)
+
+
+def _increasing(draw, length):
+    """`length` strictly increasing positive ints below 50, 10^6 or 2^64."""
+    top = draw(st.sampled_from([50, 10 ** 6, 2 ** 64]))
+    return sorted(draw(st.sets(st.integers(1, top), min_size=length, max_size=length)))
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.data())
+def test_series_thm5_matches_oracle(data):
+    theta = data.draw(thetas())
+    length = data.draw(st.integers(1, 5))
+    x_seq = []
+    for norm in _increasing(data.draw, length):
+        vec = [data.draw(st.integers(-norm, norm)) for _ in range(theta.dim)]
+        vec[data.draw(st.integers(0, theta.dim - 1))] = norm * data.draw(st.sampled_from([1, -1]))
+        x_seq.append(tuple(vec))
+    n_terms = length - 1 + data.draw(st.integers(0, 1))  # length: too few vectors
+    assert (_outcome(series_thm5, theta, x_seq, n_terms)
+            == _outcome(oracle_series_thm5, theta, x_seq, n_terms))
+
+
+@settings(deadline=None, max_examples=100)
+@given(thetas(), st.sampled_from(range(1, 25)),
+       st.one_of(st.integers(1, 4), st.fractions(1, 5, max_denominator=6)))
+def test_series_lemma22_matches_oracle(theta, k_max, delta):
+    assert (_outcome(series_lemma22, theta, k_max, delta)
+            == _outcome(oracle_series_lemma22, theta, k_max, delta))
+
+
+@settings(deadline=None, max_examples=100)
+@given(thetas(), st.sampled_from(range(6)))
+def test_dyadic_condition_iii_matches_oracle(theta, n_max):
+    assert (_outcome(dyadic_condition_iii, theta, n_max)
+            == _outcome(oracle_dyadic_condition_iii, theta, n_max))
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.data())
+def test_series_prop32_matches_oracle(data):
+    """Equal to the oracle except where a term's lower lattice distance is
+    negative: that raises "invalid base interval" at every d, where the
+    oracle squared it into a false lower bound at even d."""
+    theta = data.draw(thetas())
+    length = data.draw(st.integers(1, 5))
+    q_seq = _increasing(data.draw, length)
+    n_terms = length - 1 + data.draw(st.integers(0, 1))
+    got = _outcome(series_prop32, theta, q_seq, n_terms)
+    want = _outcome(oracle_series_prop32, theta, q_seq, n_terms)
+    negative = n_terms < length and any(
+        certified_dist_nearest_lattice(q, theta).lo < 0 for q in q_seq[:n_terms])
+    if negative:
+        assert got == (DomainError, "invalid base interval")
+        assert want == got if theta.dim % 2 else isinstance(want, SeriesReport)
+    else:
+        assert got == want
+
+
+def test_series_prop32_negative_lower_distance_rejected():
+    """theta = (1/5, 2/5) lies in the ball, where the term is 0; the squared
+    interval product certified [0.236425, 0.236584] at this radius."""
+    theta = CertifiedVector((F(1, 5) + F(1, 10 ** 6), F(2, 5) + F(1, 10 ** 6)), F(1, 1000))
+    assert certified_dist_nearest_lattice(5, theta).lo < 0
+    with pytest.raises(DomainError, match="^invalid base interval$"):
+        series_prop32(theta, [5, 7], 1)
+    rep = oracle_series_prop32(theta, [5, 7], 1)
+    assert F(236425, 10 ** 6) < rep.terms[0][1].lo < rep.terms[0][1].hi < F(236585, 10 ** 6)

@@ -442,7 +442,7 @@ def _samples_edge(monkeypatch, run, bits, **kw):
         run(OrbitConfig(samples=orbit._MAX_SAMPLES, precision_bits=bits, **kw))
 
 
-def test_long_census_above_64_bits_refused_before_work(monkeypatch):
+def test_long_census_above_64_bits_answered(monkeypatch):
     """One step past the former 2*10^6 orbit cap above 64 bits: the orbit
     from a rational start has the same hits at 128 and 192 bits, none
     inconclusive, and a census runs; only the samples bound refuses."""
@@ -460,7 +460,7 @@ def test_long_census_above_64_bits_refused_before_work(monkeypatch):
                       theta=CertifiedVector((F(1, 3),)), delta=F(1), n_max=100)
 
 
-def test_window_budget_refused_before_work(monkeypatch):
+def test_former_window_budget_edges_answered(monkeypatch):
     """The former 10^8 sample-step window budget (precision_bits != 64 or
     d = 3) is gone: 10^4 + 1 samples over 10^4 steps are estimated at its
     two edges; only the samples bound refuses."""
