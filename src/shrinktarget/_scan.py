@@ -13,13 +13,20 @@ its survivors.  With P_i = floor(p_i * 2^64 / D), the position q*P_i wraps
 mod 2^64 and a_q = max_i min(x, 2^64 - x) is the filter's distance.  Since
 0 <= q*p_i*2^64/D - q*P_i < q and the distance is 1-Lipschitz,
 |a_q - 2^64 * D_q / D| < q_max =: E.  A multiplier is kept ("hot") when a_q
-could still satisfy the exact walk's test: a_q <= (running fixed-point
-minimum) + fast + 2E for records, a_q <= fast + E for baseline domination,
-with every exact bound rounded up to fixed point.  The exact running minimum
-is within E of the fixed-point one, so the hot set contains every multiplier
-the exact walk would look at; each hot q gets its exact D_q from Python ints
-and goes through the exact logic, and every other q provably changes
-nothing.
+could still satisfy the exact walk's test: a_q <= min(seed, running
+fixed-point minimum) + fast + 2E for records, seed the exact record at the
+block start (2^63 before the first), and a_q <= fast + E for baseline
+domination, with every exact bound rounded up to fixed point.  The exact
+running minimum is within E of the fixed-point one, so the hot set contains
+every multiplier the exact walk would look at; each hot q gets its exact D_q
+from Python ints and goes through the exact logic, and every other q
+provably changes nothing.  Blocks double, (k, 2k], up to _BLOCK multipliers,
+and are filtered coordinate first: for L < 2^63, min(x, -x) <= L exactly
+when (x + L) mod 2^64 <= 2L, one add to a ramp i*P_1 and one compare per q;
+the other coordinates and the running minimum only see the survivors.
+Records take L = seed + fast + 2E: a q with a_q > L cannot lower
+min(seed, .), and every survivor has a_q <= L, so a survivor is hot exactly
+when a_q <= (running minimum of the survivors up to q) + fast + 2E.
 
 Linear scans (linear_min, linear_records) take the nonzero integer vectors s
 with |s|_sup <= h, first nonzero coordinate positive, and
@@ -60,7 +67,8 @@ from .exact import CertifiedScalar, CertifiedVector, Verdict
 
 DEFAULT_BUDGET = 10**8
 _NP_LIMIT = 1 << 62
-_CHUNK = 1 << 20  # multipliers, or linear cells, per fixed-point block
+_CHUNK = 1 << 20  # linear cells per fixed-point block
+_BLOCK = 1 << 16  # widest block of multipliers
 
 
 def scan_data(theta: CertifiedVector) -> tuple[tuple[int, ...], int, Fraction]:
@@ -97,19 +105,38 @@ def _fp_up(x: int, den: int) -> int:
     return -((-x << 64) // den)
 
 
-def _fp_blocks(nums, den: int, q_max: int):
-    """Yield (q0, a) for blocks of multipliers q0, q0+1, ... <= q_max, where
-    a holds the fixed-point distances a_q (uint64, each within q_max of
-    2^64 * D_q / den)."""
-    steps = [np.uint64((p << 64) // den) for p in nums]
-    for q0 in range(1, q_max + 1, _CHUNK):
-        qs = np.arange(q0, min(q0 + _CHUNK, q_max + 1), dtype=np.uint64)
-        a = None
-        for s in steps:
+class _Multipliers:
+    """The fixed-point distances a_q of the multipliers 1..q_max, in doubling
+    blocks [1, 1], [2, 2], [3, 4], ..., (k, 2k], at most _BLOCK wide."""
+
+    def __init__(self, nums, den: int, q_max: int):
+        self.q_max = q_max
+        self.steps = [np.uint64((p << 64) // den) for p in nums]
+        self.ramp = np.arange(min(q_max, _BLOCK), dtype=np.uint64) * self.steps[0]
+
+    def blocks(self):
+        """Yield (q0, n): the multipliers q0, ..., q0 + n - 1."""
+        q0 = 1
+        while q0 <= self.q_max:
+            n = min(q0, _BLOCK, self.q_max + 1 - q0)
+            yield q0, n
+            q0 += n
+
+    def hits(self, q0: int, n: int, limit: int):
+        """(i, a): the offsets i < n, ascending, with a_{q0+i} <= limit, and
+        those a_{q0+i}, filtered coordinate first."""
+        limit = min(limit, 1 << 63)  # every a_q <= 2^63
+        # ramp[i] + shift = q*P_1 + limit (mod 2^64) at q = q0 + i
+        shift = np.uint64((q0 * int(self.steps[0]) + limit) % (1 << 64))
+        i = (np.arange(n) if limit == 1 << 63
+             else np.flatnonzero(self.ramp[:n] + shift <= np.uint64(2 * limit)))
+        qs = (i + q0).astype(np.uint64)
+        a = np.zeros_like(qs)
+        for s in self.steps:
             x = qs * s  # wraps mod 2^64
-            np.minimum(x, np.negative(x), out=x)
-            a = x if a is None else np.maximum(a, x, out=a)
-        yield q0, a
+            np.maximum(a, np.minimum(x, np.negative(x), out=x), out=a)
+        keep = a <= np.uint64(limit)
+        return i[keep], a[keep]
 
 
 # ---------------------------------------------------------------------------
@@ -139,17 +166,15 @@ def simultaneous_scan(theta: CertifiedVector, q_max: int, *,
     best_d = -1
     best_q = 0
     out = []
-    for q0, a in _fp_blocks(nums, den, q_max):
+    mult = _Multipliers(nums, den, q_max)
+    for q0, n in mult.blocks():
         if slack >= 1 << 63:  # degenerate radius: a_q <= 2^63 is always hot
-            hot = range(len(a))
+            hot = range(n)
         else:
-            # seed <= 2^63 and slack < 2^63, so seed + slack fits in uint64
-            seed = np.uint64(_fp_up(best_d, den) if best_q else 1 << 63)
-            lim = np.empty_like(a)
-            lim[0] = seed
-            np.minimum(np.minimum.accumulate(a[:-1]), seed, out=lim[1:])
-            lim += np.uint64(slack)
-            hot = np.flatnonzero(a <= lim).tolist()
+            seed = _fp_up(best_d, den) if best_q else 1 << 63
+            idx, a = mult.hits(q0, n, seed + slack)
+            # a running minimum <= 2^63 plus slack < 2^63 fits in uint64
+            hot = idx[a <= np.minimum.accumulate(a) + np.uint64(slack)].tolist()
         for i in hot:
             q = q0 + i
             dq = _dist(nums, den, q)
@@ -393,10 +418,9 @@ def all_greater_than_baseline(theta: CertifiedVector, q_hi: int, base_q: int,
     lim = _fp_up(fast, den) + q_hi  # a_q is within q_hi - 1 of the exact value
     violations = []
     report = {}
-    for q0, a in _fp_blocks(nums, den, q_hi - 1):
-        hot = (range(len(a)) if lim >= 1 << 63
-               else np.flatnonzero(a <= np.uint64(lim)).tolist())
-        for i in hot:
+    mult = _Multipliers(nums, den, q_hi - 1)
+    for q0, n in mult.blocks():
+        for i in mult.hits(q0, n, lim)[0].tolist():
             q = q0 + i
             dist = _dist(nums, den, q)
             if dist > fast or q == base_q:

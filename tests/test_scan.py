@@ -10,12 +10,14 @@ cell of the box, shell by shell.
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shrinktarget._scan import (_CHUNK, DEFAULT_BUDGET, _margin,
+from shrinktarget import _scan
+from shrinktarget._scan import (_BLOCK, DEFAULT_BUDGET, _margin, _Multipliers,
                                 all_greater_than_baseline, linear_min,
                                 linear_records, scan_data, simultaneous_scan)
 from shrinktarget.errors import PrecisionError, ResourceError
@@ -284,14 +286,14 @@ def test_exact_theta_terminates_at_zero():
 
 
 def test_scans_cross_block_boundary_on_big_denominator():
-    # a 2^64-size prime denominator with a radius, over more than one block
+    # a 2^64-size prime denominator with a radius, over two full blocks
     den = 2**64 - 59
     theta = CertifiedVector((F(7640891576956012809, den),), F(1, 2**90))
-    q_max = _CHUNK + 300
+    q_max = 2 * _BLOCK + 300
     assert simultaneous_scan(theta, q_max) == oracle_simultaneous(theta, q_max)
     recs, _den, _zero = simultaneous_scan(theta, q_max)
     base_q = recs[-2][0]
-    exceptions = {recs[-1][0], _CHUNK + 7}
+    exceptions = {recs[-1][0], _BLOCK + 7}
     assert (all_greater_than_baseline(theta, q_max, base_q, exceptions)
             == oracle_baseline(theta, q_max, base_q, exceptions))
 
@@ -300,6 +302,130 @@ def _filter_value(nums, den, q):
     """The engine's fixed-point distance a_q, from Python ints."""
     one = 1 << 64
     return max(min(x, one - x) for x in (q * ((p << 64) // den) % one for p in nums))
+
+
+LIMITS = st.one_of(st.sampled_from([0, 1, 2**63 - 1, 2**63, 2**64]),
+                   st.integers(0, 63).flatmap(lambda b: st.integers(0, 2**b - 1)))
+
+
+@settings(deadline=None, max_examples=120)
+@given(DENS, st.integers(1, 4), st.sampled_from([1, 2, 600, _BLOCK - 1, _BLOCK,
+                                                 3 * _BLOCK + 5]), LIMITS, st.data())
+def test_filter_hits_are_the_multipliers_within_the_limit(den, dim, q_max, limit, data):
+    """_Multipliers.hits against a_q from Python ints: the offsets it keeps,
+    with their a_q, are exactly the q of the block with a_q <= limit, in the
+    first block, the doubling ones, the full ones and the last, short one."""
+    theta, _q = data.draw(_theta_for(den, q_max, dim))
+    nums = scan_data(theta)[0]
+    mult = _Multipliers(nums, den, q_max)
+    blocks = list(mult.blocks())
+    assert sum(n for _q0, n in blocks) == q_max and blocks[0] == (1, 1)
+    assert all(q0 + n == nxt for (q0, n), (nxt, _n) in zip(blocks, blocks[1:]))
+    assert all(n == min(q0, _BLOCK, q_max + 1 - q0) for q0, n in blocks)
+    q0, n = data.draw(st.sampled_from(blocks))
+    idx, a = mult.hits(q0, n, limit)
+    values = [_filter_value(nums, den, q0 + i) for i in range(n)]
+    assert idx.tolist() == [i for i, v in enumerate(values) if v <= limit]
+    assert a.tolist() == [values[i] for i in idx.tolist()]
+
+
+def _hot_records(theta, q_max):
+    """The multipliers simultaneous_scan re-checks exactly, from Python ints:
+    in each block, q is hot when a_q <= min(seed, a of the block's earlier
+    multipliers) + slack, seed the oracle's record before the block in fixed
+    point (2^63 before the first), slack the margin plus 2*q_max."""
+    nums, den, r = scan_data(theta)
+    recs, _den, zero = oracle_simultaneous(theta, q_max)
+    slack = -((-_margin(r, den, 2 * q_max) << 64) // den) + 2 * q_max
+    hot = []
+    for q0, n in _Multipliers(nums, den, q_max).blocks():
+        best = [d for q, d in recs if q < q0]
+        run = -((-best[-1] << 64) // den) if best else 1 << 63
+        for q in range(q0, q0 + n):
+            a = _filter_value(nums, den, q)
+            if slack >= 1 << 63 or a <= run + slack:
+                hot.append(q)
+            run = min(run, a)
+    return [q for q in hot if not zero or q <= recs[-1][0]]
+
+
+def _rechecked(scan, *args):
+    """The multipliers whose exact distance scan(*args) computes, in order."""
+    seen, dist = [], _scan._dist
+
+    def logged(nums, den, q):
+        seen.append(q)
+        return dist(nums, den, q)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(_scan, "_dist", logged)
+        scan(*args)
+    return seen
+
+
+@settings(deadline=None, max_examples=60)
+@given(_scan_case())
+def test_records_recheck_the_specified_hot_set(case):
+    """The records re-check exactly the multipliers of the hot-set rule: the
+    limits come from the survivors' running minimum capped at the seed."""
+    theta, q_max = case
+    try:
+        expected = _hot_records(theta, q_max)
+    except PrecisionError:
+        return
+    assert _rechecked(simultaneous_scan, theta, q_max) == expected
+
+
+# an exact theta that reaches no zero, and one with a radius
+EDGE_THETAS = [CertifiedVector((F(1414213562373095048, 2**61 - 1),
+                                F(1732050807568877293, 2**61 - 1))),
+               CertifiedVector((F(7640891576956012809, 2**64 - 59),
+                                F(3141592653589793238, 2**64 - 59)), F(1, 2**96))]
+
+
+@pytest.mark.parametrize("q_max", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])
+@pytest.mark.parametrize("theta", EDGE_THETAS, ids=["exact", "radius"])
+def test_scans_at_the_block_cap(theta, q_max):
+    """Both multiplier scans against their oracles where the doubling blocks
+    reach the cap, with the records' and the baseline's hot sets."""
+    got = simultaneous_scan(theta, q_max)
+    assert got == oracle_simultaneous(theta, q_max)
+    assert _rechecked(simultaneous_scan, theta, q_max) == _hot_records(theta, q_max)
+    recs = got[0]
+    base_q = recs[-2][0]
+    exceptions = {recs[-1][0], q_max - 1}
+    assert (all_greater_than_baseline(theta, q_max, base_q, exceptions)
+            == oracle_baseline(theta, q_max, base_q, exceptions))
+    nums, den, r = scan_data(theta)
+    fast = max(min(base_q * p % den, -base_q * p % den) for p in nums) + _margin(
+        r, den, q_max + base_q)
+    lim = -((-fast << 64) // den) + q_max
+    hot = [q for q in range(1, q_max) if _filter_value(nums, den, q) <= lim]
+    assert _rechecked(all_greater_than_baseline, theta, q_max, base_q,
+                      exceptions) == [base_q, *hot]
+
+
+def test_scan_memory_does_not_grow_with_the_range():
+    """Peak traced allocation (numpy reports its buffers to tracemalloc) of a
+    d = 3 record scan and a baseline scan on a 34-bit denominator: ten times
+    the multipliers take at most twice the memory, and both stay within a
+    few blocks of uint64."""
+    den = 2**34 - 41
+    theta = CertifiedVector([F(p, den) for p in (5871239457, 11234567891, 3141592653)])
+    base_q = simultaneous_scan(theta, 10**7)[0][-1][0]
+    peaks = {}
+    for q_max in (10**6, 10**7):
+        for name, scan, args in (("records", simultaneous_scan, (theta, q_max)),
+                                 ("baseline", all_greater_than_baseline,
+                                  (theta, q_max, base_q, set()))):
+            tracemalloc.start()
+            try:
+                scan(*args)
+                peaks[name, q_max] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+    for name in ("records", "baseline"):
+        assert peaks[name, 10**7] <= 2 * peaks[name, 10**6]
+    assert max(peaks.values()) < 4 * _BLOCK * 8
 
 
 @pytest.mark.parametrize("den", [2**63 - 25, 2**63 + 29, 2**64 - 59, 2**64 + 13,
