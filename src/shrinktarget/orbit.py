@@ -29,9 +29,15 @@ B < 64).  No float sits on a decision path:
 
 Window estimates classify samples x times densely, with early exit, while
 the target radius is >= 1/16.  Beyond that they bucket the centres -l*theta
-of a batch of rebased blocks on the top units of at most two coordinates
-(cells wider than the largest target plus E); each sample probes its
-neighbouring cells and the candidate pairs are classified as above.
+of a batch of L <= 2^20 steps in cells of 2^shift top units (wider than the
+largest target plus E) on at most two coordinates; each sample probes its
+neighbouring cells and the candidate pairs are classified as above.  Only
+centres in a coarse coordinate-0 cell (coarse >= shift) next to a sample's
+are bucketed, marked in a bool table of min(2^(64 - shift), 192-384 per
+sample, 2^22) cells; a coarse cell is a union of fine cells, so a pair
+within one fine cell on coordinate 0 is within one coarse cell: no pair is
+lost.  One np.sort orders packed words key << 20 | index (at most 44 key
+bits; the index fits in 20 because L <= 2^20).
 
 The log-law statistic reported per orbit is the depth-N surrogate of the
 limsup exponent: (-log min_{2<=n<=N} d_n) / log N, as an outward-rounded
@@ -59,7 +65,7 @@ import numpy as np
 from . import __version__
 from .errors import DomainError, PrecisionError, ResourceError
 from .exact import CertifiedVector, _dec, as_vector, dist_nearest_int, rational
-from .roots import iroot, log2_enclosure, sqrt_upper
+from .roots import _iroot_from, iroot, log2_enclosure, sqrt_upper
 
 _MAX_SAMPLES = 10 ** 6  # starts per census or window: bounds their memory
 _BLOCK = 1 << 16  # longest time block: bounds E and the arrays of one sample
@@ -171,11 +177,13 @@ def _error_units(n: int, theta_radius: Fraction, bits: int) -> int:
     return _ceil_frac(Fraction(1, 2) + n * (Fraction(1, 2) + theta_radius * (1 << bits)))
 
 
-def _threshold_pair(n: int, delta: Fraction, bits: int) -> tuple[int, int]:
-    """Integers t_lo <= n^(-1/delta)*2^bits <= t_hi with t_hi - t_lo <= 1."""
+def _threshold_pair(n: int, delta: Fraction, bits: int,
+                    above: int = 0) -> tuple[int, int]:
+    """Integers t_lo <= n^(-1/delta)*2^bits <= t_hi with t_hi - t_lo <= 1;
+    `above`, when not 0, is t_lo of an earlier time: a start for the root."""
     p, q = delta.numerator, delta.denominator
     w = (1 << (bits * p)) // n ** q
-    t = iroot(w, p)
+    t = _iroot_from(w, p, above) if above and w and p > 2 else iroot(w, p)
     if t ** p * n ** q == 1 << (bits * p):
         return t, t
     return t, t + 1
@@ -275,7 +283,7 @@ class _Engine:
         while a <= end:
             # t_lo(b + 1) bounds [a, b] from below; t_hi(b + 1) serves next
             b = min(a + a // _SUB, end)
-            after = _threshold_pair(b + 1, delta, bits)
+            after = _threshold_pair(b + 1, delta, bits, pair[0])
             hit[a - b0:b - b0 + 1] = min(max(
                 self.top(after[0]) - slack - self.e + 1, 0), _ALL_HIT)
             miss[a - b0:b - b0 + 1] = min(
@@ -557,18 +565,26 @@ def _window(config: OrbitConfig, starts, l_lo: int, l_hi: int):
         r, k = np.nonzero(d <= miss_lim)
         eng.settle(starts, hit, amb, active[r], b0, k, d[r, k] < hit_lim[k])
         b0 += length
-    # narrow targets: bucket the centres -l*theta by the top units of at
+    # narrow targets: keep the centres -l*theta whose coordinate 0 lies in a
+    # coarse cell next to a sample's, bucket those by the top units of at
     # most two coordinates, probe each sample's neighbouring cells
     keyed = min(config.dim, 2)
     offsets = np.array([[o // 3 ** c % 3 - 1 for c in range(keyed)]
                         for o in range(3 ** keyed)], dtype=np.int64)
+    index_bits = (_BATCH - 1).bit_length()  # a batch index, packed below a key
+    index_mask = np.uint64((1 << index_bits) - 1)
     while b0 <= l_hi and not hit.all():
         active = np.flatnonzero(~hit)
         # a cell is wider than any target in the block plus every error
         reach = (eng.top(_threshold_pair(b0, config.delta, eng.bits)[1], ceil=True)
                  + eng.e + eng.slack(_BLOCK))
-        shift = max(reach.bit_length(), 33)
+        shift = max(reach.bit_length(), 64 - (64 - index_bits) // keyed)
         span = 1 << (64 - shift)
+        # coarse coordinate-0 cells (no finer than the keyed ones) next to a sample
+        coarse = 64 - min(64 - shift, (192 * len(active)).bit_length(), 22)
+        near = np.zeros(1 << (64 - coarse), dtype=bool)
+        cell0 = (tops[active, 0] >> np.uint64(coarse)).astype(np.int64)
+        near[(cell0[:, None] + np.arange(-1, 2)) % len(near)] = True
         # a batch of rebased time blocks: long enough to amortise the
         # 3^keyed probes per sample, with at most about _BATCH candidate
         # pairs (each probe covers 2^shift top units per coordinate)
@@ -578,13 +594,17 @@ def _window(config: OrbitConfig, starts, l_lo: int, l_hi: int):
         hit_lim, miss_lim = eng.bounds(b0, length, eng.slack(min(length, _BLOCK)))
         bases = np.concatenate([eng.tops(origin, n)
                                 for n in range(b0, b0 + length, _BLOCK)])
-        centres = [(np.uint64(0) - (bases[:, c, None] + kt)).ravel()[:length]
-                   for c, kt in enumerate(eng.k_theta)]
-        keys = np.zeros(length, dtype=np.uint64)
+        c0 = (np.uint64(0) - (bases[:, 0, None] + eng.k_theta[0])).ravel()[:length]
+        surv = np.flatnonzero(near[c0 >> np.uint64(coarse)])
+        blk, off = np.divmod(surv, _BLOCK)
+        centres = [c0[surv]] + [np.uint64(0) - (bases[blk, c] + kt[off])
+                                for c, kt in enumerate(eng.k_theta) if c]
+        keys = np.zeros(len(surv), dtype=np.uint64)
         for c in range(keyed):
             keys = keys * np.uint64(span) + (centres[c] >> np.uint64(shift))
-        order = np.argsort(keys)
-        sorted_keys = keys[order]
+        packed = np.sort(keys << np.uint64(index_bits)
+                         | np.arange(len(surv), dtype=np.uint64))
+        sorted_keys = packed >> np.uint64(index_bits)
         probe = np.zeros((len(active), len(offsets)), dtype=np.int64)
         for c in range(keyed):
             cell = (tops[active, c] >> np.uint64(shift)).astype(np.int64)
@@ -594,8 +614,9 @@ def _window(config: OrbitConfig, starts, l_lo: int, l_hi: int):
         count = np.searchsorted(sorted_keys, probe, side="right").ravel() - first
         rows = np.repeat(np.repeat(active, len(offsets)), count)
         at = np.repeat(first - (np.cumsum(count) - count), count)
-        ks = order[at + np.arange(len(at))]
-        d = _d64(tops[rows, c] - centres[c][ks] for c in range(config.dim))
+        js = (packed[at + np.arange(len(at))] & index_mask).astype(np.intp)
+        ks = surv[js]
+        d = _d64(tops[rows, c] - centres[c][js] for c in range(config.dim))
         keep = d <= miss_lim[ks]
         rows, ks, d = rows[keep], ks[keep], d[keep]
         eng.settle(starts, hit, amb, rows, b0, ks, d < hit_lim[ks])

@@ -35,8 +35,13 @@ def iroot(n: int, k: int) -> int:
         return n
     if k == 2:
         return math.isqrt(n)
-    # initial overestimate from the bit length, then monotone Newton descent
-    x = 1 << -(-n.bit_length() // k)
+    # initial overestimate from the bit length
+    return _iroot_from(n, k, 1 << -(-n.bit_length() // k))
+
+
+def _iroot_from(n: int, k: int, x: int) -> int:
+    """floor(n ** (1/k)) for n >= 1, k >= 1, by monotone Newton descent from
+    any x >= that root: every step above the root stays at or above it."""
     while True:
         y = ((k - 1) * x + n // x ** (k - 1)) // k
         if y >= x:

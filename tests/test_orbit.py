@@ -8,18 +8,20 @@ the exact rule, that the top-limb filter must reproduce hit for hit.
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from shrinktarget import orbit
 from shrinktarget.errors import DomainError, PrecisionError, ResourceError
 from shrinktarget.exact import CertifiedVector
-from shrinktarget.orbit import (OrbitConfig, _auto_hit_bound, _draw_starts,
-                                _error_units, _exact_classify, _sweep,
+from shrinktarget.orbit import (_BATCH, _BLOCK, OrbitConfig, _auto_hit_bound,
+                                _draw_starts, _error_units, _exact_classify, _sweep,
                                 _threshold_pair, _units, _window,
                                 _x0_units, bc_window_estimate,
                                 exact_orbit_hits, hit_census, log_law_stat,
                                 orbit_hits)
+from shrinktarget.roots import iroot
 
 F = Fraction
 
@@ -421,6 +423,21 @@ def test_sweep_across_block_edge_matches_oracle(bits, n_max):
         assert tuple(res) == oracle_sweep(config, x0u)
 
 
+@settings(deadline=None, max_examples=120)
+@given(st.integers(1, 5), st.integers(1, 3), st.sampled_from((64, 128, 160)),
+       st.integers(0, 40), st.integers(-2, 2),
+       st.sampled_from(("same", "step", "sub-block", "first")))
+def test_warm_started_threshold_pairs_match_cold(p, q, bits, i, step, back):
+    """_Engine.bounds starts each root at the previous sub-block's root, an
+    earlier time's t_lo; the pairs are the cold ones, also next to and at the
+    perfect-power thresholds of n = 2^(p*i)."""
+    delta = F(p, q)
+    n = max(2 ** (p * i) + step, 1)
+    m = max({"same": n, "step": n - 1, "sub-block": n - n // 65, "first": 1}[back], 1)
+    above = _threshold_pair(m, delta, bits)[0]
+    assert _threshold_pair(n, delta, bits, above) == _threshold_pair(n, delta, bits)
+
+
 # --- resource guards: refused before any start is drawn --------------------------
 # OrbitConfig holds the only refusals: the error budget and at most
 # _MAX_SAMPLES samples.  Orbit length and window size are not capped at any
@@ -477,9 +494,15 @@ def test_former_window_budget_edges_answered(monkeypatch):
                       theta=CertifiedVector(theta.coords[:2]), delta=F(3), n_max=100)
 
 
+def _centred_start(theta_u, n, offsets, bits):
+    """The grid start, in B-bit units, whose orbit sits at `offsets` (B-bit
+    units per coordinate) from 0 at time n."""
+    return [(o - n * t) % (1 << bits) for o, t in zip(offsets, theta_u)]
+
+
 def _placed_start(theta_u, n, target, bits):
     """The grid start whose orbit sits at `target` (B-bit units) at time n."""
-    return (F((target - n * theta_u) % (1 << bits), 1 << bits),)
+    return (F(_centred_start([theta_u], n, [target], bits)[0], 1 << bits),)
 
 
 @pytest.mark.parametrize("margin", [-1000, 1000])
@@ -515,3 +538,149 @@ def test_error_budget_widens_the_miss_limit():
     hits, inconclusive, _lo, _hi = oracle_sweep(config, _x0_units(x0, 1, bits), x0)
     assert inconclusive >= 1
     assert (rec.hits, rec.inconclusive) == (tuple(hits), inconclusive)
+
+
+# --- narrow windows: every candidate pair reaches the exact rule ----------------
+# Past radius 1/16 the window engine keeps only the centres -l*theta whose
+# coordinate 0 lies in a coarse cell next to some sample's, sorts packed
+# (key, index) words and probes them.  A lost candidate changes a verdict
+# only when it is a hit, so these tests check the pairs themselves: every
+# (sample, l) whose dense d64 (from _Engine.distances, block by block) is
+# within the batch's miss limit reaches _Engine.settle, and no other pair does.
+
+
+class _SettleSpy:
+    """Records each window batch: the engine, its limits, the samples not
+    yet hit and the (sample, l) pairs handed to settle."""
+
+    def __init__(self, patch):
+        self.batches = []
+        bounds, settle = orbit._Engine.bounds, orbit._Engine.settle
+
+        def spy_bounds(eng, b0, length, slack):
+            self.limits = (b0, length, *bounds(eng, b0, length, slack))
+            return self.limits[2:]
+
+        def spy_settle(eng, starts, hit, amb, rows, b0, ks, sure):
+            assert self.limits[0] == b0
+            pairs = sorted(zip(rows.tolist(), (b0 + ks).tolist()))
+            self.batches.append((eng, *self.limits, np.flatnonzero(~hit), pairs))
+            settle(eng, starts, hit, amb, rows, b0, ks, sure)
+
+        patch.setattr(orbit._Engine, "bounds", spy_bounds)
+        patch.setattr(orbit._Engine, "settle", spy_settle)
+
+    def check(self, starts, hit, amb, checked=None):
+        """The pairs of the checked samples (default all) are exactly the dense
+        candidates, and their verdicts are those of the exact rule on them."""
+        checked = set(range(len(starts)) if checked is None else checked)
+        expected = []
+        for eng, b0, length, _hit_lim, miss_lim, active, pairs in self.batches:
+            rows = [i for i in active.tolist() if i in checked]
+            want = []
+            for part in range(0, len(rows), 16):  # bounds the dense arrays
+                some = np.array(rows[part:part + 16])
+                tops = eng.tops([starts[i] for i in some], 0)
+                for n in range(b0, b0 + length, _BLOCK):
+                    size = min(_BLOCK, b0 + length - n)
+                    base = eng.tops([[0] * tops.shape[1]], n)[0]
+                    d = eng.distances(tops, base, size)
+                    r, k = np.nonzero(d <= miss_lim[n - b0:n - b0 + size])
+                    want += zip(some[r].tolist(), (n + k).tolist())
+            assert [pr for pr in pairs if pr[0] in checked] == sorted(want), b0
+            expected += [(eng, i, l) for i, l in want]
+        verdicts = {}
+        for eng, i, l in expected:
+            verdicts.setdefault(i, []).append(eng.classify(starts[i], l))
+        for i in checked:
+            v = verdicts.get(i, [])
+            assert (hit[i], amb[i]) == (True in v, None in v and True not in v), i
+
+
+@st.composite
+def crowded_window(draw):
+    """A narrow window (radius just below or far below 1/16), up to 3,000
+    random starts, and starts placed one top unit on each side of a coarse
+    cell edge and across the wrap: theta's coordinate 0 puts the centre
+    -l*theta at time l on the edge C, the placed samples sit at top units
+    C - 1, C, C + 1 (and 2^64 - 1, 0 when C is 1) on coordinate 0, on the
+    centre elsewhere, or within the target radius of it on coordinate 0."""
+    bits = draw(st.sampled_from((64, 128, 160)))
+    dim = draw(st.integers(1, 3))
+    delta = dim + F(draw(st.integers(0, 4)), draw(st.sampled_from((1, 2, 3))))
+    l0 = iroot(16 ** delta.numerator, delta.denominator) + 1
+    far = 2 ** (30 if bits == 64 else 62)
+    lo = draw(st.one_of(st.integers(l0, l0 + 40), st.integers(2 ** 16, far))) | 1
+    length = draw(st.integers(1, 300))
+    l = lo + 2 * draw(st.integers(0, (length - 1) // 2))  # odd: invertible mod 2^B
+    s = bits - 64
+    u, j = draw(st.integers(1, 2 ** 24 - 1)), draw(st.integers(40, 63))
+    edge = draw(st.sampled_from((1, (u << j) % 2 ** 64 or 1 << 63)))
+    theta_u = [(-(edge << s)) * pow(l, -1, 1 << bits) % (1 << bits)]
+    theta_u += [draw(st.integers(1, 2 ** bits - 1)) for _ in range(dim - 1)]
+    theta = CertifiedVector(tuple(F(t, 1 << bits) for t in theta_u))
+    samples = draw(st.one_of(st.integers(1, 50), st.integers(1000, 3000)))
+    config = fit_budget(theta, delta, lo + length, bits, samples=samples,
+                        seed=draw(st.integers(0, 999)))
+    if config.n_max < lo + length - 1:
+        return None  # the budget admits no window this far out
+    starts = _draw_starts(config, config.samples)
+    radius = _threshold_pair(l, delta, bits)[0] >> s
+    tops0 = [edge - 1, edge, edge + 1] + [2 ** 64 - 1, 0] * (edge == 1)
+    tops0 += [edge + radius - 3, edge - radius + 3]
+    for t in tops0:
+        offset = (t - edge) % 2 ** 64 << s
+        starts.append(_centred_start(theta_u, l, [offset] + [0] * (dim - 1), bits))
+    return config, starts, lo, lo + length - 1
+
+
+@settings(deadline=None, max_examples=60)
+@given(crowded_window())
+def test_narrow_window_candidates_reach_settle(window):
+    if window is None:
+        return
+    config, starts, lo, hi = window
+    with pytest.MonkeyPatch.context() as m:
+        spy = _SettleSpy(m)
+        hit, amb = _window(config, starts, lo, hi)
+    spy.check(starts, hit, amb)
+
+
+@pytest.mark.parametrize("dim, samples, length", [(2, 2000, 200), (3, 600, 300)])
+def test_crowded_narrow_window_matches_oracle(dim, samples, length):
+    """Hundreds to thousands of starts over a few hundred narrow steps, with
+    targets wide enough (delta = 2d + 1) that many starts hit."""
+    theta = CertifiedVector((F(5741, 8119), F(2923, 7561), F(1393, 985 * 3))[:dim])
+    delta = 2 * dim + 1
+    lo = 16 ** delta + 1
+    config = OrbitConfig(theta=theta, delta=F(delta), n_max=lo + length,
+                         samples=samples, seed=11, precision_bits=64)
+    starts = _draw_starts(config, samples)
+    got = engine_window(config, starts, lo, lo + length - 1)
+    assert got == oracle_window(config, starts, lo, lo + length - 1)
+    assert 0 < sum(got[0]) < samples
+
+
+@pytest.mark.parametrize("length", [_BATCH - 1, _BATCH, _BATCH + 1])
+def test_batch_long_narrow_window_candidates(length):
+    """8,000 starts at radius about 2^-11 (d = 2, delta = 2) mark every coarse
+    cell, so all centres of a _BATCH-step batch survive and the packed index
+    needs all of its bits.  Starts placed on the centre at late times of the
+    batch must be found there; the pairs and verdicts of those and of the
+    first 40 random starts are checked against the dense recomputation."""
+    theta = CertifiedVector((F(5741, 8119), F(2923, 7561)))
+    lo = 2 ** 22 + 1
+    config = OrbitConfig(theta=theta, delta=F(2), n_max=lo + length,
+                         samples=8000, seed=17, precision_bits=64)
+    theta_u = _units(theta.coords, 64)
+    late = [lo + min(length, _BATCH) - 1, lo + _BATCH // 2, lo + _BATCH // 2 + 7,
+            lo + length - 1]
+    starts = _draw_starts(config, 8000)
+    starts += [_centred_start(theta_u, l, [0, 0], 64) for l in late]
+    with pytest.MonkeyPatch.context() as m:
+        spy = _SettleSpy(m)
+        hit, amb = _window(config, starts, lo, lo + length - 1)
+    assert spy.batches[0][2] == min(length, _BATCH)
+    placed = range(8000, len(starts))
+    assert all(hit[i] for i in placed)
+    spy.check(starts, hit, amb, checked=list(range(40)) + list(placed))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from shrinktarget.errors import DomainError
-from shrinktarget.roots import (iroot, iroot_ceil, log2_enclosure,
+from shrinktarget.roots import (_iroot_from, iroot, iroot_ceil, log2_enclosure,
                                 nth_root_enclosure, pow_enclosure, sqrt_upper)
 
 F = Fraction
@@ -25,6 +25,13 @@ def test_iroot_small_cases():
 def test_iroot_is_floor_root(n, k):
     r = iroot(n, k)
     assert r ** k <= n < (r + 1) ** k
+
+
+@given(st.integers(min_value=1, max_value=10**40), st.integers(1, 7),
+       st.one_of(st.integers(0, 3), st.integers(0, 10**25)))
+def test_iroot_descends_from_any_start_above_the_root(n, k, extra):
+    r = iroot(n, k)
+    assert _iroot_from(n, k, r + extra) == r
 
 
 @given(st.integers(min_value=0, max_value=10**40), st.integers(2, 7))
