@@ -103,11 +103,7 @@ def best_linear(theta, h_max: int, *,
 def simultaneous_error(theta, h, *, budget: int = _scan.DEFAULT_BUDGET) -> CertifiedScalar:
     """eps_s(h) = min over 1 <= q <= floor(h) of the distance from q*theta
     to the lattice."""
-    cut = _floor_height(h)
-    theta = as_vector(theta)
-    recs, den, _zero = _scan.simultaneous_scan(theta, cut, budget=budget)
-    q, dist = recs[-1]
-    return CertifiedScalar(Fraction(dist, den), q * theta.radius)
+    return best_simultaneous(theta, _floor_height(h), budget=budget)[-1].value
 
 
 def linear_error(theta, h, *, budget: int = _scan.DEFAULT_BUDGET) -> CertifiedScalar:

@@ -31,8 +31,9 @@ import time
 from pathlib import Path
 
 from . import __version__, bestapprox, criteria
-from .construct import (ConstructionState, build_theta, minimal_heights,
-                        verify_construction)
+from ._scan import DEFAULT_BUDGET
+from .construct import (DEFAULT_SCAN_CAP, ConstructionState, build_theta,
+                        minimal_heights, verify_construction)
 from .errors import ConfigError, DomainError, exit_code_for
 from .exact import CertifiedVector, _dec, rational
 from .orbit import (OrbitConfig, bc_window_estimate, hit_census,
@@ -269,7 +270,7 @@ def _validate_combination(command: str, values: dict, pairs) -> None:
 # sequence materialization
 
 
-def _seq_fn(spec, a_fn=None):
+def _seq_fn(spec):
     kind, payload = spec
     if kind == "const":
         return lambda n: payload
@@ -305,8 +306,8 @@ def emit_plot_data(report, path) -> None:
     rows: list[tuple]
     if isinstance(report, criteria.SeriesReport):
         header = "index term_hi partial_sum_hi"
-        rows = [(n, _dec(t_hi), _dec(s_hi))
-                for n, _t_lo, t_hi, _s_lo, s_hi in report.bounds]
+        rows = [(n, _dec(t.hi), _dec(s.hi))
+                for (n, t), s in zip(report.terms, report.partial_sums)]
     elif isinstance(report, criteria.TypeEvidence):
         header = "index scaled_value_lo"
         rows = [(n, _dec(v.lo)) for n, v in report.samples]
@@ -349,13 +350,11 @@ def _run_approx(config: RunConfig, out: Path) -> list[Path]:
     theta, _ = _theta_from(config)
     mode = config.get("mode", "simultaneous")
     limit = config.require("limit")
-    kwargs = {}
-    if "budget" in config.values:
-        kwargs["budget"] = config.values["budget"]
+    budget = config.get("budget", DEFAULT_BUDGET)
     if mode == "simultaneous":
-        records = bestapprox.best_simultaneous(theta, limit, **kwargs)
+        records = bestapprox.best_simultaneous(theta, limit, budget=budget)
     else:
-        records = bestapprox.best_linear(theta, limit, **kwargs)
+        records = bestapprox.best_linear(theta, limit, budget=budget)
     csv_path = out / "approx.csv"
     with open(csv_path, "w", newline="") as fh:
         w = csv.writer(fh)
@@ -375,8 +374,8 @@ def _series_csv(report, path) -> None:
         w = csv.writer(fh)
         w.writerow(["index", "term_lo", "term_hi", "partial_lo", "partial_hi",
                     "term_exact_lo", "term_exact_hi"])
-        for n, t_lo, t_hi, s_lo, s_hi in report.bounds:
-            w.writerow([n, _dec(t_lo), _dec(t_hi), _dec(s_lo), _dec(s_hi), t_lo, t_hi])
+        for (n, t), s in zip(report.terms, report.partial_sums):
+            w.writerow([n, _dec(t.lo), _dec(t.hi), _dec(s.lo), _dec(s.hi), t.lo, t.hi])
 
 
 def _run_criteria(config: RunConfig, out: Path) -> list[Path]:
@@ -452,10 +451,8 @@ def _run_construct(config: RunConfig, out: Path) -> list[Path]:
     })
     outputs.append(theta_path)
     if config.get("verify", True):
-        kwargs = {}
-        if "scan_cap" in config.values:
-            kwargs["scan_cap"] = config.values["scan_cap"]
-        report = verify_construction(state, **kwargs)
+        report = verify_construction(
+            state, scan_cap=config.get("scan_cap", DEFAULT_SCAN_CAP))
         report_path = out / "verify_report.txt"
         report_path.write_text("\n".join(report.to_lines()) + "\n")
         outputs.append(report_path)
@@ -501,12 +498,10 @@ def _run_simulate(config: RunConfig, out: Path) -> list[Path]:
 
 def _run_transfer(config: RunConfig, out: Path) -> list[Path]:
     theta, _ = _theta_from(config)
-    kwargs = {}
-    if "budget" in config.values:
-        kwargs["budget"] = config.values["budget"]
+    budget = config.get("budget", DEFAULT_BUDGET)
     rows = []
     for h in config.require("h"):
-        rep = criteria.transfer_check(theta, h, **kwargs)
+        rep = criteria.transfer_check(theta, h, budget=budget)
         rows.append({
             "h": str(rep.h),
             "constant": str(rep.constant),
@@ -524,11 +519,8 @@ def _run_transfer(config: RunConfig, out: Path) -> list[Path]:
 def _run_verify(config: RunConfig, out: Path) -> list[Path]:
     state = ConstructionState.from_text(
         Path(config.require("transcript")).read_text())
-    kwargs = {}
-    if "scan_cap" in config.values:
-        kwargs["scan_cap"] = config.values["scan_cap"]
-    report = verify_construction(
-        state, config.get("bruteforce_depth"), **kwargs)
+    report = verify_construction(state, config.get("bruteforce_depth"),
+                                 scan_cap=config.get("scan_cap", DEFAULT_SCAN_CAP))
     path = out / "verify_report.txt"
     path.write_text("\n".join(report.to_lines()) + "\n")
     if not report.ok:

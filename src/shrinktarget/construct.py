@@ -34,6 +34,9 @@ from .roots import iroot
 # admissible parameter choice
 _GAP_RATIO = Fraction(1, 2 ** 18 * 3 ** 3)
 
+# verify_construction brute-forces level n only while q_{n+1} <= this cap
+DEFAULT_SCAN_CAP = 2 * 10 ** 7
+
 TRANSCRIPT_HEADER = "# shrinktarget transcript v1"
 
 
@@ -412,7 +415,7 @@ def _form_value_abs(delta: LatticePoint3, theta: CertifiedVector) -> CertifiedSc
 
 def verify_construction(state: ConstructionState,
                         depth_bruteforce: int | None = None, *,
-                        scan_cap: int = 2 * 10 ** 7) -> VerifyReport:
+                        scan_cap: int = DEFAULT_SCAN_CAP) -> VerifyReport:
     """Re-check the construction: structural identities in exact integer
     arithmetic, the certified enclosures, and (brute force) the
     no-better-approximation property below each scanned level.
@@ -445,9 +448,8 @@ def verify_construction(state: ConstructionState,
         bad = []
         for n in range(state.depth + 1):
             val, lo, hi = bounds(n)
-            if (val.require_compare(CertifiedScalar.exact(lo), f"{what} lower") is Verdict.LESS
-                    or val.require_compare(CertifiedScalar.exact(hi), f"{what} upper")
-                    is Verdict.GREATER):
+            if (val.require_compare(lo, f"{what} lower") is Verdict.LESS
+                    or val.require_compare(hi, f"{what} upper") is Verdict.GREATER):
                 bad.append(n)
         add_failing(name, f"n in [0, {state.depth}]", bad)
 
@@ -493,10 +495,10 @@ def verify_construction(state: ConstructionState,
     for n in range(state.depth + 1):
         dist = _affine_dist(state.affine_point(n), fine)
         g = gaps[n]
-        v = dist.require_compare(CertifiedScalar.exact(g / 2), f"|P~_{n} - theta| vs lower")
+        v = dist.require_compare(g / 2, f"|P~_{n} - theta| vs lower")
         if v is Verdict.LESS:
             bad_lo.append(n)
-        v = dist.require_compare(CertifiedScalar.exact(3 * g / 2), f"|P~_{n} - theta| vs upper")
+        v = dist.require_compare(3 * g / 2, f"|P~_{n} - theta| vs upper")
         if v is Verdict.GREATER:
             bad_hi.append(n)
     add("theta gap enclosure (1/2)g_n <= |P~_n - theta| <= (3/2)g_n",
@@ -514,8 +516,7 @@ def verify_construction(state: ConstructionState,
                              Fraction(3, 4 * steps[n + 1].q), Fraction(5, 4 * steps[n + 1].q)))
     add_enclosure("weighted enclosure 3/(32a_{n+1}) <= h_{n+1}^2 |<Delta_n, theta_bar>| "
                   "<= 10/a_{n+1}", "weighted line value",
-                  lambda n: (_form_value_abs(steps[n].delta, fine)
-                             * CertifiedScalar.exact(Fraction(steps[n + 1].h ** 2)),
+                  lambda n: (_form_value_abs(steps[n].delta, fine) * steps[n + 1].h ** 2,
                              Fraction(3, 32 * a[n + 1]), Fraction(10, a[n + 1])))
 
     # brute-force minimality below each scanned level: every q < q_{n+1}

@@ -9,16 +9,16 @@ Fractional powers are certified root enclosures (default relative tolerance
 single k-th root of a rational -- e.g. the weighted-error term
 k^-1 (k^delta eps)^(1/(delta+1)) collapses to (eps/k)^(1/(delta+1)) -- so one
 enclosure per term suffices.  That root is taken over the exact endpoints
-lo <= hi of the certified error, read once and scaled by the term's positive
-factor: no interval product is formed, a point (exact theta) costs one root,
-and lo < 0 raises DomainError("invalid base interval") in every series.
+lo <= hi of the certified error, scaled by the term's positive factor: no
+interval product is formed, a point (exact theta) costs one root, and lo < 0
+raises DomainError("invalid base interval") in every series.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from itertools import accumulate
 
 from . import _scan
 from .bestapprox import (best_linear, best_simultaneous, linear_error, linear_profile,
@@ -55,42 +55,22 @@ class SeriesReport:
     tail_estimate: CertifiedScalar
     verdict: str
 
-    @cached_property
-    def bounds(self) -> tuple[tuple[int, Fraction, Fraction, Fraction, Fraction], ...]:
-        """(n, term lo, term hi, partial-sum lo, partial-sum hi), read once."""
-        return tuple((n, t.lo, t.hi, s.lo, s.hi)
-                     for (n, t), s in zip(self.terms, self.partial_sums))
-
     def window_sum(self, lo: int, hi: int) -> CertifiedScalar:
         """Sum of the terms with index n in [lo, hi] (inclusive)."""
-        total = CertifiedScalar.exact(0)
-        seen = False
-        for n, t in self.terms:
-            if lo <= n <= hi:
-                total = total + t
-                seen = True
-        if not seen:
+        inside = [t for n, t in self.terms if lo <= n <= hi]
+        if not inside:
             raise DomainError(f"no terms with index in [{lo}, {hi}]")
-        return total
+        return sum(inside, CertifiedScalar.exact(0))
 
 
 def _assemble(label: str, terms: list[tuple[int, CertifiedScalar]]) -> SeriesReport:
-    sums = []
-    acc = CertifiedScalar.exact(0)
-    for _n, t in terms:
-        acc = acc + t
-        sums.append(acc)
-    if terms:
-        tail_lo = terms[max(0, len(terms) - max(1, len(terms) // 5))][0]
-        tail = CertifiedScalar.exact(0)
-        for n, t in terms:
-            if n >= tail_lo:
-                tail = tail + t
-    else:
-        tail = CertifiedScalar.exact(0)
+    values = [t for _n, t in terms]
+    sums = tuple(accumulate(values))
+    # the tail is the last fifth of the terms (at least one)
+    tail = sum(values[-max(1, len(values) // 5):], CertifiedScalar.exact(0))
     verdict = (f"partial sums up to {len(terms)} terms; no convergence claim"
                if terms else "empty report")
-    return SeriesReport(label, tuple(terms), tuple(sums), tail, verdict)
+    return SeriesReport(label, tuple(terms), sums, tail, verdict)
 
 
 def series_thm5(theta, x_seq, n_terms: int, *,
@@ -226,7 +206,7 @@ def transfer_check(theta, h, *, budget: int = _scan.DEFAULT_BUDGET) -> TransferR
     lhs = linear_error(theta, h, budget=budget)
     eps_s = simultaneous_error(theta, c * h ** d, budget=budget)
     scale = 1 / (c * h ** (d - 1))
-    rhs = eps_s * CertifiedScalar.exact(scale)
+    rhs = eps_s * scale
     verdict = lhs.require_compare(rhs, "transfer inequality sides")
     return TransferReport(d, h, c, lhs, rhs, verdict is not Verdict.GREATER)
 
@@ -389,7 +369,5 @@ def window_bound(theta, x_seq, delta, n: int, *,
     l_next, eps_n, _ = window_edge(n + 1)
     # L_n^(-1/delta) = (eps_{n-1}/|X_n|)^(1/(delta+1))
     inv_root = _power(eps_prev.lo / norm_n, eps_prev.hi / norm_n, q, p + q, rel_bits)
-    two = CertifiedScalar.exact(2)
-    dim_norm = CertifiedScalar.exact(d * norm_n)
-    bound = two * (l_next * eps_n + inv_root * dim_norm)
+    bound = 2 * (l_next * eps_n + inv_root * (d * norm_n))
     return WindowBound(n, delta, l_n, l_next, bound)

@@ -1,11 +1,13 @@
 """Exact arithmetic primitives: rationals, integer lattice points, and
-certified scalars/vectors (exact center + exact error radius).
+certified scalars (exact endpoints lo <= hi) and vectors (exact center +
+exact sup-norm error radius).
 
-Everything here is exact.  A certified quantity is a rational interval
-[value - radius, value + radius]; comparing two certified quantities yields a
-four-valued verdict and *never* silently degrades to a boolean guess.  All
-norms are sup-norms and all distances to the integer lattice are measured in
-the sup metric.
+Everything here is exact.  A certified quantity is a rational interval,
+stored as [lo, hi] for scalars (the endpoint form of Moore's interval
+arithmetic) and as [value - radius, value + radius] per coordinate for
+vectors; comparing two certified quantities yields a four-valued verdict and
+*never* silently degrades to a boolean guess.  All norms are sup-norms and
+all distances to the integer lattice are measured in the sup metric.
 """
 
 from __future__ import annotations
@@ -89,41 +91,47 @@ class Verdict(Enum):
         return self is not Verdict.INCONCLUSIVE
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class CertifiedScalar:
-    """An exact rational center plus an exact nonnegative error radius."""
+    """An exact rational interval [lo, hi], stored by its endpoints.
 
-    value: Fraction
-    radius: Fraction = Fraction(0)
+    CertifiedScalar(value, radius) builds [value - radius, value + radius];
+    value and radius are derived from the endpoints on request.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "value", rational(self.value))
-        object.__setattr__(self, "radius", rational(self.radius))
-        if self.radius < 0:
+    lo: Fraction
+    hi: Fraction
+
+    def __init__(self, value, radius=Fraction(0)):
+        value, radius = rational(value), rational(radius)
+        if radius < 0:
             raise DomainError("certified radius must be >= 0")
+        object.__setattr__(self, "lo", value - radius)
+        object.__setattr__(self, "hi", value + radius)
 
     @classmethod
     def exact(cls, x) -> "CertifiedScalar":
-        return cls(rational(x), Fraction(0))
+        x = rational(x)
+        return _interval(x, x)
 
     @classmethod
     def from_bounds(cls, lo, hi) -> "CertifiedScalar":
         lo, hi = rational(lo), rational(hi)
         if hi < lo:
             raise DomainError("from_bounds needs lo <= hi")
-        return cls((lo + hi) / 2, (hi - lo) / 2)
+        return _interval(lo, hi)
 
     @property
-    def lo(self) -> Fraction:
-        return self.value - self.radius
+    def value(self) -> Fraction:
+        return (self.lo + self.hi) / 2
 
     @property
-    def hi(self) -> Fraction:
-        return self.value + self.radius
+    def radius(self) -> Fraction:
+        return (self.hi - self.lo) / 2
 
     @property
     def is_exact(self) -> bool:
-        return self.radius == 0
+        return self.lo == self.hi
 
     def compare(self, other) -> Verdict:
         """Four-valued interval comparison; conclusive only when the intervals
@@ -134,7 +142,7 @@ class CertifiedScalar:
             return Verdict.LESS
         if self.lo > other.hi:
             return Verdict.GREATER
-        if self.is_exact and other.is_exact and self.value == other.value:
+        if self.lo == self.hi == other.lo == other.hi:
             return Verdict.EQUAL
         return Verdict.INCONCLUSIVE
 
@@ -151,24 +159,25 @@ class CertifiedScalar:
 
     def __add__(self, other):
         if isinstance(other, CertifiedScalar):
-            return CertifiedScalar(self.value + other.value, self.radius + other.radius)
-        return CertifiedScalar(self.value + rational(other), self.radius)
+            return _interval(self.lo + other.lo, self.hi + other.hi)
+        k = rational(other)
+        return _interval(self.lo + k, self.hi + k)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CertifiedScalar(-self.value, self.radius)
+        return _interval(-self.hi, -self.lo)
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, CertifiedScalar) else -rational(other))
 
     def __mul__(self, other):
         if isinstance(other, CertifiedScalar):
-            # interval product via endpoints (exact)
             cands = [a * b for a in (self.lo, self.hi) for b in (other.lo, other.hi)]
-            return CertifiedScalar.from_bounds(min(cands), max(cands))
+            return _interval(min(cands), max(cands))
         k = rational(other)
-        return CertifiedScalar(self.value * k, self.radius * abs(k))
+        lo, hi = self.lo * k, self.hi * k
+        return _interval(lo, hi) if k >= 0 else _interval(hi, lo)
 
     __rmul__ = __mul__
 
@@ -176,13 +185,21 @@ class CertifiedScalar:
         if self.lo >= 0:
             return self
         if self.hi <= 0:
-            return CertifiedScalar(-self.value, self.radius)
-        return CertifiedScalar.from_bounds(Fraction(0), max(-self.lo, self.hi))
+            return -self
+        return _interval(Fraction(0), max(-self.lo, self.hi))
 
     def __str__(self):
         if self.is_exact:
-            return str(self.value)
+            return str(self.lo)
         return f"{self.value} ± {self.radius}"
+
+
+def _interval(lo: Fraction, hi: Fraction) -> CertifiedScalar:
+    """[lo, hi] from endpoints already known to be rationals with lo <= hi."""
+    out = object.__new__(CertifiedScalar)
+    object.__setattr__(out, "lo", lo)
+    object.__setattr__(out, "hi", hi)
+    return out
 
 
 class CertifiedVector:

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shrinktarget.construct import (ConstructionState, alternating_cf,
                                     build_theta, complete_basis,
@@ -172,6 +173,49 @@ def test_transcript_roundtrip_bit_exact():
     assert again.theta == state.theta
     assert again.denominators == state.denominators
     assert again.heights == state.heights
+
+
+# admissible builds: a constant a in 33..40 or the poly:4 regime, depth 1..4,
+# minimal heights
+@st.composite
+def admissible_builds(draw):
+    k = draw(st.one_of(st.integers(33, 40), st.just("poly:4")))
+    a = (lambda n: (n + 3) ** 4) if k == "poly:4" else (lambda n: k)
+    depth = draw(st.integers(1, 4))
+    return build_theta(a, minimal_heights(a, 1, depth + 2), depth)
+
+
+@settings(deadline=None, max_examples=30)
+@given(admissible_builds())
+def test_transcript_roundtrip_generated(state):
+    text = state.to_text()
+    again = ConstructionState.from_text(text)
+    assert again.to_text() == text
+    assert again.theta == state.theta
+    assert again.heights == state.heights
+    assert again.denominators == state.denominators
+
+
+@settings(deadline=None, max_examples=30)
+@given(admissible_builds(), st.sampled_from(["delta", "p"]), st.data())
+def test_verifier_catches_generated_tamper(state, part, data):
+    """Doubling Delta_n or P_n with its norm keeps the transcript loadable
+    and breaks primitivity.  P may be tampered up to the certification step
+    depth+1; Delta_{depth+1} sets the refined radius, and doubling it leaves
+    the top enclosure inconclusive (PrecisionError), so Delta stops at depth."""
+    n = data.draw(st.integers(0, state.depth + (part == "p")), label="step")
+    first, norm = (2, 8) if part == "delta" else (5, 9)
+    lines = state.to_text().splitlines()
+    for i, ln in enumerate(lines):
+        if ln.startswith(f"step {n} "):
+            parts = ln.split()
+            parts[first:first + 3] = [str(2 * int(v)) for v in parts[first:first + 3]]
+            parts[norm] = str(2 * int(parts[norm]))
+            lines[i] = " ".join(parts)
+    tampered = ConstructionState.from_text("\n".join(lines) + "\n")
+    report = verify_construction(tampered, 0)
+    assert not report.ok
+    assert "primitivity" in " ".join(c.name for c in report.failed())
 
 
 def test_transcript_rejects_inconsistent_norms():
