@@ -20,10 +20,18 @@ domination, with every exact bound rounded up to fixed point.  The exact
 running minimum is within E of the fixed-point one, so the hot set contains
 every multiplier the exact walk would look at; each hot q gets its exact D_q
 from Python ints and goes through the exact logic, and every other q
-provably changes nothing.  Blocks double, (k, 2k], up to _BLOCK multipliers,
+provably changes nothing.  Blocks double, [k, 2k), up to _BLOCK multipliers,
 and are filtered coordinate first: for L < 2^63, min(x, -x) <= L exactly
-when (x + L) mod 2^64 <= 2L, one add to a ramp i*P_1 and one compare per q;
-the other coordinates and the running minimum only see the survivors.
+when x = q*P_1 lies in the circular range [-L, L].  Once per scan the ramp
+x_i = i*P_1, i < _RAMP, is sorted as keys: x_i with its low bits replaced by
+i.  A block of n multipliers from q0 is ceil(n / _RAMP) copies of the ramp,
+copy j shifted by (q0 + j*_RAMP)*P_1, so its survivors lie in one range of
+keys per copy, found by binary search (the keys are stored twice over, so a
+range that wraps past 2^64 is one slice).  The truncated keys give a
+superset, the test a_q <= L on every coordinate makes it exact, and the
+survivors are re-sorted by offset; when the ranges would hold n candidates
+or more, the block takes every multiplier instead.  The other coordinates
+and the running minimum only see the candidates.
 Records take L = seed + fast + 2E: a q with a_q > L cannot lower
 min(seed, .), and every survivor has a_q <= L, so a survivor is hot exactly
 when a_q <= (running minimum of the survivors up to q) + fast + 2E.
@@ -59,6 +67,7 @@ PrecisionError naming the offending pair.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -69,6 +78,7 @@ DEFAULT_BUDGET = 10**8
 _NP_LIMIT = 1 << 62
 _CHUNK = 1 << 20  # linear cells per fixed-point block
 _BLOCK = 1 << 16  # widest block of multipliers
+_RAMP = 1 << 14  # sorted ramp entries: a block is up to _BLOCK / _RAMP copies
 
 
 def scan_data(theta: CertifiedVector) -> tuple[tuple[int, ...], int, Fraction]:
@@ -107,12 +117,23 @@ def _fp_up(x: int, den: int) -> int:
 
 class _Multipliers:
     """The fixed-point distances a_q of the multipliers 1..q_max, in doubling
-    blocks [1, 1], [2, 2], [3, 4], ..., (k, 2k], at most _BLOCK wide."""
+    blocks [1, 1], [2, 3], [4, 7], ..., at most _BLOCK wide."""
 
     def __init__(self, nums, den: int, q_max: int):
         self.q_max = q_max
         self.steps = [np.uint64((p << 64) // den) for p in nums]
-        self.ramp = np.arange(min(q_max, _BLOCK), dtype=np.uint64) * self.steps[0]
+        self.m = min(_RAMP, (q_max + 1) // 2)  # every block has n <= (q_max + 1) // 2
+
+    @cached_property
+    def keys(self):
+        """The ramp x_i = i*P_1, i < m, as sorted keys (x_i with its low bits
+        replaced by i), twice over so that a circular range is one slice."""
+        i = np.arange(self.m, dtype=np.uint64)
+        keys = i * self.steps[0]
+        keys &= np.uint64((1 << 64) - _RAMP)  # clear the low bits
+        keys |= i
+        keys.sort()
+        return np.concatenate([keys, keys])
 
     def blocks(self):
         """Yield (q0, n): the multipliers q0, ..., q0 + n - 1."""
@@ -122,21 +143,49 @@ class _Multipliers:
             yield q0, n
             q0 += n
 
+    def _candidates(self, q0: int, n: int, limit: int):
+        """The offsets i < n, unsorted, of a superset of the multipliers whose
+        first coordinate is within limit < 2^63."""
+        m, step, keys = self.m, int(self.steps[0]), self.keys
+        head = keys[:m]
+        parts = []
+        for j in range(0, n, _RAMP):
+            # the copy from offset j holds q = q0 + j + i; its survivors have
+            # x_i in [lo, hi = lo + 2*limit] on the circle, so their keys lie
+            # between lo with its low bits cleared and hi with them set
+            lo = (-(q0 + j) * step - limit) % (1 << 64)
+            hi = lo + 2 * limit
+            s = int(head.searchsorted(np.uint64(lo & -_RAMP)))
+            e = int(head.searchsorted(np.uint64(hi % (1 << 64) | (_RAMP - 1)), "right"))
+            if hi >> 64:  # wraps past 2^64: on into the second copy of the keys
+                e = min(e + m, s + m)
+            i = keys[s:e] & np.uint64(_RAMP - 1)
+            if j:
+                i += np.uint64(j)
+            parts.append(i)
+        i = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        return i[i < n] if n < len(parts) * m else i
+
     def hits(self, q0: int, n: int, limit: int):
         """(i, a): the offsets i < n, ascending, with a_{q0+i} <= limit, and
-        those a_{q0+i}, filtered coordinate first."""
+        those a_{q0+i}.  Below 2^63 a range query in the sorted ramp gives
+        a superset, which the test on every coordinate makes exact."""
         limit = min(limit, 1 << 63)  # every a_q <= 2^63
-        # ramp[i] + shift = q*P_1 + limit (mod 2^64) at q = q0 + i
-        shift = np.uint64((q0 * int(self.steps[0]) + limit) % (1 << 64))
-        i = (np.arange(n) if limit == 1 << 63
-             else np.flatnonzero(self.ramp[:n] + shift <= np.uint64(2 * limit)))
-        qs = (i + q0).astype(np.uint64)
-        a = np.zeros_like(qs)
+        # each copy's range covers a share 2*limit / 2^64 of its m keys: when
+        # the candidates would number n or more, take every multiplier
+        dense = limit * self.m * -(-n // _RAMP) >= n << 63
+        i = np.arange(n, dtype=np.uint64) if dense else self._candidates(q0, n, limit)
+        qs = i + np.uint64(q0)
+        a = np.uint64(0)
         for s in self.steps:
             x = qs * s  # wraps mod 2^64
-            np.maximum(a, np.minimum(x, np.negative(x), out=x), out=a)
+            a = np.maximum(a, np.minimum(x, np.negative(x), out=x), out=x)
         keep = a <= np.uint64(limit)
-        return i[keep], a[keep]
+        i, a = i[keep], a[keep]
+        if not dense:
+            o = i.argsort()
+            i, a = i[o], a[o]
+        return i, a
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +215,8 @@ def simultaneous_scan(theta: CertifiedVector, q_max: int, *,
     best_d = -1
     best_q = 0
     out = []
-    mult = _Multipliers(nums, den, q_max)
+    # an exact scan stops at q = den at the latest, where D_q = 0
+    mult = _Multipliers(nums, den, min(q_max, den) if exact else q_max)
     for q0, n in mult.blocks():
         if slack >= 1 << 63:  # degenerate radius: a_q <= 2^63 is always hot
             hot = range(n)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _scan
-from .errors import DomainError, InternalError
+from .errors import DomainError, InternalError, PrecisionError
 from .exact import (CertifiedScalar, CertifiedVector, LatticePoint3, Verdict,
                     certified_dist_nearest_lattice, is_primitive,
                     projective_distance, rational, wedge)
@@ -427,7 +427,8 @@ def verify_construction(state: ConstructionState,
 
     All certified checks use the refined recentering of theta, whose radius
     is small enough to decide every enclosure at every transcript level; an
-    inconclusive comparison still raises PrecisionError (deepen the build).
+    inconclusive comparison still raises PrecisionError (deepen the build),
+    unless a structural check has already failed: then it fails its check.
     """
     checks: list[CheckResult] = []
     exc_report: dict[int, dict[int, str]] = {}
@@ -442,14 +443,21 @@ def verify_construction(state: ConstructionState,
     def add_failing(name, scope, bad):
         add(name, scope, not bad, f"failing n: {bad}" if bad else "")
 
+    def fails(x, bound, bad: Verdict, what: str) -> bool:
+        """x against bound gives the failing verdict `bad`.  Once a structural
+        check has failed, the refined radius may be too wide to decide: an
+        inconclusive comparison then fails the check instead of raising."""
+        v = x.compare(bound) if broken else x.require_compare(bound, what)
+        return v is bad or v is Verdict.INCONCLUSIVE
+
     def add_enclosure(name, what, bounds):
         """lo <= value <= hi for (value, lo, hi) = bounds(n), n in [0, depth];
         the upper bound is compared only when the lower one holds."""
         bad = []
         for n in range(state.depth + 1):
             val, lo, hi = bounds(n)
-            if (val.require_compare(lo, f"{what} lower") is Verdict.LESS
-                    or val.require_compare(hi, f"{what} upper") is Verdict.GREATER):
+            if (fails(val, lo, Verdict.LESS, f"{what} lower")
+                    or fails(val, hi, Verdict.GREATER, f"{what} upper")):
                 bad.append(n)
         add_failing(name, f"n in [0, {state.depth}]", bad)
 
@@ -485,6 +493,7 @@ def verify_construction(state: ConstructionState,
     add("base point within 1/32 of the origin", "n = 0", d00 < Fraction(1, 32),
         f"d(0, P~_0) = {d00}")
 
+    broken = any(c.passed is False for c in checks)
     fine = state.refined_theta()
     sup_hi = max(abs(c) + fine.radius for c in fine.coords)
     add("|theta| <= 1/8", "certified", sup_hi <= Fraction(1, 8),
@@ -495,11 +504,9 @@ def verify_construction(state: ConstructionState,
     for n in range(state.depth + 1):
         dist = _affine_dist(state.affine_point(n), fine)
         g = gaps[n]
-        v = dist.require_compare(g / 2, f"|P~_{n} - theta| vs lower")
-        if v is Verdict.LESS:
+        if fails(dist, g / 2, Verdict.LESS, f"|P~_{n} - theta| vs lower"):
             bad_lo.append(n)
-        v = dist.require_compare(3 * g / 2, f"|P~_{n} - theta| vs upper")
-        if v is Verdict.GREATER:
+        if fails(dist, 3 * g / 2, Verdict.GREATER, f"|P~_{n} - theta| vs upper"):
             bad_hi.append(n)
     add("theta gap enclosure (1/2)g_n <= |P~_n - theta| <= (3/2)g_n",
         f"n in [0, {state.depth}]", not (bad_lo or bad_hi),
@@ -533,8 +540,15 @@ def verify_construction(state: ConstructionState,
                 None, f"scan of {q_hi - 1} exceeds budget {budget}")
             continue
         exceptions = {steps[n + 1].q - steps[n].q}
-        violations, report = _scan.all_greater_than_baseline(
-            fine, q_hi, steps[n].q, exceptions)
+        try:
+            violations, report = _scan.all_greater_than_baseline(
+                fine, q_hi, steps[n].q, exceptions)
+        except PrecisionError as exc:
+            if not broken:
+                raise
+            add("no better approximation below q_{n+1} (brute force)", scope,
+                False, f"inconclusive: {exc}")
+            continue
         exc_report[n] = report
         add("no better approximation below q_{n+1} (brute force)", scope,
             not violations,

@@ -8,6 +8,7 @@ from textwrap import dedent
 import pytest
 
 from shrinktarget import cli
+from shrinktarget.construct import build_theta, minimal_heights
 from shrinktarget.errors import ConfigError
 
 
@@ -257,6 +258,31 @@ def test_main_config_error_exit_2_and_error_json(tmp_path, capsys):
     # the same payload goes to stderr for scripting
     captured = capsys.readouterr()
     assert json.loads(captured.err.strip())["exit_code"] == 2
+
+
+def test_verify_tampered_certification_step_exit_2(tmp_path):
+    """Doubling Delta_{depth+1} and its norm widens the refined radius until a
+    gap enclosure is undecidable; verify still writes its report, naming the
+    primitivity failure, and exits 2 (a failed verification), not 3."""
+    a = lambda n: 33
+    lines = build_theta(a, minimal_heights(a, 1, 5), 2).to_text().splitlines()
+    for i, ln in enumerate(lines):
+        if ln.startswith("step 3 "):
+            parts = ln.split()
+            parts[2:5] = [str(2 * int(v)) for v in parts[2:5]]
+            parts[8] = str(2 * int(parts[8]))
+            lines[i] = " ".join(parts)
+    transcript = tmp_path / "tampered.txt"
+    transcript.write_text("\n".join(lines) + "\n")
+    cfg = write_config(tmp_path, f"""\
+        command=verify
+        transcript={transcript}
+    """)
+    out = tmp_path / "out"
+    assert cli.main(["verify", "--config", cfg, "--out", str(out)]) == 2
+    report = (out / "verify_report.txt").read_text()
+    assert "[FAIL] primitivity of Delta_n and P_n (n in [0, 3]) -- failing n: [3]" in report
+    assert json.loads((out / "error.json").read_text())["error"] == "DomainError"
 
 
 def test_main_command_mismatch(tmp_path):

@@ -5,11 +5,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from shrinktarget import _scan
 from shrinktarget.construct import (ConstructionState, alternating_cf,
                                     build_theta, complete_basis,
                                     minimal_heights, verify_construction)
-from shrinktarget.errors import DomainError, InternalError
-from shrinktarget.exact import LatticePoint3, projective_distance, wedge
+from shrinktarget.errors import DomainError, InternalError, PrecisionError
+from shrinktarget.exact import (CertifiedVector, LatticePoint3, projective_distance,
+                                wedge)
 
 F = Fraction
 
@@ -175,6 +177,20 @@ def test_transcript_roundtrip_bit_exact():
     assert again.heights == state.heights
 
 
+def tamper(state, n, part):
+    """The transcript of `state` with Delta_n ("delta") or P_n ("p") and its
+    norm doubled: still loadable, no longer primitive."""
+    first, norm = (2, 8) if part == "delta" else (5, 9)
+    lines = state.to_text().splitlines()
+    for i, ln in enumerate(lines):
+        if ln.startswith(f"step {n} "):
+            parts = ln.split()
+            parts[first:first + 3] = [str(2 * int(v)) for v in parts[first:first + 3]]
+            parts[norm] = str(2 * int(parts[norm]))
+            lines[i] = " ".join(parts)
+    return ConstructionState.from_text("\n".join(lines) + "\n")
+
+
 # admissible builds: a constant a in 33..40 or the poly:4 regime, depth 1..4,
 # minimal heights
 @st.composite
@@ -200,22 +216,38 @@ def test_transcript_roundtrip_generated(state):
 @given(admissible_builds(), st.sampled_from(["delta", "p"]), st.data())
 def test_verifier_catches_generated_tamper(state, part, data):
     """Doubling Delta_n or P_n with its norm keeps the transcript loadable
-    and breaks primitivity.  P may be tampered up to the certification step
-    depth+1; Delta_{depth+1} sets the refined radius, and doubling it leaves
-    the top enclosure inconclusive (PrecisionError), so Delta stops at depth."""
-    n = data.draw(st.integers(0, state.depth + (part == "p")), label="step")
-    first, norm = (2, 8) if part == "delta" else (5, 9)
-    lines = state.to_text().splitlines()
-    for i, ln in enumerate(lines):
-        if ln.startswith(f"step {n} "):
-            parts = ln.split()
-            parts[first:first + 3] = [str(2 * int(v)) for v in parts[first:first + 3]]
-            parts[norm] = str(2 * int(parts[norm]))
-            lines[i] = " ".join(parts)
-    tampered = ConstructionState.from_text("\n".join(lines) + "\n")
-    report = verify_construction(tampered, 0)
+    and breaks primitivity, up to the certification step depth+1.
+    Delta_{depth+1} sets the refined radius, and doubling it can leave an
+    enclosure inconclusive: after the failed structural checks that counts
+    as a failed check, not as a PrecisionError."""
+    n = data.draw(st.integers(0, state.depth + 1), label="step")
+    report = verify_construction(tamper(state, n, part), 0)
     assert not report.ok
     assert "primitivity" in " ".join(c.name for c in report.failed())
+
+
+def test_verifier_fails_an_undecided_scan_after_a_structural_failure(monkeypatch):
+    """A brute-force level whose scan is inconclusive fails its check once a
+    structural check has failed, and raises on a valid transcript."""
+    def undecided(*args):
+        raise PrecisionError("comparison inconclusive")
+    monkeypatch.setattr(_scan, "all_greater_than_baseline", undecided)
+    state = const33(2)
+    with pytest.raises(PrecisionError):
+        verify_construction(state, 1)
+    failed = verify_construction(tamper(state, 1, "p"), 1).failed()
+    assert [c.detail for c in failed if "brute force" in c.name] == [
+        "inconclusive: comparison inconclusive"]
+
+
+def test_verifier_still_raises_on_an_undecided_valid_transcript(monkeypatch):
+    """On a structurally valid transcript an inconclusive comparison raises
+    PrecisionError: only a failed structural check turns it into a failure."""
+    state = const33(2)
+    wide = CertifiedVector(state.theta.coords, F(1, 10**6))
+    monkeypatch.setattr(ConstructionState, "refined_theta", lambda self: wide)
+    with pytest.raises(PrecisionError, match="inconclusive"):
+        verify_construction(state, 0)
 
 
 def test_transcript_rejects_inconsistent_norms():

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from shrinktarget import _scan
-from shrinktarget._scan import (_BLOCK, DEFAULT_BUDGET, _margin, _Multipliers,
+from shrinktarget._scan import (_BLOCK, _RAMP, DEFAULT_BUDGET, _margin, _Multipliers,
                                 all_greater_than_baseline, linear_min,
                                 linear_records, scan_data, simultaneous_scan)
 from shrinktarget.errors import PrecisionError, ResourceError
@@ -324,6 +324,41 @@ def test_filter_hits_are_the_multipliers_within_the_limit(den, dim, q_max, limit
     assert all(n == min(q0, _BLOCK, q_max + 1 - q0) for q0, n in blocks)
     q0, n = data.draw(st.sampled_from(blocks))
     idx, a = mult.hits(q0, n, limit)
+    values = [_filter_value(nums, den, q0 + i) for i in range(n)]
+    assert idx.tolist() == [i for i, v in enumerate(values) if v <= limit]
+    assert a.tolist() == [values[i] for i in idx.tolist()]
+
+
+@settings(deadline=None, max_examples=150)
+@given(DENS, st.integers(1, 3),
+       st.sampled_from([_RAMP - 1, _RAMP, _RAMP + 1, 2 * _RAMP + 3, 4 * _RAMP,
+                        2 * _BLOCK + 5]),
+       st.sampled_from(["drawn", "edge", "wrap"]), LIMITS, st.data())
+def test_ramp_index_hits_match_the_filter_values(den, dim, q_max, kind, limit, data):
+    """_Multipliers.hits against a_q from Python ints, where the sorted ramp
+    matters: q_max around one and a few copies of it (2 * _BLOCK + 5 has a
+    full block of four), denominators up to _RAMP (the ramp repeats and its
+    keys tie), near 2^63 and 2^64 and beyond.  In the widest blocks an
+    "edge" limit puts a survivor's first coordinate on an end of its range,
+    and a "wrap" limit makes the range of a survivor's copy cross 2^64."""
+    rnd = data.draw(st.randoms(use_true_random=True))
+    nums = [rnd.randrange(den) for _ in range(dim)]
+    blocks = list(_Multipliers(nums, den, q_max).blocks())
+    if kind != "drawn":
+        blocks = sorted(blocks, key=lambda b: b[1])[-2:]
+    q0, n = data.draw(st.sampled_from(blocks))
+    if kind == "edge":
+        # q's largest coordinate first, and the limit at its value
+        q = q0 + data.draw(st.integers(0, n - 1))
+        nums.sort(key=lambda p: -_filter_value([p], den, q))
+        limit = _filter_value(nums, den, q)
+    elif kind == "wrap":
+        # the first multiplier q of a copy, with q*P_1 within the limit of 0
+        q = q0 + data.draw(st.integers(0, (n - 1) // _RAMP)) * _RAMP
+        nums[0] = den * data.draw(st.integers(1, q)) // q % den
+        near = _filter_value(nums[:1], den, q) + limit % (1 << 40)
+        limit = min(max(near, _filter_value(nums, den, q)), 2**63 - 1)
+    idx, a = _Multipliers(nums, den, q_max).hits(q0, n, limit)
     values = [_filter_value(nums, den, q0 + i) for i in range(n)]
     assert idx.tolist() == [i for i, v in enumerate(values) if v <= limit]
     assert a.tolist() == [values[i] for i in idx.tolist()]
