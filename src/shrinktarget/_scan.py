@@ -54,7 +54,10 @@ fast margin is conclusively greater, so the block only needs the cells with
 a(s) <= ceil((record + fast) * 2^64 / D) + E.  Ties: a minimum's witness is
 the lexicographically first minimizer of the whole box; a record is set by
 the first shell that improves on the last one, with its lexicographically
-first minimizer, and a later shell with an equal minimum sets none.
+first minimizer, and a later shell with an equal minimum sets none.  With a
+radius, after each shell's record decision every other cell of the shell
+within the fast margin of the record in force is ordered against it, as
+linear_min orders the cells near its witness.
 
 Certified bookkeeping: with a coordinate radius r, the distance attached to
 multiplier q carries radius q*r (the lattice distance is 1-Lipschitz), and a
@@ -357,6 +360,16 @@ def _l1(pt) -> int:
     return sum(abs(c) for c in pt)
 
 
+def _order_cells(dist_a: int, pt_a, dist_b: int, pt_b, den: int, r: Fraction) -> Verdict:
+    """Certified order of <pt_a, theta> against <pt_b, theta>; PrecisionError
+    when it is inconclusive."""
+    v = _order(dist_a, _l1(pt_a), dist_b, _l1(pt_b), den, r)
+    if v is Verdict.INCONCLUSIVE:
+        raise PrecisionError(
+            f"cannot order <{pt_a},theta> against <{pt_b},theta> at radius {r}")
+    return v
+
+
 def linear_min(theta: CertifiedVector, h: int, *, budget: int = DEFAULT_BUDGET):
     """Certified min of |<delta, theta>| over nonzero |delta|_sup <= h.
 
@@ -383,12 +396,8 @@ def linear_min(theta: CertifiedVector, h: int, *, budget: int = DEFAULT_BUDGET):
         for cells, dist in box.scan(lim + _fp_up(fast, den)):
             for i in np.flatnonzero(dist <= best + fast).tolist():
                 pt = tuple(cells[i].tolist())
-                if pt == witness:
-                    continue
-                v = _order(int(dist[i]), _l1(pt), best, _l1(witness), den, r)
-                if v is Verdict.INCONCLUSIVE:
-                    raise PrecisionError(
-                        f"cannot order <{pt},theta> against <{witness},theta> at radius {r}")
+                if pt != witness:
+                    _order_cells(int(dist[i]), pt, best, witness, den, r)
     return CertifiedScalar(Fraction(best, den), _l1(witness) * r), witness
 
 
@@ -416,32 +425,41 @@ def linear_records(theta: CertifiedVector, h_max: int, *, budget: int = DEFAULT_
         box = _LinearBox(nums, den, hi)
         limit = 1 << 63 if best_d is None else _fp_up(best_d + fast, den) + box.E
         shells = {}
+        kept = []
         for cells, dist in box.scan(limit):
             norm = np.abs(cells).max(axis=1)
             keep = norm > lo
             if best_d is not None:
                 keep &= dist <= best_d + fast
             norm, cells, dist = norm[keep], cells[keep], dist[keep]
+            if not exact:
+                kept.append((norm, cells, dist))
             idx = np.lexsort((dist, norm))  # stable: lexicographic among ties
             for i in idx[np.flatnonzero(np.diff(norm[idx], prepend=-1))].tolist():
                 s = int(norm[i])
                 if s not in shells or dist[i] < shells[s][0]:
                     shells[s] = (int(dist[i]), tuple(cells[i].tolist()))
+        if kept:  # only with a radius
+            k_norm, k_cells, k_dist = (np.concatenate(a) for a in zip(*kept))
         for s in sorted(shells):
             sh_best, sh_pt = shells[s]
             if best_d is None:
                 best_d, best_pt = sh_best, sh_pt
                 out.append((s, sh_pt, sh_best))
-            else:
-                v = _order(sh_best, _l1(sh_pt), best_d, _l1(best_pt), den, r)
-                if v is Verdict.INCONCLUSIVE:
-                    raise PrecisionError(
-                        f"cannot order <{sh_pt},theta> against <{best_pt},theta> at radius {r}")
-                if v is Verdict.LESS:
-                    best_d, best_pt = sh_best, sh_pt
-                    out.append((s, sh_pt, sh_best))
+            elif _order_cells(sh_best, sh_pt, best_d, best_pt, den, r) is Verdict.LESS:
+                best_d, best_pt = sh_best, sh_pt
+                out.append((s, sh_pt, sh_best))
             if best_d == 0 and exact:
                 return out, den, True
+            if exact:
+                continue
+            # every other cell of the shell within the fast margin of the
+            # record in force may reach below the record's enclosure: order
+            # each against it, in lexicographic order
+            for i in np.flatnonzero((k_norm == s) & (k_dist <= best_d + fast)).tolist():
+                pt = tuple(k_cells[i].tolist())
+                if pt != best_pt:
+                    _order_cells(int(k_dist[i]), pt, best_d, best_pt, den, r)
         lo = hi
     return out, den, False
 

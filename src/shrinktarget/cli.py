@@ -1,5 +1,8 @@
 """Command-line front end: structured configs in, CSV/JSON artifacts out.
 
+Usage: ``shrinktarget <command> --config <file> [--out <dir>]``.  Every run
+is one process, and its artifacts depend only on its config.
+
 Config format: UTF-8 text, one ``key=value`` pair per line; blank lines and
 ``#`` comments are ignored.  Parsing is strict (unknown or duplicate keys are
 rejected with a line/column diagnostic) and exact (decimal values become
@@ -32,8 +35,8 @@ from pathlib import Path
 
 from . import __version__, bestapprox, criteria
 from ._scan import DEFAULT_BUDGET
-from .construct import (DEFAULT_SCAN_CAP, ConstructionState, build_theta,
-                        minimal_heights, verify_construction)
+from .construct import (ConstructionState, build_theta, minimal_heights,
+                        verify_construction)
 from .errors import ConfigError, DomainError, exit_code_for
 from .exact import CertifiedVector, _dec, rational
 from .orbit import (OrbitConfig, bc_window_estimate, hit_census,
@@ -110,8 +113,6 @@ def _p_str(raw, where):
     return raw
 
 
-_COMMANDS = ("approx", "criteria", "construct", "simulate", "transfer", "verify")
-
 # key -> (parser, required) per command
 _SCHEMAS: dict[str, dict[str, tuple]] = {
     "approx": {
@@ -138,7 +139,6 @@ _SCHEMAS: dict[str, dict[str, tuple]] = {
         "h0": (_p_seq, True),
         "steps": (_p_int, True),
         "verify": (_p_flag, False),
-        "scan_cap": (_p_int, False),
     },
     "simulate": {
         "theta": (_p_vector, False),
@@ -162,9 +162,9 @@ _SCHEMAS: dict[str, dict[str, tuple]] = {
     "verify": {
         "transcript": (_p_str, True),
         "bruteforce_depth": (_p_int, False),
-        "scan_cap": (_p_int, False),
     },
 }
+_COMMANDS = tuple(_SCHEMAS)
 
 
 class RunConfig:
@@ -451,8 +451,7 @@ def _run_construct(config: RunConfig, out: Path) -> list[Path]:
     })
     outputs.append(theta_path)
     if config.get("verify", True):
-        report = verify_construction(
-            state, scan_cap=config.get("scan_cap", DEFAULT_SCAN_CAP))
+        report = verify_construction(state)
         report_path = out / "verify_report.txt"
         report_path.write_text("\n".join(report.to_lines()) + "\n")
         outputs.append(report_path)
@@ -519,8 +518,7 @@ def _run_transfer(config: RunConfig, out: Path) -> list[Path]:
 def _run_verify(config: RunConfig, out: Path) -> list[Path]:
     state = ConstructionState.from_text(
         Path(config.require("transcript")).read_text())
-    report = verify_construction(state, config.get("bruteforce_depth"),
-                                 scan_cap=config.get("scan_cap", DEFAULT_SCAN_CAP))
+    report = verify_construction(state, config.get("bruteforce_depth"))
     path = out / "verify_report.txt"
     path.write_text("\n".join(report.to_lines()) + "\n")
     if not report.ok:
@@ -539,14 +537,8 @@ _RUNNERS = {
 }
 
 
-def run(config: RunConfig, out_dir=".", threads: int = 1) -> list[Path]:
-    """Execute a parsed config; returns the artifact paths (manifest last).
-
-    `threads` is only recorded in the manifest: every run is
-    single-process, so results are independent of it.
-    """
-    if threads < 1:
-        raise DomainError("threads must be >= 1")
+def run(config: RunConfig, out_dir=".") -> list[Path]:
+    """Execute a parsed config; returns the artifact paths (manifest last)."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     started = time.time()
@@ -557,7 +549,6 @@ def run(config: RunConfig, out_dir=".", threads: int = 1) -> list[Path]:
         "version": __version__,
         "command": config.command,
         "config": config.raw,
-        "threads": threads,
         "elapsed_s": round(time.time() - started, 3),
         "outputs": [p.name for p in outputs],
     })
@@ -572,8 +563,6 @@ def main(argv=None) -> int:
     parser.add_argument("command", choices=_COMMANDS)
     parser.add_argument("--config", required=True, help="key=value config file")
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="recorded in the manifest only; runs are single-process")
     args = parser.parse_args(argv)
     try:
         text = Path(args.config).read_text()
@@ -587,7 +576,7 @@ def main(argv=None) -> int:
             raise ConfigError(
                 f"config file says command={config.command!r} but the "
                 f"command line says {args.command!r}")
-        run(config, args.out, args.threads)
+        run(config, args.out)
         return 0
     except Exception as exc:  # noqa: BLE001 -- every failure maps to a code
         code = exit_code_for(exc)

@@ -35,7 +35,7 @@ from .roots import iroot
 _GAP_RATIO = Fraction(1, 2 ** 18 * 3 ** 3)
 
 # verify_construction brute-forces level n only while q_{n+1} <= this cap
-DEFAULT_SCAN_CAP = 2 * 10 ** 7
+_SCAN_CAP = 2 * 10 ** 7
 
 TRANSCRIPT_HEADER = "# shrinktarget transcript v1"
 
@@ -414,16 +414,15 @@ def _form_value_abs(delta: LatticePoint3, theta: CertifiedVector) -> CertifiedSc
 
 
 def verify_construction(state: ConstructionState,
-                        depth_bruteforce: int | None = None, *,
-                        scan_cap: int = DEFAULT_SCAN_CAP) -> VerifyReport:
+                        depth_bruteforce: int | None = None) -> VerifyReport:
     """Re-check the construction: structural identities in exact integer
     arithmetic, the certified enclosures, and (brute force) the
     no-better-approximation property below each scanned level.
 
-    depth_bruteforce = None scans every level n with q_{n+1} <= scan_cap;
-    an explicit depth requests levels n < depth_bruteforce, and levels whose
-    scan exceeds the default scan budget (_scan.DEFAULT_BUDGET multipliers)
-    are reported as skipped rather than attempted.
+    depth_bruteforce = None scans every level n with q_{n+1} <= _SCAN_CAP
+    (2*10^7); an explicit depth requests levels n < depth_bruteforce, and
+    levels whose scan exceeds the default scan budget (_scan.DEFAULT_BUDGET
+    multipliers) are reported as skipped rather than attempted.
 
     All certified checks use the refined recentering of theta, whose radius
     is small enough to decide every enclosure at every transcript level; an
@@ -533,7 +532,7 @@ def verify_construction(state: ConstructionState,
     for n in levels:
         q_hi = steps[n + 1].q
         scope = f"level {n}: q < {q_hi}"
-        if depth_bruteforce is None and q_hi > scan_cap:
+        if depth_bruteforce is None and q_hi > _SCAN_CAP:
             continue
         if q_hi - 1 > budget:
             add("no better approximation below q_{n+1} (brute force)", scope,

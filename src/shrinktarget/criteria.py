@@ -4,9 +4,9 @@ Each series evaluator returns a SeriesReport carrying certified term
 enclosures and running partial sums; no convergence of an infinite series is
 ever asserted from finitely many terms, the verdict strings are descriptive.
 
-Fractional powers are certified root enclosures (default relative tolerance
-2^-64).  Wherever the exponent tower allows it, a term is rewritten as a
-single k-th root of a rational -- e.g. the weighted-error term
+Fractional powers are certified root enclosures (relative tolerance 2^-64).
+Wherever the exponent tower allows it, a term is rewritten as a single k-th
+root of a rational -- e.g. the weighted-error term
 k^-1 (k^delta eps)^(1/(delta+1)) collapses to (eps/k)^(1/(delta+1)) -- so one
 enclosure per term suffices.  That root is taken over the exact endpoints
 lo <= hi of the certified error, scaled by the term's positive factor: no
@@ -28,12 +28,10 @@ from .exact import (CertifiedScalar, Verdict, as_vector, certified_dist_nearest_
                     certified_form_dist, rational)
 from .roots import pow_enclosure
 
-DEFAULT_REL_BITS = 64
 
-
-def _power(lo: Fraction, hi: Fraction, num: int, den: int, rel_bits: int) -> CertifiedScalar:
+def _power(lo: Fraction, hi: Fraction, num: int, den: int) -> CertifiedScalar:
     """[lo, hi]^(num/den) from one `pow_enclosure` call."""
-    return CertifiedScalar.from_bounds(*pow_enclosure(lo, hi, num, den, rel_bits=rel_bits))
+    return CertifiedScalar.from_bounds(*pow_enclosure(lo, hi, num, den))
 
 
 def _sup_norm(vec) -> int:
@@ -52,7 +50,6 @@ class SeriesReport:
     label: str
     terms: tuple[tuple[int, CertifiedScalar], ...]  # (index n, term value)
     partial_sums: tuple[CertifiedScalar, ...]
-    tail_estimate: CertifiedScalar
     verdict: str
 
     def window_sum(self, lo: int, hi: int) -> CertifiedScalar:
@@ -64,17 +61,13 @@ class SeriesReport:
 
 
 def _assemble(label: str, terms: list[tuple[int, CertifiedScalar]]) -> SeriesReport:
-    values = [t for _n, t in terms]
-    sums = tuple(accumulate(values))
-    # the tail is the last fifth of the terms (at least one)
-    tail = sum(values[-max(1, len(values) // 5):], CertifiedScalar.exact(0))
+    sums = tuple(accumulate(t for _n, t in terms))
     verdict = (f"partial sums up to {len(terms)} terms; no convergence claim"
                if terms else "empty report")
-    return SeriesReport(label, tuple(terms), sums, tail, verdict)
+    return SeriesReport(label, tuple(terms), sums, verdict)
 
 
-def series_thm5(theta, x_seq, n_terms: int, *,
-                rel_bits: int = DEFAULT_REL_BITS) -> SeriesReport:
+def series_thm5(theta, x_seq, n_terms: int) -> SeriesReport:
     """Terms (|X_{n+1}|^d * |<X_n, theta>|_Z)^(1/(d+1)) for n = 0..n_terms-1.
 
     x_seq must hold at least n_terms+1 integer vectors of strictly
@@ -98,12 +91,11 @@ def series_thm5(theta, x_seq, n_terms: int, *,
             raise DegenerateInputError(
                 f"<X_{n}, theta> is exactly an integer; the series degenerates")
         m = norms[n + 1] ** d
-        terms.append((n, _power(eps.lo * m, eps.hi * m, 1, d + 1, rel_bits)))
+        terms.append((n, _power(eps.lo * m, eps.hi * m, 1, d + 1)))
     return _assemble("vector-sequence series", terms)
 
 
-def series_lemma22(theta, k_max: int, delta, *,
-                   rel_bits: int = DEFAULT_REL_BITS) -> SeriesReport:
+def series_lemma22(theta, k_max: int, delta) -> SeriesReport:
     """Terms k^-1 (k^delta eps_l(k))^(1/(delta+1)) for k = 1..k_max.
 
     delta >= 1 (delta = d recovers the harmonic form of the dyadic
@@ -122,12 +114,11 @@ def series_lemma22(theta, k_max: int, delta, *,
     terms = []
     for k in range(1, k_max + 1):
         eps = prof.value(k)
-        terms.append((k, _power(eps.lo / k, eps.hi / k, q, p + q, rel_bits)))
+        terms.append((k, _power(eps.lo / k, eps.hi / k, q, p + q)))
     return _assemble(f"harmonic weighted-error series (delta={delta})", terms)
 
 
-def dyadic_condition_iii(theta, n_max: int, *,
-                         rel_bits: int = DEFAULT_REL_BITS) -> SeriesReport:
+def dyadic_condition_iii(theta, n_max: int) -> SeriesReport:
     """Terms (2^(n d) eps_l(2^n))^(1/(d+1)) for n = 0..n_max-1."""
     theta = as_vector(theta)
     d = theta.dim
@@ -139,12 +130,11 @@ def dyadic_condition_iii(theta, n_max: int, *,
         for n in range(n_max):
             eps = prof.value(2 ** n)
             m = 2 ** (n * d)
-            terms.append((n, _power(eps.lo * m, eps.hi * m, 1, d + 1, rel_bits)))
+            terms.append((n, _power(eps.lo * m, eps.hi * m, 1, d + 1)))
     return _assemble("dyadic weighted-error series", terms)
 
 
-def series_prop32(theta, q_seq, n_terms: int, *,
-                  rel_bits: int = DEFAULT_REL_BITS) -> SeriesReport:
+def series_prop32(theta, q_seq, n_terms: int) -> SeriesReport:
     """Terms (q_n^(1/d) |q_{n-1} theta|_Z)^(1/(d+1)) for n = 1..n_terms.
 
     Rewritten as (q_n * eps^d)^(1/(d(d+1))) so a single root enclosure per
@@ -170,7 +160,7 @@ def series_prop32(theta, q_seq, n_terms: int, *,
         if (lo := eps.lo) < 0:
             raise DomainError("invalid base interval")
         q = q_seq[n]
-        terms.append((n, _power(lo ** d * q, eps.hi ** d * q, 1, d * (d + 1), rel_bits)))
+        terms.append((n, _power(lo ** d * q, eps.hi ** d * q, 1, d * (d + 1))))
     return _assemble("simultaneous-denominator series", terms)
 
 
@@ -253,8 +243,7 @@ def _evidence(mode, kind, tau, samples) -> TypeEvidence:
     return TypeEvidence(mode, kind, tau, tuple(samples), run_inf, tail_sup)
 
 
-def type_evidence(theta, tau, mode: str, depth: int, *,
-                  rel_bits: int = DEFAULT_REL_BITS) -> tuple[TypeEvidence, TypeEvidence]:
+def type_evidence(theta, tau, mode: str, depth: int) -> tuple[TypeEvidence, TypeEvidence]:
     """Scaled record sequences for Diophantine-type evidence.
 
     Returns (limsup_evidence, liminf_evidence) over the first `depth`
@@ -288,8 +277,7 @@ def type_evidence(theta, tau, mode: str, depth: int, *,
         value = records[n].value
         for kind, height in (("limsup", records[n + 1].height),
                              ("liminf", records[n].height)):
-            scaled = _power(Fraction(height), Fraction(height), exp_num, exp_den,
-                            rel_bits) * value
+            scaled = _power(Fraction(height), Fraction(height), exp_num, exp_den) * value
             (limsup_samples if kind == "limsup" else liminf_samples).append((n, scaled))
     return (_evidence(mode, "limsup", tau, limsup_samples),
             _evidence(mode, "liminf", tau, liminf_samples))
@@ -335,8 +323,7 @@ class WindowBound:
         return start, end
 
 
-def window_bound(theta, x_seq, delta, n: int, *,
-                 rel_bits: int = DEFAULT_REL_BITS) -> WindowBound:
+def window_bound(theta, x_seq, delta, n: int) -> WindowBound:
     """Window boundaries L_n = (|X_n|/eps_{n-1})^(delta/(delta+1)) and the
     measure bound 2(L_{n+1} eps_n + d L_n^(-1/delta) |X_n|).
 
@@ -363,11 +350,11 @@ def window_bound(theta, x_seq, delta, n: int, *,
             raise PrecisionError(
                 f"form distance at step {idx - 1} not conclusively positive")
         norm = Fraction(_sup_norm(x_seq[idx]))
-        return _power(norm / eps.hi, norm / eps.lo, p, p + q, rel_bits), eps, norm
+        return _power(norm / eps.hi, norm / eps.lo, p, p + q), eps, norm
 
     l_n, eps_prev, norm_n = window_edge(n)
     l_next, eps_n, _ = window_edge(n + 1)
     # L_n^(-1/delta) = (eps_{n-1}/|X_n|)^(1/(delta+1))
-    inv_root = _power(eps_prev.lo / norm_n, eps_prev.hi / norm_n, q, p + q, rel_bits)
+    inv_root = _power(eps_prev.lo / norm_n, eps_prev.hi / norm_n, q, p + q)
     bound = 2 * (l_next * eps_n + inv_root * (d * norm_n))
     return WindowBound(n, delta, l_n, l_next, bound)

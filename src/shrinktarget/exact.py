@@ -21,7 +21,6 @@ from typing import Iterable, Sequence
 from .errors import DomainError, PrecisionError
 
 __all__ = [
-    "ExactRational",
     "rational",
     "Verdict",
     "CertifiedScalar",
@@ -36,15 +35,13 @@ __all__ = [
     "certified_dist_nearest_lattice",
 ]
 
-# Exact rationals are plain fractions.Fraction values: always reduced, with a
-# positive denominator, and hashable -- exactly the canonical-form contract.
-ExactRational = Fraction
-
 
 def rational(x) -> Fraction:
     """Coerce ints, fractions and strings ("3/7", "0.125") to an exact rational.
 
-    Decimal strings parse exactly (no binary float ever intervenes).
+    Exact rationals are plain Fraction values: always reduced, with a positive
+    denominator, and hashable.  Decimal strings parse exactly (no binary float
+    ever intervenes).
     """
     if isinstance(x, Fraction):
         return x
@@ -85,10 +82,6 @@ class Verdict(Enum):
     EQUAL = 0
     GREATER = 1
     INCONCLUSIVE = 2
-
-    @property
-    def conclusive(self) -> bool:
-        return self is not Verdict.INCONCLUSIVE
 
 
 @dataclass(frozen=True, slots=True, init=False)

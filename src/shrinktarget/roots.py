@@ -80,10 +80,11 @@ def nth_root_enclosure(x, k: int, rel_bits: int = 64) -> tuple[Fraction, Fractio
         m += rel_bits - t.bit_length() + 2
 
 
-def pow_enclosure(lo, hi, num: int, den: int, rel_bits: int = 64) -> tuple[Fraction, Fraction]:
+def pow_enclosure(lo, hi, num: int, den: int) -> tuple[Fraction, Fraction]:
     """Enclosure of t**(num/den) over t in [lo, hi]; needs lo >= 0, den >= 1.
 
-    num may be negative (then lo must be > 0).
+    num may be negative (then lo must be > 0).  Each end comes from one
+    nth_root_enclosure of relative width 2^-64.
     """
     lo, hi = rational(lo), rational(hi)
     if den < 1:
@@ -99,10 +100,10 @@ def pow_enclosure(lo, hi, num: int, den: int, rel_bits: int = 64) -> tuple[Fract
         return Fraction(1), Fraction(1)
     g = math.gcd(num, den)
     num, den = num // g, den // g
-    a = nth_root_enclosure(lo**num, den, rel_bits)
+    a = nth_root_enclosure(lo**num, den)
     if hi == lo:  # a point: one enclosure gives both ends
         return a
-    return a[0], nth_root_enclosure(hi**num, den, rel_bits)[1]
+    return a[0], nth_root_enclosure(hi**num, den)[1]
 
 
 def log2_enclosure(x, frac_bits: int = 32) -> tuple[Fraction, Fraction]:

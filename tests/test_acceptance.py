@@ -117,17 +117,17 @@ def test_03_transfer_inequality_never_violated():
 def test_04_construction_invariants_and_bruteforce_scan(bounded_state):
     """The depth-6 bounded build passes every structural and certified
     check; the no-better-approximation brute force passes for every level
-    within the scan cap (and at least one level is actually scanned once
-    the cap admits q_1)."""
+    within the verifier's scan cap, and level 0 passes when it is asked for
+    through an explicit depth."""
     started = time.time()
     report = verify_construction(bounded_state)
     assert report.ok, [c.name for c in report.failed()]
-    # all q_{n+1} of this build except q_1 exceed the default 2e7 cap, and
+    # all q_{n+1} of this build except q_1 exceed the verifier's 2e7 cap, and
     # q_1 misses it by 3.5%: the default scan list is empty (vacuous pass)
     assert bounded_state.denominators[1] > 2 * 10 ** 7
-    raised = verify_construction(bounded_state, scan_cap=21 * 10 ** 6)
-    assert raised.ok, [c.name for c in raised.failed()]
-    scanned = [c for c in raised.checks
+    level0 = verify_construction(bounded_state, 1)
+    assert level0.ok, [c.name for c in level0.failed()]
+    scanned = [c for c in level0.checks
                if "brute force" in c.name and c.passed is not None]
     assert len(scanned) >= 1
     assert time.time() - started < 120
@@ -177,7 +177,7 @@ def test_07_coupled_continued_fraction_growth_table():
 def test_08_harmonic_and_dyadic_sums_bracket_each_other():
     """On 20 seeded exact vectors (d = 1, 2) the harmonic-form partial sums
     and the dyadic-block partial sums control each other with the constants
-    2^(d/(d+1)) and 2^-(1+d/(d+1)) (terms certified to 2^-48)."""
+    2^(d/(d+1)) and 2^-(1+d/(d+1)) (terms certified to 2^-64)."""
     rng = random.Random(4242)
     blocks = 5
     for dim in (1, 2):
@@ -185,7 +185,7 @@ def test_08_harmonic_and_dyadic_sums_bracket_each_other():
         for _ in range(10):
             theta = seeded_vector(rng, dim, den_lo=50, den_hi=2000)
             s_iv = series_partial(theta, blocks, dim)
-            iii = criteria.dyadic_condition_iii(theta, blocks + 1, rel_bits=48)
+            iii = criteria.dyadic_condition_iii(theta, blocks + 1)
             s_iii = iii.partial_sums[blocks - 1]                # blocks 0..N-1
             s_shift = iii.partial_sums[-1] - iii.terms[0][1]    # blocks 1..N
             assert s_iv.lo <= c_hi * s_iii.hi, theta.coords
@@ -193,8 +193,7 @@ def test_08_harmonic_and_dyadic_sums_bracket_each_other():
 
 
 def series_partial(theta, blocks, dim):
-    report = criteria.series_lemma22(theta, 2 ** blocks - 1, F(dim),
-                                     rel_bits=48)
+    report = criteria.series_lemma22(theta, 2 ** blocks - 1, F(dim))
     return report.partial_sums[-1]
 
 

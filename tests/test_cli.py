@@ -2,7 +2,9 @@
 
 import csv
 import json
+import re
 from fractions import Fraction as F
+from pathlib import Path
 from textwrap import dedent
 
 import pytest
@@ -219,7 +221,6 @@ def test_main_approx_writes_artifacts_and_manifest(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["tool"] == "shrinktarget"
     assert manifest["command"] == "approx"
-    assert manifest["threads"] == 1
     assert sorted(manifest["outputs"]) == ["approx.csv", "approx.dat"]
     assert manifest["config"]["theta"] == "2/7, 3/11"
 
@@ -331,15 +332,41 @@ def test_main_samples_bound_exit_4(tmp_path):
     assert err["error"] == "ResourceError" and "samples" in err["message"]
 
 
-def test_run_rejects_bad_thread_count(tmp_path):
-    config = parse("""\
+def test_removed_options_are_rejected(tmp_path):
+    """The verifier's scan cap is no config key, and the command line has no
+    --threads flag: both are refused with exit code 2."""
+    cfg = write_config(tmp_path, """\
+        command=verify
+        transcript=t.txt
+        scan_cap=5
+    """)
+    with pytest.raises(ConfigError, match=r"line 3, col 1: unknown key 'scan_cap'"):
+        cli.parse_config(Path(cfg).read_text())
+    out = tmp_path / "out"
+    assert cli.main(["verify", "--config", cfg, "--out", str(out)]) == 2
+    assert json.loads((out / "error.json").read_text())["error"] == "ConfigError"
+    cfg = write_config(tmp_path, """\
         command=approx
         theta=1/3
         limit=4
     """)
-    from shrinktarget.errors import DomainError
-    with pytest.raises(DomainError, match="threads"):
-        cli.run(config, tmp_path, threads=0)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["approx", "--config", cfg, "--out", str(out), "--threads", "2"])
+    assert exc.value.code == 2
+
+
+def test_readme_key_table_matches_the_schemas():
+    """Each row of README's per-command key table names exactly the config
+    keys of its command.  A parenthesised slash list after a key gives that
+    key's values, not keys."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = {}
+    for line in readme.splitlines():
+        m = re.fullmatch(r"\| `(\w+)` \| (.*) \|", line)
+        if m and m[1] in cli._SCHEMAS:
+            keys = re.sub(r"\((`[^`]+`/)+`[^`]+`\)", "", m[2])
+            rows[m[1]] = set(re.findall(r"`([^`]+)`", keys))
+    assert rows == {cmd: set(schema) for cmd, schema in cli._SCHEMAS.items()}
 
 
 # ---------------------------------------------------------------------------

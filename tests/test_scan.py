@@ -20,6 +20,7 @@ from shrinktarget import _scan
 from shrinktarget._scan import (_BLOCK, _RAMP, DEFAULT_BUDGET, _margin, _Multipliers,
                                 all_greater_than_baseline, linear_min,
                                 linear_records, scan_data, simultaneous_scan)
+from shrinktarget.bestapprox import best_linear, linear_error
 from shrinktarget.errors import PrecisionError, ResourceError
 from shrinktarget.exact import (CertifiedScalar, CertifiedVector, Verdict,
                                 dist_nearest_int, dist_nearest_lattice)
@@ -537,11 +538,16 @@ def oracle_linear_min(theta, h):
 
 def oracle_linear_records(theta, h_max):
     """linear_records as a walk over every shell: the shell's
-    lexicographically first minimizer ordered against the running record."""
+    lexicographically first minimizer ordered against the running record,
+    then, with a radius, every other cell of the shell within the fast
+    margin of the record in force ordered against it, in lexicographic
+    order."""
     nums, den, r = scan_data(theta)
+    fast = _margin(r, den, 2 * theta.dim * h_max)
     out, best_d, best_pt = [], None, None
     for s, pts in canonical_shells(h_max, theta.dim):
-        sh_best, sh_pt = min((_form_dist(nums, den, pt), pt) for pt in pts)
+        dists = [(_form_dist(nums, den, pt), pt) for pt in pts]
+        sh_best, sh_pt = min(dists)
         if best_d is None:
             best_d, best_pt = sh_best, sh_pt
             out.append((s, sh_pt, sh_best))
@@ -555,6 +561,11 @@ def oracle_linear_records(theta, h_max):
                 out.append((s, sh_pt, sh_best))
         if best_d == 0 and r == 0:
             return out, den, True
+        for dd, pt in dists:
+            if r != 0 and dd <= best_d + fast and pt != best_pt:
+                if _verdict(dd, _l1(pt), best_d, _l1(best_pt), den, r) is Verdict.INCONCLUSIVE:
+                    raise PrecisionError(
+                        f"cannot order <{pt},theta> against <{best_pt},theta> at radius {r}")
     return out, den, False
 
 
@@ -601,6 +612,60 @@ def test_linear_min_matches_oracle(case):
 def test_linear_records_matches_oracle(case):
     theta, h = case
     assert outcome(linear_records, theta, h) == outcome(oracle_linear_records, theta, h)
+
+
+def test_linear_records_order_every_cell_near_the_record():
+    """theta = (1/10, 4/5 - 10^-6) with radius 10^-5: shell 1 has its minimum
+    at (1, 0), and (1, 1) is within the radius of it.  At theta + (r, r),
+    inside the ball, (1, 1) gives 99981/10^6, below the lower end 9999/10^5
+    of the (1, 0) enclosure, so no scan may certify that record."""
+    theta = CertifiedVector((F(1, 10), F(4, 5) - F(1, 10**6)), F(1, 10**5))
+    text = f"cannot order <(1, 1),theta> against <(1, 0),theta> at radius {F(1, 10**5)}"
+    for scan in (linear_records, oracle_linear_records, best_linear, linear_error):
+        with pytest.raises(PrecisionError) as exc:
+            scan(theta, 1)
+        assert str(exc.value) == text
+
+
+@st.composite
+def _corner_case(draw):
+    """(theta, h): d = 2, 3 on denominators up to 2^20, with a radius of
+    k/(den*m): from 64 units of 1/den, where most shells have a cell within
+    the radius of their minimum, down to far below one unit."""
+    dim = draw(st.sampled_from([2, 3]))
+    h = draw(st.integers(1, 8 if dim == 2 else 3))
+    den = draw(st.one_of(st.integers(2, 300), st.integers(2, 2**20)))
+    nums = draw(st.lists(st.integers(0, den - 1), min_size=dim, max_size=dim))
+    radius = F(draw(st.integers(1, 64)), den * draw(st.integers(1, 2**12)))
+    return CertifiedVector([F(p, den) for p in nums], radius), h
+
+
+@settings(deadline=None, max_examples=200)
+@given(_corner_case())
+def test_linear_records_hold_at_every_corner(case):
+    """Every theta' within the radius lies in the certified records: at each
+    corner theta + r*sigma, sigma in {-1, 1}^d, the exact minimum of
+    |<delta, theta'>|_Z over the box of radius s is at least the lower end of
+    the record in force at s."""
+    theta, h = case
+    try:
+        recs, den, _zero = linear_records(theta, h)
+    except PrecisionError:
+        return
+    r = theta.radius
+    floors = {}  # s -> lower end of the record in force at s
+    for s in range(1, h + 1):
+        for height, pt, dist in recs:
+            if height <= s:
+                floors[s] = F(dist, den) - _l1(pt) * r
+    for sigma in itertools.product((-1, 1), repeat=theta.dim):
+        corner = [c + r * e for c, e in zip(theta.coords, sigma)]
+        least = None
+        for s, pts in canonical_shells(h, theta.dim):
+            shell = min(dist_nearest_int(sum(c * t for c, t in zip(pt, corner)))
+                        for pt in pts)
+            least = shell if least is None else min(least, shell)
+            assert least >= floors[s], (sigma, s)
 
 
 def test_linear_ties_pick_lexicographic_first():
