@@ -42,10 +42,12 @@ D(s) = min(g, D - g) for g = <s, p> mod D.  The same filter puts cell s at
 the wrapping position sum s_i*P_i with |a(s) - 2^64 * D(s) / D| <= E := d*h.
 The positions of the tails (s_2, ..., s_d) are sorted once; head s_1 >= 1
 then finds its nearest cells by np.searchsorted around -s_1*P_1 on the circle,
-and s_1 = 0 takes the canonical tails alone.  A minimum: the least filter
-distance a_min is within E of 2^64 * min D / D, so every exact minimizer has
-a(s) <= a_min + 2E, and every cell within the fast margin of it has a(s) <=
-a_min + 2E + ceil(fast * 2^64 / D); these candidates come from two range
+and s_1 = 0 takes the canonical tails alone.  A minimum: by the box
+principle two of the (h+1)^d cells of {0..h}^d have values within
+1/(h+1)^d on the circle, and their difference is a nonzero cell of the box,
+so min D(s) / D <= 1/(h+1)^d and every exact minimizer has a(s) <= L :=
+floor(2^64 / (h+1)^d) + E; every cell within the fast margin of it has
+a(s) <= L + ceil(fast * 2^64 / D).  These candidates come from two range
 queries per head, are put back in lexicographic order, get their exact D,
 and the witness is the lexicographically first minimizer.  Records run
 shells in doubling blocks (H/2, H]: the running record is the minimum over
@@ -296,15 +298,6 @@ class _LinearBox:
         # circle, y = -s_1*P_1
         self.y = np.negative(np.arange(1, h + 1, dtype=np.uint64) * steps[0])
 
-    def filter_min(self) -> int:
-        """Least filter distance over the canonical cells: for each head the
-        circular nearest neighbour of y in the sorted tails."""
-        i = np.searchsorted(self.sorted, self.y)
-        up = self.sorted[i % self.T] - self.y
-        dn = self.y - self.sorted[i - 1]
-        a = np.minimum(np.minimum(up, np.negative(up)), np.minimum(dn, np.negative(dn)))
-        return int(min(a.min(), self.head0.min()))
-
     def scan(self, limit: int):
         """Yield (cells, dists): the canonical cells whose filter distance is
         at most limit, in lexicographic order and in chunks of about _CHUNK
@@ -385,8 +378,10 @@ def linear_min(theta: CertifiedVector, h: int, *, budget: int = DEFAULT_BUDGET):
         return CertifiedScalar(Fraction(dist, den_), q * r), (q,)
     fast = _margin(r, den, 2 * dim * h)
     box = _LinearBox(nums, den, h)
-    # every minimizer lies within 2E of the least filter distance
-    lim = box.filter_min() + 2 * box.E
+    # pigeonhole: two of the (h+1)^d cells of {0..h}^d have form values
+    # within 1/(h+1)^d on the circle, and their difference is a cell of the
+    # box, so every minimizer has a(s) <= 2^64 / (h+1)^d + E
+    lim = (1 << 64) // (h + 1) ** dim + box.E
     best = witness = None
     for cells, dist in box.scan(lim):
         i = int(np.argmin(dist))

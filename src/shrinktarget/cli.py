@@ -11,11 +11,18 @@ rationals with no float round-trip: ``tau=0.1`` is 1/10).
 Sequence-valued keys (``a``, ``h0``) accept a comma list (``33,34,35``) or a
 generator rule:
 
-* ``const:33`` — the constant sequence 33, 33, ...
+* ``const:33`` — the constant sequence 33, 33, ... (``a`` only; a bare
+  integer means the same).
 * ``poly:4``   — the degree-4 polynomial regime entering at its first
-  admissible index: value (n+3)^4 at step n.
+  admissible index: value (n+3)^4 at step n (``a`` only).
 * ``geom:24a`` — the tightest admissible growth h_{n+1} = 24 a_n h_n
-  (start 1); a bare integer for ``h0`` means the same rule from that start.
+  (``h0`` only, start 1); a bare integer or ``const:k`` for ``h0`` means
+  the same rule from that start.
+
+Each key's parser returns the value its runner uses: ``a`` becomes a list
+or the function n -> a_n, ``h0`` a list or an integer start.  A rule on the
+wrong key or an inadmissible ``a`` (``const:k`` with k <= 32, ``poly:p``
+with p < 4) fails at parse time, with the line and column of its value.
 
 Every run writes ``manifest.json`` (tool version, config echo, timings,
 output list) next to its artifacts.  Failures write ``error.json`` and
@@ -32,6 +39,7 @@ import json
 import sys
 import time
 from pathlib import Path
+from typing import NamedTuple
 
 from . import __version__, bestapprox, criteria
 from ._scan import DEFAULT_BUDGET
@@ -72,24 +80,41 @@ def _p_int_list(raw, where):
     return tuple(_p_int(part.strip(), where) for part in raw.split(","))
 
 
-def _p_seq(raw, where):
-    """Sequence spec: comma list, 'const:k', 'poly:p' or 'geom:24a'."""
-    if raw.startswith("const:"):
-        k = _p_int(raw[6:], where)
-        return ("const", k)
+def _p_a(raw, where):
+    """a: a comma list, or the rule 'const:k' / 'k' (k > 32) or 'poly:p'
+    (p >= 4), as the function n -> a_n."""
     if raw.startswith("poly:"):
         p = _p_int(raw[5:], where)
-        if p < 1:
-            raise ConfigError("poly degree must be >= 1", *where)
-        return ("poly", p)
+        if p < 4:
+            raise ConfigError(
+                f"a=poly:{p} is inadmissible: degree >= 4 keeps a_n > 32 from "
+                f"the first index", *where)
+        return lambda n: (n + 3) ** p
+    if raw.startswith("geom:"):
+        raise ConfigError("geom:24a is only meaningful for h0", *where)
+    if raw.startswith("const:") or "," not in raw:
+        k = _p_int(raw.removeprefix("const:"), where)
+        if k <= 32:
+            raise ConfigError(
+                f"a=const:{k} is inadmissible: the construction needs a_n > 32", *where)
+        return lambda n: k
+    return _p_int_list(raw, where)
+
+
+def _p_h0(raw, where):
+    """h0: a comma list of heights, or the start of the tightest admissible
+    growth: 'geom:24a' (start 1), 'const:k' or 'k'."""
+    if raw.startswith("poly:"):
+        raise ConfigError("h0 accepts an integer start, a comma list, or geom:24a",
+                          *where)
     if raw.startswith("geom:"):
         if raw[5:] != "24a":
             raise ConfigError(
                 f"the only geometric rule is geom:24a, got {raw!r}", *where)
-        return ("geom", None)
-    if "," not in raw:
-        return ("const", _p_int(raw, where))
-    return ("list", _p_int_list(raw, where))
+        return 1
+    if raw.startswith("const:") or "," not in raw:
+        return _p_int(raw.removeprefix("const:"), where)
+    return _p_int_list(raw, where)
 
 
 def _p_choice(*options):
@@ -135,8 +160,8 @@ _SCHEMAS: dict[str, dict[str, tuple]] = {
         "mode": (_p_choice("simultaneous", "linear"), False),
     },
     "construct": {
-        "a": (_p_seq, True),
-        "h0": (_p_seq, True),
+        "a": (_p_a, True),
+        "h0": (_p_h0, True),
         "steps": (_p_int, True),
         "verify": (_p_flag, False),
     },
@@ -167,22 +192,12 @@ _SCHEMAS: dict[str, dict[str, tuple]] = {
 _COMMANDS = tuple(_SCHEMAS)
 
 
-class RunConfig:
+class RunConfig(NamedTuple):
     """A validated command plus its exactly-parsed parameters."""
 
-    def __init__(self, command: str, values: dict, raw: dict[str, str]):
-        self.command = command
-        self.values = values
-        self.raw = raw
-
-    def get(self, key, default=None):
-        return self.values.get(key, default)
-
-    def require(self, key):
-        if key not in self.values:
-            raise ConfigError(
-                f"command {self.command!r} needs the key {key!r}")
-        return self.values[key]
+    command: str
+    values: dict
+    raw: dict[str, str]
 
 
 def parse_config(text: str) -> RunConfig:
@@ -231,19 +246,6 @@ def parse_config(text: str) -> RunConfig:
 
 
 def _validate_combination(command: str, values: dict, pairs) -> None:
-    def where(key):
-        return pairs[key][1] if key in pairs else (None, None)
-
-    if command == "construct":
-        kind, payload = values["a"]
-        if kind == "const" and payload <= 32:
-            raise ConfigError(
-                f"a=const:{payload} is inadmissible: the construction needs "
-                f"a_n > 32", *where("a"))
-        if kind == "poly" and payload < 4:
-            raise ConfigError(
-                f"a=poly:{payload} is inadmissible: degree >= 4 keeps "
-                f"a_n > 32 from the first index", *where("a"))
     if command in ("criteria", "simulate"):
         if ("theta" in values) == ("transcript" in values):
             raise ConfigError(
@@ -263,34 +265,7 @@ def _validate_combination(command: str, values: dict, pairs) -> None:
     if command == "simulate" and "window" in values:
         if len(values["window"]) != 2:
             raise ConfigError("window needs exactly two integers 'lo,hi'",
-                              *where("window"))
-
-
-# ---------------------------------------------------------------------------
-# sequence materialization
-
-
-def _seq_fn(spec):
-    kind, payload = spec
-    if kind == "const":
-        return lambda n: payload
-    if kind == "poly":
-        return lambda n: (n + 3) ** payload
-    if kind == "list":
-        return payload
-    raise DomainError("geom:24a is only meaningful for h0")
-
-
-def _heights(spec, a_fn, count):
-    kind, payload = spec
-    if kind == "geom":
-        return minimal_heights(a_fn, 1, count)
-    if kind == "const":
-        # a bare integer start: tightest admissible growth from it
-        return minimal_heights(a_fn, payload, count)
-    if kind == "list":
-        return payload
-    raise DomainError("h0 accepts an integer start, a comma list, or geom:24a")
+                              *pairs["window"][1])
 
 
 # ---------------------------------------------------------------------------
@@ -335,22 +310,22 @@ def _write_json(path, payload) -> None:
         fh.write("\n")
 
 
-def _theta_from(config: RunConfig):
-    if "transcript" in config.values:
+def _theta_from(values: dict):
+    if "transcript" in values:
         state = ConstructionState.from_text(
-            Path(config.require("transcript")).read_text())
-        if config.get("refined", False):
+            Path(values["transcript"]).read_text())
+        if values.get("refined", False):
             return state.refined_theta(), state
         return state.theta, state
-    coords = config.require("theta")
-    return CertifiedVector(coords, config.get("radius", 0)), None
+    coords = values["theta"]
+    return CertifiedVector(coords, values.get("radius", 0)), None
 
 
-def _run_approx(config: RunConfig, out: Path) -> list[Path]:
-    theta, _ = _theta_from(config)
-    mode = config.get("mode", "simultaneous")
-    limit = config.require("limit")
-    budget = config.get("budget", DEFAULT_BUDGET)
+def _run_approx(values: dict, out: Path) -> list[Path]:
+    theta, _ = _theta_from(values)
+    mode = values.get("mode", "simultaneous")
+    limit = values["limit"]
+    budget = values.get("budget", DEFAULT_BUDGET)
     if mode == "simultaneous":
         records = bestapprox.best_simultaneous(theta, limit, budget=budget)
     else:
@@ -378,14 +353,13 @@ def _series_csv(report, path) -> None:
             w.writerow([n, _dec(t.lo), _dec(t.hi), _dec(s.lo), _dec(s.hi), t.lo, t.hi])
 
 
-def _run_criteria(config: RunConfig, out: Path) -> list[Path]:
-    series = config.require("series")
-    theta, state = _theta_from(config)
+def _run_criteria(values: dict, out: Path) -> list[Path]:
+    series = values["series"]
+    theta, state = _theta_from(values)
     outputs = []
     if series == "type":
         limsup, liminf = criteria.type_evidence(
-            theta, config.require("tau"), config.require("mode"),
-            config.require("depth"))
+            theta, values["tau"], values["mode"], values["depth"])
         for ev in (limsup, liminf):
             p = out / f"type_{ev.kind}.dat"
             emit_plot_data(ev, p)
@@ -403,18 +377,18 @@ def _run_criteria(config: RunConfig, out: Path) -> list[Path]:
         outputs.append(summary)
         return outputs
     if series == "thm5":
-        n_terms = config.require("n_terms")
+        n_terms = values["n_terms"]
         report = criteria.series_thm5(
             state.refined_theta(), state.linear_witnesses(), n_terms)
     elif series == "prop32":
-        n_terms = config.require("n_terms")
+        n_terms = values["n_terms"]
         report = criteria.series_prop32(
             state.refined_theta(), state.denominators, n_terms)
     elif series == "lemma22":
         report = criteria.series_lemma22(
-            theta, config.require("k_max"), config.require("delta"))
+            theta, values["k_max"], values["delta"])
     else:
-        report = criteria.dyadic_condition_iii(theta, config.require("k_max"))
+        report = criteria.dyadic_condition_iii(theta, values["k_max"])
     csv_path = out / "series.csv"
     _series_csv(report, csv_path)
     plot = out / "series.dat"
@@ -432,11 +406,11 @@ def _run_criteria(config: RunConfig, out: Path) -> list[Path]:
     return [csv_path, plot, summary]
 
 
-def _run_construct(config: RunConfig, out: Path) -> list[Path]:
-    steps = config.require("steps")
-    a_fn = _seq_fn(config.require("a"))
-    h0 = _heights(config.require("h0"), a_fn, steps + 2)
-    state = build_theta(a_fn, h0, steps)
+def _run_construct(values: dict, out: Path) -> list[Path]:
+    a, h0, steps = values["a"], values["h0"], values["steps"]
+    if isinstance(h0, int):  # a start: the tightest admissible growth from it
+        h0 = minimal_heights(a, h0, steps + 2)
+    state = build_theta(a, h0, steps)
     transcript = out / "transcript.txt"
     transcript.write_text(state.to_text())
     outputs = [transcript]
@@ -450,7 +424,7 @@ def _run_construct(config: RunConfig, out: Path) -> list[Path]:
         "denominators": [str(q) for q in state.denominators],
     })
     outputs.append(theta_path)
-    if config.get("verify", True):
+    if values.get("verify", True):
         report = verify_construction(state)
         report_path = out / "verify_report.txt"
         report_path.write_text("\n".join(report.to_lines()) + "\n")
@@ -462,18 +436,18 @@ def _run_construct(config: RunConfig, out: Path) -> list[Path]:
     return outputs
 
 
-def _run_simulate(config: RunConfig, out: Path) -> list[Path]:
-    theta, _ = _theta_from(config)
+def _run_simulate(values: dict, out: Path) -> list[Path]:
+    theta, _ = _theta_from(values)
     orbit_cfg = OrbitConfig(
         theta=theta,
-        delta=config.require("delta"),
-        n_max=config.require("n_max"),
-        samples=config.get("samples", 1),
-        seed=config.get("seed", 0),
-        precision_bits=config.get("precision_bits", 128),
+        delta=values["delta"],
+        n_max=values["n_max"],
+        samples=values.get("samples", 1),
+        seed=values.get("seed", 0),
+        precision_bits=values.get("precision_bits", 128),
     )
-    if "window" in config.values:
-        lo, hi = config.values["window"]
+    if "window" in values:
+        lo, hi = values["window"]
         est = bc_window_estimate(orbit_cfg, (lo, hi))
         path = out / "window_estimate.json"
         _write_json(path, {
@@ -487,7 +461,7 @@ def _run_simulate(config: RunConfig, out: Path) -> list[Path]:
             "confidence_radius_decimal": _dec(est.confidence_radius, 6),
         })
         return [path]
-    census = hit_census(orbit_cfg, config.get("n_lo", 1))
+    census = hit_census(orbit_cfg, values.get("n_lo", 1))
     csv_path = out / "census.csv"
     write_census_csv(census, csv_path)
     summary = out / "summary.json"
@@ -495,11 +469,11 @@ def _run_simulate(config: RunConfig, out: Path) -> list[Path]:
     return [csv_path, summary]
 
 
-def _run_transfer(config: RunConfig, out: Path) -> list[Path]:
-    theta, _ = _theta_from(config)
-    budget = config.get("budget", DEFAULT_BUDGET)
+def _run_transfer(values: dict, out: Path) -> list[Path]:
+    theta, _ = _theta_from(values)
+    budget = values.get("budget", DEFAULT_BUDGET)
     rows = []
-    for h in config.require("h"):
+    for h in values["h"]:
         rep = criteria.transfer_check(theta, h, budget=budget)
         rows.append({
             "h": str(rep.h),
@@ -515,10 +489,10 @@ def _run_transfer(config: RunConfig, out: Path) -> list[Path]:
     return [path]
 
 
-def _run_verify(config: RunConfig, out: Path) -> list[Path]:
+def _run_verify(values: dict, out: Path) -> list[Path]:
     state = ConstructionState.from_text(
-        Path(config.require("transcript")).read_text())
-    report = verify_construction(state, config.get("bruteforce_depth"))
+        Path(values["transcript"]).read_text())
+    report = verify_construction(state, values.get("bruteforce_depth"))
     path = out / "verify_report.txt"
     path.write_text("\n".join(report.to_lines()) + "\n")
     if not report.ok:
@@ -542,7 +516,7 @@ def run(config: RunConfig, out_dir=".") -> list[Path]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     started = time.time()
-    outputs = _RUNNERS[config.command](config, out)
+    outputs = _RUNNERS[config.command](config.values, out)
     manifest = out / "manifest.json"
     _write_json(manifest, {
         "tool": "shrinktarget",

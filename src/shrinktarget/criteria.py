@@ -271,16 +271,14 @@ def type_evidence(theta, tau, mode: str, depth: int) -> tuple[TypeEvidence, Type
         exp_num, exp_den = one_tau.numerator, one_tau.denominator * d
     else:
         exp_num, exp_den = d * one_tau.numerator, one_tau.denominator
-    limsup_samples = []
-    liminf_samples = []
-    for n in range(depth):
-        value = records[n].value
-        for kind, height in (("limsup", records[n + 1].height),
-                             ("liminf", records[n].height)):
-            scaled = _power(Fraction(height), Fraction(height), exp_num, exp_den) * value
-            (limsup_samples if kind == "limsup" else liminf_samples).append((n, scaled))
-    return (_evidence(mode, "limsup", tau, limsup_samples),
-            _evidence(mode, "liminf", tau, liminf_samples))
+    # the scale of each record height, enclosed once: record n takes scale
+    # n + 1 for limsup and scale n for liminf
+    scales = [_power(Fraction(r.height), Fraction(r.height), exp_num, exp_den)
+              for r in records[:depth + 1]]
+    return (_evidence(mode, "limsup", tau,
+                      [(n, scales[n + 1] * records[n].value) for n in range(depth)]),
+            _evidence(mode, "liminf", tau,
+                      [(n, scales[n] * records[n].value) for n in range(depth)]))
 
 
 def _collect_records(theta, mode, count):

@@ -10,7 +10,7 @@ from textwrap import dedent
 import pytest
 
 from shrinktarget import cli
-from shrinktarget.construct import build_theta, minimal_heights
+from shrinktarget.construct import _materialize, build_theta, minimal_heights
 from shrinktarget.errors import ConfigError
 
 
@@ -118,6 +118,16 @@ def test_inadmissible_constant_sequence_rejected():
         """)
 
 
+def test_sequence_rules_for_the_other_key_fail_at_parse_time():
+    """geom:24a is a height rule and poly:p an a rule: each is refused by
+    parse_config, at the position of its value."""
+    with pytest.raises(ConfigError, match=r"line 2, col 3: geom:24a is only meaningful for h0"):
+        cli.parse_config("command=construct\na=geom:24a\nh0=1\nsteps=3\n")
+    with pytest.raises(ConfigError, match=r"line 3, col 4: h0 accepts an integer start, "
+                                          r"a comma list, or geom:24a"):
+        cli.parse_config("command=construct\na=33\nh0=poly:4\nsteps=3\n")
+
+
 def test_theta_and_transcript_are_mutually_exclusive():
     with pytest.raises(ConfigError, match="exactly one of"):
         parse("""\
@@ -157,21 +167,39 @@ def test_window_needs_two_endpoints():
 
 
 @pytest.mark.parametrize("raw,expected", [
-    ("const:33", ("const", 33)),
-    ("33", ("const", 33)),
-    ("poly:4", ("poly", 4)),
-    ("geom:24a", ("geom", None)),
-    ("33,34,35", ("list", (33, 34, 35))),
+    ("const:33", ((33, 33, 33), (33, 26136, 20699712))),
+    ("33", ((33, 33, 33), (33, 26136, 20699712))),
+    ("poly:4", ((81, 256, 625), None)),
+    ("geom:24a", (None, (1, 792, 627264))),
+    ("33,34,35", ((33, 34, 35), (33, 34, 35))),
 ])
 def test_sequence_spec_forms(raw, expected):
-    assert cli._p_seq(raw, (1, 1)) == expected
+    """Each form as the first terms of the `a` it gives and the heights of
+    the `h0` it gives (a start grows under a_n = 33); None where that key
+    refuses the form."""
+    a_terms, heights = expected
+    if a_terms is None:
+        with pytest.raises(ConfigError, match="only meaningful for h0"):
+            cli._p_a(raw, (1, 1))
+    else:
+        assert _materialize(cli._p_a(raw, (1, 1)), 3, "a") == a_terms
+    if heights is None:
+        with pytest.raises(ConfigError, match="h0 accepts an integer start"):
+            cli._p_h0(raw, (1, 1))
+    else:
+        h0 = cli._p_h0(raw, (1, 1))
+        if isinstance(h0, int):
+            h0 = minimal_heights(lambda n: 33, h0, 3)
+        assert h0 == heights
 
 
 def test_sequence_spec_rejects_other_geometric_rules():
-    with pytest.raises(ConfigError):
-        cli._p_seq("geom:25a", (1, 1))
-    with pytest.raises(ConfigError):
-        cli._p_seq("poly:0", (1, 1))
+    with pytest.raises(ConfigError, match="the only geometric rule is geom:24a"):
+        cli._p_h0("geom:25a", (1, 1))
+    with pytest.raises(ConfigError, match="only meaningful for h0"):
+        cli._p_a("geom:25a", (1, 1))
+    with pytest.raises(ConfigError, match=r"a=poly:0 is inadmissible"):
+        cli._p_a("poly:0", (1, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -505,3 +533,404 @@ def test_series_artifacts_pinned(tmp_path, series):
     assert cli.main(["criteria", "--config", cfg, "--out", str(out)]) == 0
     for name, text in SERIES_ARTIFACTS[series].items():
         assert (out / name).read_text() == text, name
+
+
+# ---------------------------------------------------------------------------
+# artifacts of construct, series=type, linear approx and simulate, text pinned
+
+# the artifacts of each config except manifest.json, recorded before the
+# sequence keys were parsed into the values their runner uses
+RUN_CONFIGS = {
+    "construct-const33": (
+        "command=construct\n"
+        "a=const:33\n"
+        "h0=1\n"
+        "steps=3\n"
+    ),
+    "construct-poly4-geom": (
+        "command=construct\n"
+        "a=poly:4\n"
+        "h0=geom:24a\n"
+        "steps=3\n"
+    ),
+    "construct-lists": (
+        "command=construct\n"
+        "a=33,34,35,36,37\n"
+        "h0=1,800,700000,600000000,520000000000\n"
+        "steps=3\n"
+    ),
+    "type-simultaneous": (
+        "command=criteria\n"
+        "series=type\n"
+        "theta=195025/470832\n"
+        "radius=1/535190300000000\n"
+        "tau=0\n"
+        "mode=simultaneous\n"
+        "depth=6\n"
+    ),
+    "type-linear": (
+        "command=criteria\n"
+        "series=type\n"
+        "theta=195025/470832\n"
+        "radius=1/535190300000000\n"
+        "tau=1/10\n"
+        "mode=linear\n"
+        "depth=6\n"
+    ),
+    "approx-linear": (
+        "command=approx\n"
+        "theta=195025/470832, 80782/195025\n"
+        "radius=1/10000000000000000000000\n"
+        "mode=linear\n"
+        "limit=300\n"
+    ),
+    "simulate-census": (
+        "command=simulate\n"
+        "theta=195025/470832, 80782/195025\n"
+        "delta=2\n"
+        "n_max=3000\n"
+        "samples=3\n"
+        "seed=7\n"
+        "precision_bits=64\n"
+    ),
+    "simulate-window": (
+        "command=simulate\n"
+        "theta=195025/470832, 80782/195025\n"
+        "delta=2\n"
+        "n_max=3000\n"
+        "samples=5\n"
+        "seed=7\n"
+        "precision_bits=64\n"
+        "window=20,60\n"
+    ),
+}
+
+RUN_ARTIFACTS = {
+    "construct-const33": {
+        "theta.json": """\
+{
+  "coords": [
+    "246793927278259176/8144504531291981969",
+    "246793533818762329/8144504531291981969"
+  ],
+  "coords_decimal": [
+    "0.030301895754376807137564145028",
+    "0.030301847444563075032660799560"
+  ],
+  "denominators": [
+    "33",
+    "20699728",
+    "12984173432719",
+    "8144504531291981969",
+    "5108754469762387254508367"
+  ],
+  "depth": 3,
+  "heights": [
+    1,
+    808,
+    639704,
+    507102337,
+    401479710423
+  ],
+  "radius": "1204439131269/83216547856475859353877636003245468247269246"
+}
+""",
+        "transcript.txt": """\
+# shrinktarget transcript v1
+depth 3
+a 33 33 33 33 33
+h0 1 792 627264 496793088 393460125696
+step 0 1 -1 0 1 1 33 1 33
+step 1 808 -775 -1 627241 627240 20699728 808 20699728
+step 2 639704 -587959 -1568 393445069815 393444442552 12984173432719 639704 12984173432719
+step 3 507102337 -445786191 -1858017 246793927278259176 246793533818762329 8144504531291981969 507102337 8144504531291981969
+step 4 401479710423 -336874026952 -1957690960 154804945377446418884560 154804698574469581605280 5108754469762387254508367 401479710423 5108754469762387254508367
+""",
+        "verify_report.txt": """\
+[PASS] primitivity of Delta_n and P_n (n in [0, 4])
+[PASS] <Delta_n, P_n> = 0 (n in [0, 4])
+[PASS] norm bookkeeping (|Delta_n| = h_n, |P_n| = z_n = q_n, |(r_n,s_n)| = h_n) (n in [0, 4])
+[PASS] Delta_n ^ Delta_{n+1} = P_n (n in [0, 3])
+[PASS] P_n ^ P_{n+1} = Delta_{n+1} (n in [0, 3])
+[PASS] <Delta_n, P_{n+1}> = 1 (n in [0, 3])
+[PASS] sandwich bounds h_n ~ h_n°, q_n ~ q_n° (factor 2) (n in [0, 4])
+[PASS] projective gap contraction (ratio 1/(2^18*3^3)) (n in [1, 3])
+[PASS] crude gap decay <= 32^-(n+1) (n in [0, 3])
+[PASS] base point within 1/32 of the origin (n = 0) -- d(0, P~_0) = 1/33
+[PASS] |theta| <= 1/8 (certified) -- certified sup norm <= 0.030302
+[PASS] theta gap enclosure (1/2)g_n <= |P~_n - theta| <= (3/2)g_n (n in [0, 3])
+[PASS] orbit enclosure h_{n+1}/(2q_{n+1}) <= |q_n theta| <= 3h_{n+1}/(2q_{n+1}) (n in [0, 3])
+[PASS] line-value enclosure 3/(4q_{n+1}) <= |<Delta_n, theta_bar>| <= 5/(4q_{n+1}) (n in [0, 3])
+[PASS] weighted enclosure 3/(32a_{n+1}) <= h_{n+1}^2 |<Delta_n, theta_bar>| <= 10/a_{n+1} (n in [0, 3])
+""",
+    },
+    "construct-poly4-geom": {
+        "theta.json": """\
+{
+  "coords": [
+    "513566374565402104586088/41598958165310767293101225",
+    "513566331567234370856089/41598958165310767293101225"
+  ],
+  "coords_decimal": [
+    "0.012345654728287483756616714760",
+    "0.012345653694651795986291064940"
+  ],
+  "denominators": [
+    "81",
+    "967458856",
+    "89161004298139129",
+    "41598958165310767293101225",
+    "74559347679638283315350287441845041"
+  ],
+  "depth": 3,
+  "heights": [
+    1,
+    1984,
+    12193432,
+    182969721369,
+    5693578732447474
+  ],
+  "radius": "8540368098671211/3101591184958133376621468400107986590375380176163344777275225"
+}
+""",
+        "transcript.txt": """\
+# shrinktarget transcript v1
+depth 3
+a 81 256 625 1296 2401
+h0 1 1944 11943936 179159040000 5572562780160000
+step 0 1 -1 0 1 1 81 1 81
+step 1 1984 -1903 -1 11943913 11943912 967458856 1984 967458856
+step 2 12193432 -11207985 -12166 1100750974292182 1100750882132186 89161004298139129 12193432 89161004298139129
+step 3 182969721369 -160870285598 -272832170 513566374565402104586088 513566331567234370856089 41598958165310767293101225 182969721369 41598958165310767293101225
+step 4 5693578732447474 -4778542985453483 -11296720335701 920483963219156803103791939762805 920483886151954184554041102180863 74559347679638283315350287441845041 5693578732447474 74559347679638283315350287441845041
+""",
+        "verify_report.txt": """\
+[PASS] primitivity of Delta_n and P_n (n in [0, 4])
+[PASS] <Delta_n, P_n> = 0 (n in [0, 4])
+[PASS] norm bookkeeping (|Delta_n| = h_n, |P_n| = z_n = q_n, |(r_n,s_n)| = h_n) (n in [0, 4])
+[PASS] Delta_n ^ Delta_{n+1} = P_n (n in [0, 3])
+[PASS] P_n ^ P_{n+1} = Delta_{n+1} (n in [0, 3])
+[PASS] <Delta_n, P_{n+1}> = 1 (n in [0, 3])
+[PASS] sandwich bounds h_n ~ h_n°, q_n ~ q_n° (factor 2) (n in [0, 4])
+[PASS] projective gap contraction (ratio 1/(2^18*3^3)) (n in [1, 3])
+[PASS] crude gap decay <= 32^-(n+1) (n in [0, 3])
+[PASS] base point within 1/32 of the origin (n = 0) -- d(0, P~_0) = 1/81
+[PASS] |theta| <= 1/8 (certified) -- certified sup norm <= 0.012346
+[PASS] theta gap enclosure (1/2)g_n <= |P~_n - theta| <= (3/2)g_n (n in [0, 3])
+[PASS] orbit enclosure h_{n+1}/(2q_{n+1}) <= |q_n theta| <= 3h_{n+1}/(2q_{n+1}) (n in [0, 3])
+[PASS] line-value enclosure 3/(4q_{n+1}) <= |<Delta_n, theta_bar>| <= 5/(4q_{n+1}) (n in [0, 3])
+[PASS] weighted enclosure 3/(32a_{n+1}) <= h_{n+1}^2 |<Delta_n, theta_bar>| <= 10/a_{n+1} (n in [0, 3])
+""",
+    },
+    "construct-lists": {
+        "theta.json": """\
+{
+  "coords": [
+    "392712753577684981/12959987213342504373",
+    "130904052663281262/4319995737780834791"
+  ],
+  "coords_decimal": [
+    "0.030301939894923755437165604035",
+    "0.030301893939026470150244988409"
+  ],
+  "denominators": [
+    "33",
+    "21759993",
+    "17149986107492",
+    "12959987213342504373",
+    "10004799059029117461715025"
+  ],
+  "depth": 3,
+  "heights": [
+    1,
+    816,
+    713143,
+    612006993,
+    530876756625
+  ],
+  "radius": "21235070265/3457655143388759518058813304398490163794782"
+}
+""",
+        "transcript.txt": """\
+# shrinktarget transcript v1
+depth 3
+a 33 34 35 36 37
+h0 1 800 700000 600000000 520000000000
+step 0 1 -1 0 1 1 33 1 33
+step 1 816 -783 -1 659370 659369 21759993 816 21759993
+step 2 713143 -657636 -1682 519677848228 519677060085 17149986107492 713143 17149986107492
+step 3 612006993 -540323392 -2172177 392712753577684981 392712157989843786 12959987213342504373 612006993 12959987213342504373
+step 4 530876756625 -447519629339 -2525903227 303164819747490062849282 303164359967972146171925 10004799059029117461715025 530876756625 10004799059029117461715025
+""",
+        "verify_report.txt": """\
+[PASS] primitivity of Delta_n and P_n (n in [0, 4])
+[PASS] <Delta_n, P_n> = 0 (n in [0, 4])
+[PASS] norm bookkeeping (|Delta_n| = h_n, |P_n| = z_n = q_n, |(r_n,s_n)| = h_n) (n in [0, 4])
+[PASS] Delta_n ^ Delta_{n+1} = P_n (n in [0, 3])
+[PASS] P_n ^ P_{n+1} = Delta_{n+1} (n in [0, 3])
+[PASS] <Delta_n, P_{n+1}> = 1 (n in [0, 3])
+[PASS] sandwich bounds h_n ~ h_n°, q_n ~ q_n° (factor 2) (n in [0, 4])
+[PASS] projective gap contraction (ratio 1/(2^18*3^3)) (n in [1, 3])
+[PASS] crude gap decay <= 32^-(n+1) (n in [0, 3])
+[PASS] base point within 1/32 of the origin (n = 0) -- d(0, P~_0) = 1/33
+[PASS] |theta| <= 1/8 (certified) -- certified sup norm <= 0.030302
+[PASS] theta gap enclosure (1/2)g_n <= |P~_n - theta| <= (3/2)g_n (n in [0, 3])
+[PASS] orbit enclosure h_{n+1}/(2q_{n+1}) <= |q_n theta| <= 3h_{n+1}/(2q_{n+1}) (n in [0, 3])
+[PASS] line-value enclosure 3/(4q_{n+1}) <= |<Delta_n, theta_bar>| <= 5/(4q_{n+1}) (n in [0, 3])
+[PASS] weighted enclosure 3/(32a_{n+1}) <= h_{n+1}^2 |<Delta_n, theta_bar>| <= 10/a_{n+1} (n in [0, 3])
+""",
+    },
+    "type-simultaneous": {
+        "type_evidence.json": """\
+{
+  "liminf": {
+    "positive_inf": true,
+    "running_inf": "1351054462956220573/3937261239525000000",
+    "tail_sup": "5568956116019001893/15749044958100000000"
+  },
+  "limsup": {
+    "positive_tail_sup": true,
+    "running_inf": "6523468016093720573/7874522479050000000",
+    "tail_sup": "1120387443655396617/1312420413175000000"
+  },
+  "mode": "simultaneous",
+  "tau": "0"
+}
+""",
+        "type_liminf.dat": """\
+# columns: index scaled_value_lo
+# precision: decimals truncated at 12 digits
+0 0.414213562374
+1 0.343145750501
+2 0.355339059367
+3 0.353247018044
+4 0.353605957112
+5 0.353544364010
+""",
+        "type_limsup.dat": """\
+# columns: index scaled_value_lo
+# precision: decimals truncated at 12 digits
+0 0.828427124749
+1 0.857864376253
+2 0.852813742481
+3 0.853680293607
+4 0.853531620616
+5 0.853557107396
+""",
+    },
+    "type-linear": {
+        "type_evidence.json": """\
+{
+  "liminf": {
+    "positive_inf": true,
+    "running_inf": "213690672324427255646211796776024253409/581037203494832937283553014579200000000",
+    "tail_sup": "12566596038537085489732560304011436553/23241488139793317491342120583168000000"
+  },
+  "limsup": {
+    "positive_tail_sup": true,
+    "running_inf": "1031789838579687189042030373798311753409/1162074406989665874567106029158400000000",
+    "tail_sup": "662697269758095638953064875633239463/464829762795866349826842411663360000"
+  },
+  "mode": "linear",
+  "tau": "1/10"
+}
+""",
+        "type_liminf.dat": """\
+# columns: index scaled_value_lo
+# precision: decimals truncated at 12 digits
+0 0.414213562374
+1 0.367774509169
+2 0.417387990351
+3 0.452894064538
+4 0.495175755248
+5 0.540696704227
+""",
+        "type_limsup.dat": """\
+# columns: index scaled_value_lo
+# precision: decimals truncated at 12 digits
+0 0.887886207951
+1 1.007663746947
+2 1.093382993762
+3 1.195460018772
+4 1.305357350310
+5 1.425677361475
+""",
+    },
+    "approx-linear": {
+        "approx.csv": """\
+index,height,witness,error_lo,error_hi,error_exact
+0,1,1 -1,0.000000000010,0.000000000010,
+""",
+        "approx.dat": """\
+# columns: height error_hi
+# precision: decimals truncated at 12 digits
+1 0.000000000010
+""",
+    },
+    "simulate-census": {
+        "census.csv": """\
+sample_id,hit_count,stat_lo,stat_hi,inconclusive_count
+0,13,0.249107507616,0.249107507667,0
+1,8,0.186407460801,0.186407460849,0
+2,8,0.192897013167,0.192897013215,0
+""",
+        "summary.json": """\
+{
+  "aggregates": {
+    "inconclusive_total": 0,
+    "mean": "29/3",
+    "mean_decimal": "9.666666",
+    "median": "8",
+    "q1": "8",
+    "q3": "21/2"
+  },
+  "config": {
+    "delta": "2",
+    "generator": "PCG64",
+    "n_max": 3000,
+    "precision_bits": 64,
+    "samples": 3,
+    "seed": 7,
+    "theta": [
+      "195025/470832",
+      "80782/195025"
+    ],
+    "theta_radius": "0"
+  },
+  "n_lo": 1,
+  "tool": "shrinktarget",
+  "version": "1.0.0"
+}
+""",
+    },
+    "simulate-window": {
+        "window_estimate.json": """\
+{
+  "confidence_radius": "237633383/536870912",
+  "confidence_radius_decimal": "0.442626",
+  "fraction": "3/5",
+  "fraction_decimal": "0.600000",
+  "hits": 3,
+  "inconclusive": 0,
+  "samples": 5,
+  "window": [
+    20,
+    60
+  ]
+}
+""",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(RUN_CONFIGS))
+def test_run_artifacts_pinned(tmp_path, name):
+    text = RUN_CONFIGS[name]
+    command = text.partition("\n")[0].removeprefix("command=")
+    cfg = write_config(tmp_path, text)
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", cfg, "--out", str(out)]) == 0
+    produced = {p.name for p in out.iterdir()} - {"manifest.json"}
+    assert produced == set(RUN_ARTIFACTS[name])
+    for file, pinned in RUN_ARTIFACTS[name].items():
+        assert (out / file).read_text() == pinned, file

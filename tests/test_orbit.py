@@ -188,6 +188,25 @@ def test_straddling_threshold_counts_inconclusive():
     assert rec.hits == (1, 2, 8)
 
 
+def test_off_grid_start_exact_miss(monkeypatch):
+    """An off-grid start whose 24-bit distance at n = 4 straddles the
+    threshold 1/4: the exact fallback settles it as a miss, and the engine
+    agrees with the exact oracle."""
+    verdicts = []
+
+    def spy(x0_frac, theta, n, delta):
+        verdicts.append((n, _exact_classify(x0_frac, theta, n, delta)))
+        return verdicts[-1][1]
+
+    monkeypatch.setattr(orbit, "_exact_classify", spy)
+    x0 = ((F(1, 4) + F(1, 2 ** 30) - F(4, 3)) % 1,)
+    config = cfg(CertifiedVector((F(1, 3),), F(0)), F(1), 4, precision_bits=24)
+    rec = orbit_hits(config, x0=x0)
+    assert (4, False) in verdicts
+    assert rec.hits == exact_orbit_hits(config, x0=x0) == (1, 2, 3)
+    assert rec.inconclusive == 0
+
+
 def test_hits_grow_with_delta():
     """Enlarging delta enlarges every radius n^(-1/delta), so the certified
     hit set can only grow."""
