@@ -4,9 +4,9 @@ Usage: ``shrinktarget <command> --config <file> [--out <dir>]``.  Every run
 is one process, and its artifacts depend only on its config.
 
 Config format: UTF-8 text, one ``key=value`` pair per line; blank lines and
-``#`` comments are ignored.  Parsing is strict (unknown or duplicate keys are
-rejected with a line/column diagnostic) and exact (decimal values become
-rationals with no float round-trip: ``tau=0.1`` is 1/10).
+``#`` comments are ignored.  Parsing is strict (unknown, duplicate or unused
+keys are rejected with a line/column diagnostic) and exact (decimal values
+become rationals with no float round-trip: ``tau=0.1`` is 1/10).
 
 Sequence-valued keys (``a``, ``h0``) accept a comma list (``33,34,35``) or a
 generator rule:
@@ -245,23 +245,36 @@ def parse_config(text: str) -> RunConfig:
     return RunConfig(cmd_raw, values, raw)
 
 
+# the criteria keys each series uses, all required, besides `series` and
+# `radius`; and pairs of keys whose first is not used with the second
+_SERIES_KEYS = {"thm5": ("transcript", "n_terms"),
+                "prop32": ("transcript", "n_terms"),
+                "lemma22": ("theta", "delta", "k_max"),
+                "dyadic": ("theta", "k_max"),
+                "type": ("theta", "tau", "mode", "depth")}
+_UNUSED_WITH = (("radius", "transcript"), ("refined", "theta"), ("n_lo", "window"))
+
+
 def _validate_combination(command: str, values: dict, pairs) -> None:
+    def unused(key, why):
+        raise ConfigError(f"the key {key!r} is not used {why}", pairs[key][1][0], 1)
+
     if command in ("criteria", "simulate"):
         if ("theta" in values) == ("transcript" in values):
             raise ConfigError(
                 f"command {command!r} needs exactly one of 'theta' or "
                 f"'transcript'")
+    for key, other in _UNUSED_WITH:
+        if key in values and other in values:
+            unused(key, f"with {other!r}")
     if command == "criteria":
         series = values["series"]
-        needs = {"thm5": ("transcript", "n_terms"),
-                 "prop32": ("transcript", "n_terms"),
-                 "lemma22": ("theta", "delta", "k_max"),
-                 "dyadic": ("theta", "k_max"),
-                 "type": ("theta", "tau", "mode", "depth")}[series]
-        for key in needs:
+        for key in _SERIES_KEYS[series]:
             if key not in values:
-                raise ConfigError(
-                    f"series={series} requires the key {key!r}")
+                raise ConfigError(f"series={series} requires the key {key!r}")
+        for key in values:
+            if key not in ("series", "radius", *_SERIES_KEYS[series]):
+                unused(key, f"by series={series}")
     if command == "simulate" and "window" in values:
         if len(values["window"]) != 2:
             raise ConfigError("window needs exactly two integers 'lo,hi'",

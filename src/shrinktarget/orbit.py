@@ -28,16 +28,15 @@ B < 64).  No float sits on a decision path:
   steps with d64 <= (block minimum) + 2E hold the exact minimum distance.
 
 Window estimates classify samples x times densely, with early exit, while
-the target radius is >= 1/16.  Beyond that they bucket the centres -l*theta
-of a batch of L <= 2^20 steps in cells of 2^shift top units (wider than the
-largest target plus E) on at most two coordinates; each sample probes its
-neighbouring cells and the candidate pairs are classified as above.  Only
-centres in a coarse coordinate-0 cell (coarse >= shift) next to a sample's
-are bucketed, marked in a bool table of min(2^(64 - shift), 192-384 per
-sample, 2^22) cells; a coarse cell is a union of fine cells, so a pair
-within one fine cell on coordinate 0 is within one coarse cell: no pair is
-lost.  One np.sort orders packed words key << 20 | index (at most 44 key
-bits; the index fits in 20 because L <= 2^20).
+the target radius is >= 1/16.  Beyond that, step b0 + k of a time block
+sits at top(x) + base + k*top(theta), so it can be a candidate only when
+the ramp value k*top(theta) is within the miss limit of p = -(top(x) +
+base) on every coordinate.  The ramp, k < m <= L, is bucketed once in
+cells of 2^shift top units (wider than the largest target plus E and e) on
+at most two coordinates, sorted as words key << 16 | k (keys of at most 48
+bits), and bucketed again only when a later block allows narrower cells.
+Each block probes the 3^keyed cells around every unhit sample's p; m is
+chosen so that a block yields about 2^20 candidate pairs.
 
 The log-law statistic reported per orbit is the depth-N surrogate of the
 limsup exponent: (-log min_{2<=n<=N} d_n) / log N, as an outward-rounded
@@ -69,7 +68,7 @@ from .roots import _iroot_from, iroot, log2_enclosure, sqrt_upper
 
 _MAX_SAMPLES = 10 ** 6  # starts per census or window: bounds their memory
 _BLOCK = 1 << 16  # longest time block: bounds E and the arrays of one sample
-_BATCH = 1 << 20  # (sample, time) pairs per vectorised window batch
+_BATCH = 1 << 20  # about the (sample, time) pairs of one window block
 _SUB = 64  # a sub-block [a, b] of a time block has b - a = a // _SUB
 _NO_MISS = 1 << 63  # limits for auto-hit times: d64 <= 2^63 < 2^63 + 1
 _ALL_HIT = (1 << 63) + 1
@@ -191,11 +190,7 @@ def _threshold_pair(n: int, delta: Fraction, bits: int,
 
 def _auto_hit_bound(delta: Fraction) -> int:
     """Largest n with target radius n^(-1/delta) >= 1/2 (everything hits)."""
-    p, q = delta.numerator, delta.denominator
-    n = 1
-    while (n + 1) ** q <= 2 ** p:
-        n += 1
-    return n
+    return iroot(2 ** delta.numerator, delta.denominator)
 
 
 def _exact_classify(x0_frac, theta: CertifiedVector, n: int,
@@ -558,7 +553,7 @@ def _window(config: OrbitConfig, starts, l_lo: int, l_hi: int):
     # wide targets: hits are dense, so classify samples x times directly.
     # The bucketed stage below gives the same flags here but is slower: with
     # radii >= 1/16 sent through it, each early-window benchmark job (seed 3,
-    # best of 10 in-process, 2-core VM) took 7.4-12.5 ms instead of 4.0-6.1 ms
+    # best of 10 in-process, 2-core VM) took 5.5-9.1 ms instead of 3.6-6.2 ms
     while b0 <= min(l0 - 1, l_hi) and not hit.all():
         active = np.flatnonzero(~hit)
         length = min(l0 - b0, l_hi - b0 + 1, _BLOCK,
@@ -568,58 +563,49 @@ def _window(config: OrbitConfig, starts, l_lo: int, l_hi: int):
         r, k = np.nonzero(d <= miss_lim)
         eng.settle(starts, hit, amb, active[r], b0, k, d[r, k] < hit_lim[k])
         b0 += length
-    # narrow targets: keep the centres -l*theta whose coordinate 0 lies in a
-    # coarse cell next to a sample's, bucket those by the top units of at
-    # most two coordinates, probe each sample's neighbouring cells
+    # narrow targets: step b0 + k of a block sits at x + base + k*theta, so it
+    # is near 0 only when k*theta is near p = -(x + base).  Bucket the ramp
+    # k*theta, k < m, by the top units of at most two coordinates, in cells
+    # wider than any target from b0 on plus every error; re-bucket only when
+    # the cells can narrow.  Each block probes the cells around every p.
     keyed = min(config.dim, 2)
     offsets = np.array([[o // 3 ** c % 3 - 1 for c in range(keyed)]
                         for o in range(3 ** keyed)], dtype=np.int64)
-    index_bits = (_BATCH - 1).bit_length()  # a batch index, packed below a key
-    index_mask = np.uint64((1 << index_bits) - 1)
+    index_bits = (_BLOCK - 1).bit_length()  # a step index, packed below a key
+    min_shift = 64 - (64 - index_bits) // keyed  # keys of at most 48 bits
+    shift = 64  # no grid yet
     while b0 <= l_hi and not hit.all():
         active = np.flatnonzero(~hit)
-        # a cell is wider than any target in the block plus every error
         reach = (eng.top(_threshold_pair(b0, config.delta, eng.bits)[1], ceil=True)
                  + eng.e + eng.slack(_BLOCK))
-        shift = max(reach.bit_length(), 64 - (64 - index_bits) // keyed)
-        span = 1 << (64 - shift)
-        # coarse coordinate-0 cells (no finer than the keyed ones) next to a sample
-        coarse = 64 - min(64 - shift, (192 * len(active)).bit_length(), 22)
-        near = np.zeros(1 << (64 - coarse), dtype=bool)
-        cell0 = (tops[active, 0] >> np.uint64(coarse)).astype(np.int64)
-        near[(cell0[:, None] + np.arange(-1, 2)) % len(near)] = True
-        # a batch of rebased time blocks: long enough to amortise the
-        # 3^keyed probes per sample, with at most about _BATCH candidate
-        # pairs (each probe covers 2^shift top units per coordinate)
-        probes = 3 ** keyed * len(active)
-        length = min(l_hi - b0 + 1, _BATCH, max(_BLOCK, 16 * probes),
-                     max(1, _BATCH * span ** keyed // probes))
-        hit_lim, miss_lim = eng.bounds(b0, length, eng.slack(min(length, _BLOCK)))
-        bases = np.concatenate([eng.tops(origin, n)
-                                for n in range(b0, b0 + length, _BLOCK)])
-        c0 = (np.uint64(0) - (bases[:, 0, None] + eng.k_theta[0])).ravel()[:length]
-        surv = np.flatnonzero(near[c0 >> np.uint64(coarse)])
-        blk, off = np.divmod(surv, _BLOCK)
-        centres = [c0[surv]] + [np.uint64(0) - (bases[blk, c] + kt[off])
-                                for c, kt in enumerate(eng.k_theta) if c]
-        keys = np.zeros(len(surv), dtype=np.uint64)
-        for c in range(keyed):
-            keys = keys * np.uint64(span) + (centres[c] >> np.uint64(shift))
-        packed = np.sort(keys << np.uint64(index_bits)
-                         | np.arange(len(surv), dtype=np.uint64))
-        sorted_keys = packed >> np.uint64(index_bits)
+        fit = max(reach.bit_length(), min_shift)
+        if fit < shift:
+            shift, span = fit, 1 << (64 - fit)
+            # about _BATCH candidate pairs per block: each of a sample's
+            # 3^keyed probes covers 2^shift top units per coordinate
+            m = min(l_hi - b0 + 1, _BLOCK,
+                    _BATCH * span ** keyed // (len(offsets) * len(active)))
+            keys = np.zeros(m, dtype=np.uint64)
+            for kt in eng.k_theta[:keyed]:
+                keys = keys * np.uint64(span) + (kt[:m] >> np.uint64(shift))
+            grid = np.sort(keys << np.uint64(index_bits) | np.arange(m, dtype=np.uint64))
+            grid_keys = grid >> np.uint64(index_bits)
+        length = min(m, l_hi - b0 + 1)
+        hit_lim, miss_lim = eng.bounds(b0, length, eng.slack(length))
+        base = eng.tops(origin, b0)[0]
         probe = np.zeros((len(active), len(offsets)), dtype=np.int64)
         for c in range(keyed):
-            cell = (tops[active, c] >> np.uint64(shift)).astype(np.int64)
+            cell = ((np.uint64(0) - tops[active, c] - base[c])
+                    >> np.uint64(shift)).astype(np.int64)
             probe = probe * span + (cell[:, None] + offsets[None, :, c]) % span
         probe = probe.astype(np.uint64)
-        first = np.searchsorted(sorted_keys, probe, side="left").ravel()
-        count = np.searchsorted(sorted_keys, probe, side="right").ravel() - first
+        first = np.searchsorted(grid_keys, probe, side="left").ravel()
+        count = np.searchsorted(grid_keys, probe, side="right").ravel() - first
         rows = np.repeat(np.repeat(active, len(offsets)), count)
         at = np.repeat(first - (np.cumsum(count) - count), count)
-        js = (packed[at + np.arange(len(at))] & index_mask).astype(np.intp)
-        ks = surv[js]
-        d = _d64(tops[rows, c] - centres[c][js] for c in range(config.dim))
+        ks = (grid[at + np.arange(len(at))] & np.uint64(_BLOCK - 1)).astype(np.intp)
+        rows, ks = rows[ks < length], ks[ks < length]
+        d = _d64(tops[rows, c] + base[c] + kt[ks] for c, kt in enumerate(eng.k_theta))
         keep = d <= miss_lim[ks]
         rows, ks, d = rows[keep], ks[keep], d[keep]
         eng.settle(starts, hit, amb, rows, b0, ks, d < hit_lim[ks])

@@ -166,6 +166,31 @@ def test_window_needs_two_endpoints():
         """)
 
 
+@pytest.mark.parametrize("text,line,message", [
+    ("command=simulate\ntheta=1/3\nrefined=1\ndelta=2\nn_max=50\nwindow=10,20\n",
+     3, "the key 'refined' is not used with 'theta'"),
+    ("command=simulate\ntheta=1/3\ndelta=2\nn_max=50\nn_lo=5\nwindow=10,20\n",
+     5, "the key 'n_lo' is not used with 'window'"),
+    ("command=simulate\ntranscript=t.txt\nradius=1/1000\ndelta=2\nn_max=50\n",
+     3, "the key 'radius' is not used with 'transcript'"),
+    ("command=criteria\nseries=thm5\ntranscript=t.txt\nradius=1/1000\nn_terms=3\n",
+     4, "the key 'radius' is not used with 'transcript'"),
+    ("command=criteria\nseries=dyadic\ntheta=1/3\ndelta=2\nk_max=4\nn_terms=3\n"
+     "tau=1/2\n", 4, "the key 'delta' is not used by series=dyadic"),
+    ("command=criteria\nseries=lemma22\ntheta=1/3\ndelta=2\nk_max=4\ndepth=3\n",
+     6, "the key 'depth' is not used by series=lemma22"),
+    ("command=criteria\nseries=type\ntheta=1/3\ntau=0\nmode=linear\ndepth=3\n"
+     "k_max=4\n", 7, "the key 'k_max' is not used by series=type"),
+    ("command=criteria\nseries=prop32\ntranscript=t.txt\nn_terms=3\nmode=linear\n",
+     5, "the key 'mode' is not used by series=prop32"),
+])
+def test_keys_the_run_ignores_are_rejected(text, line, message):
+    """A key the chosen run would not read is refused at parse time, at its
+    line, instead of being echoed into manifest.json."""
+    with pytest.raises(ConfigError, match=rf"^line {line}, col 1: {re.escape(message)}$"):
+        cli.parse_config(text)
+
+
 @pytest.mark.parametrize("raw,expected", [
     ("const:33", ((33, 33, 33), (33, 26136, 20699712))),
     ("33", ((33, 33, 33), (33, 26136, 20699712))),

@@ -560,12 +560,12 @@ def test_error_budget_widens_the_miss_limit():
 
 
 # --- narrow windows: every candidate pair reaches the exact rule ----------------
-# Past radius 1/16 the window engine keeps only the centres -l*theta whose
-# coordinate 0 lies in a coarse cell next to some sample's, sorts packed
-# (key, index) words and probes them.  A lost candidate changes a verdict
+# Past radius 1/16 the window engine buckets the ramp k*theta of a time block
+# once, re-buckets it only when the cells narrow, and probes the cells around
+# each sample's -(x + base) block by block.  A lost candidate changes a verdict
 # only when it is a hit, so these tests check the pairs themselves: every
-# (sample, l) whose dense d64 (from _Engine.distances, block by block) is
-# within the batch's miss limit reaches _Engine.settle, and no other pair does.
+# (sample, l) whose dense d64 (from _Engine.distances) is within the block's
+# miss limit reaches _Engine.settle, and no other pair does.
 
 
 class _SettleSpy:
@@ -619,11 +619,12 @@ class _SettleSpy:
 @st.composite
 def crowded_window(draw):
     """A narrow window (radius just below or far below 1/16), up to 3,000
-    random starts, and starts placed one top unit on each side of a coarse
-    cell edge and across the wrap: theta's coordinate 0 puts the centre
-    -l*theta at time l on the edge C, the placed samples sit at top units
-    C - 1, C, C + 1 (and 2^64 - 1, 0 when C is 1) on coordinate 0, on the
-    centre elsewhere, or within the target radius of it on coordinate 0."""
+    random starts, and starts placed one top unit on each side of a dyadic
+    point and across the wrap: theta's coordinate 0 puts the centre
+    -l*theta at time l on the point C (1, or u*2^j with j >= 40), the placed
+    samples sit at top units C - 1, C, C + 1 (and 2^64 - 1, 0 when C is 1)
+    on coordinate 0, on the centre elsewhere, or within the target radius of
+    it on coordinate 0."""
     bits = draw(st.sampled_from((64, 128, 160)))
     dim = draw(st.integers(1, 3))
     delta = dim + F(draw(st.integers(0, 4)), draw(st.sampled_from((1, 2, 3))))
@@ -680,26 +681,38 @@ def test_crowded_narrow_window_matches_oracle(dim, samples, length):
     assert 0 < sum(got[0]) < samples
 
 
-@pytest.mark.parametrize("length", [_BATCH - 1, _BATCH, _BATCH + 1])
-def test_batch_long_narrow_window_candidates(length):
-    """8,000 starts at radius about 2^-11 (d = 2, delta = 2) mark every coarse
-    cell, so all centres of a _BATCH-step batch survive and the packed index
-    needs all of its bits.  Starts placed on the centre at late times of the
-    batch must be found there; the pairs and verdicts of those and of the
-    first 40 random starts are checked against the dense recomputation."""
-    theta = CertifiedVector((F(5741, 8119), F(2923, 7561)))
-    lo = 2 ** 22 + 1
+@pytest.mark.parametrize("theta, lo, samples, length", [
+    pytest.param((F(5741, 8119), F(2923, 7561)), 2 ** 22 + 1, 8000, n, id=str(n))
+    for n in (_BATCH - 1, _BATCH, _BATCH + 1)] + [
+    pytest.param((F(1, 3) + F(1, 10 ** 6), F(2, 5) - F(1, 10 ** 7)), 257, 300,
+                 3 * _BLOCK + 5, id="multi_block")])
+def test_batch_long_narrow_window_candidates(theta, lo, samples, length):
+    """Long narrow windows (d = 2, delta = 2), checked against the dense
+    recomputation: the pairs and verdicts of starts placed on the centre at
+    late times, which must be found there, and of the first 40 random starts
+    (all of them in the multi-block case).
+
+    About 2^20 steps from l = 2^22 + 1 with 8,000 starts at radius about
+    2^-11 run 16 or 17 blocks on one full _BLOCK-step ramp, whose packed step
+    index needs all of its bits.  The multi-block window starts at the first narrow time l0 = 257:
+    its cells narrow between the first and second block, so the ramp is
+    re-bucketed, and its last block is 5 steps.  theta is within 10^-6 of
+    (1/3, 2/5), so each orbit drifts slowly along 15 tracks: most random
+    starts are never hit, and a placed start meets its target only a few
+    thousand steps before its time, in the second and third blocks too."""
+    theta = CertifiedVector(theta)
     config = OrbitConfig(theta=theta, delta=F(2), n_max=lo + length,
-                         samples=8000, seed=17, precision_bits=64)
+                         samples=samples, seed=17, precision_bits=64)
     theta_u = _units(theta.coords, 64)
-    late = [lo + min(length, _BATCH) - 1, lo + _BATCH // 2, lo + _BATCH // 2 + 7,
+    late = [lo + min(length, _BLOCK) - 1, lo + length // 2, lo + length // 2 + 7,
             lo + length - 1]
-    starts = _draw_starts(config, 8000)
+    starts = _draw_starts(config, samples)
     starts += [_centred_start(theta_u, l, [0, 0], 64) for l in late]
     with pytest.MonkeyPatch.context() as m:
         spy = _SettleSpy(m)
         hit, amb = _window(config, starts, lo, lo + length - 1)
-    assert spy.batches[0][2] == min(length, _BATCH)
-    placed = range(8000, len(starts))
+    assert spy.batches[0][2] == min(length, _BLOCK)
+    placed = range(samples, len(starts))
     assert all(hit[i] for i in placed)
-    spy.check(starts, hit, amb, checked=list(range(40)) + list(placed))
+    spy.check(starts, hit, amb,
+              checked=list(range(40 if samples > 300 else samples)) + list(placed))

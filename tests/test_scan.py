@@ -691,7 +691,7 @@ def test_linear_ties_pick_lexicographic_first():
     (2, 1, 1225, True, True),           # den = 1 had no rows
     (2, 2**64 + 13, 1225, False, True),
 ])
-def test_enumeration_cap_refuses_where_it_did(dim, den, h, records, refused):
+def test_former_enumeration_cap_edges_answered(dim, den, h, records, refused):
     """The edges of the removed 6*10^6-cell enumeration cap, which refused
     the boxes marked `refused`: every one is answered now.  These thetas
     reach an exact zero in a small shell, so the records are the oracle's
