@@ -64,7 +64,7 @@ import numpy as np
 from . import __version__
 from .errors import DomainError, PrecisionError, ResourceError
 from .exact import CertifiedVector, _dec, as_vector, dist_nearest_int, rational
-from .roots import _iroot_from, iroot, log2_enclosure, sqrt_upper
+from .roots import _iroot_from, _log2_units, iroot, log2_enclosure, sqrt_upper
 
 _MAX_SAMPLES = 10 ** 6  # starts per census or window: bounds their memory
 _BLOCK = 1 << 16  # longest time block: bounds E and the arrays of one sample
@@ -182,7 +182,8 @@ def _threshold_pair(n: int, delta: Fraction, bits: int,
     `above`, when not 0, is t_lo of an earlier time: a start for the root."""
     p, q = delta.numerator, delta.denominator
     w = (1 << (bits * p)) // n ** q
-    t = _iroot_from(w, p, above) if above and w and p > 2 else iroot(w, p)
+    # even p: iroot's square roots beat a warm Newton descent
+    t = _iroot_from(w, p, above) if above and w and p > 2 and p % 2 else iroot(w, p)
     if t ** p * n ** q == 1 << (bits * p):
         return t, t
     return t, t + 1
@@ -231,7 +232,8 @@ class _Engine:
     """The top-unit frame of one configuration (see the module doc): what
     every sample shares, and the exact full-precision rule for survivors."""
 
-    def __init__(self, config: OrbitConfig, n_hi: int):
+    def __init__(self, config: OrbitConfig, n_hi: int, steps: int):
+        """n_hi: the last time of the run; steps: its longest time block."""
         self.config = config
         self.bits = config.precision_bits
         self.s = self.bits - 64
@@ -239,7 +241,7 @@ class _Engine:
         self.err = _error_units(n_hi, config.theta.radius, self.bits)
         self.e = self.top(self.err, ceil=True)
         self.auto = _auto_hit_bound(config.delta)
-        k = np.arange(_BLOCK, dtype=np.uint64)
+        k = np.arange(min(steps, _BLOCK), dtype=np.uint64)
         self.k_theta = [k * np.uint64(self.top(t)) for t in self.theta_u]
 
     def top(self, v: int, ceil: bool = False) -> int:
@@ -252,11 +254,15 @@ class _Engine:
         return length + 1 if self.s > 0 else 0
 
     def tops(self, points, n: int) -> np.ndarray:
-        """(len(points), dim) uint64 top units of the positions at time n."""
-        mask = (1 << self.bits) - 1
-        return np.array([[self.top((x + n * t) & mask)
-                          for x, t in zip(pt, self.theta_u)] for pt in points],
-                        dtype=np.uint64)
+        """(len(points), dim) uint64 top units of the positions at time n
+        (points in [0, 2^bits), as every start is)."""
+        if n:
+            mask = (1 << self.bits) - 1
+            points = [[(x + n * t) & mask for x, t in zip(pt, self.theta_u)]
+                      for pt in points]
+        if self.s <= 0:
+            return np.array(points, dtype=np.uint64) << np.uint64(-self.s)
+        return np.array([[x >> self.s for x in pt] for pt in points], dtype=np.uint64)
 
     def distances(self, tops: np.ndarray, base: np.ndarray, length: int) -> np.ndarray:
         """d64[r, k] of the rows starting at tops + base, for k < length."""
@@ -331,9 +337,9 @@ class _Engine:
 def _sweep(config: OrbitConfig, starts, x0_fracs=None) -> list[_SweepResult]:
     """Hits, inconclusive counts and minimum distances over n = 1..n_max for
     every start (B-bit fixed-point units); time blocks outside, samples
-    inside, so each block's brackets are computed once."""
+    inside, so each block's brackets and buffers are made once."""
     n_max = config.n_max
-    eng = _Engine(config, n_max)
+    eng = _Engine(config, n_max, n_max)
     x0_fracs = x0_fracs or [None] * len(starts)
     tops = eng.tops(starts, 0)
     hits = [[] for _ in starts]
@@ -343,13 +349,18 @@ def _sweep(config: OrbitConfig, starts, x0_fracs=None) -> list[_SweepResult]:
         length = min(_BLOCK, n_max - b0 + 1)
         slack = eng.slack(length)
         hit_lim, miss_lim = eng.bounds(b0, length, slack)
-        base = eng.tops([[0] * config.dim], b0)[0]
+        offs = tops + eng.tops([[0] * config.dim], b0)[0]  # wraps mod 2^64
+        ramp = [kt[:length] for kt in eng.k_theta]
+        pos = [np.empty(length, dtype=np.uint64) for _ in ramp]
+        near = np.empty(length, dtype=bool)
         lo2 = max(2 - b0, 0)
         for i, pt in enumerate(starts):
-            d = eng.distances(tops[i:i + 1], base, length)[0]
-            ks = np.flatnonzero(d <= miss_lim)
+            for c, kt in enumerate(ramp):
+                np.add(kt, offs[i, c], out=pos[c])
+            d = _d64(pos)
+            ks = np.flatnonzero(np.less_equal(d, miss_lim, out=near))
             sure = d[ks] < hit_lim[ks]
-            hits[i] += [b0 + k for k in ks[sure].tolist()]
+            hits[i] += (ks[sure] + b0).tolist()
             for k in ks[~sure].tolist():
                 verdict = eng.classify(pt, b0 + k, x0_fracs[i])
                 if verdict is True:
@@ -364,21 +375,23 @@ def _sweep(config: OrbitConfig, starts, x0_fracs=None) -> list[_SweepResult]:
 
 def _stat_enclosure(res: _SweepResult, log_n, bits: int):
     """Outward enclosure of (-log2 min dist)/(log2 N), with log_n the
-    enclosure of log2 N; (None, None) when the distance interval touches 0
-    or no n >= 2 exists."""
+    enclosure of log2 N as integers over 2^32 (both ends > 0); (None, None)
+    when the distance interval touches 0 or no n >= 2 exists.  The distance
+    logs are 32-bit log2_enclosure ends over 2^32 too."""
     if res.min_lo is None or res.min_lo <= 0:
         return None, None
-    la1 = log2_enclosure(res.min_lo)[0]
-    lb2 = log2_enclosure(res.min_hi)[1]
-    hi = (bits - la1) / log_n[0]
-    lo = (bits - lb2) / log_n[1]
-    return max(lo, Fraction(0)), max(hi, Fraction(0))
+    lo = max((bits << 32) - _log2_units(res.min_hi, 32, True), 0)
+    hi = max((bits << 32) - _log2_units(res.min_lo, 32, False), 0)
+    return Fraction(lo, log_n[1]), Fraction(hi, log_n[0])
 
 
 def _hit_records(config: OrbitConfig, results) -> list[HitRecord]:
     """One HitRecord per _sweep result, sample ids 0, 1, ...; log2 n_max is
     enclosed once (only orbits with some n >= 2 use it)."""
-    log_n = log2_enclosure(config.n_max) if config.n_max >= 2 else None
+    log_n = None
+    if config.n_max >= 2:
+        # through log2_enclosure, whose calls the benchmark tracer counts
+        log_n = [int(end * (1 << 32)) for end in log2_enclosure(config.n_max)]
     return [HitRecord(i, tuple(res.hits), res.inconclusive,
                       *_stat_enclosure(res, log_n, config.precision_bits))
             for i, res in enumerate(results)]
@@ -445,16 +458,11 @@ def _draw_starts(config: OrbitConfig, count: int) -> list[list[int]]:
     words = (bits + 63) // 64
     raw = rng.integers(0, 2 ** 64, size=(count, config.dim, words),
                        dtype=np.uint64, endpoint=False)
-    out = []
-    for i in range(count):
-        pt = []
-        for c in range(config.dim):
-            v = 0
-            for w in range(words):
-                v = (v << 64) | int(raw[i, c, w])
-            pt.append(v % (1 << bits))
-        out.append(pt)
-    return out
+    # a coordinate is its words read big-endian, mod 2^bits
+    raw[..., 0] &= np.uint64((1 << (bits + 64 - 64 * words)) - 1)
+    size, flat = 8 * words, raw.astype(">u8").tobytes()
+    vals = [int.from_bytes(flat[j:j + size], "big") for j in range(0, len(flat), size)]
+    return [vals[j:j + config.dim] for j in range(0, len(vals), config.dim)]
 
 
 @dataclass(frozen=True)
@@ -543,7 +551,7 @@ def bc_window_estimate(config: OrbitConfig, window: tuple[int, int]) -> WindowEs
 def _window(config: OrbitConfig, starts, l_lo: int, l_hi: int):
     """Per-start (hit, inconclusive) flags for the times l_lo..l_hi: a hit is
     a conclusive hit at some l, inconclusive means no hit and a straddle."""
-    eng = _Engine(config, l_hi)
+    eng = _Engine(config, l_hi, l_hi - l_lo + 1)
     hit, amb = np.zeros((2, len(starts)), dtype=bool)
     tops = eng.tops(starts, 0)
     origin = [[0] * config.dim]

@@ -33,8 +33,8 @@ def iroot(n: int, k: int) -> int:
         return 0
     if k == 1:
         return n
-    if k == 2:
-        return math.isqrt(n)
+    if k % 2 == 0:  # floor(n^(1/2j)) = floor(floor(sqrt(n))^(1/j))
+        return iroot(math.isqrt(n), k // 2)
     # initial overestimate from the bit length
     return _iroot_from(n, k, 1 << -(-n.bit_length() // k))
 
@@ -110,36 +110,39 @@ def log2_enclosure(x, frac_bits: int = 32) -> tuple[Fraction, Fraction]:
     """Enclosure of log2(x) for x > 0, width about 2**(1 - frac_bits).
 
     Digit-by-digit squaring with directed fixed-point rounding: the floor
-    process yields a lower bound, the ceiling process an upper bound.  The
-    digits of both are collected as integers over 2**frac_bits.
+    process yields a lower bound, the ceiling process an upper bound
+    (_log2_units gives each end as an integer over 2**frac_bits).
     """
     x = rational(x)
     if x <= 0:
         raise DomainError("log of a nonpositive value")
+    scale = 1 << frac_bits
+    return (Fraction(_log2_units(x, frac_bits, False), scale),
+            Fraction(_log2_units(x, frac_bits, True), scale))
+
+
+def _log2_units(x, frac_bits: int, up: bool) -> int:
+    """2**frac_bits times the lower end of log2_enclosure(x, frac_bits), or
+    with `up` its upper end; x is a positive int or Fraction."""
     num, den = x.numerator, x.denominator
     e = num.bit_length() - den.bit_length()
     if num << max(-e, 0) < den << max(e, 0):
         e -= 1
-    # m = x / 2^e in [1, 2) in p-bit fixed point: a rounded down, b up
+    # m = x / 2^e in [1, 2) in p-bit fixed point, rounded in the direction
     p = frac_bits + 8
     k = p - e
     num, den = (num << k, den) if k >= 0 else (num, den << -k)
-    a, b = num // den, -(-num // den)
+    bump = (1 << p) - 1 if up else 0
+    m = -(-num // den) if up else num // den
     two = 2 << p
-    lo = hi = 0
+    digits = 0
     for _ in range(frac_bits):
-        a = (a * a) >> p
-        lo <<= 1
-        if a >= two:
-            a >>= 1
-            lo |= 1
-        b = -((-(b * b)) >> p)
-        hi <<= 1
-        if b >= two:
-            b = (b + 1) >> 1
-            hi |= 1
-    scale = 1 << frac_bits
-    return Fraction((e << frac_bits) + lo, scale), Fraction((e << frac_bits) + hi + 2, scale)
+        m = (m * m + bump) >> p
+        digits <<= 1
+        if m >= two:
+            m = (m + up) >> 1
+            digits |= 1
+    return (e << frac_bits) + digits + 2 * up
 
 
 def sqrt_upper(x) -> Fraction:

@@ -7,6 +7,7 @@ the exact rule, that the top-limb filter must reproduce hit for hit.
 
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,12 +17,12 @@ from shrinktarget import orbit
 from shrinktarget.errors import DomainError, PrecisionError, ResourceError
 from shrinktarget.exact import CertifiedVector
 from shrinktarget.orbit import (_BATCH, _BLOCK, OrbitConfig, _auto_hit_bound,
-                                _draw_starts, _error_units, _exact_classify, _sweep,
-                                _threshold_pair, _units, _window,
-                                _x0_units, bc_window_estimate,
+                                _draw_starts, _Engine, _error_units, _exact_classify,
+                                _hit_records, _sweep, _SweepResult, _threshold_pair,
+                                _units, _window, _x0_units, bc_window_estimate,
                                 exact_orbit_hits, hit_census, log_law_stat,
                                 orbit_hits)
-from shrinktarget.roots import iroot
+from shrinktarget.roots import iroot, log2_enclosure
 
 F = Fraction
 
@@ -433,13 +434,117 @@ def test_far_window_at_160_bits_matches_oracle():
 
 
 @pytest.mark.parametrize("bits", [64, 128])
-@pytest.mark.parametrize("n_max", [2 ** 16 - 1, 2 ** 16, 2 ** 16 + 1])
+@pytest.mark.parametrize("n_max", [1, 2, 3, 17, _BLOCK - 1, _BLOCK, _BLOCK + 1])
 def test_sweep_across_block_edge_matches_oracle(bits, n_max):
+    """The step ramp is as long as the longest block: n_max steps up to
+    _BLOCK, then _BLOCK with a last block of one step."""
     config = OrbitConfig(theta=pell_theta(), delta=F(3, 2), n_max=n_max,
                          seed=5, precision_bits=bits)
     starts = _draw_starts(config, 1) + [[1 << (bits - 1)]]
     for x0u, res in zip(starts, _sweep(config, starts)):
         assert tuple(res) == oracle_sweep(config, x0u)
+
+
+@pytest.mark.parametrize("length", [1, 2, _BLOCK, _BLOCK + 1])
+def test_window_ramp_edges_at_160_bits_match_oracle(length):
+    """160-bit windows near l = 10^12, as long as the ramp (1, 2 and _BLOCK
+    steps) or one step longer.  Besides a random start, starts are placed on
+    the target centre at the window's last step and, when the window spans
+    two blocks, at the first block's last step, so that the ramp's last
+    entry finds a hit."""
+    bits, lo = 160, 10 ** 12 + 1
+    theta = pell_theta(200)
+    config = OrbitConfig(theta=theta, delta=F(2), n_max=lo + length,
+                         seed=21, precision_bits=bits)
+    theta_u = _units(theta.coords, bits)
+    starts = _draw_starts(config, 1) + [
+        _centred_start(theta_u, l, [0], bits)
+        for l in sorted({lo + length - 1, lo + min(length, _BLOCK) - 1})]
+    got = engine_window(config, starts, lo, lo + length - 1)
+    assert got == oracle_window(config, starts, lo, lo + length - 1)
+    assert all(got[0][1:])
+
+
+# --- per-sample kernels against the forms they replaced -------------------------
+
+
+def _per_word_starts(config, count):
+    """The start draw as one int() per generator word."""
+    rng = np.random.Generator(np.random.PCG64(config.seed))
+    bits = config.precision_bits
+    words = (bits + 63) // 64
+    raw = rng.integers(0, 2 ** 64, size=(count, config.dim, words),
+                       dtype=np.uint64, endpoint=False)
+    out = []
+    for i in range(count):
+        pt = []
+        for c in range(config.dim):
+            v = 0
+            for w in range(words):
+                v = (v << 64) | int(raw[i, c, w])
+            pt.append(v % (1 << bits))
+        out.append(pt)
+    return out
+
+
+KERNEL_BITS = (8, 63, 64, 65, 127, 128, 129, 160, 192, 193)
+
+
+@pytest.mark.parametrize("bits", KERNEL_BITS)
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_draw_starts_matches_per_word_draw(bits, dim):
+    config = OrbitConfig(theta=CertifiedVector((F(1, 3),) * dim), delta=F(dim),
+                         n_max=0, seed=1000 * bits + dim, precision_bits=bits)
+    for count in (1, 2, 97):
+        assert _draw_starts(config, count) == _per_word_starts(config, count)
+
+
+@pytest.mark.parametrize("bits", KERNEL_BITS)
+def test_tops_match_the_per_element_top(bits):
+    """_Engine.tops at time 0 shifts the starts directly and at time n adds
+    n*theta first; both equal top((x + n*theta) mod 2^B) coordinate by
+    coordinate, also at 0 and 2^B - 1."""
+    theta = CertifiedVector((F(5741, 8119), F(2923, 7561)))
+    config = OrbitConfig(theta=theta, delta=F(2), n_max=0, seed=bits,
+                         precision_bits=bits)
+    eng = _Engine(config, 0, 0)
+    pts = _draw_starts(config, 50) + [[0, (1 << bits) - 1], [1 << (bits - 1), 1]]
+    mask = (1 << bits) - 1
+    for n in (0, 1, 2 ** 40 + 3):
+        want = [[eng.top((x + n * t) & mask) for x, t in zip(pt, eng.theta_u)]
+                for pt in pts]
+        assert eng.tops(pts, n).tolist() == want
+
+
+def _fraction_chain_stat(res, log_n, bits):
+    """The statistic from two log2_enclosure calls and Fraction arithmetic,
+    with log_n the Fraction enclosure of log2 N."""
+    if res.min_lo is None or res.min_lo <= 0:
+        return None, None
+    la1 = log2_enclosure(res.min_lo)[0]
+    lb2 = log2_enclosure(res.min_hi)[1]
+    hi = (bits - la1) / log_n[0]
+    lo = (bits - lb2) / log_n[1]
+    return max(lo, F(0)), max(hi, F(0))
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.sampled_from(KERNEL_BITS), st.data(),
+       st.one_of(st.integers(2, 40), st.integers(2, 10 ** 30),
+                 st.integers(1, 100).map(lambda k: 2 ** k)))
+def test_stat_enclosure_matches_fraction_chain(bits, data, n_max):
+    """Integer log ends over 2^32 give the same Fractions, also for minima
+    at 0, at 2^k and 2^k +- 1, and above 2^B (statistic clamped to 0)."""
+    one = 1 << bits
+    min_lo = data.draw(st.one_of(
+        st.integers(-5, one + 5),
+        st.integers(0, bits).flatmap(
+            lambda k: st.sampled_from((2 ** k - 1, 2 ** k, 2 ** k + 1)))))
+    min_hi = min_lo + data.draw(st.integers(0, 2 ** 40))
+    res = _SweepResult([], 0, min_lo, min_hi)
+    (rec,) = _hit_records(SimpleNamespace(n_max=n_max, precision_bits=bits), [res])
+    assert (rec.stat_lo, rec.stat_hi) == \
+        _fraction_chain_stat(res, log2_enclosure(n_max), bits)
 
 
 @settings(deadline=None, max_examples=120)

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from shrinktarget.errors import DomainError
-from shrinktarget.roots import (_iroot_from, iroot, iroot_ceil, log2_enclosure,
-                                nth_root_enclosure, pow_enclosure, sqrt_upper)
+from shrinktarget.roots import (_iroot_from, _log2_units, iroot, iroot_ceil,
+                                log2_enclosure, nth_root_enclosure, pow_enclosure,
+                                sqrt_upper)
 
 F = Fraction
 
@@ -146,3 +147,33 @@ def test_log2_enclosure_matches_oracle(x, frac_bits):
 def test_log2_enclosure_rejects_nonpositive():
     with pytest.raises(DomainError):
         log2_enclosure(Fraction(0))
+
+
+_INT_NEAR_POW2 = st.builds(lambda k, s: 2**k + s, st.integers(1, 256),
+                           st.sampled_from([-1, 0, 1]))
+
+
+@given(st.one_of(st.integers(1, 2**256), _INT_NEAR_POW2, _POW2_NEAR,
+                 st.fractions(min_value=F(1, 2**200), max_value=F(2**200)).filter(bool),
+                 st.builds(F, st.integers(1, 2**256), st.integers(1, 2**256))))
+@example(1)
+@example(F(1, 3))
+@example(F(2**200))
+def test_log2_units_are_the_enclosure_ends_over_2_32(x):
+    ends = oracle_log2_enclosure(F(x))
+    assert log2_enclosure(x) == ends
+    for up in (False, True):
+        assert _log2_units(x, 32, up) == ends[up] * 2**32
+
+
+@given(st.one_of(st.integers(1, 10**40), st.integers(1, 2**800),
+                 st.integers(1, 400).map(lambda k: 2**k - 1),
+                 st.integers(1, 400).map(lambda k: 2**k)),
+       st.integers(1, 6))
+def test_even_order_iroot_matches_newton_descent(n, j):
+    """iroot takes order 2j through math.isqrt; Newton descent from the
+    bit-length start is the reference."""
+    k = 2 * j
+    assert iroot(n, k) == _iroot_from(n, k, 1 << -(-n.bit_length() // k))
+    r = 1 + n % 1000
+    assert iroot(r**k, k) == r and iroot(r**k - 1, k) == r - 1
