@@ -275,6 +275,9 @@ def _validate_combination(command: str, values: dict, pairs) -> None:
         for key in values:
             if key not in ("series", "radius", *_SERIES_KEYS[series]):
                 unused(key, f"by series={series}")
+    for key, least in (("limit", 1), ("bruteforce_depth", 0)):
+        if values.get(key, least) < least:
+            raise ConfigError(f"{key} must be >= {least}", *pairs[key][1])
     if command == "simulate" and "window" in values:
         if len(values["window"]) != 2:
             raise ConfigError("window needs exactly two integers 'lo,hi'",
@@ -324,9 +327,14 @@ def _write_json(path, payload) -> None:
 
 
 def _theta_from(values: dict):
+    """theta, and the construction state when a transcript (read only here) gives it."""
     if "transcript" in values:
-        state = ConstructionState.from_text(
-            Path(values["transcript"]).read_text())
+        try:
+            text = Path(values["transcript"]).read_text()
+        except (OSError, UnicodeDecodeError) as exc:
+            why = getattr(exc, "strerror", None) or exc
+            raise ConfigError(f"cannot read the transcript {values['transcript']!r}: {why}")
+        state = ConstructionState.from_text(text)
         if values.get("refined", False):
             return state.refined_theta(), state
         return state.theta, state
@@ -438,14 +446,7 @@ def _run_construct(values: dict, out: Path) -> list[Path]:
     })
     outputs.append(theta_path)
     if values.get("verify", True):
-        report = verify_construction(state)
-        report_path = out / "verify_report.txt"
-        report_path.write_text("\n".join(report.to_lines()) + "\n")
-        outputs.append(report_path)
-        if not report.ok:
-            raise DomainError(
-                "construction verification failed: "
-                + "; ".join(c.name for c in report.failed()))
+        outputs.append(_report(verify_construction(state), out, "construction verification"))
     return outputs
 
 
@@ -503,15 +504,18 @@ def _run_transfer(values: dict, out: Path) -> list[Path]:
 
 
 def _run_verify(values: dict, out: Path) -> list[Path]:
-    state = ConstructionState.from_text(
-        Path(values["transcript"]).read_text())
-    report = verify_construction(state, values.get("bruteforce_depth"))
+    _, state = _theta_from(values)
+    return [_report(verify_construction(state, values.get("bruteforce_depth")),
+                    out, "verification")]
+
+
+def _report(report, out: Path, what: str) -> Path:
+    """verify_report.txt; a failed check raises DomainError once it is written."""
     path = out / "verify_report.txt"
     path.write_text("\n".join(report.to_lines()) + "\n")
     if not report.ok:
-        raise DomainError(
-            "verification failed: " + "; ".join(c.name for c in report.failed()))
-    return [path]
+        raise DomainError(f"{what} failed: " + "; ".join(c.name for c in report.failed()))
+    return path
 
 
 _RUNNERS = {

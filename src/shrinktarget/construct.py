@@ -232,6 +232,7 @@ class ConstructionState:
 
     @classmethod
     def from_text(cls, text: str) -> "ConstructionState":
+        """Parse a transcript strictly: any malformed line is a DomainError."""
         lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
         if not lines or lines[0] != TRANSCRIPT_HEADER:
             raise DomainError("not a construction transcript (bad header)")
@@ -239,30 +240,33 @@ class ConstructionState:
         steps = []
         for ln in lines[1:]:
             key, _, rest = ln.partition(" ")
-            if key in ("depth", "a", "h0"):
-                meta[key] = rest
-            elif key == "step":
+            if key not in ("depth", "a", "h0", "step"):
+                raise DomainError(f"unknown transcript line: {ln!r}")
+            try:
                 vals = [int(t) for t in rest.split()]
-                if len(vals) != 9:
-                    raise DomainError(f"malformed transcript step line: {ln!r}")
-                n, dx, dy, dz, px, py, pz, h, q = vals
-                delta = LatticePoint3(dx, dy, dz)
-                p = LatticePoint3(px, py, pz)
+            except ValueError:
+                raise DomainError(f"non-integer token in transcript line: {ln!r}") from None
+            if key in meta:
+                raise DomainError(f"repeated transcript line {key!r}")
+            if key != "step":
+                meta[key] = vals
+            elif len(vals) != 9:
+                raise DomainError(f"malformed transcript step line: {ln!r}")
+            else:
+                n, h, q = vals[0], vals[7], vals[8]
+                delta, p = LatticePoint3(*vals[1:4]), LatticePoint3(*vals[4:7])
                 if delta.norm != h or p.norm != q:
                     raise DomainError(f"transcript norms disagree at step {n}")
                 steps.append(ConstructionStep(n, delta, p, h, q))
-            else:
-                raise DomainError(f"unknown transcript line: {ln!r}")
-        try:
-            depth = int(meta["depth"])
-            a_seq = tuple(int(t) for t in meta["a"].split())
-            h0_seq = tuple(int(t) for t in meta["h0"].split())
-        except KeyError as missing:
-            raise DomainError(f"transcript missing {missing} line") from None
+        depth = meta["depth"][0] if len(meta.get("depth", ())) == 1 else 0
+        if depth < 1:
+            raise DomainError("transcript needs one depth line of one integer >= 1")
+        a_seq, h0_seq = tuple(meta.get("a", ())), tuple(meta.get("h0", ()))
+        if min(len(a_seq), len(h0_seq)) < depth + 2:
+            raise DomainError(f"transcript a, h0 lines need depth + 2 = {depth + 2} entries")
         if [s.n for s in steps] != list(range(depth + 2)):
             raise DomainError("transcript steps do not run 0..depth+1")
-        state = cls(a_seq, h0_seq, depth, tuple(steps), _theta_of(steps, depth))
-        return state
+        return cls(a_seq, h0_seq, depth, tuple(steps), _theta_of(steps, depth))
 
 
 def _theta_of(steps, depth) -> CertifiedVector:

@@ -16,16 +16,16 @@ B < 64).  No float sits on a decision path:
   top(x) + top(b0*theta mod 2^B) + k*top(theta) mod 2^64, within E = L + 1
   top units of the true position (E = 0 when s <= 0), however large b0 is.
   d64 is the largest coordinate |pos| read as int64 (pos = 2^63 gives 2^63).
-- Integer brackets.  A block splits into sub-blocks [a, b], b - a = a // 64.
-  The threshold falls with n, so with (t_lo, t_hi) from _threshold_pair and
-  e = ceil(err/2^s), d64 <= top(t_lo(b + 1)) - E - e is a certain hit and
-  d64 > ceil(t_hi(a)/2^s) + E + e a certain miss on all of [a, b].  The
-  limits are computed once per block and shared by every sample.
-- Exact re-check.  Every other step gets its exact B-bit distance from
-  Python integers and the full-precision rule (_threshold_pair, then exact
-  arithmetic), which would decide a filtered step the same way; so hits
-  and inconclusive counts are those of a B-bit step-by-step walk.  The
-  steps with d64 <= (block minimum) + 2E hold the exact minimum distance.
+- Level ladder.  For delta = p/q a block walks levels t of top units, from
+  t_hi(a) at 64 bits for its first step a, then low = t - t*q // (64p) - 1:
+  the radius of steps a..b = _last_step(delta, low) (an iroot of order q)
+  lies in [low, t].  With e = ceil(err/2^s), d64 <= low - E - e is a certain
+  hit and d64 > t + E + e a certain miss on [a, b], for every sample.
+- Exact re-check.  Every other step gets its exact B-bit distance d: it is a
+  hit when (d + err)^p n^q <= 2^(Bp), a miss when (d - err)^p n^q > 2^(Bp),
+  else decided in exact arithmetic, as a filtered step would be; so hits
+  and inconclusive counts are those of a B-bit step-by-step walk.  Steps
+  with d64 <= (block minimum) + 2E hold the exact minimum distance.
 
 Window estimates classify samples x times densely, with early exit, while
 the target radius is >= 1/16.  Beyond that, step b0 + k of a time block
@@ -64,18 +64,13 @@ import numpy as np
 from . import __version__
 from .errors import DomainError, PrecisionError, ResourceError
 from .exact import CertifiedVector, _dec, as_vector, dist_nearest_int, rational
-from .roots import _iroot_from, _log2_units, iroot, log2_enclosure, sqrt_upper
+from .roots import _log2_units, iroot, log2_enclosure, sqrt_upper
 
 _MAX_SAMPLES = 10 ** 6  # starts per census or window: bounds their memory
 _BLOCK = 1 << 16  # longest time block: bounds E and the arrays of one sample
 _BATCH = 1 << 20  # about the (sample, time) pairs of one window block
-_SUB = 64  # a sub-block [a, b] of a time block has b - a = a // _SUB
 _NO_MISS = 1 << 63  # limits for auto-hit times: d64 <= 2^63 < 2^63 + 1
 _ALL_HIT = (1 << 63) + 1
-
-
-def _ceil_frac(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
 
 
 @dataclass(frozen=True)
@@ -173,25 +168,27 @@ def _x0_units(x0, dim: int, bits: int) -> list[int]:
 def _error_units(n: int, theta_radius: Fraction, bits: int) -> int:
     """Certified bound, in fixed-point units, on |fixed-point - true|
     after n steps (including the start-point rounding)."""
-    return _ceil_frac(Fraction(1, 2) + n * (Fraction(1, 2) + theta_radius * (1 << bits)))
+    return -(-(Fraction(1, 2) + n * (Fraction(1, 2) + theta_radius * (1 << bits))) // 1)
 
 
-def _threshold_pair(n: int, delta: Fraction, bits: int,
-                    above: int = 0) -> tuple[int, int]:
-    """Integers t_lo <= n^(-1/delta)*2^bits <= t_hi with t_hi - t_lo <= 1;
-    `above`, when not 0, is t_lo of an earlier time: a start for the root."""
+def _threshold_pair(n: int, delta: Fraction, bits: int) -> tuple[int, int]:
+    """Integers t_lo <= n^(-1/delta)*2^bits <= t_hi with t_hi - t_lo <= 1."""
     p, q = delta.numerator, delta.denominator
-    w = (1 << (bits * p)) // n ** q
-    # even p: iroot's square roots beat a warm Newton descent
-    t = _iroot_from(w, p, above) if above and w and p > 2 and p % 2 else iroot(w, p)
+    t = iroot((1 << (bits * p)) // n ** q, p)
     if t ** p * n ** q == 1 << (bits * p):
         return t, t
     return t, t + 1
 
 
+def _last_step(delta: Fraction, t: int) -> int:
+    """Last step n >= 0 whose target radius n^(-1/delta) is at least t >= 1
+    top units: t^p n^q <= 2^(64p) for delta = p/q."""
+    return iroot((1 << (64 * delta.numerator)) // t ** delta.numerator, delta.denominator)
+
+
 def _auto_hit_bound(delta: Fraction) -> int:
     """Largest n with target radius n^(-1/delta) >= 1/2 (everything hits)."""
-    return iroot(2 ** delta.numerator, delta.denominator)
+    return _last_step(delta, 1 << 63)
 
 
 def _exact_classify(x0_frac, theta: CertifiedVector, n: int,
@@ -241,6 +238,7 @@ class _Engine:
         self.err = _error_units(n_hi, config.theta.radius, self.bits)
         self.e = self.top(self.err, ceil=True)
         self.auto = _auto_hit_bound(config.delta)
+        self.p, self.q = config.delta.numerator, config.delta.denominator
         k = np.arange(min(steps, _BLOCK), dtype=np.uint64)
         self.k_theta = [k * np.uint64(self.top(t)) for t in self.theta_u]
 
@@ -273,24 +271,19 @@ class _Engine:
         """Shared limits for the steps b0 .. b0+length-1: d64 < hit[k] is a
         certain hit and d64 > miss[k] a certain miss for every sample whose
         d64 is within `slack` of its d_B / 2^s."""
-        hit, miss = np.empty((2, length), dtype=np.uint64)
-        a, end = b0, b0 + length - 1
-        if a <= self.auto:
-            k = min(self.auto, end) - b0 + 1
-            hit[:k], miss[:k] = _ALL_HIT, _NO_MISS
-            a += k
-        delta, bits = self.config.delta, self.bits
-        pair = _threshold_pair(a, delta, bits)
-        while a <= end:
-            # t_lo(b + 1) bounds [a, b] from below; t_hi(b + 1) serves next
-            b = min(a + a // _SUB, end)
-            after = _threshold_pair(b + 1, delta, bits, pair[0])
-            hit[a - b0:b - b0 + 1] = min(max(
-                self.top(after[0]) - slack - self.e + 1, 0), _ALL_HIT)
-            miss[a - b0:b - b0 + 1] = min(
-                self.top(pair[1], ceil=True) + slack + self.e, _NO_MISS)
-            a, pair = b + 1, after
-        return hit, miss
+        end = b0 + length - 1
+        a = min(max(b0, self.auto + 1), end + 1)
+        runs = [(a - b0, _ALL_HIT, _NO_MISS)]  # (steps, hit, miss) per level
+        t = _threshold_pair(a, self.config.delta, 64)[1]
+        while a <= end:  # b < a when the radius skips the level [low, t]
+            low = t - t * self.q // (64 * self.p) - 1
+            b = min(_last_step(self.config.delta, low), end) if low else end
+            runs.append((b - a + 1, min(max(low - slack - self.e + 1, 0), _ALL_HIT),
+                         min(t + slack + self.e, _NO_MISS)))
+            a, t = b + 1, low
+        steps, hit, miss = np.array(runs, dtype=np.uint64).T
+        # one 2 x length array: two separate ones fault in twice the fresh pages
+        return np.repeat([hit, miss], steps.astype(np.intp), axis=1)
 
     def dist(self, pt, n: int) -> int:
         """Exact B-bit fixed-point distance to 0 of pt + n*theta."""
@@ -303,11 +296,10 @@ class _Engine:
 
         x0_frac is the true rational start, by default the grid point
         pt/2^bits (exact for starts drawn on the grid)."""
-        d = self.dist(pt, n)
-        t_lo, t_hi = _threshold_pair(n, self.config.delta, self.bits)
-        if d + self.err <= t_lo:
+        d, err, p, q = self.dist(pt, n), self.err, self.p, self.q
+        if (d + err) ** p * n ** q <= 1 << (self.bits * p):
             return True
-        if d - self.err > t_hi:
+        if d > err and (d - err) ** p * n ** q > 1 << (self.bits * p):
             return False
         if x0_frac is None:
             x0_frac = [Fraction(u, 1 << self.bits) for u in pt]
@@ -555,8 +547,7 @@ def _window(config: OrbitConfig, starts, l_lo: int, l_hi: int):
     hit, amb = np.zeros((2, len(starts)), dtype=bool)
     tops = eng.tops(starts, 0)
     origin = [[0] * config.dim]
-    p, q = config.delta.numerator, config.delta.denominator
-    l0 = iroot(16 ** p, q) + 1  # first l with target radius < 1/16
+    l0 = _last_step(config.delta, 1 << 60) + 1  # first l with target radius < 1/16
     b0 = l_lo
     # wide targets: hits are dense, so classify samples x times directly.
     # The bucketed stage below gives the same flags here but is slower: with
@@ -584,8 +575,7 @@ def _window(config: OrbitConfig, starts, l_lo: int, l_hi: int):
     shift = 64  # no grid yet
     while b0 <= l_hi and not hit.all():
         active = np.flatnonzero(~hit)
-        reach = (eng.top(_threshold_pair(b0, config.delta, eng.bits)[1], ceil=True)
-                 + eng.e + eng.slack(_BLOCK))
+        reach = _threshold_pair(b0, config.delta, 64)[1] + eng.e + eng.slack(_BLOCK)
         fit = max(reach.bit_length(), min_shift)
         if fit < shift:
             shift, span = fit, 1 << (64 - fit)

@@ -191,6 +191,21 @@ def test_keys_the_run_ignores_are_rejected(text, line, message):
         cli.parse_config(text)
 
 
+@pytest.mark.parametrize("text,line,column,message", [
+    ("command=approx\ntheta=1/3\nlimit=0\n", 3, 7, "limit must be >= 1"),
+    ("command=approx\nlimit=-5\ntheta=1/3\nmode=linear\n", 2, 7, "limit must be >= 1"),
+    ("command=verify\ntranscript=t.txt\nbruteforce_depth=-1\n", 3, 18,
+     "bruteforce_depth must be >= 0"),
+])
+def test_values_the_run_cannot_use_are_rejected(text, line, column, message):
+    """An approx limit below 1 (no multiplier or height to scan) and a
+    negative verify bruteforce_depth (no level to scan) are refused at parse
+    time, at the value's line and column, before any artifact is written."""
+    with pytest.raises(ConfigError,
+                       match=rf"^line {line}, col {column}: {re.escape(message)}$"):
+        cli.parse_config(text)
+
+
 @pytest.mark.parametrize("raw,expected", [
     ("const:33", ((33, 33, 33), (33, 26136, 20699712))),
     ("33", ((33, 33, 33), (33, 26136, 20699712))),
@@ -353,6 +368,22 @@ def test_main_missing_config_file(tmp_path, capsys):
     code = cli.main(["approx", "--config", str(tmp_path / "absent.cfg")])
     assert code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command,keys", [
+    ("verify", ""),
+    ("simulate", "delta=2\nn_max=50\n"),
+    ("criteria", "series=prop32\nn_terms=2\n"),
+])
+def test_unreadable_transcript_is_a_config_error_naming_it(tmp_path, command, keys):
+    """A missing transcript or a directory in its place exits 2 with a
+    ConfigError that names the path, as a missing config file does."""
+    for path in (tmp_path / "absent.txt", tmp_path):
+        cfg = write_config(tmp_path, f"command={command}\ntranscript={path}\n{keys}")
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
+        err = json.loads((out / "error.json").read_text())
+        assert err["error"] == "ConfigError" and repr(str(path)) in err["message"]
 
 
 def test_main_resource_exhaustion_exit_4(tmp_path):

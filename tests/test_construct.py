@@ -1,11 +1,12 @@
 """Recursive lattice construction, its verifier, and transcripts."""
 
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shrinktarget import _scan
+from shrinktarget import _scan, cli
 from shrinktarget.construct import (ConstructionState, alternating_cf,
                                     build_theta, complete_basis,
                                     minimal_heights, verify_construction)
@@ -250,6 +251,43 @@ def test_verifier_still_raises_on_an_undecided_valid_transcript(monkeypatch):
         verify_construction(state, 0)
 
 
+def _retoken(ln, i, token):
+    parts = ln.split()
+    parts[i] = token
+    return " ".join(parts)
+
+
+def _keep_steps(lines, depth):
+    """The lines with `depth` on the depth line and steps 0..depth+1 only."""
+    steps = {f"step {n} " for n in range(depth + 2)}
+    return [f"depth {depth}" if ln.startswith("depth ") else ln for ln in lines
+            if not ln.startswith("step ") or ln[:ln.index(" ", 5) + 1] in steps]
+
+
+# (id, edit of the depth-3 transcript's lines, DomainError message): the lines
+# are the header, depth, a, h0, then steps 0..4
+MALFORMED_TRANSCRIPTS = [
+    ("depth_minus_one", lambda ls: _keep_steps(ls, -1), "one depth line of one integer >= 1"),
+    ("depth_zero", lambda ls: _keep_steps(ls, 0), "one depth line of one integer >= 1"),
+    ("no_depth", lambda ls: ls[:1] + ls[2:], "one depth line of one integer >= 1"),
+    ("short_a", lambda ls: ls[:2] + [ls[2].rsplit(" ", 1)[0]] + ls[3:],
+     r"a, h0 lines need depth \+ 2 = 5 entries"),
+    ("short_h0", lambda ls: ls[:3] + [ls[3].rsplit(" ", 1)[0]] + ls[4:],
+     r"a, h0 lines need depth \+ 2 = 5 entries"),
+    ("no_h0", lambda ls: ls[:3] + ls[4:], r"a, h0 lines need depth \+ 2 = 5 entries"),
+    ("repeated_depth", lambda ls: ls[:2] + ls[1:], "repeated transcript line 'depth'"),
+    ("repeated_a", lambda ls: ls[:3] + ls[2:], "repeated transcript line 'a'"),
+    ("repeated_h0", lambda ls: ls[:4] + ls[3:], "repeated transcript line 'h0'"),
+    ("non_integer_step", lambda ls: ls[:5] + [_retoken(ls[5], 3, "1.5")] + ls[6:],
+     "non-integer token"),
+    ("non_integer_depth", lambda ls: [ls[0], "depth three"] + ls[2:], "non-integer token"),
+]
+
+
+def _malformed(edit):
+    return "\n".join(edit(const33(3).to_text().splitlines())) + "\n"
+
+
 def test_transcript_rejects_inconsistent_norms():
     state = const33(3)
     lines = state.to_text().splitlines()
@@ -260,6 +298,28 @@ def test_transcript_rejects_inconsistent_norms():
             lines[i] = " ".join(parts)
     with pytest.raises(DomainError):
         ConstructionState.from_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("edit, message", [case[1:] for case in MALFORMED_TRANSCRIPTS],
+                         ids=[case[0] for case in MALFORMED_TRANSCRIPTS])
+def test_transcript_rejects_malformed_lines(edit, message):
+    """Transcripts are parsed strictly: a depth below 1, a, h0 lists shorter
+    than depth + 2, a missing or repeated line or a non-integer token is a
+    DomainError, not an IndexError or a verify pass over an empty range."""
+    with pytest.raises(DomainError, match=message):
+        ConstructionState.from_text(_malformed(edit))
+
+
+@pytest.mark.parametrize("edit", [case[1] for case in MALFORMED_TRANSCRIPTS],
+                         ids=[case[0] for case in MALFORMED_TRANSCRIPTS])
+def test_verify_exits_2_on_a_malformed_transcript(tmp_path, edit):
+    transcript = tmp_path / "t.txt"
+    transcript.write_text(_malformed(edit))
+    config = tmp_path / "run.cfg"
+    config.write_text(f"command=verify\ntranscript={transcript}\n")
+    out = tmp_path / "out"
+    assert cli.main(["verify", "--config", str(config), "--out", str(out)]) == 2
+    assert json.loads((out / "error.json").read_text())["error"] == "DomainError"
 
 
 def test_polynomial_growth_regime():

@@ -30,13 +30,23 @@ F = Fraction
 # --- exact step-by-step walks: the oracle for the orbit engine -----------------
 
 
-def _classify(d, n, config, err, x0_frac):
-    t_lo, t_hi = _threshold_pair(n, config.delta, config.precision_bits)
+def _root_rule(d, n, delta, bits, err):
+    """The first stage of the exact re-check as B-bit root brackets (the
+    engine's rule before its integer power test): True or False, or None
+    for the exact fallback."""
+    t_lo, t_hi = _threshold_pair(n, delta, bits)
     if d + err <= t_lo:
         return True
     if d - err > t_hi:
         return False
-    return _exact_classify(x0_frac, config.theta, n, config.delta)
+    return None
+
+
+def _classify(d, n, config, err, x0_frac):
+    verdict = _root_rule(d, n, config.delta, config.precision_bits, err)
+    if verdict is None:
+        return _exact_classify(x0_frac, config.theta, n, config.delta)
+    return verdict
 
 
 def _grid(x0u, bits):
@@ -547,19 +557,131 @@ def test_stat_enclosure_matches_fraction_chain(bits, data, n_max):
         _fraction_chain_stat(res, log2_enclosure(n_max), bits)
 
 
-@settings(deadline=None, max_examples=120)
-@given(st.integers(1, 5), st.integers(1, 3), st.sampled_from((64, 128, 160)),
-       st.integers(0, 40), st.integers(-2, 2),
-       st.sampled_from(("same", "step", "sub-block", "first")))
-def test_warm_started_threshold_pairs_match_cold(p, q, bits, i, step, back):
-    """_Engine.bounds starts each root at the previous sub-block's root, an
-    earlier time's t_lo; the pairs are the cold ones, also next to and at the
-    perfect-power thresholds of n = 2^(p*i)."""
-    delta = F(p, q)
-    n = max(2 ** (p * i) + step, 1)
-    m = max({"same": n, "step": n - 1, "sub-block": n - n // 65, "first": 1}[back], 1)
-    above = _threshold_pair(m, delta, bits)[0]
-    assert _threshold_pair(n, delta, bits, above) == _threshold_pair(n, delta, bits)
+# --- the integer rule for the target radius ------------------------------------
+# _Engine.bounds walks a ladder of levels t in top units and ends each level at
+# _last_step(delta, low); classify compares integer powers with 2^(B*p).  The
+# tests hold both to the radius in integers and to the B-bit root brackets
+# that the engine used before.
+
+RULE_BITS = (8, 63, 64, 65, 128, 160)
+
+
+@st.composite
+def rule_delta(draw):
+    q = draw(st.sampled_from((1, 2, 3)))
+    return F(draw(st.integers(q, 6 * q)), q)
+
+
+@settings(deadline=None, max_examples=200)
+@given(rule_delta(), st.data())
+def test_last_step_matches_a_counting_loop(delta, data):
+    """_last_step(delta, t) is the last n with radius >= t top units, also
+    one unit next to the radius of a step, at radii 1/2 and 1/16 (the
+    auto-hit bound and the window's dense/bucketed boundary) and beyond 2^64."""
+    p, q = delta.numerator, delta.denominator
+    near = _threshold_pair(data.draw(st.integers(1, 3000)), delta, 64)[0]
+    t = data.draw(st.one_of(
+        st.integers(max(near - 1, 1), near + 2),
+        st.sampled_from((1 << 63, 1 << 60, (1 << 64) - 1, 1 << 64, (1 << 64) + 1))))
+    if t ** p * 4000 ** q <= 1 << (64 * p):
+        return  # too many steps for the loop
+    n = 0
+    while t ** p * (n + 1) ** q <= 1 << (64 * p):
+        n += 1
+    assert orbit._last_step(delta, t) == n
+    assert _auto_hit_bound(delta) == iroot(2 ** p, q)
+    assert orbit._last_step(delta, 1 << 60) == iroot(16 ** p, q)
+
+
+def _rule_engine(delta, bits, n_hi, steps=1, theta_u=1):
+    """The engine of a one-coordinate run whose last time is n_hi (its
+    error bound err) at any B; n_max = 0 keeps the error budget out of it."""
+    theta = CertifiedVector((F(theta_u, 1 << bits),))
+    config = OrbitConfig(theta=theta, delta=delta, n_max=0, precision_bits=bits)
+    return _Engine(config, n_hi, steps)
+
+
+@st.composite
+def rule_block(draw):
+    """A block start b0 at 1, across the auto-hit bound, at 10^6 + 1, at
+    10^12 or at a perfect-power threshold 2^(p*i) (radius 2^(64 - q*i) top
+    units), and a length of up to one time block."""
+    delta = draw(rule_delta())
+    p = delta.numerator
+    auto = _auto_hit_bound(delta)
+    b0 = draw(st.one_of(
+        st.just(1),
+        st.integers(max(auto - 3, 1), auto + 3),
+        st.just(10 ** 6 + 1),
+        st.just(10 ** 12),
+        st.integers(1, 64 // p).map(lambda i: 2 ** (p * i)).flatmap(
+            lambda n: st.integers(max(n - 2, 1), n + 2))))
+    length = draw(st.one_of(st.integers(1, 300), st.integers(1, _BLOCK)))
+    return delta, b0, length
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.sampled_from(RULE_BITS), rule_block())
+def test_bounds_are_sound_per_step(bits, block):
+    """Away from the clamped ends, hit[k] - 1 + E + e is at most and
+    miss[k] - E - e at least the radius of step n = b0 + k in top units, in
+    integers; and the band between them beyond 2(E + e) is at most
+    q/(32p) of the radius.  A limit is constant over each level, and the
+    radius falls with n, so checking the first and last step of every run
+    of equal limits checks every step."""
+    delta, b0, length = block
+    p, q = delta.numerator, delta.denominator
+    eng = _rule_engine(delta, bits, b0 + length - 1, length)
+    slack = eng.slack(length)
+    hit, miss = (lim.tolist() for lim in eng.bounds(b0, length, slack))
+    one = 1 << (64 * p)
+    edges = {0, length - 1}
+    for lim in (hit, miss):
+        for k in range(1, length):
+            if lim[k] != lim[k - 1]:
+                edges |= {k - 1, k}
+    assert sum(h == orbit._ALL_HIT for h in hit) == \
+        max(min(_auto_hit_bound(delta), b0 + length - 1) - b0 + 1, 0)
+    for k in sorted(edges):
+        n = b0 + k
+        if 0 < hit[k] < orbit._ALL_HIT:
+            assert (hit[k] - 1 + slack + eng.e) ** p * n ** q <= one, n
+        if miss[k] < orbit._NO_MISS:
+            assert (miss[k] - slack - eng.e) ** p * n ** q >= one, n
+        if 0 < hit[k] < orbit._ALL_HIT and miss[k] < orbit._NO_MISS:
+            band = miss[k] - hit[k] - 2 * (slack + eng.e)
+            assert band * 32 * p <= _threshold_pair(n, delta, 64)[1] * q, n
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.sampled_from(RULE_BITS), rule_delta(), st.data())
+def test_classify_matches_the_root_rule(bits, delta, data):
+    """classify's power test against the root brackets, at distances
+    t_lo - err, t_lo - err + 1, t_hi + err and t_hi + err + 1, also at the
+    perfect-power thresholds n = 2^(p*i).  The two differ only where
+    d - err = t_hi > t_lo: the power test says miss, and so does the exact
+    rule that the brackets fall back to."""
+    p = delta.numerator
+    n = data.draw(st.one_of(
+        st.integers(1, 10 ** 6),
+        st.integers(1, max(bits // p, 1)).map(lambda i: 2 ** (p * i))))
+    theta_u = data.draw(st.integers(1, (1 << bits) - 1))
+    eng = _rule_engine(delta, bits, n + data.draw(st.integers(0, 1000)), theta_u=theta_u)
+    err = eng.err
+    t_lo, t_hi = _threshold_pair(n, delta, bits)
+    d = data.draw(st.sampled_from((t_lo - err, t_lo - err + 1, t_hi + err, t_hi + err + 1)))
+    d = min(max(d, 0), 1 << (bits - 1))
+    pt = _centred_start([theta_u], n, [d], bits)
+    assert eng.dist(pt, n) == d
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(orbit, "_exact_classify", lambda *args: "exact")
+        got = eng.classify(pt, n)
+    want = _root_rule(d, n, delta, bits, err)
+    if want is None and got is False:
+        assert d - err == t_hi > t_lo
+        assert _exact_classify(_grid(pt, bits), eng.config.theta, n, delta) is False
+    else:
+        assert got == ("exact" if want is None else want)
 
 
 # --- resource guards: refused before any start is drawn --------------------------
