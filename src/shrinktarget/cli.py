@@ -26,7 +26,8 @@ with p < 4) fails at parse time, with the line and column of its value.
 
 Every run writes ``manifest.json`` (tool version, config echo, timings,
 output list) next to its artifacts.  Failures write ``error.json`` and
-exit with a stable code: 2 domain, 3 precision, 5 internal, and 4 resource
+exit with a stable code: 2 domain or config (an ``--out`` that cannot be a
+directory is one), 3 precision, 5 internal, and 4 resource
 -- a refusal made before any work by a scan ``budget``, the orbit error
 budget or the bound of 10^6 samples.
 """
@@ -531,7 +532,12 @@ _RUNNERS = {
 def run(config: RunConfig, out_dir=".") -> list[Path]:
     """Execute a parsed config; returns the artifact paths (manifest last)."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        (out / "error.json").unlink(missing_ok=True)  # left by an earlier failed run
+    except OSError as exc:
+        raise ConfigError(f"cannot use the output directory {str(out)!r}: "
+                          f"{exc.strerror or exc}")
     started = time.time()
     outputs = _RUNNERS[config.command](config.values, out)
     manifest = out / "manifest.json"

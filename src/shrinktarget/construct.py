@@ -15,6 +15,12 @@ Projective bookkeeping: P = (x, y, z) stands for the affine point
 (x/z, y/z); Delta = (r, s, t) stands for the line rx + sy + t = 0; the
 pairing <Delta, P> = rx + sy + tz vanishes exactly when the point lies on
 the line.  theta_bar below means (theta_1, theta_2, 1).
+
+The recursion is one dual step written once (_dual_step): Delta_{n+1} is a
+multiple of Delta_n plus the completion of Delta_n in the lattice
+{D : <D, P_n> = 0}, and P_{n+1} is a multiple of P_n plus the completion of
+P_n in {P : <Delta_{n+1}, P> = 0}.  The line and the point step are the same
+completion with the roles of Delta and P exchanged.
 """
 
 from __future__ import annotations
@@ -33,9 +39,6 @@ from .roots import iroot
 # contraction ratio of consecutive projective gaps, valid for every
 # admissible parameter choice
 _GAP_RATIO = Fraction(1, 2 ** 18 * 3 ** 3)
-
-# verify_construction brute-forces level n only while q_{n+1} <= this cap
-_SCAN_CAP = 2 * 10 ** 7
 
 TRANSCRIPT_HEADER = "# shrinktarget transcript v1"
 
@@ -59,21 +62,6 @@ def _content(p: LatticePoint3) -> int:
     return math.gcd(math.gcd(abs(p.x), abs(p.y)), abs(p.z))
 
 
-def _ratio_component(num: LatticePoint3, den: LatticePoint3) -> int:
-    """k with num = k * den, for den != 0 (exact, or InternalError)."""
-    for a, b in zip(num.as_tuple(), den.as_tuple()):
-        if b:
-            k, rem = divmod(a, b)
-            if rem:
-                raise InternalError("non-integer lattice coordinate ratio")
-            break
-    else:
-        raise InternalError("ratio against the zero vector")
-    if den.scale(k) != num:
-        raise InternalError("inconsistent lattice coordinate ratio")
-    return k
-
-
 def _best_shift(base: LatticePoint3, p: LatticePoint3) -> LatticePoint3:
     """base - k*p minimizing the sup norm, ties broken by the k nearest 0.
 
@@ -84,9 +72,10 @@ def _best_shift(base: LatticePoint3, p: LatticePoint3) -> LatticePoint3:
     if not cands:
         return base
     window = min(cands) - 2, max(cands) + 2
+    (bx, by, bz), (px, py, pz) = base.as_tuple(), p.as_tuple()
 
     def val(k: int) -> int:
-        return (base - p.scale(k)).norm
+        return max(abs(bx - k * px), abs(by - k * py), abs(bz - k * pz))
 
     lo, hi = window
     while lo < hi:  # leftmost minimizer: first k with val(k) <= val(k+1)
@@ -124,22 +113,27 @@ def complete_basis(delta: LatticePoint3, p: LatticePoint3) -> LatticePoint3:
     c = _content(delta)
     if c > 1:
         d = LatticePoint3(delta.x // c, delta.y // c, delta.z // c)
-    # kernel basis (v1, v2) of <d, .> = 0 with v1 ^ v2 = +-d
+    # kernel basis (v1, v2) of <d, .> = 0 with v1 ^ v2 = +-d, and the
+    # coordinates of p = alpha v1 + beta v2
     g1 = math.gcd(d.x, d.y)
     if g1 == 0:
         v1 = LatticePoint3(1, 0, 0)
         v2 = LatticePoint3(0, 1, 0)
+        alpha, beta = p.x, p.y
     else:
         if math.gcd(g1, d.z) != 1:
             raise InternalError("direction vector not primitive after scaling")
         _g, u, v = _bezout(d.x, d.y)
         v1 = LatticePoint3(d.y // g1, -d.x // g1, 0)
         v2 = LatticePoint3(-u * d.z, -v * d.z, g1)
+        beta = p.z // g1  # v1.z = 0, v2.z = g1
+        if v1.x:
+            alpha = (p.x - beta * v2.x) // v1.x
+        else:
+            alpha = (p.y - beta * v2.y) // v1.y
     w = wedge(v1, v2)
     if w != d and w != -d:
         raise InternalError("kernel basis does not span the direction")
-    alpha = _ratio_component(wedge(p, v2), w)
-    beta = -_ratio_component(wedge(p, v1), w)
     if v1.scale(alpha) + v2.scale(beta) != p:
         raise InternalError("lattice coordinates of P failed to reconstruct")
     g, bu, bv = _bezout(alpha, beta)
@@ -177,15 +171,20 @@ class ConstructionState:
     """Transcript of the recursive construction.
 
     steps runs 0..depth+1: the step beyond the requested depth exists only
-    to certify the radius of theta.  theta is the affine point of
-    P_depth with the certified radius (3/2) h_{depth+1} / (q_depth q_{depth+1}).
+    to certify the radius of theta.
     """
 
     a_seq: tuple[int, ...]
     h0_seq: tuple[int, ...]
     depth: int
     steps: tuple[ConstructionStep, ...]
-    theta: CertifiedVector
+
+    @property
+    def theta(self) -> CertifiedVector:
+        """The affine point of P_depth with the certified radius
+        (3/2) gap(depth) = (3/2) h_{depth+1} / (q_depth q_{depth+1})."""
+        return CertifiedVector(self.affine_point(self.depth),
+                               Fraction(3, 2) * self.gap(self.depth))
 
     @property
     def heights(self) -> tuple[int, ...]:
@@ -266,14 +265,28 @@ class ConstructionState:
             raise DomainError(f"transcript a, h0 lines need depth + 2 = {depth + 2} entries")
         if [s.n for s in steps] != list(range(depth + 2)):
             raise DomainError("transcript steps do not run 0..depth+1")
-        return cls(a_seq, h0_seq, depth, tuple(steps), _theta_of(steps, depth))
+        return cls(a_seq, h0_seq, depth, tuple(steps))
 
 
-def _theta_of(steps, depth) -> CertifiedVector:
-    p = steps[depth].p
-    center = (Fraction(p.x, p.z), Fraction(p.y, p.z))
-    radius = Fraction(3 * steps[depth + 1].h, 2 * steps[depth].q * steps[depth + 1].q)
-    return CertifiedVector(center, radius)
+def _dual_step(x: LatticePoint3, y: LatticePoint3, target: int,
+               name: str) -> LatticePoint3:
+    """The next line or point `name`: (target // |x|) x + x', where x'
+    completes x in the lattice orthogonal to y.
+
+    The line step is (x, y) = (Delta_n, P_n) with target h_{n+1}°, the point
+    step (P_n, Delta_{n+1}) with target q_{n+1}°.  InternalError unless
+    3|x'| <= target, x ^ x' = y and the result's norm is within a factor 2
+    of target.
+    """
+    prime = complete_basis(y, x)
+    if 3 * prime.norm > target:
+        raise InternalError(f"completion for {name} too large: |{name}'| = {prime.norm}")
+    if wedge(x, prime) != y:
+        raise InternalError(f"completion for {name} has the wrong orientation")
+    nxt = x.scale(target // x.norm) + prime
+    if not target <= 2 * nxt.norm or not nxt.norm <= 2 * target:
+        raise InternalError(f"factor-2 sandwich violated by {name}")
+    return nxt
 
 
 def _materialize(seq, count: int, name: str) -> tuple[int, ...]:
@@ -328,39 +341,16 @@ def build_theta(a_seq, h0_seq, steps: int) -> ConstructionState:
     delta = LatticePoint3(h0[0], -1, 0)
     p = LatticePoint3(1, h0[0], q0[0])
     trail = [ConstructionStep(0, delta, p, delta.norm, p.norm)]
-    for n in range(total - 1):
-        h_n, q_n = trail[-1].h, trail[-1].q
-        # next line: Delta' completes Delta_n in {D : <P_n, D> = 0}
-        d_prime = complete_basis(p, delta)
-        if 3 * d_prime.norm > h0[n + 1]:
-            raise InternalError(f"|Delta'| too large at step {n}")
-        if wedge(delta, d_prime) == -p:
-            d_prime = -d_prime
-        if wedge(delta, d_prime) != p:
-            raise InternalError(f"sign fix failed for Delta' at step {n}")
-        delta_next = delta.scale(h0[n + 1] // h_n) + d_prime
-        h_next = delta_next.norm
-        if not h0[n + 1] <= 2 * h_next or not h_next <= 2 * h0[n + 1]:
-            raise InternalError(f"height sandwich violated at step {n + 1}")
-        # next point: P' completes P_n in {P : <Delta_{n+1}, P> = 0}
-        p_prime = complete_basis(delta_next, p)
-        if 3 * p_prime.norm > q0[n + 1]:
-            raise InternalError(f"|P'| too large at step {n}")
-        if wedge(p, p_prime) == -delta_next:
-            p_prime = -p_prime
-        if wedge(p, p_prime) != delta_next:
-            raise InternalError(f"sign fix failed for P' at step {n}")
-        p_next = p.scale(q0[n + 1] // q_n) + p_prime
-        q_next = p_next.norm
-        if not q0[n + 1] <= 2 * q_next or not q_next <= 2 * q0[n + 1]:
-            raise InternalError(f"denominator sandwich violated at step {n + 1}")
+    for n in range(1, total):
+        delta_next = _dual_step(delta, p, h0[n], f"Delta_{n}")
+        p_next = _dual_step(p, delta_next, q0[n], f"P_{n}")
         if delta.dot(p_next) != 1:
-            raise InternalError(f"<Delta_{n}, P_{n + 1}> != 1")
-        if p_next.z != q_next:
-            raise InternalError(f"affine denominator is not the norm at step {n + 1}")
+            raise InternalError(f"<Delta_{n - 1}, P_{n}> != 1")
+        if p_next.z != p_next.norm:
+            raise InternalError(f"affine denominator is not the norm at step {n}")
         delta, p = delta_next, p_next
-        trail.append(ConstructionStep(n + 1, delta, p, h_next, q_next))
-    return ConstructionState(a, h0, steps, tuple(trail), _theta_of(trail, steps))
+        trail.append(ConstructionStep(n, delta, p, delta.norm, p.norm))
+    return ConstructionState(a, h0, steps, tuple(trail))
 
 
 # ---------------------------------------------------------------------------
@@ -423,10 +413,10 @@ def verify_construction(state: ConstructionState,
     arithmetic, the certified enclosures, and (brute force) the
     no-better-approximation property below each scanned level.
 
-    depth_bruteforce = None scans every level n with q_{n+1} <= _SCAN_CAP
-    (2*10^7); an explicit depth requests levels n < depth_bruteforce, and
-    levels whose scan exceeds the default scan budget (_scan.DEFAULT_BUDGET
-    multipliers) are reported as skipped rather than attempted.
+    depth_bruteforce = None requests every level n <= depth, an explicit
+    depth the levels n < depth_bruteforce.  A requested level is scanned when
+    its q_{n+1} - 1 multipliers are within the default scan budget
+    (_scan.DEFAULT_BUDGET), and reported as skipped otherwise.
 
     All certified checks use the refined recentering of theta, whose radius
     is small enough to decide every enclosure at every transcript level; an
@@ -536,8 +526,6 @@ def verify_construction(state: ConstructionState,
     for n in levels:
         q_hi = steps[n + 1].q
         scope = f"level {n}: q < {q_hi}"
-        if depth_bruteforce is None and q_hi > _SCAN_CAP:
-            continue
         if q_hi - 1 > budget:
             add("no better approximation below q_{n+1} (brute force)", scope,
                 None, f"scan of {q_hi - 1} exceeds budget {budget}")

@@ -386,6 +386,31 @@ def test_unreadable_transcript_is_a_config_error_naming_it(tmp_path, command, ke
         assert err["error"] == "ConfigError" and repr(str(path)) in err["message"]
 
 
+def test_unusable_out_is_a_config_error_naming_it(tmp_path, capsys):
+    """An --out that names an existing file, or a path below one, exits 2
+    with a ConfigError that names it (on stderr: no error.json can be
+    written there)."""
+    cfg = write_config(tmp_path, "command=transfer\ntheta=2/7, 3/7\nh=3\n")
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    for out in (blocker, blocker / "below"):
+        capsys.readouterr()
+        assert cli.main(["transfer", "--config", cfg, "--out", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ConfigError" and repr(str(out)) in err["message"]
+    assert blocker.read_text() == ""
+
+
+def test_successful_rerun_removes_a_stale_error_json(tmp_path):
+    out = tmp_path / "out"
+    bad = write_config(tmp_path, "command=transfer\ntheta=2/7, 3/7\nh=nope\n")
+    assert cli.main(["transfer", "--config", bad, "--out", str(out)]) == 2
+    assert (out / "error.json").exists()
+    good = write_config(tmp_path, "command=transfer\ntheta=2/7, 3/7\nh=3\n")
+    assert cli.main(["transfer", "--config", good, "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "transfer.json"]
+
+
 def test_main_resource_exhaustion_exit_4(tmp_path):
     cfg = write_config(tmp_path, """\
         command=simulate
@@ -595,7 +620,9 @@ def test_series_artifacts_pinned(tmp_path, series):
 # artifacts of construct, series=type, linear approx and simulate, text pinned
 
 # the artifacts of each config except manifest.json, recorded before the
-# sequence keys were parsed into the values their runner uses
+# sequence keys were parsed into the values their runner uses; the construct
+# reports' brute-force lines restated when the verifier began to report every
+# level (scanned within the default budget, skipped beyond it)
 RUN_CONFIGS = {
     "construct-const33": (
         "command=construct\n"
@@ -718,6 +745,10 @@ step 4 401479710423 -336874026952 -1957690960 154804945377446418884560 154804698
 [PASS] orbit enclosure h_{n+1}/(2q_{n+1}) <= |q_n theta| <= 3h_{n+1}/(2q_{n+1}) (n in [0, 3])
 [PASS] line-value enclosure 3/(4q_{n+1}) <= |<Delta_n, theta_bar>| <= 5/(4q_{n+1}) (n in [0, 3])
 [PASS] weighted enclosure 3/(32a_{n+1}) <= h_{n+1}^2 |<Delta_n, theta_bar>| <= 10/a_{n+1} (n in [0, 3])
+[PASS] no better approximation below q_{n+1} (brute force) (level 0: q < 20699728) -- exceptions [20699695]: ['leq']
+[SKIP] no better approximation below q_{n+1} (brute force) (level 1: q < 12984173432719) -- scan of 12984173432718 exceeds budget 100000000
+[SKIP] no better approximation below q_{n+1} (brute force) (level 2: q < 8144504531291981969) -- scan of 8144504531291981968 exceeds budget 100000000
+[SKIP] no better approximation below q_{n+1} (brute force) (level 3: q < 5108754469762387254508367) -- scan of 5108754469762387254508366 exceeds budget 100000000
 """,
     },
     "construct-poly4-geom": {
@@ -776,6 +807,10 @@ step 4 5693578732447474 -4778542985453483 -11296720335701 9204839632191568031037
 [PASS] orbit enclosure h_{n+1}/(2q_{n+1}) <= |q_n theta| <= 3h_{n+1}/(2q_{n+1}) (n in [0, 3])
 [PASS] line-value enclosure 3/(4q_{n+1}) <= |<Delta_n, theta_bar>| <= 5/(4q_{n+1}) (n in [0, 3])
 [PASS] weighted enclosure 3/(32a_{n+1}) <= h_{n+1}^2 |<Delta_n, theta_bar>| <= 10/a_{n+1} (n in [0, 3])
+[SKIP] no better approximation below q_{n+1} (brute force) (level 0: q < 967458856) -- scan of 967458855 exceeds budget 100000000
+[SKIP] no better approximation below q_{n+1} (brute force) (level 1: q < 89161004298139129) -- scan of 89161004298139128 exceeds budget 100000000
+[SKIP] no better approximation below q_{n+1} (brute force) (level 2: q < 41598958165310767293101225) -- scan of 41598958165310767293101224 exceeds budget 100000000
+[SKIP] no better approximation below q_{n+1} (brute force) (level 3: q < 74559347679638283315350287441845041) -- scan of 74559347679638283315350287441845040 exceeds budget 100000000
 """,
     },
     "construct-lists": {
@@ -834,6 +869,10 @@ step 4 530876756625 -447519629339 -2525903227 303164819747490062849282 303164359
 [PASS] orbit enclosure h_{n+1}/(2q_{n+1}) <= |q_n theta| <= 3h_{n+1}/(2q_{n+1}) (n in [0, 3])
 [PASS] line-value enclosure 3/(4q_{n+1}) <= |<Delta_n, theta_bar>| <= 5/(4q_{n+1}) (n in [0, 3])
 [PASS] weighted enclosure 3/(32a_{n+1}) <= h_{n+1}^2 |<Delta_n, theta_bar>| <= 10/a_{n+1} (n in [0, 3])
+[PASS] no better approximation below q_{n+1} (brute force) (level 0: q < 21759993) -- exceptions [21759960]: ['leq']
+[SKIP] no better approximation below q_{n+1} (brute force) (level 1: q < 17149986107492) -- scan of 17149986107491 exceeds budget 100000000
+[SKIP] no better approximation below q_{n+1} (brute force) (level 2: q < 12959987213342504373) -- scan of 12959987213342504372 exceeds budget 100000000
+[SKIP] no better approximation below q_{n+1} (brute force) (level 3: q < 10004799059029117461715025) -- scan of 10004799059029117461715024 exceeds budget 100000000
 """,
     },
     "type-simultaneous": {

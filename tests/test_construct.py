@@ -1,18 +1,22 @@
 """Recursive lattice construction, its verifier, and transcripts."""
 
+import hashlib
 import json
+import math
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from shrinktarget import _scan, cli
-from shrinktarget.construct import (ConstructionState, alternating_cf,
-                                    build_theta, complete_basis,
-                                    minimal_heights, verify_construction)
+from shrinktarget.construct import (ConstructionState, _bezout, _content,
+                                    _dual_step, alternating_cf, build_theta,
+                                    complete_basis, minimal_heights,
+                                    verify_construction)
 from shrinktarget.errors import DomainError, InternalError, PrecisionError
-from shrinktarget.exact import (CertifiedVector, LatticePoint3, projective_distance,
-                                wedge)
+from shrinktarget.exact import (CertifiedVector, LatticePoint3, is_primitive,
+                                projective_distance, wedge)
 
 F = Fraction
 
@@ -57,6 +61,178 @@ def test_complete_basis_rejects_bad_inputs():
     with pytest.raises(DomainError):
         # <delta, p> != 0
         complete_basis(LatticePoint3(1, 0, 0), LatticePoint3(1, 1, 0))
+
+
+# --- the completion before it read P's coordinates off the basis: the oracle --
+
+def _ratio_component(num: LatticePoint3, den: LatticePoint3) -> int:
+    """k with num = k * den, for den != 0 (exact, or InternalError)."""
+    for a, b in zip(num.as_tuple(), den.as_tuple()):
+        if b:
+            k, rem = divmod(a, b)
+            if rem:
+                raise InternalError("non-integer lattice coordinate ratio")
+            break
+    else:
+        raise InternalError("ratio against the zero vector")
+    if den.scale(k) != num:
+        raise InternalError("inconsistent lattice coordinate ratio")
+    return k
+
+
+def _oracle_best_shift(base: LatticePoint3, p: LatticePoint3) -> LatticePoint3:
+    """base - k*p minimizing the sup norm, ties broken by the k nearest 0.
+
+    The norm is convex in k, so its minimizers form an interval: locate the
+    endpoints by binary search on the slope and clamp 0 into the interval.
+    """
+    cands = [b // c for b, c in zip(base.as_tuple(), p.as_tuple()) if c]
+    if not cands:
+        return base
+    window = min(cands) - 2, max(cands) + 2
+
+    def val(k: int) -> int:
+        return (base - p.scale(k)).norm
+
+    lo, hi = window
+    while lo < hi:  # leftmost minimizer: first k with val(k) <= val(k+1)
+        m = (lo + hi) // 2
+        if val(m) <= val(m + 1):
+            hi = m
+        else:
+            lo = m + 1
+    left = lo
+    lo, hi = left, window[1]
+    while lo < hi:  # rightmost minimizer: first k with val(k) < val(k+1)
+        m = (lo + hi) // 2
+        if val(m) < val(m + 1):
+            hi = m
+        else:
+            lo = m + 1
+    k = min(max(left, 0), lo)
+    return base - p.scale(k)
+
+
+def oracle_complete_basis(delta: LatticePoint3, p: LatticePoint3) -> LatticePoint3:
+    """Second generator for the planar lattice {X in Z^3 : <delta, X> = 0}.
+
+    Returns p' with (p, p') generating the lattice, normalized so that
+    p ^ p' = delta / content(delta), and satisfying the completion bound
+    |p'| <= 2 max(|p|, |delta|/|p|).
+    """
+    if delta.is_zero:
+        raise DomainError("delta must be nonzero")
+    if not is_primitive(p):
+        raise DomainError("P must be primitive")
+    if delta.dot(p) != 0:
+        raise DomainError("P must be orthogonal to delta")
+    d = delta
+    c = _content(delta)
+    if c > 1:
+        d = LatticePoint3(delta.x // c, delta.y // c, delta.z // c)
+    # kernel basis (v1, v2) of <d, .> = 0 with v1 ^ v2 = +-d
+    g1 = math.gcd(d.x, d.y)
+    if g1 == 0:
+        v1 = LatticePoint3(1, 0, 0)
+        v2 = LatticePoint3(0, 1, 0)
+    else:
+        if math.gcd(g1, d.z) != 1:
+            raise InternalError("direction vector not primitive after scaling")
+        _g, u, v = _bezout(d.x, d.y)
+        v1 = LatticePoint3(d.y // g1, -d.x // g1, 0)
+        v2 = LatticePoint3(-u * d.z, -v * d.z, g1)
+    w = wedge(v1, v2)
+    if w != d and w != -d:
+        raise InternalError("kernel basis does not span the direction")
+    alpha = _ratio_component(wedge(p, v2), w)
+    beta = -_ratio_component(wedge(p, v1), w)
+    if v1.scale(alpha) + v2.scale(beta) != p:
+        raise InternalError("lattice coordinates of P failed to reconstruct")
+    g, bu, bv = _bezout(alpha, beta)
+    if g != 1:
+        raise InternalError("P is not primitive inside the planar lattice")
+    # (alpha, beta), (gamma, delta') with alpha*delta' - beta*gamma = 1
+    prime = v1.scale(-bv) + v2.scale(bu)
+    prime = _oracle_best_shift(prime, p)
+    if wedge(p, prime) == -d:
+        prime = -prime
+    if wedge(p, prime) != d:
+        raise InternalError("completion does not generate the lattice")
+    if prime.norm * p.norm > 2 * max(p.norm * p.norm, delta.norm):
+        raise InternalError(
+            f"completion bound violated: |P'| = {prime.norm} exceeds "
+            f"2 max(|P|, |delta|/|P|)")
+    return prime
+
+
+def _outcome(fn, delta, p):
+    try:
+        return fn(delta, p).as_tuple()
+    except (DomainError, InternalError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+_COORD = st.integers(-2 ** 200, 2 ** 200)
+
+
+@st.composite
+def orthogonal_pairs(draw):
+    """(delta, p) with p primitive and <delta, p> = 0.  delta's shape is
+    general, has delta.y = 0 (v1.x = 0) or delta.x = delta.y = 0 (g1 = 0),
+    times a content of 1 or more; p is delta ^ r over its content."""
+    shape = draw(st.sampled_from(["general", "y0", "xy0"]))
+    x, y, z = draw(_COORD), draw(_COORD), draw(_COORD)
+    if shape != "general":
+        y = 0
+    if shape == "xy0":
+        x = 0
+    content = draw(st.one_of(st.just(1), st.integers(2, 10 ** 6)))
+    delta = LatticePoint3(x, y, z).scale(content)
+    cross = wedge(delta, LatticePoint3(draw(_COORD), draw(_COORD), draw(_COORD)))
+    assume(not cross.is_zero)  # also rules out delta = 0
+    c = _content(cross)
+    return delta, LatticePoint3(cross.x // c, cross.y // c, cross.z // c)
+
+
+@settings(deadline=None, max_examples=400)
+@given(orthogonal_pairs())
+def test_complete_basis_matches_the_ratio_oracle(pair):
+    """Reading P's coordinates off the basis gives the integers of the two
+    wedge ratios, hence the same completion (or the same error)."""
+    delta, p = pair
+    assert _outcome(complete_basis, delta, p) == _outcome(oracle_complete_basis, delta, p)
+
+
+@pytest.mark.parametrize("delta, p", [
+    ((0, 0, 7), (3, -5, 0)),             # g1 = 0
+    ((0, 0, -1), (-2 ** 200, 1, 0)),     # g1 = 0, a huge coordinate
+    ((6, 0, -4), (2, 7, 3)),             # delta.y = 0: v1.x = 0, content 2
+    ((-9, 0, 15), (5, 1, 3)),            # delta.y = 0, negative, content 3
+    ((12, -18, 30), (2, 3, 1)),          # content 6
+    ((2 ** 200 + 1, -3, 2 ** 199), (3, 2 ** 200 + 1, 0)),
+])
+def test_complete_basis_matches_the_ratio_oracle_at_the_edges(delta, p):
+    delta, p = LatticePoint3(*delta), LatticePoint3(*p)
+    assert delta.dot(p) == 0 and is_primitive(p)
+    got = complete_basis(delta, p)
+    assert got == oracle_complete_basis(delta, p)
+    c = _content(delta)
+    assert wedge(p, got) == LatticePoint3(delta.x // c, delta.y // c, delta.z // c)
+
+
+def test_dual_step_checks():
+    """Each of the dual step's invariants raises InternalError on an input
+    that breaks it: a completion above target/3, a y with content > 1 (the
+    completion then has x ^ x' = y / content(y)), and |x| > target (no
+    multiple of x, so the result falls below target/2)."""
+    delta0, p0 = LatticePoint3(1, -1, 0), LatticePoint3(1, 1, 33)
+    assert _dual_step(delta0, p0, 792, "Delta_1") == const33(1).steps[1].delta
+    with pytest.raises(InternalError, match="completion for Delta_1 too large"):
+        _dual_step(delta0, p0, 1, "Delta_1")
+    with pytest.raises(InternalError, match="completion for Delta_1 has the wrong orientation"):
+        _dual_step(delta0, p0.scale(2), 10 ** 6, "Delta_1")
+    with pytest.raises(InternalError, match="factor-2 sandwich violated by P_1"):
+        _dual_step(LatticePoint3(33, 1, 0), LatticePoint3(0, 0, 1), 3, "P_1")
 
 
 # --- heights helper -----------------------------------------------------------
@@ -176,6 +352,100 @@ def test_transcript_roundtrip_bit_exact():
     assert again.theta == state.theta
     assert again.denominators == state.denominators
     assert again.heights == state.heights
+
+
+def _battery():
+    """(id, a, h0 list or start of the minimal heights, depth) of each build
+    whose transcript digest is pinned below."""
+    out = []
+    for k in range(33, 41):
+        for start in (1, 2, 7):
+            out.append((f"const{k}-h{start}", (lambda n, k=k: k), start, 6))
+    for p, depth in ((4, 12), (5, 12), (6, 12), (4, 50)):
+        out.append((f"poly{p}-d{depth}", (lambda n, p=p: (n + 3) ** p), 1, depth))
+    for seed in range(20):
+        rng = random.Random(seed)
+        depth = rng.randint(2, 8)
+        a = [rng.randint(33, 400) for _ in range(depth + 2)]
+        h0 = [rng.randint(1, 9)]
+        for n in range(depth + 1):
+            h0.append(24 * a[n] * h0[-1] + rng.randrange(24 * a[n] * h0[-1]))
+        out.append((f"seeded{seed}", a, h0, depth))
+    return out
+
+
+# SHA-256 of each battery build's to_text(), and of the lines
+# "id theta refined_theta" of all of them (coordinates, then the radius),
+# recorded before the line and point steps shared one dual step
+BATTERY_TRANSCRIPTS = {
+    "const33-h1": "1e2b737d0b990d48f6c671f54bcdae7b448e586f19732550004c31a82bba5896",
+    "const33-h2": "f0254af5e8a8fd75cb408af5ed7655f48caf9ae1042c5e1b4118df22b4596173",
+    "const33-h7": "0b520ef17aff641079f53f1fc3c1bd8f941216174ff45818cbda4364ae764dfc",
+    "const34-h1": "eb87151cd3dedac5423074796c7652246c11662fe3f0e254019c7a114a3299fb",
+    "const34-h2": "8d0a6a79ae064d06b7b98559e8817a48a27df7eb1ecf45abba2b3a326dbfe356",
+    "const34-h7": "d457e0541bfdee5e5dd7dac632fc2bc1d30cd6a5ec9d390febda01e4daa316e4",
+    "const35-h1": "772f1df428f498a9f5546e5696047cb7cc37c73b70fc4c2459598239138d34b1",
+    "const35-h2": "dc3c02e564e3f63e0679d011aad6edc8e4045c0b440fcf92f2f3eb59c5ad5f06",
+    "const35-h7": "f0d57f5ef3bad7c8925eb46da8b46de07ef2b450058bc6eee33a5f1e5c70ab38",
+    "const36-h1": "16ea817d15a55e520e529ae60fbf7bf97b87da023e3588c078d722e13f7e7455",
+    "const36-h2": "c2570dd3fc74ab92670aa9731e4e8914ad81ebfe8d88fdd16087ac79eed52dd4",
+    "const36-h7": "6404345d28774b909e07c4169afc3180dc93e7e983bef1ffe2589a60e6fc4cf4",
+    "const37-h1": "171a87646bdc51efcc9a144bc737ff2772dd3034dac67fcfeb4e714b4a87286f",
+    "const37-h2": "2bd01e54674ed4d698b994df0931530d164373ecaf4bb23d93f900aab792845d",
+    "const37-h7": "8ba617a2b20a295a0ceb2f903383bc84f77bba7f209a68c46bcc63f737779066",
+    "const38-h1": "7a25cf65d7999451b5023961205eb36e8b65714e30af5e544f4685f71fa487b6",
+    "const38-h2": "f60a349aa5838cfae44a879d3ee5363c9ce1818db9e1e3ebc14acdcc074651ba",
+    "const38-h7": "8a5110559bfd2458f20a649c738efd1304d422cceb7c87a94988c9be1f3a2eb8",
+    "const39-h1": "a40f8b70a4d54a368ba6851f13f4b5f478478ef453a3cf99731eeef7c2c8fa79",
+    "const39-h2": "41fa2b8ff949e3b613f33d37a0495ed965ab1ee5eb1e75e285aa7185d92bdeeb",
+    "const39-h7": "b5464e16a7feeb6b1d6068e326134b15295e80d0bb2a5bd2fa437aba0fde9cdc",
+    "const40-h1": "fc3b8f1b2a6268872692d6d2d6743acbecbc9962c3ec4344f36faf8a7aee9e28",
+    "const40-h2": "5fe1e71229a384111a9844f924daf952a2496e2d9a986227c6cb8d8f3f3c70c7",
+    "const40-h7": "c8f27b220e6b5589983bc171474771af30d32223c006788c957dc5658a6c6f64",
+    "poly4-d12": "17075d8316f0db1e420019af4d2e4196b0d49be6bd2c75ac7a6ff2b699090936",
+    "poly5-d12": "bc04adbe291eac45892cf1172f8682804b72fb096775de3eea172fdd1323dbf9",
+    "poly6-d12": "150a6d055153d8518c67febdf0fda9f01568a9efd36b7cea00e94295c9c5deed",
+    "poly4-d50": "b322eb3d5148b7d16fadbd6efc1e21ab4c039b8d4d576b811e19d53fc55a2c96",
+    "seeded0": "da74934c3712e84b6de224e4a4278f1bffa99654bc2934fac97fd67e82a1ee00",
+    "seeded1": "f3688e463ef8cba059ccd8fcf06e5f9c0cd07802018e1abf7880b1bd898a4707",
+    "seeded2": "799989f8e5698c2aa4976d230f1ff9f4c9eea8023ea7916ad5299f740b3860b6",
+    "seeded3": "b14c0f076a618cdfd556b1ea8cce80d6ba57874cd8747f5a72beb0a4bfa986ab",
+    "seeded4": "a26b6a663f57e872eac45ff9a7880a0c965f40a91988780c793a44b961a26249",
+    "seeded5": "ab0b6a16fa646926570229d282141ae5c64335b4282650f249a9fdd793219c06",
+    "seeded6": "c94f474fe28c595bd0de7350d39ecb99efd60bbbffaaac9925b6d7084bf38cc5",
+    "seeded7": "fcc42c5698fa1858730e4ab402c4108beb6bf1fa5a5259a749323a7a1e6edda7",
+    "seeded8": "3887a6c3e11fd3a6663a98cbf11c51debd760e8467ec51d0a08ff5b5832b4613",
+    "seeded9": "de2375ad23013d9f1f8b9e5db985e77a1d024d9e309bc490bbd8a20e9f2867ee",
+    "seeded10": "6d9e4976f7f9135b1b09ccab41ce3f30cdaf8a704ef236dfba0cd3d460d1b7a8",
+    "seeded11": "587b28672a351ae4572f3a70414b0a79b46329e74a28a3424933f9299cd81b88",
+    "seeded12": "0528aae06a09bcaab596fffcb1899028817cb1649f40ada9797dc86976078742",
+    "seeded13": "5957f96d619c0187fee5f6dab96e4085845b472b42707ec90b48c1aa1e6574c5",
+    "seeded14": "412f4a03a74a9d6230def86aafef4a68f27f048a9ec7966c98f5e1f4e4783f8e",
+    "seeded15": "6679ee23b41509755d63394e38cf315eb684cbc663154309effb448b5550a337",
+    "seeded16": "9dfe4e52dff77d0191cb77e07e56d941faf4a971a5c083b862cf0d3993fad6db",
+    "seeded17": "103fb74b35b32a4f8da717d62b44d112906ebfd083815348d0816d1fc9fba633",
+    "seeded18": "4a31ca8a9e779e65a1e24e4960b15e9d7445ad5625bb13b38c448c4f4bb02a77",
+    "seeded19": "72b51a938d7e8a44903f7823c29870242facf2fa5c4a6b614e184c5e8dfa7079",
+}
+BATTERY_THETAS = "913d34b3fee95a203ef1854d8b68827f46297c8c8df088b64a1ccd92a8b047c6"
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_battery_transcripts_and_thetas_pinned():
+    def vec(v):
+        return " ".join(map(str, v.coords)) + " " + str(v.radius)
+    got, thetas = {}, []
+    for name, a, h0, depth in _battery():
+        if isinstance(h0, int):
+            h0 = minimal_heights(a, h0, depth + 2)
+        state = build_theta(a, h0, depth)
+        got[name] = _sha(state.to_text())
+        thetas.append(f"{name} {vec(state.theta)} {vec(state.refined_theta())}\n")
+    assert got == BATTERY_TRANSCRIPTS
+    assert _sha("".join(thetas)) == BATTERY_THETAS
 
 
 def tamper(state, n, part):
@@ -425,10 +695,16 @@ TAMPERED_POINT_REPORT = """\
 """
 
 
+BRUTE_FORCE_LEVEL_2 = """\
+[SKIP] no better approximation below q_{n+1} (brute force) (level 2: q < 8144504531291981969) -- scan of 8144504531291981968 exceeds budget 100000000
+"""
+
+
 def test_verifier_report_text_pinned():
     state = const33(2)
-    # default scan: level 0 has q_1 - 1 > scan_cap multipliers, so none runs
-    assert verify_construction(state).to_lines() == CONST33_DEPTH2_REPORT.splitlines()
+    # default: every level is asked for; level 0 is within the scan budget
+    assert (verify_construction(state).to_lines()
+            == (CONST33_DEPTH2_REPORT + BRUTE_FORCE_LEVELS_0_1 + BRUTE_FORCE_LEVEL_2).splitlines())
     assert (verify_construction(state, 2).to_lines()
             == (CONST33_DEPTH2_REPORT + BRUTE_FORCE_LEVELS_0_1).splitlines())
 
