@@ -53,8 +53,7 @@ from .construct import (CFVectorSpec, CheckResult, ConstructionState,
                         verify_construction)
 from .orbit import (CensusSummary, HitRecord, OrbitConfig, WindowEstimate,
                     bc_window_estimate, exact_orbit_hits, hit_census,
-                    log_law_stat, orbit_hits, write_census_csv,
-                    write_summary_json)
+                    log_law_stat, orbit_hits)
 
 __all__ = [
     "__version__",
@@ -87,5 +86,5 @@ __all__ = [
     # orbit
     "OrbitConfig", "HitRecord", "CensusSummary", "WindowEstimate",
     "orbit_hits", "exact_orbit_hits", "log_law_stat", "hit_census",
-    "bc_window_estimate", "write_census_csv", "write_summary_json",
+    "bc_window_estimate",
 ]

@@ -233,23 +233,19 @@ def simultaneous_scan(theta: CertifiedVector, q_max: int, *,
         for i in hot:
             q = q0 + i
             dq = _dist(nums, den, q)
-            if best_q == 0:
-                best_d, best_q = dq, q
-                out.append((q, dq))
-                if best_d == 0 and exact:
-                    return out, den, True
-                continue
-            if dq > best_d + fast:
-                continue
-            v = _order(dq, q, best_d, best_q, den, r)
-            if v is Verdict.INCONCLUSIVE:
-                raise PrecisionError(
-                    f"cannot order |{q}*theta| against |{best_q}*theta| at radius {r}")
-            if v is Verdict.LESS:
-                best_d, best_q = dq, q
-                out.append((q, dq))
-                if best_d == 0 and exact:
-                    return out, den, True
+            if best_q:  # a record must beat the running minimum
+                if dq > best_d + fast:
+                    continue
+                v = _order(dq, q, best_d, best_q, den, r)
+                if v is Verdict.INCONCLUSIVE:
+                    raise PrecisionError(
+                        f"cannot order |{q}*theta| against |{best_q}*theta| at radius {r}")
+                if v is not Verdict.LESS:
+                    continue
+            best_d, best_q = dq, q
+            out.append((q, dq))
+            if best_d == 0 and exact:
+                return out, den, True
     return out, den, False
 
 

@@ -24,12 +24,16 @@ or the function n -> a_n, ``h0`` a list or an integer start.  A rule on the
 wrong key or an inadmissible ``a`` (``const:k`` with k <= 32, ``poly:p``
 with p < 4) fails at parse time, with the line and column of its value.
 
-Every run writes ``manifest.json`` (tool version, config echo, timings,
-output list) next to its artifacts.  Failures write ``error.json`` and
-exit with a stable code: 2 domain or config (an ``--out`` that cannot be a
-directory is one), 3 precision, 5 internal, and 4 resource
--- a refusal made before any work by a scan ``budget``, the orbit error
-budget or the bound of 10^6 samples.
+This module writes every artifact; the library only computes.  A runner
+passes the library only the keys its config sets, so each default has its
+home in the library.  Every run writes ``manifest.json`` (tool version,
+config echo, timings, output list) next to its artifacts.  Failures write
+``error.json`` and exit with a stable code: 2 domain or config (a config
+file that cannot be read or decoded as UTF-8, and an ``--out`` that cannot
+be a directory, are config errors), 3 precision, 5 internal, and 4
+resource -- a refusal made before any work by a scan ``budget``, the orbit
+error budget, the bound of 10^6 samples, or a ``delta`` whose numerator or
+denominator exceeds 256.
 """
 
 from __future__ import annotations
@@ -43,15 +47,13 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import __version__, bestapprox, criteria
-from ._scan import DEFAULT_BUDGET
 from .construct import (ConstructionState, build_theta, minimal_heights,
                         verify_construction)
 from .errors import ConfigError, DomainError, exit_code_for
-from .exact import CertifiedVector, _dec, rational
-from .orbit import (OrbitConfig, bc_window_estimate, hit_census,
-                    write_census_csv, write_summary_json)
+from .exact import CertifiedVector, rational
+from .orbit import CensusSummary, OrbitConfig, bc_window_estimate, hit_census
 
-_DEC_PLACES = 12  # the default places of _dec
+_DEC_PLACES = 12  # the default places of _dec: plot files and CSV columns
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +206,6 @@ class RunConfig(NamedTuple):
 def parse_config(text: str) -> RunConfig:
     """Parse and validate the key=value config format (strict, exact)."""
     pairs: dict[str, tuple[str, tuple]] = {}
-    order: list[str] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -220,7 +221,6 @@ def parse_config(text: str) -> RunConfig:
         if key in pairs:
             raise ConfigError(f"duplicate key {key!r}", lineno, 1)
         pairs[key] = (value, (lineno, vcol))
-        order.append(key)
     if "command" not in pairs:
         raise ConfigError("missing required key 'command'")
     cmd_raw, cmd_where = pairs.pop("command")
@@ -241,8 +241,7 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(
                 f"command {cmd_raw!r} requires the key {key!r}")
     _validate_combination(cmd_raw, values, pairs)
-    raw = {"command": cmd_raw}
-    raw.update({k: pairs[k][0] for k in order if k in pairs})
+    raw = {"command": cmd_raw} | {k: value for k, (value, _) in pairs.items()}
     return RunConfig(cmd_raw, values, raw)
 
 
@@ -286,7 +285,70 @@ def _validate_combination(command: str, values: dict, pairs) -> None:
 
 
 # ---------------------------------------------------------------------------
-# plot data
+# artifact writers
+
+
+def _dec(x, places: int = _DEC_PLACES) -> str:
+    """Decimal string by integer division (round toward zero), no floats;
+    None gives the empty string."""
+    if x is None:
+        return ""
+    x = rational(x)
+    num = x.numerator
+    whole, frac = divmod(abs(num) * 10 ** places // x.denominator, 10 ** places)
+    return f"{'-' if num < 0 else ''}{whole}.{frac:0{places}d}"
+
+
+def _write_json(path, payload) -> None:
+    """A JSON artifact: indented, keys sorted, newline-terminated."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def _write_csv(path, header, rows) -> None:
+    """A CSV artifact: one header row, then the rows."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def write_census_csv(census: CensusSummary, path) -> None:
+    """One row per sample: sample_id, hit_count, stat_lo, stat_hi,
+    inconclusive_count (stable column contract)."""
+    _write_csv(path, ["sample_id", "hit_count", "stat_lo", "stat_hi",
+                      "inconclusive_count"],
+               ([rec.sample_id, count, _dec(rec.stat_lo), _dec(rec.stat_hi),
+                 rec.inconclusive] for rec, count in zip(census.records, census.counts)))
+
+
+def write_summary_json(census: CensusSummary, path) -> None:
+    """The census's configuration (generator included) and aggregates."""
+    cfg = census.config
+    _write_json(path, {
+        "tool": "shrinktarget",
+        "version": __version__,
+        "config": {
+            "theta": [str(c) for c in cfg.theta.coords],
+            "theta_radius": str(cfg.theta.radius),
+            "delta": str(cfg.delta),
+            "n_max": cfg.n_max,
+            "samples": cfg.samples,
+            "seed": cfg.seed,
+            "precision_bits": cfg.precision_bits,
+            "generator": "PCG64",
+        },
+        "n_lo": census.n_lo,
+        "aggregates": {
+            "mean": str(census.mean),
+            "mean_decimal": _dec(census.mean, 6),
+            "median": str(census.median),
+            "q1": str(census.quartiles[0]),
+            "q3": str(census.quartiles[1]),
+            "inconclusive_total": census.inconclusive_total,
+        },
+    })
 
 
 def emit_plot_data(report, path) -> None:
@@ -320,59 +382,44 @@ def emit_plot_data(report, path) -> None:
 # command runners
 
 
-def _write_json(path, payload) -> None:
-    """A JSON artifact: indented, keys sorted, newline-terminated."""
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _given(values: dict, *keys) -> dict:
+    """The listed keys the config sets: the library owns every default."""
+    return {k: values[k] for k in keys if k in values}
+
+
+def _read(path, what: str) -> str:
+    """A UTF-8 input file; one that cannot be read or decoded is a ConfigError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read the {what} {path!r}: "
+                          f"{getattr(exc, 'strerror', None) or exc}")
 
 
 def _theta_from(values: dict):
     """theta, and the construction state when a transcript (read only here) gives it."""
     if "transcript" in values:
-        try:
-            text = Path(values["transcript"]).read_text()
-        except (OSError, UnicodeDecodeError) as exc:
-            why = getattr(exc, "strerror", None) or exc
-            raise ConfigError(f"cannot read the transcript {values['transcript']!r}: {why}")
-        state = ConstructionState.from_text(text)
+        state = ConstructionState.from_text(_read(values["transcript"], "transcript"))
         if values.get("refined", False):
             return state.refined_theta(), state
         return state.theta, state
-    coords = values["theta"]
-    return CertifiedVector(coords, values.get("radius", 0)), None
+    return CertifiedVector(values["theta"], **_given(values, "radius")), None
 
 
 def _run_approx(values: dict, out: Path) -> list[Path]:
     theta, _ = _theta_from(values)
-    mode = values.get("mode", "simultaneous")
-    limit = values["limit"]
-    budget = values.get("budget", DEFAULT_BUDGET)
-    if mode == "simultaneous":
-        records = bestapprox.best_simultaneous(theta, limit, budget=budget)
-    else:
-        records = bestapprox.best_linear(theta, limit, budget=budget)
+    best = (bestapprox.best_linear if values.get("mode") == "linear"
+            else bestapprox.best_simultaneous)
+    records = best(theta, values["limit"], **_given(values, "budget"))
     csv_path = out / "approx.csv"
-    with open(csv_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["index", "height", "witness", "error_lo", "error_hi",
-                    "error_exact"])
-        for r in records:
-            w.writerow([r.index, r.height, " ".join(map(str, r.witness)),
-                        _dec(r.value.lo), _dec(r.value.hi),
-                        str(r.value.lo) if r.value.is_exact else ""])
+    _write_csv(csv_path, ["index", "height", "witness", "error_lo", "error_hi",
+                          "error_exact"],
+               ([r.index, r.height, " ".join(map(str, r.witness)), _dec(r.value.lo),
+                 _dec(r.value.hi), str(r.value.lo) if r.value.is_exact else ""]
+                for r in records))
     plot = out / "approx.dat"
     emit_plot_data(records, plot)
     return [csv_path, plot]
-
-
-def _series_csv(report, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["index", "term_lo", "term_hi", "partial_lo", "partial_hi",
-                    "term_exact_lo", "term_exact_hi"])
-        for (n, t), s in zip(report.terms, report.partial_sums):
-            w.writerow([n, _dec(t.lo), _dec(t.hi), _dec(s.lo), _dec(s.hi), t.lo, t.hi])
 
 
 def _run_criteria(values: dict, out: Path) -> list[Path]:
@@ -412,7 +459,10 @@ def _run_criteria(values: dict, out: Path) -> list[Path]:
     else:
         report = criteria.dyadic_condition_iii(theta, values["k_max"])
     csv_path = out / "series.csv"
-    _series_csv(report, csv_path)
+    _write_csv(csv_path, ["index", "term_lo", "term_hi", "partial_lo", "partial_hi",
+                          "term_exact_lo", "term_exact_hi"],
+               ([n, _dec(t.lo), _dec(t.hi), _dec(s.lo), _dec(s.hi), t.lo, t.hi]
+                for (n, t), s in zip(report.terms, report.partial_sums)))
     plot = out / "series.dat"
     emit_plot_data(report, plot)
     summary = out / "series.json"
@@ -453,17 +503,10 @@ def _run_construct(values: dict, out: Path) -> list[Path]:
 
 def _run_simulate(values: dict, out: Path) -> list[Path]:
     theta, _ = _theta_from(values)
-    orbit_cfg = OrbitConfig(
-        theta=theta,
-        delta=values["delta"],
-        n_max=values["n_max"],
-        samples=values.get("samples", 1),
-        seed=values.get("seed", 0),
-        precision_bits=values.get("precision_bits", 128),
-    )
+    orbit_cfg = OrbitConfig(theta, **_given(values, "delta", "n_max", "samples",
+                                             "seed", "precision_bits"))
     if "window" in values:
-        lo, hi = values["window"]
-        est = bc_window_estimate(orbit_cfg, (lo, hi))
+        est = bc_window_estimate(orbit_cfg, values["window"])
         path = out / "window_estimate.json"
         _write_json(path, {
             "window": list(est.window),
@@ -476,7 +519,7 @@ def _run_simulate(values: dict, out: Path) -> list[Path]:
             "confidence_radius_decimal": _dec(est.confidence_radius, 6),
         })
         return [path]
-    census = hit_census(orbit_cfg, values.get("n_lo", 1))
+    census = hit_census(orbit_cfg, **_given(values, "n_lo"))
     csv_path = out / "census.csv"
     write_census_csv(census, csv_path)
     summary = out / "summary.json"
@@ -486,10 +529,9 @@ def _run_simulate(values: dict, out: Path) -> list[Path]:
 
 def _run_transfer(values: dict, out: Path) -> list[Path]:
     theta, _ = _theta_from(values)
-    budget = values.get("budget", DEFAULT_BUDGET)
     rows = []
     for h in values["h"]:
-        rep = criteria.transfer_check(theta, h, budget=budget)
+        rep = criteria.transfer_check(theta, h, **_given(values, "budget"))
         rows.append({
             "h": str(rep.h),
             "constant": str(rep.constant),
@@ -506,8 +548,8 @@ def _run_transfer(values: dict, out: Path) -> list[Path]:
 
 def _run_verify(values: dict, out: Path) -> list[Path]:
     _, state = _theta_from(values)
-    return [_report(verify_construction(state, values.get("bruteforce_depth")),
-                    out, "verification")]
+    report = verify_construction(state, *_given(values, "bruteforce_depth").values())
+    return [_report(report, out, "verification")]
 
 
 def _report(report, out: Path, what: str) -> Path:
@@ -562,13 +604,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=".", help="output directory")
     args = parser.parse_args(argv)
     try:
-        text = Path(args.config).read_text()
-    except OSError as exc:
-        print(json.dumps({"error": "ConfigError", "message": str(exc)}),
-              file=sys.stderr)
-        return 2
-    try:
-        config = parse_config(text)
+        config = parse_config(_read(args.config, "config"))
         if config.command != args.command:
             raise ConfigError(
                 f"config file says command={config.command!r} but the "

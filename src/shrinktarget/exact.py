@@ -59,17 +59,6 @@ def rational(x) -> Fraction:
     raise DomainError(f"cannot interpret {type(x).__name__} as an exact rational")
 
 
-def _dec(x, places: int = 12) -> str:
-    """Decimal string by integer division (round toward zero), no floats;
-    None gives the empty string."""
-    if x is None:
-        return ""
-    x = rational(x)
-    num = x.numerator
-    whole, frac = divmod(abs(num) * 10 ** places // x.denominator, 10 ** places)
-    return f"{'-' if num < 0 else ''}{whole}.{frac:0{places}d}"
-
-
 class Verdict(Enum):
     """Outcome of a certified comparison.
 

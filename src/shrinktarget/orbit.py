@@ -52,8 +52,6 @@ Changing the generator is a format-breaking change.
 
 from __future__ import annotations
 
-import csv
-import json
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -61,12 +59,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import __version__
 from .errors import DomainError, PrecisionError, ResourceError
-from .exact import CertifiedVector, _dec, as_vector, dist_nearest_int, rational
+from .exact import CertifiedVector, as_vector, dist_nearest_int, rational
 from .roots import _log2_units, iroot, log2_enclosure, sqrt_upper
 
 _MAX_SAMPLES = 10 ** 6  # starts per census or window: bounds their memory
+_MAX_DELTA_TERM = 256  # numerator and denominator of delta: bounds the ladder's roots
 _BLOCK = 1 << 16  # longest time block: bounds E and the arrays of one sample
 _BATCH = 1 << 20  # about the (sample, time) pairs of one window block
 _NO_MISS = 1 << 63  # limits for auto-hit times: d64 <= 2^63 < 2^63 + 1
@@ -86,7 +84,9 @@ class OrbitConfig:
       smallest target radius n_max^(-1/delta) -- raise precision_bits or
       shrink n_max;
     - at most _MAX_SAMPLES = 10^6 samples, which bounds the memory of a
-      census or window estimate (their starts and per-sample records).
+      census or window estimate (their starts and per-sample records);
+    - delta = p/q with p, q <= _MAX_DELTA_TERM = 256, which bounds the cost
+      of the target radii: integer roots of order p and q of 64p-bit numbers.
 
     Orbit length is bounded by the error budget alone.
     """
@@ -116,6 +116,10 @@ class OrbitConfig:
             raise ResourceError(
                 f"{self.samples} samples exceed the bound of {_MAX_SAMPLES}; "
                 f"lower samples")
+        if max(self.delta.numerator, self.delta.denominator) > _MAX_DELTA_TERM:
+            raise ResourceError(
+                f"delta = {self.delta} has a numerator or denominator above "
+                f"{_MAX_DELTA_TERM}; use a delta with smaller terms")
         if self.n_max and not self._budget_ok():
             raise ResourceError(
                 f"error budget violated: {self.n_max} steps at "
@@ -609,49 +613,3 @@ def _window(config: OrbitConfig, starts, l_lo: int, l_hi: int):
         eng.settle(starts, hit, amb, rows, b0, ks, d < hit_lim[ks])
         b0 += length
     return hit, amb & ~hit
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def write_census_csv(census: CensusSummary, path) -> None:
-    """One row per sample: sample_id, hit_count, stat_lo, stat_hi,
-    inconclusive_count (stable column contract)."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["sample_id", "hit_count", "stat_lo", "stat_hi",
-                    "inconclusive_count"])
-        for rec, count in zip(census.records, census.counts):
-            w.writerow([rec.sample_id, count, _dec(rec.stat_lo),
-                        _dec(rec.stat_hi), rec.inconclusive])
-
-
-def write_summary_json(census: CensusSummary, path) -> None:
-    cfg = census.config
-    payload = {
-        "tool": "shrinktarget",
-        "version": __version__,
-        "config": {
-            "theta": [str(c) for c in cfg.theta.coords],
-            "theta_radius": str(cfg.theta.radius),
-            "delta": str(cfg.delta),
-            "n_max": cfg.n_max,
-            "samples": cfg.samples,
-            "seed": cfg.seed,
-            "precision_bits": cfg.precision_bits,
-            "generator": "PCG64",
-        },
-        "n_lo": census.n_lo,
-        "aggregates": {
-            "mean": str(census.mean),
-            "mean_decimal": _dec(census.mean, 6),
-            "median": str(census.median),
-            "q1": str(census.quartiles[0]),
-            "q3": str(census.quartiles[1]),
-            "inconclusive_total": census.inconclusive_total,
-        },
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -364,10 +364,25 @@ def test_main_command_mismatch(tmp_path):
     assert code == 2
 
 
-def test_main_missing_config_file(tmp_path, capsys):
-    code = cli.main(["approx", "--config", str(tmp_path / "absent.cfg")])
-    assert code == 2
-    capsys.readouterr()
+def test_main_missing_config_file(tmp_path):
+    """A config that cannot be read exits 2 with a ConfigError naming it, in
+    error.json like every other failure."""
+    path, out = str(tmp_path / "absent.cfg"), tmp_path / "out"
+    assert cli.main(["approx", "--config", path, "--out", str(out)]) == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "ConfigError" and err["exit_code"] == 2
+    assert repr(path) in err["message"]
+
+
+def test_main_undecodable_config_file(tmp_path):
+    """A config that is not UTF-8 exits 2 with a ConfigError naming it (it
+    raised an uncaught UnicodeDecodeError, exit 1)."""
+    path, out = tmp_path / "latin1.cfg", tmp_path / "out"
+    path.write_bytes(b"command=approx\ntheta=1/3\nlimit=5\n# \xff\n")
+    assert cli.main(["approx", "--config", str(path), "--out", str(out)]) == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "ConfigError" and err["exit_code"] == 2
+    assert repr(str(path)) in err["message"]
 
 
 @pytest.mark.parametrize("command,keys", [
@@ -422,6 +437,20 @@ def test_main_resource_exhaustion_exit_4(tmp_path):
     assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 4
     err = json.loads((out / "error.json").read_text())
     assert err["error"] == "ResourceError"
+
+
+def test_main_delta_with_large_terms_exit_4(tmp_path):
+    cfg = write_config(tmp_path, """\
+        command=simulate
+        theta=1/3
+        delta=1.0001
+        n_max=1000
+        precision_bits=64
+    """)
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 4
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "ResourceError" and "10001/10000" in err["message"]
 
 
 def test_main_samples_bound_exit_4(tmp_path):

@@ -1,4 +1,5 @@
-"""Every module-level import of the package is used in its module."""
+"""Every module-level import of the package is used in its module, and only
+the command-line module reads or writes files."""
 
 import ast
 from pathlib import Path
@@ -32,3 +33,34 @@ def test_module_imports_are_used(path):
 def test_unused_import_is_found():
     assert unused_imports("import os\nfrom fractions import Fraction\nos.sep\n") == [
         "Fraction (line 2)"]
+
+
+FILE_CALLS = ("open", "read_text", "write_text")
+
+
+def file_io(source: str) -> list[str]:
+    """The csv/json imports and the file calls (open, read_text, write_text)
+    of a module."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name in ("csv", "json")]
+        elif isinstance(node, ast.ImportFrom) and node.module in ("csv", "json"):
+            found.append(node.module)
+        elif isinstance(node, ast.Call):
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if name in FILE_CALLS:
+                found.append(f"{name}() (line {node.lineno})")
+    return found
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "cli.py"],
+                         ids=lambda p: p.name)
+def test_only_the_cli_does_file_io(path):
+    """The library computes; cli.py writes every artifact and reads every input."""
+    assert file_io(path.read_text()) == []
+
+
+def test_file_io_is_found():
+    assert file_io("import csv, os\nfrom json import dump\nopen('x')\nP.write_text('')\n") == [
+        "csv", "json", "open() (line 3)", "write_text() (line 4)"]

@@ -685,9 +685,10 @@ def test_classify_matches_the_root_rule(bits, delta, data):
 
 
 # --- resource guards: refused before any start is drawn --------------------------
-# OrbitConfig holds the only refusals: the error budget and at most
-# _MAX_SAMPLES samples.  Orbit length and window size are not capped at any
-# precision or dimension; the former caps' edges are answered.
+# OrbitConfig holds the only refusals: the error budget, at most
+# _MAX_SAMPLES samples and the terms of delta.  Orbit length and window size
+# are not capped at any precision or dimension; the former caps' edges are
+# answered.
 
 def _no_draws(monkeypatch):
     def refuse(*_args):
@@ -703,6 +704,27 @@ def _samples_edge(monkeypatch, run, bits, **kw):
         run(OrbitConfig(samples=orbit._MAX_SAMPLES + 1, precision_bits=bits, **kw))
     with pytest.raises(AssertionError, match="starts drawn"):
         run(OrbitConfig(samples=orbit._MAX_SAMPLES, precision_bits=bits, **kw))
+
+
+def test_delta_with_large_terms_refused_before_the_error_budget():
+    """delta = 10001/10000 took minutes in the level ladder's roots; it is
+    refused at construction, before the exact error budget is evaluated.
+    The largest admitted terms (256/255) are answered, as the oracle does."""
+    def refuse(_self):
+        raise AssertionError("error budget evaluated")
+    theta = CertifiedVector((F(5, 13),))
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(OrbitConfig, "_budget_ok", refuse)
+        for delta in (F(10001, 10000), F(257, 256), F(1025)):
+            with pytest.raises(ResourceError, match="delta"):
+                OrbitConfig(theta=theta, delta=delta, n_max=1000, precision_bits=64)
+    for delta in (F(256, 255), F(256, 3)):
+        config = OrbitConfig(theta=theta, delta=delta, n_max=1000, precision_bits=64)
+        rec = orbit_hits(config)
+        assert rec.hits == exact_orbit_hits(config) and rec.inconclusive == 0
+    config = OrbitConfig(theta=theta, delta=F(256, 255), n_max=1000, samples=4,
+                         precision_bits=64)
+    assert max(hit_census(config).counts) > 0
 
 
 def test_long_census_above_64_bits_answered(monkeypatch):
