@@ -23,10 +23,10 @@ from itertools import accumulate
 from . import _scan
 from .bestapprox import (best_linear, best_simultaneous, linear_error, linear_profile,
                          simultaneous_error)
-from .errors import DegenerateInputError, DomainError, PrecisionError
+from .errors import DegenerateInputError, DomainError, PrecisionError, ResourceError
 from .exact import (CertifiedScalar, Verdict, as_vector, certified_dist_nearest_lattice,
                     certified_form_dist, rational)
-from .roots import pow_enclosure
+from .roots import _MAX_ROOT_ORDER, pow_enclosure
 
 
 def _power(lo: Fraction, hi: Fraction, num: int, den: int) -> CertifiedScalar:
@@ -99,7 +99,9 @@ def series_lemma22(theta, k_max: int, delta) -> SeriesReport:
     """Terms k^-1 (k^delta eps_l(k))^(1/(delta+1)) for k = 1..k_max.
 
     delta >= 1 (delta = d recovers the harmonic form of the dyadic
-    condition).  eps_l is evaluated once per step of its profile.
+    condition).  eps_l is evaluated once per step of its profile.  Each term
+    is a root of order p + q for delta = p/q in lowest terms; p + q above
+    _MAX_ROOT_ORDER = 256 is refused (ResourceError) before any work.
     """
     theta = as_vector(theta)
     delta = rational(delta)
@@ -107,10 +109,14 @@ def series_lemma22(theta, k_max: int, delta) -> SeriesReport:
         raise DomainError("delta must be >= 1")
     if k_max < 1:
         raise DomainError("k_max must be >= 1")
-    prof = linear_profile(theta, k_max)
     # exponent 1/(delta+1) = q/(p+q) for delta = p/q; the term collapses to
     # (eps_l(k)/k)^(1/(delta+1))
     p, q = delta.numerator, delta.denominator
+    if p + q > _MAX_ROOT_ORDER:
+        raise ResourceError(
+            f"delta = {delta} asks for roots of order p + q = {p + q}, above "
+            f"{_MAX_ROOT_ORDER}; use a delta with smaller terms")
+    prof = linear_profile(theta, k_max)
     terms = []
     for k in range(1, k_max + 1):
         eps = prof.value(k)

@@ -16,11 +16,19 @@ B < 64).  No float sits on a decision path:
   top(x) + top(b0*theta mod 2^B) + k*top(theta) mod 2^64, within E = L + 1
   top units of the true position (E = 0 when s <= 0), however large b0 is.
   d64 is the largest coordinate |pos| read as int64 (pos = 2^63 gives 2^63).
+  A sweep first adds only the top 32 bits of the two terms, in uint32: its
+  d32 (read as int32) loses less than two units of 2^32 to the truncations,
+  so |d32*2^32 - d64| < 2^33.  d32 > ceil(miss/2^32) + 1 is then a certain
+  miss, the steps with d32 <= (block minimum of d32) + 4 hold every step
+  within 2E of the block minimum of d64 (2E < 2^32), and only the steps so
+  selected get their d64.
 - Level ladder.  For delta = p/q a block walks levels t of top units, from
-  t_hi(a) at 64 bits for its first step a, then low = t - t*q // (64p) - 1:
-  the radius of steps a..b = _last_step(delta, low) (an iroot of order q)
-  lies in [low, t].  With e = ceil(err/2^s), d64 <= low - E - e is a certain
-  hit and d64 > t + E + e a certain miss on [a, b], for every sample.
+  t_hi(a) at 64 bits for its first step a, then low = t - t*q // (64p) - 1,
+  in one integer loop that stops at the level holding the block's last
+  step: the radius of steps a..b = _last_step(delta, low) (an iroot of
+  order q, none when q = 1) lies in [low, t].  With e = ceil(err/2^s),
+  d64 <= low - E - e is a certain hit and d64 > t + E + e a certain miss on
+  [a, b], for every sample.
 - Exact re-check.  Every other step gets its exact B-bit distance d: it is a
   hit when (d + err)^p n^q <= 2^(Bp), a miss when (d - err)^p n^q > 2^(Bp),
   else decided in exact arithmetic, as a filtered step would be; so hits
@@ -52,8 +60,9 @@ Changing the generator is a format-breaking change.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -61,14 +70,16 @@ import numpy as np
 
 from .errors import DomainError, PrecisionError, ResourceError
 from .exact import CertifiedVector, as_vector, dist_nearest_int, rational
-from .roots import _log2_units, iroot, log2_enclosure, sqrt_upper
+from .roots import _MAX_ROOT_ORDER, _log2_units, iroot, log2_enclosure, sqrt_upper
 
 _MAX_SAMPLES = 10 ** 6  # starts per census or window: bounds their memory
-_MAX_DELTA_TERM = 256  # numerator and denominator of delta: bounds the ladder's roots
 _BLOCK = 1 << 16  # longest time block: bounds E and the arrays of one sample
 _BATCH = 1 << 20  # about the (sample, time) pairs of one window block
+_PAIRS = 1 << 14  # about the selected (sample, time) pairs of one sweep decision
 _NO_MISS = 1 << 63  # limits for auto-hit times: d64 <= 2^63 < 2^63 + 1
 _ALL_HIT = (1 << 63) + 1
+_NO_MISS32 = 1 << 31  # the same for d32 <= 2^31
+_LEFT_OUT = (1 << 64) - 1  # the d64 of a pair left out of a minimum: above any d64 + 2E
 
 
 @dataclass(frozen=True)
@@ -85,7 +96,7 @@ class OrbitConfig:
       shrink n_max;
     - at most _MAX_SAMPLES = 10^6 samples, which bounds the memory of a
       census or window estimate (their starts and per-sample records);
-    - delta = p/q with p, q <= _MAX_DELTA_TERM = 256, which bounds the cost
+    - delta = p/q with p, q <= _MAX_ROOT_ORDER = 256, which bounds the cost
       of the target radii: integer roots of order p and q of 64p-bit numbers.
 
     Orbit length is bounded by the error budget alone.
@@ -116,10 +127,10 @@ class OrbitConfig:
             raise ResourceError(
                 f"{self.samples} samples exceed the bound of {_MAX_SAMPLES}; "
                 f"lower samples")
-        if max(self.delta.numerator, self.delta.denominator) > _MAX_DELTA_TERM:
+        if max(self.delta.numerator, self.delta.denominator) > _MAX_ROOT_ORDER:
             raise ResourceError(
                 f"delta = {self.delta} has a numerator or denominator above "
-                f"{_MAX_DELTA_TERM}; use a delta with smaller terms")
+                f"{_MAX_ROOT_ORDER}; use a delta with smaller terms")
         if self.n_max and not self._budget_ok():
             raise ResourceError(
                 f"error budget violated: {self.n_max} steps at "
@@ -184,10 +195,20 @@ def _threshold_pair(n: int, delta: Fraction, bits: int) -> tuple[int, int]:
     return t, t + 1
 
 
+def _last_steps(delta: Fraction, ts) -> list[int]:
+    """For each t >= 1 of ts, the last step n >= 0 whose target radius
+    n^(-1/delta) is at least t top units: t^p n^q <= 2^(64p) for
+    delta = p/q (no root when q = 1)."""
+    p, q = delta.numerator, delta.denominator
+    one = 1 << (64 * p)
+    if q == 1:
+        return [one // t ** p for t in ts]
+    return [iroot(one // t ** p, q) for t in ts]
+
+
 def _last_step(delta: Fraction, t: int) -> int:
-    """Last step n >= 0 whose target radius n^(-1/delta) is at least t >= 1
-    top units: t^p n^q <= 2^(64p) for delta = p/q."""
-    return iroot((1 << (64 * delta.numerator)) // t ** delta.numerator, delta.denominator)
+    """_last_steps for one t."""
+    return _last_steps(delta, (t,))[0]
 
 
 def _auto_hit_bound(delta: Fraction) -> int:
@@ -219,14 +240,22 @@ class _SweepResult(NamedTuple):
 
 
 def _d64(positions) -> np.ndarray:
-    """Largest |pos| over the coordinates' uint64 positions, each read as
-    int64: |-2^63| wraps back to 2^63.  Overwrites the positions."""
+    """Largest |pos| over the coordinates' uint64 (or uint32) positions, each
+    read as signed: |-2^63| wraps back to 2^63 (|-2^31| to 2^31).
+    Overwrites the positions."""
     d = None
     for pos in positions:
-        signed = pos.view(np.int64)
+        signed = pos.view(f"i{pos.itemsize}")
         np.abs(signed, out=signed)
         d = pos if d is None else np.maximum(d, pos, out=d)
     return d
+
+
+def _miss32(miss: np.ndarray) -> np.ndarray:
+    """uint32 miss limits for d32, whose d32 * 2^32 is within 2^33 of d64
+    (see the module doc): d32 > miss32 only where d64 > miss, and no d32 is
+    above _NO_MISS32."""
+    return np.minimum(((miss + 0xFFFF_FFFF) >> 32) + 1, _NO_MISS32).astype(np.uint32)
 
 
 class _Engine:
@@ -243,8 +272,20 @@ class _Engine:
         self.e = self.top(self.err, ceil=True)
         self.auto = _auto_hit_bound(config.delta)
         self.p, self.q = config.delta.numerator, config.delta.denominator
-        k = np.arange(min(steps, _BLOCK), dtype=np.uint64)
-        self.k_theta = [k * np.uint64(self.top(t)) for t in self.theta_u]
+        self.theta_top = [np.uint64(self.top(t)) for t in self.theta_u]
+        self.steps = min(steps, _BLOCK)
+
+    @cached_property
+    def k_theta(self) -> list[np.ndarray]:
+        """The step ramp k*top(theta) mod 2^64, k < steps, per coordinate."""
+        k = np.arange(self.steps, dtype=np.uint64)
+        return [k * t for t in self.theta_top]
+
+    def ramp32(self) -> list[np.ndarray]:
+        """The top 32 bits of the step ramp, as uint32 (made without keeping
+        the uint64 ramp)."""
+        k = np.arange(self.steps, dtype=np.uint64)
+        return [(k * t >> 32).astype(np.uint32) for t in self.theta_top]
 
     def top(self, v: int, ceil: bool = False) -> int:
         if self.s < 0:
@@ -271,23 +312,44 @@ class _Engine:
         return _d64((tops[:, c] + base[c])[:, None] + kt[:length]
                     for c, kt in enumerate(self.k_theta))
 
+    def levels(self, b0: int, length: int, slack: int):
+        """The limits of bounds() per level, as (steps, hit, miss): level i
+        covers steps[i] consecutive steps (none when the radius skips it),
+        and level 0 holds the auto-hit steps."""
+        end = b0 + length - 1
+        a = min(max(b0, self.auto + 1), end + 1)
+        xs = []  # t of the first level, then low of every level
+        if a <= end:
+            t = _threshold_pair(a, self.config.delta, 64)[1]
+            last = _threshold_pair(end, self.config.delta, 64)[0]
+            q, den = self.q, 64 * self.p
+            xs.append(t)
+            while True:  # the level holding `end` is the first with low <= last
+                t -= t * q // den + 1
+                xs.append(t)
+                if t <= last:
+                    break
+        ends = _last_steps(self.config.delta, xs[1:-1])  # each before `end`
+        steps = np.diff([0, a - b0] + [b - b0 + 1 for b in ends] + [length] * bool(xs))
+        # min(max(low - pad + 1, 0), _ALL_HIT) and min(t + pad, _NO_MISS), with
+        # pad clipped so that no uint64 wraps (low < t <= 2^63)
+        x = np.array(xs, dtype=np.uint64)
+        pad = slack + self.e
+        cut, add = min(pad, _ALL_HIT), min(pad, _NO_MISS)
+        hit = np.empty(len(steps), dtype=np.uint64)
+        miss = np.empty_like(hit)
+        hit[0], miss[0] = _ALL_HIT, _NO_MISS
+        np.subtract(np.maximum(x[1:] + 1, cut), cut, out=hit[1:])
+        np.add(np.minimum(x[:-1], _NO_MISS - add), add, out=miss[1:])
+        return steps, hit, miss
+
     def bounds(self, b0: int, length: int, slack: int):
         """Shared limits for the steps b0 .. b0+length-1: d64 < hit[k] is a
         certain hit and d64 > miss[k] a certain miss for every sample whose
         d64 is within `slack` of its d_B / 2^s."""
-        end = b0 + length - 1
-        a = min(max(b0, self.auto + 1), end + 1)
-        runs = [(a - b0, _ALL_HIT, _NO_MISS)]  # (steps, hit, miss) per level
-        t = _threshold_pair(a, self.config.delta, 64)[1]
-        while a <= end:  # b < a when the radius skips the level [low, t]
-            low = t - t * self.q // (64 * self.p) - 1
-            b = min(_last_step(self.config.delta, low), end) if low else end
-            runs.append((b - a + 1, min(max(low - slack - self.e + 1, 0), _ALL_HIT),
-                         min(t + slack + self.e, _NO_MISS)))
-            a, t = b + 1, low
-        steps, hit, miss = np.array(runs, dtype=np.uint64).T
+        steps, hit, miss = self.levels(b0, length, slack)
         # one 2 x length array: two separate ones fault in twice the fresh pages
-        return np.repeat([hit, miss], steps.astype(np.intp), axis=1)
+        return np.repeat([hit, miss], steps, axis=1)
 
     def dist(self, pt, n: int) -> int:
         """Exact B-bit fixed-point distance to 0 of pt + n*theta."""
@@ -309,15 +371,23 @@ class _Engine:
             x0_frac = [Fraction(u, 1 << self.bits) for u in pt]
         return _exact_classify(x0_frac, self.config.theta, n, self.config.delta)
 
-    def minimum(self, pt, n0: int, d: np.ndarray, slack: int, best: int) -> int:
-        """min(best, exact B-bit distance at times n0 + k, k < len(d))."""
-        m = int(d.min())
+    def minimum(self, starts, b0: int, rows, ks, d, counts, slack: int, best) -> None:
+        """Lower best[i] to the exact B-bit distances at the times b0 + k of
+        the pairs (i, k) in (rows, ks), which come grouped by sample with
+        counts pairs each and their d64 in d (_LEFT_OUT for a pair to leave
+        out); each sample's pairs hold every step within 2E of its block
+        minimum."""
+        at = np.cumsum(counts) - counts
+        m = np.minimum.reduceat(d, at)
         if self.s <= 0:
-            return min(best, m >> -self.s)
-        if (m - slack) << self.s > best:
-            return best
-        return min([best] + [self.dist(pt, n0 + k) for k in
-                             np.flatnonzero(d <= m + 2 * slack).tolist()])
+            for i, v in zip(rows[at].tolist(), m.tolist()):
+                best[i] = min(best[i], v >> -self.s)
+            return
+        m = np.repeat(m, counts)
+        near = d <= m + 2 * slack
+        for i, k, v in zip(rows[near].tolist(), ks[near].tolist(), m[near].tolist()):
+            if (v - slack) << self.s <= best[i]:
+                best[i] = min(best[i], self.dist(starts[i], b0 + k))
 
     def settle(self, starts, hit, amb, rows, b0: int, ks, sure) -> None:
         """Window verdicts for the pairs (rows[m], b0 + ks[m]) that are not
@@ -333,37 +403,79 @@ class _Engine:
 def _sweep(config: OrbitConfig, starts, x0_fracs=None) -> list[_SweepResult]:
     """Hits, inconclusive counts and minimum distances over n = 1..n_max for
     every start (B-bit fixed-point units); time blocks outside, samples
-    inside, so each block's brackets and buffers are made once."""
+    inside, so each block's limits and buffers are made once.  A sample's
+    steps are selected on d32 (see the module doc), and the selected
+    (sample, step) pairs of a block are decided together on their d64."""
     n_max = config.n_max
     eng = _Engine(config, n_max, n_max)
     x0_fracs = x0_fracs or [None] * len(starts)
     tops = eng.tops(starts, 0)
+    ramp32 = eng.ramp32()
     hits = [[] for _ in starts]
     inconclusive = [0] * len(starts)
     dmin = [1 << config.precision_bits] * len(starts)  # above any distance
     for b0 in range(1, n_max + 1, _BLOCK):
         length = min(_BLOCK, n_max - b0 + 1)
         slack = eng.slack(length)
-        hit_lim, miss_lim = eng.bounds(b0, length, slack)
+        steps, hit, miss = eng.levels(b0, length, slack)
+        miss32 = _miss32(miss)
+        miss_lim = np.repeat(miss32, steps)
+        level = np.arange(len(steps), dtype=np.min_scalar_type(len(steps)))
+        level = np.repeat(level, steps)  # of each step
+        # miss32 never rises, so the steps with miss32 < c start at
+        # first[bisect_right(fall, -c)]
+        fall = (-miss32.astype(np.int64)).tolist()
+        first = [0] + np.cumsum(steps).tolist()
         offs = tops + eng.tops([[0] * config.dim], b0)[0]  # wraps mod 2^64
-        ramp = [kt[:length] for kt in eng.k_theta]
-        pos = [np.empty(length, dtype=np.uint64) for _ in ramp]
+        offs32 = (offs >> 32).astype(np.uint32)
+        ramp = [r[:length] for r in ramp32]
+        pos = [np.empty(length, dtype=np.uint32) for _ in ramp]
         near = np.empty(length, dtype=bool)
         lo2 = max(2 - b0, 0)
-        for i, pt in enumerate(starts):
-            for c, kt in enumerate(ramp):
-                np.add(kt, offs[i, c], out=pos[c])
-            d = _d64(pos)
-            ks = np.flatnonzero(np.less_equal(d, miss_lim, out=near))
-            sure = d[ks] < hit_lim[ks]
-            hits[i] += (ks[sure] + b0).tolist()
-            for k in ks[~sure].tolist():
-                verdict = eng.classify(pt, b0 + k, x0_fracs[i])
+
+        def decide(i0, found):
+            """Hits, inconclusive counts and minima of the samples i0, i0 + 1,
+            ... from the steps found[r] selected for sample i0 + r."""
+            i1 = i0 + len(found)
+            counts = [len(ks) for ks in found]
+            rows, ks = np.repeat(np.arange(i0, i1), counts), np.concatenate(found)
+            k64 = ks.astype(np.uint64)
+            d = _d64([np.repeat(offs[i0:i1, c], counts) + k64 * t
+                      for c, t in enumerate(eng.theta_top)])
+            lv = level[ks]
+            sure = d < hit[lv]  # hit <= miss + 1: no sure hit is past the miss limit
+            sure_n = (ks[sure] + b0).tolist()
+            cut = np.searchsorted(rows[sure], np.arange(i0, i1 + 1)).tolist()
+            for r in range(len(found)):
+                hits[i0 + r] += sure_n[cut[r]:cut[r + 1]]
+            check = (d <= miss[lv]) & ~sure
+            for i, k in zip(rows[check].tolist(), ks[check].tolist()):
+                verdict = eng.classify(starts[i], b0 + k, x0_fracs[i])
                 if verdict is True:
                     hits[i].append(b0 + k)
                 inconclusive[i] += verdict is None
+            if lo2 < length:  # step n = 1 has no say in the minimum
+                eng.minimum(starts, b0, rows, ks, np.where(ks < lo2, _LEFT_OUT, d),
+                            counts, slack, dmin)
+
+        found, pairs = [], 0
+        for i in range(len(starts)):
+            for c, r in enumerate(ramp):
+                np.add(r, offs32[i, c], out=pos[c])
+            d = _d64(pos)
+            # one pass selects the steps up to miss32 and those that can hold
+            # the minimum: d32 <= min32 + 4, as 2E < 2^32
+            j = length
             if lo2 < length:
-                dmin[i] = eng.minimum(pt, b0 + lo2, d[lo2:], slack, dmin[i])
+                reach = int(d[lo2:].min()) + 4
+                j = max(first[bisect_right(fall, -reach)], lo2)
+                np.less_equal(d[j:], reach, out=near[j:])
+            np.less_equal(d[:j], miss_lim[:j], out=near[:j])
+            found.append(np.flatnonzero(near))
+            pairs += len(found[-1])
+            if pairs >= _PAIRS or i == len(starts) - 1:
+                decide(i + 1 - len(found), found)
+                found, pairs = [], 0
     return [_SweepResult(sorted(h), c, *((m - eng.err, m + eng.err)
                                          if n_max >= 2 else (None, None)))
             for h, c, m in zip(hits, inconclusive, dmin)]

@@ -13,6 +13,8 @@ from fractions import Fraction
 from .errors import DomainError
 from .exact import rational
 
+_MAX_ROOT_ORDER = 256  # the largest root order a delta = p/q may ask for: bounds their cost
+
 __all__ = [
     "iroot",
     "iroot_ceil",

@@ -453,6 +453,27 @@ def test_main_delta_with_large_terms_exit_4(tmp_path):
     assert err["error"] == "ResourceError" and "10001/10000" in err["message"]
 
 
+@pytest.mark.parametrize("delta, code", [("129/127", 0), ("129/128", 4)])
+def test_main_lemma22_root_order_bound(tmp_path, delta, code):
+    """series=lemma22 takes roots of order p + q: 256 is answered, 257 is
+    refused with exit 4 and error.json."""
+    cfg = write_config(tmp_path, f"""\
+        command=criteria
+        series=lemma22
+        theta=2/7, 3/11
+        delta={delta}
+        k_max=8
+    """)
+    out = tmp_path / "out"
+    assert cli.main(["criteria", "--config", cfg, "--out", str(out)]) == code
+    if code:
+        err = json.loads((out / "error.json").read_text())
+        assert err["error"] == "ResourceError" and delta in err["message"]
+    else:
+        assert not (out / "error.json").exists()
+        assert (out / "series.csv").read_text().count("\n") == 9
+
+
 def test_main_samples_bound_exit_4(tmp_path):
     # refused by the samples bound before any start is drawn, not by a
     # failed allocation of the start table (exit 5)

@@ -10,7 +10,8 @@ from shrinktarget.construct import build_theta, minimal_heights
 from shrinktarget.criteria import (SeriesReport, _assemble, _sup_norm,
                                    dyadic_condition_iii, series_lemma22, series_prop32,
                                    series_thm5, transfer_check, type_evidence, window_bound)
-from shrinktarget.errors import DegenerateInputError, DomainError, PrecisionError
+from shrinktarget.errors import (DegenerateInputError, DomainError, PrecisionError,
+                                 ResourceError)
 from shrinktarget.exact import (CertifiedScalar, CertifiedVector, as_vector,
                                 certified_dist_nearest_lattice, certified_form_dist,
                                 dist_nearest_int, rational)
@@ -131,6 +132,23 @@ def test_series_lemma22_single_term_and_bad_delta():
     assert len(rep.terms) == 1
     with pytest.raises(DomainError):
         series_lemma22(theta, 4, F(1, 2))
+
+
+def test_series_lemma22_root_order_bound(monkeypatch):
+    """Each term is a root of order p + q: 129/127 (order 256) is answered,
+    129/128 (order 257) is refused before the error profile is built; it
+    took 0.69 s at k_max = 100, and 10001/10000 did not finish in 300 s."""
+    theta = CertifiedVector((F(2, 7), F(3, 11)))
+    rep = series_lemma22(theta, 8, F(129, 127))
+    assert len(rep.terms) == 8
+    assert rep.terms == oracle_series_lemma22(theta, 8, F(129, 127)).terms
+
+    def refuse(*_args):
+        raise AssertionError("error profile built before the root order check")
+    monkeypatch.setattr("shrinktarget.criteria.linear_profile", refuse)
+    for delta in (F(129, 128), F(10001, 10000), F(256)):
+        with pytest.raises(ResourceError, match="p \\+ q"):
+            series_lemma22(theta, 100, delta)
 
 
 def test_dyadic_condition_terms_for_two_sevenths():

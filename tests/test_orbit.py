@@ -16,12 +16,12 @@ from hypothesis import example, given, settings, strategies as st
 from shrinktarget import orbit
 from shrinktarget.errors import DomainError, PrecisionError, ResourceError
 from shrinktarget.exact import CertifiedVector
-from shrinktarget.orbit import (_BATCH, _BLOCK, OrbitConfig, _auto_hit_bound,
+from shrinktarget.orbit import (_BATCH, _BLOCK, OrbitConfig, _auto_hit_bound, _d64,
                                 _draw_starts, _Engine, _error_units, _exact_classify,
-                                _hit_records, _sweep, _SweepResult, _threshold_pair,
-                                _units, _window, _x0_units, bc_window_estimate,
-                                exact_orbit_hits, hit_census, log_law_stat,
-                                orbit_hits)
+                                _hit_records, _miss32, _sweep, _SweepResult,
+                                _threshold_pair, _units, _window, _x0_units,
+                                bc_window_estimate, exact_orbit_hits, hit_census,
+                                log_law_stat, orbit_hits)
 from shrinktarget.roots import iroot, log2_enclosure
 
 F = Fraction
@@ -390,6 +390,8 @@ def orbit_family(draw, max_n=600):
           [[0]]))
 @example((fit_budget(CertifiedVector((F(3, 16), F(1, 4))), F(2), 300, 65),
           [[0, 0], [1 << 64, 1 << 64]]))
+@example((fit_budget(CertifiedVector((F(1, 4),)), F(1), 2, 65),
+          [[23_423_430_536_998_803_233], [0]]))  # n = 1 is 2E from the minimum
 def test_sweep_matches_oracle(family):
     config, starts = family
     got = _sweep(config, starts) if config.n_max else []
@@ -653,6 +655,54 @@ def test_bounds_are_sound_per_step(bits, block):
             assert band * 32 * p <= _threshold_pair(n, delta, 64)[1] * q, n
 
 
+def _ladder_per_level(eng, b0, length, slack):
+    """_Engine.bounds as one Python step per level: one _last_step root each
+    and the saturated limits in Python integers (the form that the bulk
+    ladder replaced)."""
+    end = b0 + length - 1
+    a = min(max(b0, eng.auto + 1), end + 1)
+    runs = [(a - b0, orbit._ALL_HIT, orbit._NO_MISS)]  # (steps, hit, miss) per level
+    t = _threshold_pair(a, eng.config.delta, 64)[1]
+    while a <= end:  # b < a when the radius skips the level [low, t]
+        low = t - t * eng.q // (64 * eng.p) - 1
+        b = min(orbit._last_step(eng.config.delta, low), end) if low else end
+        runs.append((b - a + 1, min(max(low - slack - eng.e + 1, 0), orbit._ALL_HIT),
+                     min(t + slack + eng.e, orbit._NO_MISS)))
+        a, t = b + 1, low
+    steps, hit, miss = np.array(runs, dtype=np.uint64).T
+    return np.repeat([hit, miss], steps.astype(np.intp), axis=1)
+
+
+@st.composite
+def ladder_delta(draw):
+    """delta = p/q >= 1 with terms up to 256, small ones more often."""
+    q = draw(st.one_of(st.integers(1, 3), st.integers(1, 256)))
+    return F(draw(st.one_of(st.integers(q, min(6 * q, 256)), st.integers(q, 256))), q)
+
+
+@settings(deadline=None, max_examples=120)
+@given(st.sampled_from(RULE_BITS), ladder_delta(),
+       st.sampled_from(("1", "auto", "auto+1", "2^16+1", "10^12+1", "2^63+5", "2^200")),
+       st.sampled_from((1, 2, _BLOCK)))
+@example(8, F(1), "2^200", _BLOCK)  # slack + e is far above 2^64
+@example(64, F(256, 255), "1", _BLOCK)  # the longest ladders
+def test_bulk_ladder_matches_the_per_level_loop(bits, delta, start, length):
+    """The bulk ladder of _Engine.bounds gives the array of the per-level
+    loop, element for element: block starts beyond 2^63 (far windows),
+    pads slack + e beyond 2^64 at 8 bits, and terms of delta up to 256."""
+    auto = _auto_hit_bound(delta)
+    b0 = {"1": 1, "auto": auto, "auto+1": auto + 1, "2^16+1": 2 ** 16 + 1,
+          "10^12+1": 10 ** 12 + 1, "2^63+5": 2 ** 63 + 5, "2^200": 2 ** 200}[start]
+    eng = _rule_engine(delta, bits, b0 + length - 1, length)
+    slack = eng.slack(length)
+    got = eng.bounds(b0, length, slack)
+    want = _ladder_per_level(eng, b0, length, slack)
+    assert got.dtype == want.dtype and got.shape == want.shape == (2, length)
+    assert np.array_equal(got, want)
+    assert orbit._last_steps(delta, [1, 2, 1 << 60]) == \
+        [orbit._last_step(delta, t) for t in (1, 2, 1 << 60)]
+
+
 @settings(deadline=None, max_examples=300)
 @given(st.sampled_from(RULE_BITS), rule_delta(), st.data())
 def test_classify_matches_the_root_rule(bits, delta, data):
@@ -682,6 +732,148 @@ def test_classify_matches_the_root_rule(bits, delta, data):
         assert _exact_classify(_grid(pt, bits), eng.config.theta, n, delta) is False
     else:
         assert got == ("exact" if want is None else want)
+
+
+# --- the sweep's 32-bit selection ----------------------------------------------
+# _sweep selects each sample's steps on d32, the largest |pos| of the top 32
+# bits of its ramp and offset limbs, whose d32 * 2^32 is within 2^33 of d64.
+# A step with d32 > _miss32(miss) is a certain miss, and the steps with
+# d32 <= min32 + 4 hold the block minimum; the selected steps are decided on
+# their exact d64.
+
+LIMB_EDGES = (0, 1, 2 ** 31, 2 ** 32 - 1, 2 ** 32, 2 ** 63 - 1, 2 ** 63, 2 ** 63 + 1,
+              2 ** 64 - 2 ** 32, 2 ** 64 - 1)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(st.one_of(st.sampled_from(LIMB_EDGES), st.integers(0, 2 ** 64 - 1)),
+                min_size=2, max_size=6))
+def test_top_limbs_stay_within_2_33_of_d64(words):
+    """d32 from the sum of two top 32-bit limbs against d64 from the
+    wrapping 64-bit sum: two truncations lose less than 2^33 top units."""
+    ramp = np.array(words[0::2], dtype=np.uint64)
+    offs = np.array(words[1::2][:len(ramp)] + [0] * (len(ramp) - len(words[1::2])),
+                    dtype=np.uint64)
+    d64 = _d64([ramp + offs]).tolist()
+    d32 = _d64([(ramp >> 32).astype(np.uint32) + (offs >> 32).astype(np.uint32)]).tolist()
+    for a, b in zip(d32, d64):
+        assert a <= 2 ** 31 and abs(a * 2 ** 32 - b) < 2 ** 33
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 2 ** 20, 2 ** 30, 2 ** 31 - 2, 2 ** 31 - 1, 2 ** 31])
+def test_miss32_leaves_out_only_certain_misses(k):
+    """At the limits k*2^32 - 1, k*2^32, k*2^32 + 1 (and 2^63 = _NO_MISS):
+    the smallest d64 that a d32 above miss32 allows is above the limit, and
+    miss32 is at most two units above miss/2^32."""
+    for miss in sorted({max(k * 2 ** 32 + j, 0) for j in (-1, 0, 1)} | {orbit._NO_MISS}):
+        if miss > orbit._NO_MISS:
+            continue
+        (m32,) = _miss32(np.array([miss], dtype=np.uint64)).tolist()
+        assert m32 <= orbit._NO_MISS32
+        assert m32 <= -(-miss // 2 ** 32) + 1
+        if m32 < orbit._NO_MISS32:
+            assert (m32 + 1) * 2 ** 32 - 2 ** 33 + 1 > miss, miss
+        else:  # no d32 is above the clamp: nothing is left out
+            assert miss >= (2 ** 31 - 1) * 2 ** 32 - 2 ** 33
+    assert _miss32(np.array([orbit._NO_MISS], dtype=np.uint64)).tolist() == \
+        [orbit._NO_MISS32]
+
+
+def _top_to_units(t, bits):
+    """t top units in B-bit units (rounded down below 64 bits)."""
+    return t << (bits - 64) if bits >= 64 else t >> (64 - bits)
+
+
+def _limit_starts(config, n, offsets):
+    """Grid starts whose orbit sits at time n on either side of 0, at each
+    of the top-unit distances lim + offset from that step's hit and miss
+    limits lim."""
+    bits = config.precision_bits
+    eng = _Engine(config, config.n_max, config.n_max)
+    b0 = n - (n - 1) % _BLOCK
+    length = min(_BLOCK, config.n_max - b0 + 1)
+    limits = [int(lim[n - b0]) for lim in eng.bounds(b0, length, eng.slack(length))]
+    return _placed_starts(eng, n, [lim + o for lim in limits if lim < orbit._NO_MISS
+                                   for o in offsets])
+
+
+def _placed_starts(eng, n, tops):
+    """Grid starts whose orbit sits at time n at each distance of `tops`
+    (top units, rounded to the B-bit grid) on either side of 0."""
+    bits = eng.bits
+    units = {_top_to_units(t, bits) for t in tops if 0 <= t <= orbit._NO_MISS}
+    return [_centred_start(eng.theta_u, n, [side * u], bits)
+            for u in sorted(units) for side in (1, -1)]
+
+
+# distances c*2^32 + r at limb edges: the steps around a block minimum there
+# straddle a 32-bit unit
+LIMB_EDGE_TOPS = [c * 2 ** 32 + r for c in (1, 2 ** 16) for r in (0, 2 ** 31, 2 ** 32 - 1)]
+
+
+def _beyond_budget(theta, delta, n_max, bits):
+    """The configuration at any precision: the error budget admits no orbit
+    at 8 bits, but the engine still has to give the hits of the exact walk
+    with the same err."""
+    config = OrbitConfig(theta=theta, delta=delta, n_max=0, precision_bits=bits)
+    object.__setattr__(config, "n_max", n_max)
+    return config
+
+
+TIE_THETAS = {"1/3": F(1, 3), "1/4": F(1, 4),
+              "1/3+": F(1, 3) + F(1, 2 ** 36), "1/4+": F(1, 4) + F(3, 2 ** 38)}
+
+
+@pytest.mark.parametrize("theta", TIE_THETAS, ids=str)
+@pytest.mark.parametrize("bits", [8, 63, 64, 65, 128])
+@pytest.mark.parametrize("n_max", [1, 2, 3, 1000])
+def test_sweep_selection_near_limits_matches_oracle(theta, bits, n_max):
+    """Starts placed within 2^33 top units of the hit and miss limits of the
+    last step, and at limb edges there.  theta = 1/3 and 1/4 tie at the
+    minimum (1/4 exactly, 1/3 up to one unit per period); near them (1/3+,
+    1/4+) each track drifts by 3*2^28 top units per period, so the near-ties
+    of the minimum are a few 32-bit units apart."""
+    config = _beyond_budget(CertifiedVector((TIE_THETAS[theta],)), F(1), n_max, bits)
+    starts = _limit_starts(config, n_max, (-2 ** 33, -1, 0, 1, 2 ** 33))
+    starts += _placed_starts(_Engine(config, 0, 0), n_max, LIMB_EDGE_TOPS)
+    for x0u, res in zip(starts, _sweep(config, starts)):
+        assert tuple(res) == oracle_sweep(config, x0u), x0u
+
+
+@pytest.mark.parametrize("theta", ["1/3", "1/4"])
+@pytest.mark.parametrize("bits", [64, 128])
+@pytest.mark.parametrize("n_max", [_BLOCK - 1, _BLOCK + 1])
+def test_sweep_selection_at_block_edges_matches_oracle(theta, bits, n_max):
+    """Ties at the minimum over a whole block and one step past it: a start
+    one top unit inside the hit limit of the last step, and one at a limb
+    edge."""
+    config = OrbitConfig(theta=CertifiedVector((TIE_THETAS[theta],)), delta=F(1),
+                         n_max=n_max, precision_bits=bits)
+    starts = _limit_starts(config, n_max, (-1,))[:1]
+    starts += _placed_starts(_Engine(config, 0, 0), n_max, [2 ** 48 + 2 ** 31])[1:]
+    for x0u, res in zip(starts, _sweep(config, starts)):
+        assert tuple(res) == oracle_sweep(config, x0u), x0u
+
+
+@pytest.mark.parametrize("bits", [63, 64, 65, 128])
+def test_sweep_minimum_near_tie_across_zero(bits):
+    """A block minimum whose near-tie lies on the other side of 0.  theta
+    is 1/2 + 2^-32: every other step moves by 2^33 top units, so the odd
+    steps approach 0 from below and the even steps recede above it.  Step 9
+    sits below 0 at c*2^32 + 2^31 - 6 and step 2 above it at c*2^32 + 2^31 +
+    6: the smaller distance reads one 32-bit unit more, because its low limb
+    rounds away from 0, and only the margin of the minimum's selection keeps
+    it.  Both are far beyond the targets from step 5 on (delta = 1)."""
+    c = 2 ** 30 - 4
+    near, far = c * 2 ** 32 + 2 ** 31 - 6, c * 2 ** 32 + 2 ** 31 + 6
+    theta_top, x_top = 2 ** 63 + 2 ** 32, (far - 2 ** 33) % 2 ** 64
+    assert (x_top + 9 * theta_top) % 2 ** 64 == 2 ** 64 - near
+    theta = CertifiedVector((F(_top_to_units(theta_top, bits), 1 << bits),))
+    config = OrbitConfig(theta=theta, delta=F(1), n_max=9, precision_bits=bits)
+    x0u = [_top_to_units(x_top, bits)]
+    res = _sweep(config, [x0u])[0]
+    assert tuple(res) == oracle_sweep(config, x0u)
+    assert res.min_lo == _top_to_units(near, bits) - _error_units(9, F(0), bits)
 
 
 # --- resource guards: refused before any start is drawn --------------------------
