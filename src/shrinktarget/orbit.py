@@ -36,15 +36,20 @@ B < 64).  No float sits on a decision path:
   with d64 <= (block minimum) + 2E hold the exact minimum distance.
 
 Window estimates classify samples x times densely, with early exit, while
-the target radius is >= 1/16.  Beyond that, step b0 + k of a time block
+the target radius is >= 1/16.  Beyond that, step b + k of a time block
 sits at top(x) + base + k*top(theta), so it can be a candidate only when
 the ramp value k*top(theta) is within the miss limit of p = -(top(x) +
 base) on every coordinate.  The ramp, k < m <= L, is bucketed once in
 cells of 2^shift top units (wider than the largest target plus E and e) on
 at most two coordinates, sorted as words key << 16 | k (keys of at most 48
-bits), and bucketed again only when a later block allows narrower cells.
-Each block probes the 3^keyed cells around every unhit sample's p; m is
-chosen so that a block yields about 2^20 candidate pairs.
+bits), and bucketed again only when a later run allows narrower cells; m
+is chosen so that a block yields about 2^20 candidate pairs.  A run of
+blocks b0, b0 + m, ... (at most 2^16 probes, one block at least, and about
+2^20 candidate pairs) probes the 3^keyed cells around every unhit sample's
+p in each of its blocks: one sorted probe array, one left/right search of
+the ramp's keys.  Its cells are those of its first block, whose targets are
+the widest.  Only the candidates get their d64, and their limits from
+their block's level ladder.
 
 The log-law statistic reported per orbit is the depth-N surrogate of the
 limsup exponent: (-log min_{2<=n<=N} d_n) / log N, as an outward-rounded
@@ -74,7 +79,8 @@ from .roots import _MAX_ROOT_ORDER, _log2_units, iroot, log2_enclosure, sqrt_upp
 
 _MAX_SAMPLES = 10 ** 6  # starts per census or window: bounds their memory
 _BLOCK = 1 << 16  # longest time block: bounds E and the arrays of one sample
-_BATCH = 1 << 20  # about the (sample, time) pairs of one window block
+_INDEX_BITS = (_BLOCK - 1).bit_length()  # a step index, packed below a grid key
+_BATCH = 1 << 20  # about the (sample, time) pairs of one window block or run
 _PAIRS = 1 << 14  # about the selected (sample, time) pairs of one sweep decision
 _NO_MISS = 1 << 63  # limits for auto-hit times: d64 <= 2^63 < 2^63 + 1
 _ALL_HIT = (1 << 63) + 1
@@ -350,6 +356,12 @@ class _Engine:
         steps, hit, miss = self.levels(b0, length, slack)
         # one 2 x length array: two separate ones fault in twice the fresh pages
         return np.repeat([hit, miss], steps, axis=1)
+
+    def limits(self, b0: int, length: int, slack: int, ks):
+        """The limits of bounds() at the steps b0 + ks only, as (hit, miss)."""
+        steps, hit, miss = self.levels(b0, length, slack)
+        level = np.searchsorted(np.cumsum(steps), ks, side="right")
+        return hit[level], miss[level]
 
     def dist(self, pt, n: int) -> int:
         """Exact B-bit fixed-point distance to 0 of pt + n*theta."""
@@ -656,6 +668,56 @@ def bc_window_estimate(config: OrbitConfig, window: tuple[int, int]) -> WindowEs
     return WindowEstimate((lo, hi), config.samples, int(hit.sum()), int(amb.sum()))
 
 
+class _Grid:
+    """The step ramp k*top(theta), k < m, of the narrow window search: each
+    step keyed by the cells of 2^shift top units its coordinates lie in, and
+    sorted as words key << 16 | k (keys of at most 48 bits)."""
+
+    def __init__(self, theta_top, shift: int, m: int):
+        """theta_top: top(theta) on at most two coordinates.  The words are
+        made in place: each fresh array of the ramp's size costs its page
+        faults again."""
+        self.shift, self.width = np.uint64(shift), np.uint64(64 - shift)
+        self.mask = np.uint64((1 << (64 - shift)) - 1)  # cell indices wrap at 2^width
+        k = np.arange(m, dtype=np.uint64)
+        words = np.zeros(m, dtype=np.uint64)
+        for t in theta_top:
+            words <<= self.width
+            words |= k * t >> self.shift
+        words <<= np.uint64(_INDEX_BITS)
+        words |= k
+        words.sort()
+        self.words = words
+        # and a last key above every probe, which no probe meets
+        self.keys = np.empty(m + 1, dtype=np.uint64)
+        np.right_shift(words, np.uint64(_INDEX_BITS), out=self.keys[:m])
+        self.keys[m] = 2 ** 64 - 1
+        keyed = len(theta_top)
+        self.around = np.array([[o // 3 ** c % 3 - 1 for c in range(keyed)]
+                                for o in range(3 ** keyed)]).astype(np.uint64)  # -1 wraps
+
+    def near(self, points):
+        """The pairs (i, k) whose step k lies in one of the 3^keyed cells
+        around point i, on every coordinate: points is an array (..., keyed)
+        of top units and i a flat index of its points.  One sorted pass
+        finds them: a pair within a cell's width of a point on every
+        coordinate is among them."""
+        cell = points >> self.shift
+        probe = np.zeros(cell.shape[:-1] + (len(self.around),), dtype=np.uint64)
+        for c in range(cell.shape[-1]):
+            probe <<= self.width
+            probe |= (cell[..., c, None] + self.around[:, c]) & self.mask
+        order = np.argsort(probe, axis=None)
+        probe = probe.ravel()[order]
+        first = np.searchsorted(self.keys, probe, side="left")
+        found = np.flatnonzero(self.keys[first] == probe)
+        first = first[found]
+        count = np.searchsorted(self.keys, probe[found], side="right") - first
+        at = np.repeat(first - (np.cumsum(count) - count), count)
+        ks = (self.words[at + np.arange(len(at))] & np.uint64(_BLOCK - 1)).astype(np.intp)
+        return np.repeat(order[found] // len(self.around), count), ks
+
+
 def _window(config: OrbitConfig, starts, l_lo: int, l_hi: int):
     """Per-start (hit, inconclusive) flags for the times l_lo..l_hi: a hit is
     a conclusive hit at some l, inconclusive means no hit and a straddle."""
@@ -678,50 +740,47 @@ def _window(config: OrbitConfig, starts, l_lo: int, l_hi: int):
         r, k = np.nonzero(d <= miss_lim)
         eng.settle(starts, hit, amb, active[r], b0, k, d[r, k] < hit_lim[k])
         b0 += length
-    # narrow targets: step b0 + k of a block sits at x + base + k*theta, so it
+    # narrow targets: step b + k of a block sits at x + base + k*theta, so it
     # is near 0 only when k*theta is near p = -(x + base).  Bucket the ramp
-    # k*theta, k < m, by the top units of at most two coordinates, in cells
-    # wider than any target from b0 on plus every error; re-bucket only when
-    # the cells can narrow.  Each block probes the cells around every p.
+    # k*theta, k < m, in cells wider than any target from b0 on plus every
+    # error; re-bucket only when the cells can narrow.  A run of blocks b0,
+    # b0 + m, ... probes the cells around the p of every unhit sample in
+    # each of its blocks at once.
     keyed = min(config.dim, 2)
-    offsets = np.array([[o // 3 ** c % 3 - 1 for c in range(keyed)]
-                        for o in range(3 ** keyed)], dtype=np.int64)
-    index_bits = (_BLOCK - 1).bit_length()  # a step index, packed below a key
-    min_shift = 64 - (64 - index_bits) // keyed  # keys of at most 48 bits
+    min_shift = 64 - (64 - _INDEX_BITS) // keyed  # keys of at most 48 bits
     shift = 64  # no grid yet
     while b0 <= l_hi and not hit.all():
         active = np.flatnonzero(~hit)
         reach = _threshold_pair(b0, config.delta, 64)[1] + eng.e + eng.slack(_BLOCK)
         fit = max(reach.bit_length(), min_shift)
+        probes = 3 ** keyed * len(active)  # per block
         if fit < shift:
-            shift, span = fit, 1 << (64 - fit)
-            # about _BATCH candidate pairs per block: each of a sample's
-            # 3^keyed probes covers 2^shift top units per coordinate
-            m = min(l_hi - b0 + 1, _BLOCK,
-                    _BATCH * span ** keyed // (len(offsets) * len(active)))
-            keys = np.zeros(m, dtype=np.uint64)
-            for kt in eng.k_theta[:keyed]:
-                keys = keys * np.uint64(span) + (kt[:m] >> np.uint64(shift))
-            grid = np.sort(keys << np.uint64(index_bits) | np.arange(m, dtype=np.uint64))
-            grid_keys = grid >> np.uint64(index_bits)
-        length = min(m, l_hi - b0 + 1)
-        hit_lim, miss_lim = eng.bounds(b0, length, eng.slack(length))
-        base = eng.tops(origin, b0)[0]
-        probe = np.zeros((len(active), len(offsets)), dtype=np.int64)
-        for c in range(keyed):
-            cell = ((np.uint64(0) - tops[active, c] - base[c])
-                    >> np.uint64(shift)).astype(np.int64)
-            probe = probe * span + (cell[:, None] + offsets[None, :, c]) % span
-        probe = probe.astype(np.uint64)
-        first = np.searchsorted(grid_keys, probe, side="left").ravel()
-        count = np.searchsorted(grid_keys, probe, side="right").ravel() - first
-        rows = np.repeat(np.repeat(active, len(offsets)), count)
-        at = np.repeat(first - (np.cumsum(count) - count), count)
-        ks = (grid[at + np.arange(len(at))] & np.uint64(_BLOCK - 1)).astype(np.intp)
-        rows, ks = rows[ks < length], ks[ks < length]
-        d = _d64(tops[rows, c] + base[c] + kt[ks] for c, kt in enumerate(eng.k_theta))
-        keep = d <= miss_lim[ks]
-        rows, ks, d = rows[keep], ks[keep], d[keep]
-        eng.settle(starts, hit, amb, rows, b0, ks, d < hit_lim[ks])
-        b0 += length
+            shift, cells = fit, 1 << ((64 - fit) * keyed)
+            # about _BATCH candidate pairs per block: each probe covers one
+            # of the cells
+            m = min(l_hi - b0 + 1, _BLOCK, _BATCH * cells // probes)
+            grid = _Grid(eng.theta_top[:keyed], shift, m)
+        # the run's cells fit its first block, whose targets are the widest.
+        # It makes at most _BLOCK probes (but one block at least) and about
+        # _BATCH candidate pairs
+        blocks = min(-(-(l_hi - b0 + 1) // m),
+                     max(1, min(_BLOCK // probes, _BATCH * cells // (m * probes))))
+        firsts = [b0 + j * m for j in range(blocks)]
+        lengths = [min(m, l_hi - b + 1) for b in firsts]
+        bases = np.array([eng.tops(origin, b)[0] for b in firsts])
+        point, ks = grid.near(np.uint64(0) - tops[active, :keyed] - bases[:, None, :keyed])
+        blk, rows = np.divmod(point, len(active))
+        keep = ks < np.array(lengths)[blk]
+        blk, rows, ks = blk[keep], active[rows[keep]], ks[keep]
+        k64 = ks.astype(np.uint64)
+        d = _d64(tops[rows, c] + bases[blk, c] + k64 * t for c, t in enumerate(eng.theta_top))
+        by = np.argsort(blk)
+        cut = np.searchsorted(blk[by], np.arange(blocks + 1)).tolist()
+        for j, (b, length) in enumerate(zip(firsts, lengths)):
+            pick = by[cut[j]:cut[j + 1]]
+            r, k, dj = rows[pick], ks[pick], d[pick]
+            hit_lim, miss_lim = eng.limits(b, length, eng.slack(length), k)
+            keep = (dj <= miss_lim) & ~hit[r]
+            eng.settle(starts, hit, amb, r[keep], b, k[keep], dj[keep] < hit_lim[keep])
+        b0 += sum(lengths)
     return hit, amb & ~hit

@@ -35,6 +35,8 @@ def iroot(n: int, k: int) -> int:
         return 0
     if k == 1:
         return n
+    if k == 2:
+        return math.isqrt(n)
     if k % 2 == 0:  # floor(n^(1/2j)) = floor(floor(sqrt(n))^(1/j))
         return iroot(math.isqrt(n), k // 2)
     # initial overestimate from the bit length

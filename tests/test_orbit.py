@@ -689,7 +689,8 @@ def ladder_delta(draw):
 def test_bulk_ladder_matches_the_per_level_loop(bits, delta, start, length):
     """The bulk ladder of _Engine.bounds gives the array of the per-level
     loop, element for element: block starts beyond 2^63 (far windows),
-    pads slack + e beyond 2^64 at 8 bits, and terms of delta up to 256."""
+    pads slack + e beyond 2^64 at 8 bits, and terms of delta up to 256.
+    _Engine.limits looks up the same limits for steps in any order."""
     auto = _auto_hit_bound(delta)
     b0 = {"1": 1, "auto": auto, "auto+1": auto + 1, "2^16+1": 2 ** 16 + 1,
           "10^12+1": 10 ** 12 + 1, "2^63+5": 2 ** 63 + 5, "2^200": 2 ** 200}[start]
@@ -699,6 +700,8 @@ def test_bulk_ladder_matches_the_per_level_loop(bits, delta, start, length):
     want = _ladder_per_level(eng, b0, length, slack)
     assert got.dtype == want.dtype and got.shape == want.shape == (2, length)
     assert np.array_equal(got, want)
+    ks = np.arange(length)[::-1]
+    assert np.array_equal(eng.limits(b0, length, slack, ks), want[:, ks])
     assert orbit._last_steps(delta, [1, 2, 1 << 60]) == \
         [orbit._last_step(delta, t) for t in (1, 2, 1 << 60)]
 
@@ -1003,23 +1006,29 @@ def test_error_budget_widens_the_miss_limit():
 # --- narrow windows: every candidate pair reaches the exact rule ----------------
 # Past radius 1/16 the window engine buckets the ramp k*theta of a time block
 # once, re-buckets it only when the cells narrow, and probes the cells around
-# each sample's -(x + base) block by block.  A lost candidate changes a verdict
-# only when it is a hit, so these tests check the pairs themselves: every
-# (sample, l) whose dense d64 (from _Engine.distances) is within the block's
-# miss limit reaches _Engine.settle, and no other pair does.
+# each sample's -(x + base) for a run of blocks at once.  A lost candidate
+# changes a verdict only when it is a hit, so these tests check the pairs
+# themselves: every (sample, l) whose dense d64 (from _Engine.distances) is
+# within the block's miss limit reaches _Engine.settle, and no other pair does.
 
 
 class _SettleSpy:
     """Records each window batch: the engine, its limits, the samples not
-    yet hit and the (sample, l) pairs handed to settle."""
+    yet hit and the (sample, l) pairs handed to settle.  The limits are
+    those of _Engine.bounds for every step of the batch: the dense stage
+    asks for them, the bucketed stage looks up its candidates' own."""
 
     def __init__(self, patch):
         self.batches = []
-        bounds, settle = orbit._Engine.bounds, orbit._Engine.settle
+        bounds, limits, settle = orbit._Engine.bounds, orbit._Engine.limits, orbit._Engine.settle
 
         def spy_bounds(eng, b0, length, slack):
             self.limits = (b0, length, *bounds(eng, b0, length, slack))
             return self.limits[2:]
+
+        def spy_limits(eng, b0, length, slack, ks):
+            spy_bounds(eng, b0, length, slack)
+            return limits(eng, b0, length, slack, ks)
 
         def spy_settle(eng, starts, hit, amb, rows, b0, ks, sure):
             assert self.limits[0] == b0
@@ -1028,6 +1037,7 @@ class _SettleSpy:
             settle(eng, starts, hit, amb, rows, b0, ks, sure)
 
         patch.setattr(orbit._Engine, "bounds", spy_bounds)
+        patch.setattr(orbit._Engine, "limits", spy_limits)
         patch.setattr(orbit._Engine, "settle", spy_settle)
 
     def check(self, starts, hit, amb, checked=None):
@@ -1157,3 +1167,84 @@ def test_batch_long_narrow_window_candidates(theta, lo, samples, length):
     assert all(hit[i] for i in placed)
     spy.check(starts, hit, amb,
               checked=list(range(40 if samples > 300 else samples)) + list(placed))
+
+
+# --- run edges: the bucketed stage probes a run of blocks at once ---------------
+# From l0 = 257 with delta = 2 the cells are 2^60 top units wide, so with about
+# 200 unhit starts a run holds two blocks of m = _BLOCK steps: 9 probes per start
+# and block, about _BATCH candidate pairs.  The cells fit the run's first block;
+# at its second block (l = 65,793) the targets are 16 times narrower.
+
+MULTI_BLOCK_THETA = CertifiedVector((F(1, 3) + F(1, 10 ** 6), F(2, 5) - F(1, 10 ** 7)))
+
+
+def _run_blocks(patch):
+    """The number of blocks of each bucketed run, as _Grid.near is asked for
+    the points of every block of the run at once."""
+    runs, near = [], orbit._Grid.near
+
+    def spy_near(grid, points):
+        runs.append(points.shape[0])
+        return near(grid, points)
+
+    patch.setattr(orbit._Grid, "near", spy_near)
+    return runs
+
+
+def _edge_start(theta_u, n, delta, bits):
+    """A grid start of MULTI_BLOCK_THETA that first hits at time n: there it
+    sits 2^20 units inside the target's edge on coordinate 0 (above the
+    error bound of a window up to 2^18 steps), on the side the orbit's
+    period-15 track drifts in from; every other step of the track since
+    l = 257 is farther out, and the other 14 tracks are at least 1/5 away."""
+    t = _threshold_pair(n, delta, bits)[0]
+    return _centred_start(theta_u, n, [-(t - 2 ** 20), 0], bits)
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_window_run_edges_match_oracle(extra):
+    """Windows of 2m - 1, 2m and 2m + 1 steps: the window ends in a short
+    last block, at the end of the run, or one step into a second run, whose
+    cells are bucketed again.  Starts are placed to hit first at the last
+    step of a block, of the run and of the window, and at the first step of
+    the next block and run.  Every pair of every start is checked against
+    the dense recomputation, and the two starts on either side of the run
+    edge against the exact walk."""
+    lo, m, delta = 257, _BLOCK, F(2)
+    hi = lo + 2 * m - 1 + extra
+    config = OrbitConfig(theta=MULTI_BLOCK_THETA, delta=delta, n_max=hi, samples=192,
+                         seed=5, precision_bits=64)
+    theta_u = _units(MULTI_BLOCK_THETA.coords, 64)
+    times = sorted({n for n in (lo + m - 1, lo + m, lo + 2 * m - 1, lo + 2 * m, hi)
+                    if n <= hi})
+    placed = [_edge_start(theta_u, n, delta, 64) for n in times]
+    starts = _draw_starts(config, config.samples) + placed
+    with pytest.MonkeyPatch.context() as patch:
+        runs = _run_blocks(patch)
+        spy = _SettleSpy(patch)
+        hit, amb = _window(config, starts, lo, hi)
+    assert runs == [2] + [1] * (extra == 1)
+    assert [batch[1:3] for batch in spy.batches[:2]] == [(lo, m), (lo + m, m + min(extra, 0))]
+    assert hit[config.samples:].all()
+    if extra == 1:  # the walk costs about a second per 10^5 steps of a start
+        edge = placed[-2:]
+        assert engine_window(config, edge, lo, hi) == oracle_window(config, edge, lo, hi)
+    spy.check(starts, hit, amb)
+
+
+def test_window_stops_when_every_start_is_hit_in_the_first_run():
+    """200 starts, each centred on 0 at a time of the first run (and so hit
+    a few thousand steps before it), in a window of three blocks: the first
+    run of two blocks hits them all and no second run is probed."""
+    lo, m, delta = 257, _BLOCK, F(2)
+    hi = lo + 3 * m - 1
+    config = OrbitConfig(theta=MULTI_BLOCK_THETA, delta=delta, n_max=hi, precision_bits=64)
+    theta_u = _units(MULTI_BLOCK_THETA.coords, 64)
+    starts = [_centred_start(theta_u, n, [0, 0], 64)
+              for n in range(lo + 3000, lo + 2 * m, (2 * m - 3000) // 200)][:200]
+    with pytest.MonkeyPatch.context() as patch:
+        runs = _run_blocks(patch)
+        spy = _SettleSpy(patch)
+        hit, amb = _window(config, starts, lo, hi)
+    assert runs == [2] and hit.all()
+    spy.check(starts, hit, amb)

@@ -28,6 +28,17 @@ def test_iroot_is_floor_root(n, k):
     assert r ** k <= n < (r + 1) ** k
 
 
+@given(st.integers(min_value=0, max_value=2**4096), st.sampled_from((2, 4, 6)))
+@example(2 ** 4096, 2)
+@example(2 ** 4096 - 1, 4)
+@example((3 ** 500) ** 6 - 1, 6)
+def test_even_iroot_is_floor_root_of_large_numbers(n, k):
+    """Even orders go through math.isqrt (order 2 directly): the orbit's
+    level ladder takes one square root per level when delta = p/2."""
+    r = iroot(n, k)
+    assert r ** k <= n < (r + 1) ** k
+
+
 @given(st.integers(min_value=1, max_value=10**40), st.integers(1, 7),
        st.one_of(st.integers(0, 3), st.integers(0, 10**25)))
 def test_iroot_descends_from_any_start_above_the_root(n, k, extra):
