@@ -35,14 +35,13 @@ from .errors import (EXIT_DOMAIN, EXIT_INTERNAL, EXIT_OK, EXIT_PRECISION,
 from .exact import (CertifiedScalar, CertifiedVector, LatticePoint3, Verdict,
                     as_vector, certified_dist_nearest_lattice,
                     certified_form_dist, dist_nearest_int,
-                    dist_nearest_lattice, is_primitive, nearest_int,
-                    projective_distance, rational, wedge)
+                    dist_nearest_lattice, is_primitive, projective_distance,
+                    rational, wedge)
 from .roots import (iroot, iroot_ceil, log2_enclosure, nth_root_enclosure,
                     pow_enclosure, sqrt_upper)
 from .bestapprox import (ApproxRecord, ContinuedFraction, ErrorProfile,
                          best_linear, best_simultaneous, continued_fraction,
-                         linear_error, linear_profile, simultaneous_error,
-                         simultaneous_profile)
+                         linear_error, linear_profile, simultaneous_error)
 from .criteria import (SeriesReport, TransferReport, TypeEvidence,
                        WindowBound, dyadic_condition_iii, series_lemma22,
                        series_prop32, series_thm5, transfer_check,
@@ -64,7 +63,7 @@ __all__ = [
     "EXIT_INTERNAL",
     # exact
     "CertifiedScalar", "CertifiedVector", "LatticePoint3", "Verdict",
-    "rational", "as_vector", "wedge", "is_primitive", "nearest_int",
+    "rational", "as_vector", "wedge", "is_primitive",
     "dist_nearest_int", "dist_nearest_lattice",
     "certified_dist_nearest_lattice", "certified_form_dist",
     "projective_distance",
@@ -74,7 +73,7 @@ __all__ = [
     # bestapprox
     "ApproxRecord", "ErrorProfile", "ContinuedFraction", "best_simultaneous",
     "best_linear", "simultaneous_error", "linear_error",
-    "simultaneous_profile", "linear_profile", "continued_fraction",
+    "linear_profile", "continued_fraction",
     # criteria
     "SeriesReport", "TransferReport", "TypeEvidence", "WindowBound",
     "series_thm5", "series_lemma22", "series_prop32", "dyadic_condition_iii",

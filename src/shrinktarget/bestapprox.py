@@ -145,9 +145,5 @@ class ErrorProfile:
         return self.records[i].value
 
 
-def simultaneous_profile(theta, q_max: int) -> ErrorProfile:
-    return ErrorProfile(best_simultaneous(theta, q_max), int(q_max))
-
-
 def linear_profile(theta, h_max: int) -> ErrorProfile:
     return ErrorProfile(best_linear(theta, h_max), int(h_max))

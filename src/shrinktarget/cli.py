@@ -215,7 +215,8 @@ def parse_config(text: str) -> RunConfig:
         key, _, value = stripped.partition("=")
         key = key.strip()
         value = value.strip()
-        vcol = line.index("=") + 2
+        after = line[line.index("=") + 1:]
+        vcol = len(line) - len(after.lstrip()) + 1  # first non-blank after "="
         if not key:
             raise ConfigError("empty key", lineno, 1)
         if key in pairs:
@@ -351,28 +352,15 @@ def write_summary_json(census: CensusSummary, path) -> None:
     })
 
 
-def emit_plot_data(report, path) -> None:
-    """Two/three-column numeric text for external plotting.
+def emit_plot_data(path, header, rows) -> None:
+    """A .dat artifact for external plotting: numeric columns separated by
+    spaces, under a header naming them.
 
     Decimals are truncated at 12 digits (annotated in the header); the exact
-    rational values live in the run's JSON artifacts.
+    rational values live in the run's other artifacts.
     """
-    rows: list[tuple]
-    if isinstance(report, criteria.SeriesReport):
-        header = "index term_hi partial_sum_hi"
-        rows = [(n, _dec(t.hi), _dec(s.hi))
-                for (n, t), s in zip(report.terms, report.partial_sums)]
-    elif isinstance(report, criteria.TypeEvidence):
-        header = "index scaled_value_lo"
-        rows = [(n, _dec(v.lo)) for n, v in report.samples]
-    elif isinstance(report, (list, tuple)) and report and \
-            isinstance(report[0], bestapprox.ApproxRecord):
-        header = "height error_hi"
-        rows = [(r.height, _dec(r.value.hi)) for r in report]
-    else:
-        raise DomainError(f"no plot emitter for {type(report).__name__}")
     with open(path, "w") as fh:
-        fh.write(f"# columns: {header}\n")
+        fh.write(f"# columns: {' '.join(header)}\n")
         fh.write(f"# precision: decimals truncated at {_DEC_PLACES} digits\n")
         for row in rows:
             fh.write(" ".join(str(c) for c in row) + "\n")
@@ -418,7 +406,8 @@ def _run_approx(values: dict, out: Path) -> list[Path]:
                  _dec(r.value.hi), str(r.value.lo) if r.value.is_exact else ""]
                 for r in records))
     plot = out / "approx.dat"
-    emit_plot_data(records, plot)
+    emit_plot_data(plot, ["height", "error_hi"],
+                   ((r.height, _dec(r.value.hi)) for r in records))
     return [csv_path, plot]
 
 
@@ -431,7 +420,8 @@ def _run_criteria(values: dict, out: Path) -> list[Path]:
             theta, values["tau"], values["mode"], values["depth"])
         for ev in (limsup, liminf):
             p = out / f"type_{ev.kind}.dat"
-            emit_plot_data(ev, p)
+            emit_plot_data(p, ["index", "scaled_value_lo"],
+                           ((n, _dec(v.lo)) for n, v in ev.samples))
             outputs.append(p)
         summary = out / "type_evidence.json"
         _write_json(summary, {
@@ -464,7 +454,9 @@ def _run_criteria(values: dict, out: Path) -> list[Path]:
                ([n, _dec(t.lo), _dec(t.hi), _dec(s.lo), _dec(s.hi), t.lo, t.hi]
                 for (n, t), s in zip(report.terms, report.partial_sums)))
     plot = out / "series.dat"
-    emit_plot_data(report, plot)
+    emit_plot_data(plot, ["index", "term_hi", "partial_sum_hi"],
+                   ((n, _dec(t.hi), _dec(s.hi))
+                    for (n, t), s in zip(report.terms, report.partial_sums)))
     summary = out / "series.json"
     total = report.partial_sums[-1] if report.partial_sums else None
     _write_json(summary, {

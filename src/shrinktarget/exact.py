@@ -27,7 +27,6 @@ __all__ = [
     "CertifiedVector",
     "LatticePoint3",
     "dist_nearest_int",
-    "nearest_int",
     "dist_nearest_lattice",
     "wedge",
     "is_primitive",
@@ -283,14 +282,6 @@ def is_primitive(p: LatticePoint3) -> bool:
     if p.is_zero:
         raise DomainError("primitivity of the zero point is undefined")
     return math.gcd(math.gcd(abs(p.x), abs(p.y)), abs(p.z)) == 1
-
-
-def nearest_int(x: Fraction) -> int:
-    """Nearest integer to x; on a half-integer tie the smaller one."""
-    x = rational(x)
-    f = x.numerator // x.denominator
-    frac = x - f
-    return f if 2 * frac <= 1 else f + 1
 
 
 def dist_nearest_int(x) -> Fraction:

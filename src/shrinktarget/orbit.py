@@ -49,7 +49,8 @@ blocks b0, b0 + m, ... (at most 2^16 probes, one block at least, and about
 p in each of its blocks: one sorted probe array, one left/right search of
 the ramp's keys.  Its cells are those of its first block, whose targets are
 the widest.  Only the candidates get their d64, and their limits from
-their block's level ladder.
+one lookup in the run's level ladder, whose E is that of one block (each
+block is rebased); the run is settled at once.
 
 The log-law statistic reported per orbit is the depth-N surrogate of the
 limsup exponent: (-log min_{2<=n<=N} d_n) / log N, as an outward-rounded
@@ -745,7 +746,7 @@ def _window(config: OrbitConfig, starts, l_lo: int, l_hi: int):
     # k*theta, k < m, in cells wider than any target from b0 on plus every
     # error; re-bucket only when the cells can narrow.  A run of blocks b0,
     # b0 + m, ... probes the cells around the p of every unhit sample in
-    # each of its blocks at once.
+    # each of its blocks at once, and is settled as one batch.
     keyed = min(config.dim, 2)
     min_shift = 64 - (64 - _INDEX_BITS) // keyed  # keys of at most 48 bits
     shift = 64  # no grid yet
@@ -762,25 +763,22 @@ def _window(config: OrbitConfig, starts, l_lo: int, l_hi: int):
             grid = _Grid(eng.theta_top[:keyed], shift, m)
         # the run's cells fit its first block, whose targets are the widest.
         # It makes at most _BLOCK probes (but one block at least) and about
-        # _BATCH candidate pairs
+        # _BATCH candidate pairs.  Its steps b0 + kr, kr < total, are rebased
+        # every m steps, so E = slack(m) holds for all of them, and the run's
+        # ladder gives their limits
         blocks = min(-(-(l_hi - b0 + 1) // m),
                      max(1, min(_BLOCK // probes, _BATCH * cells // (m * probes))))
-        firsts = [b0 + j * m for j in range(blocks)]
-        lengths = [min(m, l_hi - b + 1) for b in firsts]
-        bases = np.array([eng.tops(origin, b)[0] for b in firsts])
+        total = min(blocks * m, l_hi - b0 + 1)
+        bases = np.array([eng.tops(origin, b0 + j * m)[0] for j in range(blocks)])
         point, ks = grid.near(np.uint64(0) - tops[active, :keyed] - bases[:, None, :keyed])
         blk, rows = np.divmod(point, len(active))
-        keep = ks < np.array(lengths)[blk]
-        blk, rows, ks = blk[keep], active[rows[keep]], ks[keep]
+        kr = blk * m + ks
+        keep = kr < total
+        blk, rows, ks, kr = blk[keep], active[rows[keep]], ks[keep], kr[keep]
         k64 = ks.astype(np.uint64)
         d = _d64(tops[rows, c] + bases[blk, c] + k64 * t for c, t in enumerate(eng.theta_top))
-        by = np.argsort(blk)
-        cut = np.searchsorted(blk[by], np.arange(blocks + 1)).tolist()
-        for j, (b, length) in enumerate(zip(firsts, lengths)):
-            pick = by[cut[j]:cut[j + 1]]
-            r, k, dj = rows[pick], ks[pick], d[pick]
-            hit_lim, miss_lim = eng.limits(b, length, eng.slack(length), k)
-            keep = (dj <= miss_lim) & ~hit[r]
-            eng.settle(starts, hit, amb, r[keep], b, k[keep], dj[keep] < hit_lim[keep])
-        b0 += sum(lengths)
+        hit_lim, miss_lim = eng.limits(b0, total, eng.slack(m), kr)
+        keep = d <= miss_lim
+        eng.settle(starts, hit, amb, rows[keep], b0, kr[keep], d[keep] < hit_lim[keep])
+        b0 += total
     return hit, amb & ~hit

@@ -9,10 +9,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shrinktarget.bestapprox import (best_linear, best_simultaneous,
+from shrinktarget.bestapprox import (ErrorProfile, best_linear, best_simultaneous,
                                      continued_fraction, linear_error,
-                                     linear_profile, simultaneous_error,
-                                     simultaneous_profile)
+                                     linear_profile, simultaneous_error)
 from shrinktarget.construct import build_theta, minimal_heights
 from shrinktarget.errors import (DomainError, PrecisionError, ResourceError)
 from shrinktarget.exact import (CertifiedVector, as_vector, dist_nearest_int,
@@ -114,7 +113,7 @@ def test_record_monotonicity_and_sandwich():
 
 def test_profiles_are_step_functions_of_records():
     theta = as_vector(("2/7",))
-    prof = simultaneous_profile(theta, 7)
+    prof = ErrorProfile(best_simultaneous(theta, 7), 7)
     assert prof.value(1).value == F(2, 7)
     assert prof.value(3).value == F(1, 7)
     assert prof.value(6).value == F(1, 7)   # constant between witnesses
@@ -125,7 +124,7 @@ def test_profiles_are_step_functions_of_records():
 
 def test_profile_matches_pointwise_error():
     theta = as_vector(("3/8", "2/5"))
-    prof = simultaneous_profile(theta, 30)
+    prof = ErrorProfile(best_simultaneous(theta, 30), 30)
     for h in (1, 4, 7, 19, 30):
         assert prof.value(h).value == simultaneous_error(theta, h).value
 

@@ -71,15 +71,11 @@ def test_unknown_key_is_rejected():
 
 
 def test_bad_value_points_at_the_value_column():
-    err = None
-    try:
-        cli.parse_config("command=approx\nlimit=xyz\ntheta=1/3\n")
-    except ConfigError as exc:
-        err = exc
-    assert err is not None
-    assert err.line == 2
-    assert err.column == 7  # one past "limit="
-    assert "expected an integer" in str(err)
+    """At the value's first character, however the line is spaced."""
+    for line, column in [("limit=xyz", 7), ("limit =  xyz", 10), ("  limit=\txyz  ", 10)]:
+        with pytest.raises(ConfigError, match="expected an integer") as err:
+            cli.parse_config(f"command=approx\n{line}\ntheta=1/3\n")
+        assert (err.value.line, err.value.column) == (2, column), line
 
 
 def test_missing_required_key():
@@ -256,9 +252,9 @@ def test_dec_truncates_toward_zero():
 def test_plot_data_for_approximations(tmp_path):
     from shrinktarget import CertifiedVector, best_simultaneous
     records = best_simultaneous(CertifiedVector((F(2, 7),), F(0)), 7)
-    path = tmp_path / "approx.dat"
-    cli.emit_plot_data(records, path)
-    lines = path.read_text().splitlines()
+    paths = cli._run_approx({"theta": (F(2, 7),), "limit": 7}, tmp_path)
+    assert paths[1] == tmp_path / "approx.dat"
+    lines = paths[1].read_text().splitlines()
     assert lines[0] == "# columns: height error_hi"
     assert lines[1].startswith("# precision: decimals truncated at 12")
     assert len(lines) == 2 + len(records)

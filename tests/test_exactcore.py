@@ -11,8 +11,7 @@ from shrinktarget.exact import (CertifiedScalar, CertifiedVector,
                                 certified_dist_nearest_lattice,
                                 certified_form_dist, dist_nearest_int,
                                 dist_nearest_lattice, is_primitive,
-                                nearest_int, projective_distance, rational,
-                                wedge)
+                                projective_distance, rational, wedge)
 
 F = Fraction
 
@@ -39,12 +38,6 @@ def test_dist_nearest_int_values():
     assert dist_nearest_int(F(1, 2)) == F(1, 2)
     assert dist_nearest_int(F(-5, 4)) == F(1, 4)
     assert dist_nearest_int(F(0)) == 0
-
-
-def test_nearest_int_tie_reports_smaller_integer():
-    # x = 1/2: both 0 and 1 are at distance 1/2; the witness is deterministic
-    assert nearest_int(F(1, 2)) == 0
-    assert nearest_int(F(3, 2)) == 1
 
 
 @given(st.fractions(), st.integers(min_value=-50, max_value=50))

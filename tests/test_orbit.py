@@ -1009,26 +1009,36 @@ def test_error_budget_widens_the_miss_limit():
 # each sample's -(x + base) for a run of blocks at once.  A lost candidate
 # changes a verdict only when it is a hit, so these tests check the pairs
 # themselves: every (sample, l) whose dense d64 (from _Engine.distances) is
-# within the block's miss limit reaches _Engine.settle, and no other pair does.
+# within the batch's miss limit reaches _Engine.settle, and no other pair does.
 
 
 class _SettleSpy:
-    """Records each window batch: the engine, its limits, the samples not
-    yet hit and the (sample, l) pairs handed to settle.  The limits are
-    those of _Engine.bounds for every step of the batch: the dense stage
-    asks for them, the bucketed stage looks up its candidates' own."""
+    """Records each window batch (a dense block or a bucketed run): the
+    engine, its first step, length and rebase interval, its limits, the
+    samples not yet hit and the (sample, l) pairs handed to settle.  The
+    limits are those of _Engine.bounds for every step of the batch: the
+    dense stage asks for them, the bucketed stage looks up its candidates'
+    own.  A bucketed run rebases every m steps, m of the _Grid in force."""
 
     def __init__(self, patch):
         self.batches = []
         bounds, limits, settle = orbit._Engine.bounds, orbit._Engine.limits, orbit._Engine.settle
+        grid = orbit._Grid.__init__
+
+        def record(eng, b0, length, slack, step):
+            self.limits = (b0, length, step, *bounds(eng, b0, length, slack))
+            return self.limits[3:]
 
         def spy_bounds(eng, b0, length, slack):
-            self.limits = (b0, length, *bounds(eng, b0, length, slack))
-            return self.limits[2:]
+            return record(eng, b0, length, slack, length)
 
         def spy_limits(eng, b0, length, slack, ks):
-            spy_bounds(eng, b0, length, slack)
+            record(eng, b0, length, slack, self.m)
             return limits(eng, b0, length, slack, ks)
+
+        def spy_grid(g, theta_top, shift, m):
+            self.m = m
+            grid(g, theta_top, shift, m)
 
         def spy_settle(eng, starts, hit, amb, rows, b0, ks, sure):
             assert self.limits[0] == b0
@@ -1039,20 +1049,21 @@ class _SettleSpy:
         patch.setattr(orbit._Engine, "bounds", spy_bounds)
         patch.setattr(orbit._Engine, "limits", spy_limits)
         patch.setattr(orbit._Engine, "settle", spy_settle)
+        patch.setattr(orbit._Grid, "__init__", spy_grid)
 
     def check(self, starts, hit, amb, checked=None):
         """The pairs of the checked samples (default all) are exactly the dense
         candidates, and their verdicts are those of the exact rule on them."""
         checked = set(range(len(starts)) if checked is None else checked)
         expected = []
-        for eng, b0, length, _hit_lim, miss_lim, active, pairs in self.batches:
+        for eng, b0, length, step, _hit_lim, miss_lim, active, pairs in self.batches:
             rows = [i for i in active.tolist() if i in checked]
             want = []
             for part in range(0, len(rows), 16):  # bounds the dense arrays
                 some = np.array(rows[part:part + 16])
                 tops = eng.tops([starts[i] for i in some], 0)
-                for n in range(b0, b0 + length, _BLOCK):
-                    size = min(_BLOCK, b0 + length - n)
+                for n in range(b0, b0 + length, step):  # rebased as the engine does
+                    size = min(step, b0 + length - n)
                     base = eng.tops([[0] * tops.shape[1]], n)[0]
                     d = eng.distances(tops, base, size)
                     r, k = np.nonzero(d <= miss_lim[n - b0:n - b0 + size])
@@ -1224,12 +1235,40 @@ def test_window_run_edges_match_oracle(extra):
         spy = _SettleSpy(patch)
         hit, amb = _window(config, starts, lo, hi)
     assert runs == [2] + [1] * (extra == 1)
-    assert [batch[1:3] for batch in spy.batches[:2]] == [(lo, m), (lo + m, m + min(extra, 0))]
+    assert [batch[1:3] for batch in spy.batches] == \
+        [(lo, 2 * m + min(extra, 0))] + [(lo + 2 * m, 1)] * (extra == 1)
     assert hit[config.samples:].all()
     if extra == 1:  # the walk costs about a second per 10^5 steps of a start
         edge = placed[-2:]
         assert engine_window(config, edge, lo, hi) == oracle_window(config, edge, lo, hi)
     spy.check(starts, hit, amb)
+
+
+def test_window_run_of_short_blocks_above_64_bits():
+    """A run of blocks shorter than _BLOCK at 128 bits, where each block is
+    rebased at its own start.  From l = 2^32 + 1 with delta = 8 the cells
+    are 2^60 top units wide, so 600 starts (9 probes each) make blocks of
+    m = 2^28 // 5400 = 49,710 steps and a first run of one block.  theta's
+    coordinate 0 is within 10^-7 of 1/7, so about nine in ten starts sit
+    on a track through the targets and are hit in that block; the few left
+    share the next run, of all three remaining blocks (the last of 5 steps),
+    in which the tracks' drift brings some of them in."""
+    theta = CertifiedVector((F(1, 7) + F(1, 10 ** 7), F(5741, 8119)))
+    lo, samples = 2 ** 32 + 1, 600
+    m = (1 << 28) // (9 * samples)
+    hi = lo + 3 * m + 4
+    config = OrbitConfig(theta=theta, delta=F(8), n_max=hi, samples=samples, seed=3,
+                         precision_bits=128)
+    starts = _draw_starts(config, samples)
+    with pytest.MonkeyPatch.context() as patch:
+        runs = _run_blocks(patch)
+        spy = _SettleSpy(patch)
+        hit, amb = _window(config, starts, lo, hi)
+    assert runs == [1, 3]
+    assert [batch[1:4] for batch in spy.batches] == [(lo, m, m), (lo + m, 2 * m + 5, m)]
+    late = spy.batches[1][-2]
+    assert spy.batches[1][-1] and 0 < hit[late].sum() < len(late)
+    spy.check(starts, hit, amb, checked=list(range(40)) + late.tolist())
 
 
 def test_window_stops_when_every_start_is_hit_in_the_first_run():
