@@ -291,13 +291,13 @@ def _validate_combination(command: str, values: dict, pairs) -> None:
 
 def _dec(x, places: int = _DEC_PLACES) -> str:
     """Decimal string by integer division (round toward zero), no floats;
-    None gives the empty string."""
+    None gives the empty string.  places >= 1."""
     if x is None:
         return ""
     x = rational(x)
     num = x.numerator
-    whole, frac = divmod(abs(num) * 10 ** places // x.denominator, 10 ** places)
-    return f"{'-' if num < 0 else ''}{whole}.{frac:0{places}d}"
+    digits = str(abs(num) * 10 ** places // x.denominator).rjust(places + 1, "0")
+    return f"{'-' if num < 0 else ''}{digits[:-places]}.{digits[-places:]}"
 
 
 def _write_json(path, payload) -> None:
@@ -448,15 +448,14 @@ def _run_criteria(values: dict, out: Path) -> list[Path]:
             theta, values["k_max"], values["delta"])
     else:
         report = criteria.dyadic_condition_iii(theta, values["k_max"])
+    rows = [[n, _dec(t.lo), _dec(t.hi), _dec(s.lo), _dec(s.hi), t.lo, t.hi]
+            for (n, t), s in zip(report.terms, report.partial_sums)]
     csv_path = out / "series.csv"
     _write_csv(csv_path, ["index", "term_lo", "term_hi", "partial_lo", "partial_hi",
-                          "term_exact_lo", "term_exact_hi"],
-               ([n, _dec(t.lo), _dec(t.hi), _dec(s.lo), _dec(s.hi), t.lo, t.hi]
-                for (n, t), s in zip(report.terms, report.partial_sums)))
+                          "term_exact_lo", "term_exact_hi"], rows)
     plot = out / "series.dat"
     emit_plot_data(plot, ["index", "term_hi", "partial_sum_hi"],
-                   ((n, _dec(t.hi), _dec(s.hi))
-                    for (n, t), s in zip(report.terms, report.partial_sums)))
+                   ((r[0], r[2], r[4]) for r in rows))
     summary = out / "series.json"
     total = report.partial_sums[-1] if report.partial_sums else None
     _write_json(summary, {

@@ -8,25 +8,35 @@ Fractional powers are certified root enclosures (relative tolerance 2^-64).
 Wherever the exponent tower allows it, a term is rewritten as a single k-th
 root of a rational -- e.g. the weighted-error term
 k^-1 (k^delta eps)^(1/(delta+1)) collapses to (eps/k)^(1/(delta+1)) -- so one
-enclosure per term suffices.  That root is taken over the exact endpoints
-lo <= hi of the certified error, scaled by the term's positive factor: no
-interval product is formed, a point (exact theta) costs one root, and lo < 0
-raises DomainError("invalid base interval") in every series.
+enclosure per term suffices.
+
+The four series compute on integers.  A term's base is the certified error
+[lo, hi] with both ends scaled by the term's positive factor (no interval
+product), each end a coprime pair (num, den) reduced at its smallest operand:
+the error end first, then the factor against the denominator.  thm5 and
+prop32 take their errors from exact's distance rule, with theta's common
+denominator taken once per series.  roots._root_units takes its k-th root as an integer dyadic end t / 2^m, by
+the enclosure rule of pow_enclosure: a zero end is 0 without a root, a point
+(exact theta) costs one root, and lo < 0 raises
+DomainError("invalid base interval") in every series.  So each term is the
+rational interval pow_enclosure gives for its base, and the partial sums add
+the ends as integers over a power of two.  type_evidence and window_bound
+take their powers from pow_enclosure.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 
 from . import _scan
 from .bestapprox import (best_linear, best_simultaneous, linear_error, linear_profile,
                          simultaneous_error)
 from .errors import DegenerateInputError, DomainError, PrecisionError, ResourceError
-from .exact import (CertifiedScalar, Verdict, as_vector, certified_dist_nearest_lattice,
+from .exact import (CertifiedScalar, Verdict, _distances_to_z, _interval, as_vector,
                     certified_form_dist, rational)
-from .roots import _MAX_ROOT_ORDER, pow_enclosure
+from .roots import _MAX_ROOT_ORDER, _root_units, pow_enclosure
 
 
 def _power(lo: Fraction, hi: Fraction, num: int, den: int) -> CertifiedScalar:
@@ -39,6 +49,71 @@ def _sup_norm(vec) -> int:
     if v == 0:
         raise DomainError("zero vector has no norm record")
     return v
+
+
+def _times(num: int, den: int, c: int, e: int = 1) -> tuple[int, int]:
+    """num^e * c / den^e as a coprime pair, for coprime num, den and c >= 1:
+    the gcd is taken against c, the smaller operand, and against den^e only
+    when c and den share a factor."""
+    g = math.gcd(c, den)
+    if e != 1:
+        num, den = num ** e, den ** e
+        if g != 1:
+            g = math.gcd(c, den)
+    return num * (c // g), den // g
+
+
+def _over(num: int, den: int, k: int, q: int) -> tuple[int, int]:
+    """(num / (den * k))^q as a coprime pair, for coprime num >= 0, den."""
+    g = math.gcd(num, k)
+    return (num // g) ** q, (den * (k // g)) ** q
+
+
+def _both(f, lo, hi, *args):
+    """f applied to the ends lo and hi of a base, to a point once."""
+    out = f(*lo, *args)
+    return out, out if hi == lo else f(*hi, *args)
+
+
+def _root_ends(lo: tuple[int, int], hi: tuple[int, int], k: int):
+    """(t_lo, m_lo, t_hi, m_hi): [lo, hi]^(1/k) lies in
+    [t_lo / 2^m_lo, t_hi / 2^m_hi], for coprime pairs 0 <= lo <= hi and k >= 2.
+
+    pow_enclosure's rule: a zero end is 0 without a root, and a point takes
+    one root, whose two ends bound it.
+    """
+    if lo[0] == 0:
+        if hi[0] == 0:
+            return 0, 0, 0, 0
+        t_lo = m_lo = 0
+    else:
+        t_lo, m_lo = _root_units(*lo, k)
+        if hi == lo:
+            return t_lo, m_lo, t_lo + 1, m_lo
+    t_hi, m_hi = _root_units(*hi, k)
+    return t_lo, m_lo, t_hi + 1, m_hi
+
+
+def _ends(eps: CertifiedScalar):
+    """The ends lo <= hi of a certified base as coprime pairs; lo < 0 raises
+    DomainError("invalid base interval")."""
+    if eps.lo < 0:
+        raise DomainError("invalid base interval")
+    return (eps.lo.numerator, eps.lo.denominator), (eps.hi.numerator, eps.hi.denominator)
+
+
+def _profile_ends(prof, heights):
+    """The coprime pairs (lo, hi) of eps_l at each height (ascending, within
+    the profile) from one walk of the profile's records; a negative lo
+    raises DomainError("invalid base interval")."""
+    records = prof.records
+    i, ends = 0, None
+    for h in heights:
+        while i < len(records) and records[i].height <= h:
+            i, ends = i + 1, None
+        if ends is None:
+            ends = _ends(records[i - 1].value)
+        yield ends
 
 
 # ---------------------------------------------------------------------------
@@ -60,11 +135,27 @@ class SeriesReport:
         return sum(inside, CertifiedScalar.exact(0))
 
 
-def _assemble(label: str, terms: list[tuple[int, CertifiedScalar]]) -> SeriesReport:
-    sums = tuple(accumulate(t for _n, t in terms))
+def _add_units(s: int, e: int, t: int, m: int) -> tuple[int, int]:
+    """s / 2^e + t / 2^m as an integer over 2^max(e, m)."""
+    if m > e:
+        return (s << m - e) + t, m
+    return s + (t << e - m), e
+
+
+def _assemble(label: str, ends) -> SeriesReport:
+    """The report of terms given as (n, t_lo, m_lo, t_hi, m_hi), term n in
+    [t_lo / 2^m_lo, t_hi / 2^m_hi].  Each partial sum end is an integer over
+    2^M, M the largest scale so far."""
+    terms, sums = [], []
+    s_lo = s_hi = e_lo = e_hi = 0
+    for n, t_lo, m_lo, t_hi, m_hi in ends:
+        terms.append((n, _interval(Fraction(t_lo, 1 << m_lo), Fraction(t_hi, 1 << m_hi))))
+        s_lo, e_lo = _add_units(s_lo, e_lo, t_lo, m_lo)
+        s_hi, e_hi = _add_units(s_hi, e_hi, t_hi, m_hi)
+        sums.append(_interval(Fraction(s_lo, 1 << e_lo), Fraction(s_hi, 1 << e_hi)))
     verdict = (f"partial sums up to {len(terms)} terms; no convergence claim"
                if terms else "empty report")
-    return SeriesReport(label, tuple(terms), sums, verdict)
+    return SeriesReport(label, tuple(terms), tuple(sums), verdict)
 
 
 def series_thm5(theta, x_seq, n_terms: int) -> SeriesReport:
@@ -84,14 +175,14 @@ def series_thm5(theta, x_seq, n_terms: int) -> SeriesReport:
     for a, b in zip(norms, norms[1:]):
         if b <= a:
             raise DomainError("vector norms must be strictly increasing")
+    form, _ = _distances_to_z(theta)
     terms = []
     for n in range(n_terms):
-        eps = certified_form_dist(x_seq[n], theta)
-        if eps.is_exact and eps.value == 0:
+        eps = form(x_seq[n])
+        if eps.hi == 0:
             raise DegenerateInputError(
                 f"<X_{n}, theta> is exactly an integer; the series degenerates")
-        m = norms[n + 1] ** d
-        terms.append((n, _power(eps.lo * m, eps.hi * m, 1, d + 1)))
+        terms.append((n, *_root_ends(*_both(_times, *_ends(eps), norms[n + 1] ** d), d + 1)))
     return _assemble("vector-sequence series", terms)
 
 
@@ -99,7 +190,7 @@ def series_lemma22(theta, k_max: int, delta) -> SeriesReport:
     """Terms k^-1 (k^delta eps_l(k))^(1/(delta+1)) for k = 1..k_max.
 
     delta >= 1 (delta = d recovers the harmonic form of the dyadic
-    condition).  eps_l is evaluated once per step of its profile.  Each term
+    condition).  eps_l is read once per record of its profile.  Each term
     is a root of order p + q for delta = p/q in lowest terms; p + q above
     _MAX_ROOT_ORDER = 256 is refused (ResourceError) before any work.
     """
@@ -117,10 +208,10 @@ def series_lemma22(theta, k_max: int, delta) -> SeriesReport:
             f"delta = {delta} asks for roots of order p + q = {p + q}, above "
             f"{_MAX_ROOT_ORDER}; use a delta with smaller terms")
     prof = linear_profile(theta, k_max)
+    heights = range(1, k_max + 1)
     terms = []
-    for k in range(1, k_max + 1):
-        eps = prof.value(k)
-        terms.append((k, _power(eps.lo / k, eps.hi / k, q, p + q)))
+    for k, (lo, hi) in zip(heights, _profile_ends(prof, heights)):
+        terms.append((k, *_root_ends(*_both(_over, lo, hi, k, q), p + q)))
     return _assemble(f"harmonic weighted-error series (delta={delta})", terms)
 
 
@@ -132,11 +223,10 @@ def dyadic_condition_iii(theta, n_max: int) -> SeriesReport:
         raise DomainError("term count must be >= 0")
     terms = []
     if n_max:
-        prof = linear_profile(theta, 2 ** (n_max - 1))
-        for n in range(n_max):
-            eps = prof.value(2 ** n)
-            m = 2 ** (n * d)
-            terms.append((n, _power(eps.lo * m, eps.hi * m, 1, d + 1)))
+        heights = [2 ** n for n in range(n_max)]
+        prof = linear_profile(theta, heights[-1])
+        for n, (lo, hi) in enumerate(_profile_ends(prof, heights)):
+            terms.append((n, *_root_ends(*_both(_times, lo, hi, 1 << n * d), d + 1)))
     return _assemble("dyadic weighted-error series", terms)
 
 
@@ -160,13 +250,11 @@ def series_prop32(theta, q_seq, n_terms: int) -> SeriesReport:
     for a, b in zip(q_seq, q_seq[1:]):
         if b <= a:
             raise DomainError("denominator sequence must be strictly increasing")
+    _, lattice = _distances_to_z(theta)
     terms = []
     for n in range(1, n_terms + 1):
-        eps = certified_dist_nearest_lattice(q_seq[n - 1], theta)
-        if (lo := eps.lo) < 0:
-            raise DomainError("invalid base interval")
-        q = q_seq[n]
-        terms.append((n, _power(lo ** d * q, eps.hi ** d * q, 1, d * (d + 1))))
+        lo, hi = _ends(lattice(q_seq[n - 1]))
+        terms.append((n, *_root_ends(*_both(_times, lo, hi, q_seq[n], d), d * (d + 1))))
     return _assemble("simultaneous-denominator series", terms)
 
 

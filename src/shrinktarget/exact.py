@@ -308,18 +308,46 @@ def as_vector(theta) -> CertifiedVector:
     return CertifiedVector(theta)
 
 
+def _distances_to_z(theta: CertifiedVector):
+    """(form, lattice) for theta: form(delta) is certified_form_dist(delta,
+    theta) and lattice(q) is certified_dist_nearest_lattice(q, theta).
+
+    Both read theta as nums / den over its common denominator, taken once
+    here: a centre is the integer residue s mod den, and the certified
+    distance is [|s / den|_Z - w r, |s / den|_Z + w r] for theta's radius r
+    and the weight w the value's perturbation carries.
+    """
+    nums, den = theta.common_denominator()
+    radius = theta.radius
+
+    def near(s: int, w: int) -> CertifiedScalar:
+        s %= den
+        return CertifiedScalar(Fraction(min(s, den - s), den), w * radius)
+
+    def form(delta: Sequence) -> CertifiedScalar:
+        delta = [int(c) for c in delta]
+        if len(delta) != len(nums):
+            raise DomainError("form vector and theta have different dimensions")
+        return near(sum(c * a for c, a in zip(delta, nums)), sum(abs(c) for c in delta))
+
+    def lattice(q: int) -> CertifiedScalar:
+        if not isinstance(q, int):
+            raise DomainError("multiplier must be an int")
+        if q == 0:
+            raise DomainError("multiplier must be nonzero")
+        # the coordinate of q theta farthest from Z
+        return near(max((q * a % den for a in nums), key=lambda v: min(v, den - v)), abs(q))
+
+    return form, lattice
+
+
 def certified_dist_nearest_lattice(q: int, theta: CertifiedVector) -> CertifiedScalar:
     """Certified distance from q*theta to Z^d.
 
     The lattice distance is 1-Lipschitz in the sup metric, so a perturbation of
     theta by at most r moves the distance by at most |q| * r.
     """
-    if not isinstance(q, int):
-        raise DomainError("multiplier must be an int")
-    if q == 0:
-        raise DomainError("multiplier must be nonzero")
-    center = dist_nearest_lattice([q * c for c in theta.coords])
-    return CertifiedScalar(center, abs(q) * theta.radius)
+    return _distances_to_z(theta)[1](q)
 
 
 def certified_form_dist(delta: Sequence, theta: CertifiedVector) -> CertifiedScalar:
@@ -328,11 +356,7 @@ def certified_form_dist(delta: Sequence, theta: CertifiedVector) -> CertifiedSca
     A sup-norm perturbation of theta by r moves the form value by at most
     |delta|_1 * r, and the distance to Z is 1-Lipschitz.
     """
-    delta = [int(c) for c in delta]
-    if len(delta) != theta.dim:
-        raise DomainError("form vector and theta have different dimensions")
-    center = dist_nearest_int(sum(c * t for c, t in zip(delta, theta.coords)))
-    return CertifiedScalar(center, sum(abs(c) for c in delta) * theta.radius)
+    return _distances_to_z(theta)[0](delta)
 
 
 def projective_distance(p: LatticePoint3, q: LatticePoint3) -> Fraction:

@@ -73,14 +73,24 @@ def nth_root_enclosure(x, k: int, rel_bits: int = 64) -> tuple[Fraction, Fractio
         return Fraction(0), Fraction(0)
     if k == 1:
         return x, x
-    # log2(x)/k estimated from bit lengths to place the scaling
-    mag = x.numerator.bit_length() - x.denominator.bit_length()
+    t, m = _root_units(x.numerator, x.denominator, k, rel_bits)
+    s = 1 << m
+    return Fraction(t, s), Fraction(t + 1, s)
+
+
+def _root_units(num: int, den: int, k: int, rel_bits: int = 64) -> tuple[int, int]:
+    """(t, m) with t/2^m <= (num/den)^(1/k) < (t+1)/2^m and t >= 2^rel_bits,
+    for coprime num, den >= 1 and k >= 2.
+
+    The first scale m is placed from the bit lengths of num and den, so an
+    unreduced pair may start one scale off and give other (t, m).
+    """
+    mag = num.bit_length() - den.bit_length()  # about log2(num/den)
     m = rel_bits + 2 + max(0, -(mag // k) + 1)
     while True:
-        s = 1 << m
-        t = iroot(x.numerator * s**k // x.denominator, k)
+        t = iroot((num << m * k) // den, k)
         if t >> rel_bits:
-            return Fraction(t, s), Fraction(t + 1, s)
+            return t, m
         m += rel_bits - t.bit_length() + 2
 
 

@@ -8,6 +8,7 @@ from pathlib import Path
 from textwrap import dedent
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shrinktarget import cli
 from shrinktarget.construct import _materialize, build_theta, minimal_heights
@@ -247,6 +248,22 @@ def test_dec_truncates_toward_zero():
     assert cli._dec(F(-1, 8), places=3) == "-0.125"
     assert cli._dec(F(999, 1000), places=2) == "0.99"
     assert cli._dec(F(7)) == "7.000000000000"
+
+
+def _dec_by_division(x, places):
+    """The decimal by one integer division and divmod, as _dec computed it
+    before it formatted the quotient's digits with str().rjust."""
+    whole, frac = divmod(abs(x.numerator) * 10 ** places // x.denominator, 10 ** places)
+    return f"{'-' if x < 0 else ''}{whole}.{frac:0{places}d}"
+
+
+@settings(max_examples=300)
+@given(st.integers(-2 ** 200, 2 ** 200),
+       st.one_of(st.integers(0, 200).map(lambda e: 2 ** e), st.integers(1, 2 ** 100)),
+       st.sampled_from([6, 12, 30]))
+def test_dec_matches_the_division_formula(num, den, places):
+    x = F(num, den)
+    assert cli._dec(x, places) == _dec_by_division(x, places)
 
 
 def test_plot_data_for_approximations(tmp_path):
@@ -527,15 +544,23 @@ def test_readme_key_table_matches_the_schemas():
 # ---------------------------------------------------------------------------
 # series artifacts, text pinned (prop32 and thm5 on a const:33 transcript)
 
+# a const:75 transcript (h0 = 2, depth 3) on which the two ends of prop32's
+# terms 1 and 4 take their roots at different scales 2^-m (68 and 69)
+SCALES_TRANSCRIPT = Path(__file__).resolve().parent / "data" / "const75_h2_depth3.txt"
+
 SERIES_CONFIGS = {
     "thm5": "series=thm5\ntranscript={t}\nn_terms=3\n",
     "prop32": "series=prop32\ntranscript={t}\nn_terms=3\n",
     "lemma22": "series=lemma22\ntheta=2/7, 3/11\nk_max=6\ndelta=3/2\n",
     "dyadic": "series=dyadic\ntheta=5/13\nk_max=4\n",
+    # eps_l reaches an exact 0 at height 5, so terms 5..8 are zero
+    "lemma22-zero-tail": "series=lemma22\ntheta=1/5, 3/7\nk_max=8\ndelta=2\n",
+    "prop32-two-scales": f"series=prop32\ntranscript={SCALES_TRANSCRIPT}\nn_terms=4\n",
 }
 
 # series.csv, series.dat and series.json of each config, recorded before the
-# series terms were computed from exact endpoints
+# series terms were computed from exact endpoints (the last two before they
+# were computed as integer dyadic ends)
 SERIES_ARTIFACTS = {
     "thm5": {
         "series.csv": """\
@@ -645,6 +670,68 @@ index,term_lo,term_hi,partial_lo,partial_hi,term_exact_lo,term_exact_hi
 }
 """,
     },
+    "lemma22-zero-tail": {
+        "series.csv": """\
+index,term_lo,term_hi,partial_lo,partial_hi,term_exact_lo,term_exact_hi
+1,0.584803547642,0.584803547642,0.584803547642,0.584803547642,21575442753519917687/36893488147419103232,172603542028159341497/295147905179352825856
+2,0.242642750320,0.242642750320,0.827446297962,0.827446297962,71615499463981084943/295147905179352825856,143230998927962169887/590295810358705651712
+3,0.211967966589,0.211967966589,1.039414264552,1.039414264552,125123802608133517467/590295810358705651712,31280950652033379367/147573952589676412928
+4,0.192585678555,0.192585678555,1.231999943107,1.231999943107,14210314898293949981/73786976294838206464,227365038372703199697/1180591620717411303424
+5,0.000000000000,0.000000000000,1.231999943107,1.231999943107,0,0
+6,0.000000000000,0.000000000000,1.231999943107,1.231999943107,0,0
+7,0.000000000000,0.000000000000,1.231999943107,1.231999943107,0,0
+8,0.000000000000,0.000000000000,1.231999943107,1.231999943107,0,0
+""",
+        "series.dat": """\
+# columns: index term_hi partial_sum_hi
+# precision: decimals truncated at 12 digits
+1 0.584803547642 0.584803547642
+2 0.242642750320 0.827446297962
+3 0.211967966589 1.039414264552
+4 0.192585678555 1.231999943107
+5 0.000000000000 1.231999943107
+6 0.000000000000 1.231999943107
+7 0.000000000000 1.231999943107
+8 0.000000000000 1.231999943107
+""",
+        "series.json": """\
+{
+  "label": "harmonic weighted-error series (delta=2)",
+  "partial_sum_hi": "1454488809557531940395/1180591620717411303424",
+  "partial_sum_lo": "727244404778765970193/590295810358705651712",
+  "series": "lemma22",
+  "terms": 8,
+  "verdict": "partial sums up to 8 terms; no convergence claim"
+}
+""",
+    },
+    "prop32-two-scales": {
+        "series.csv": """\
+index,term_lo,term_hi,partial_lo,partial_hi,term_exact_lo,term_exact_hi
+1,0.491423821309,0.491423821309,0.491423821309,0.491423821309,145042711414818750923/295147905179352825856,290085422829637501847/590295810358705651712
+2,0.491392164520,0.491392164520,0.982815985830,0.982815985830,145033367979800915273/295147905179352825856,72516683989900457637/147573952589676412928
+3,0.491451497104,0.491451497104,1.474267482934,1.474267482934,72525439933799435371/147573952589676412928,72525439933799437131/147573952589676412928
+4,0.491692688439,0.491692757908,1.965960171374,1.965960240843,72561033492523016837/147573952589676412928,145122087488630893571/295147905179352825856
+""",
+        "series.dat": """\
+# columns: index term_hi partial_sum_hi
+# precision: decimals truncated at 12 digits
+1 0.491423821309 0.491423821309
+2 0.491392164520 0.982815985830
+3 0.491451497104 1.474267482934
+4 0.491692757908 1.965960240843
+""",
+        "series.json": """\
+{
+  "label": "simultaneous-denominator series",
+  "partial_sum_hi": "1160498093501698868061/590295810358705651712",
+  "partial_sum_lo": "145062256561816142653/73786976294838206464",
+  "series": "prop32",
+  "terms": 4,
+  "verdict": "partial sums up to 4 terms; no convergence claim"
+}
+""",
+    },
 }
 
 
@@ -660,6 +747,11 @@ def test_series_artifacts_pinned(tmp_path, series):
     assert cli.main(["criteria", "--config", cfg, "--out", str(out)]) == 0
     for name, text in SERIES_ARTIFACTS[series].items():
         assert (out / name).read_text() == text, name
+
+
+def test_scales_transcript_is_the_const75_build():
+    a = lambda n: 75
+    assert SCALES_TRANSCRIPT.read_text() == build_theta(a, minimal_heights(a, 2, 6), 3).to_text()
 
 
 # ---------------------------------------------------------------------------

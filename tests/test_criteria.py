@@ -1,13 +1,14 @@
 """Series criteria, transfer inequality, type evidence, window bounds."""
 
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from shrinktarget.bestapprox import best_linear, linear_profile
 from shrinktarget.construct import build_theta, minimal_heights
-from shrinktarget.criteria import (SeriesReport, _assemble, _sup_norm,
+from shrinktarget.criteria import (SeriesReport, _sup_norm,
                                    dyadic_condition_iii, series_lemma22, series_prop32,
                                    series_thm5, transfer_check, type_evidence, window_bound)
 from shrinktarget.errors import (DegenerateInputError, DomainError, PrecisionError,
@@ -248,11 +249,19 @@ def test_window_bound_zero_eps_rejected():
 #
 # The oracles below are the series as they were computed before each term was
 # formed from the exact endpoints of its base interval: the base went through
-# CertifiedScalar interval products, and its root through `_pow_cs`.
+# CertifiedScalar interval products, its root through `_pow_cs`, and the
+# partial sums through CertifiedScalar additions.
 
 def _pow_cs(x, num, den):
     lo, hi = pow_enclosure(x.lo, x.hi, num, den)
     return CertifiedScalar.from_bounds(lo, hi)
+
+
+def _assemble(label, terms):
+    sums = tuple(accumulate(t for _n, t in terms))
+    verdict = (f"partial sums up to {len(terms)} terms; no convergence claim"
+               if terms else "empty report")
+    return SeriesReport(label, tuple(terms), sums, verdict)
 
 
 def oracle_series_thm5(theta, x_seq, n_terms):

@@ -3,10 +3,10 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from shrinktarget.errors import DomainError
-from shrinktarget.roots import (_iroot_from, _log2_units, iroot, iroot_ceil,
+from shrinktarget.roots import (_iroot_from, _log2_units, _root_units, iroot, iroot_ceil,
                                 log2_enclosure, nth_root_enclosure, pow_enclosure,
                                 sqrt_upper)
 
@@ -66,6 +66,71 @@ def test_nth_root_enclosure_brackets(x, k):
     # relative width respects the default tolerance (with slack for rounding)
     if lo > 0:
         assert (hi - lo) / lo <= Fraction(1, 2**60)
+
+
+def oracle_root_units(x, k, rel_bits=64):
+    """The loop of nth_root_enclosure before it called _root_units: (t, m)
+    with x^(1/k) in [t/2^m, (t+1)/2^m], for a rational x > 0 and k >= 2."""
+    mag = x.numerator.bit_length() - x.denominator.bit_length()
+    m = rel_bits + 2 + max(0, -(mag // k) + 1)
+    while True:
+        s = 1 << m
+        t = iroot(x.numerator * s**k // x.denominator, k)
+        if t >> rel_bits:
+            return t, m
+        m += rel_bits - t.bit_length() + 2
+
+
+@st.composite
+def _scale_edge_bases(draw):
+    """(x, k) with bit lengths of numerator and denominator (up to 15000)
+    differing by -1 mod k, where the first scale moves.  One of the two is a
+    power of two and the other odd, so the pair is coprime with those bit
+    lengths; `near` puts the odd one next to a power of two."""
+    k = draw(st.integers(2, 256))
+    den_bits = draw(st.integers(1, 15000))
+    j = draw(st.integers(-((den_bits - 2) // k), (15001 - den_bits) // k))
+    num_bits = den_bits + j * k - 1
+    near = draw(st.booleans())
+
+    def odd(bits):
+        if bits == 1:
+            return 1
+        low = 1 if near else 2 * draw(st.integers(0, 2 ** (bits - 2) - 1)) + 1
+        return 2 ** (bits - 1) + low
+    if draw(st.booleans()):
+        return F(odd(num_bits), 2 ** (den_bits - 1)), k
+    return F(2 ** (num_bits - 1), odd(den_bits)), k
+
+
+_BIG = st.integers(1, 2**15000)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.one_of(_scale_edge_bases(),
+                 st.tuples(st.builds(F, _BIG, _BIG), st.integers(2, 256)),
+                 st.tuples(st.fractions(min_value=F(1, 2**64), max_value=F(2**64)).filter(bool),
+                           st.integers(2, 256))),
+       st.sampled_from([32, 64]))
+@example((F(1), 2), 64)
+@example((F(2**255 - 1, 2**255), 256), 64)
+@example((F(2**13999 - 1, 2**13999 + 1), 255), 32)
+def test_root_units_match_the_enclosure_loop(base, rel_bits):
+    x, k = base
+    t, m = _root_units(x.numerator, x.denominator, k, rel_bits)
+    assert (t, m) == oracle_root_units(x, k, rel_bits)
+    assert nth_root_enclosure(x, k, rel_bits) == (F(t, 2**m), F(t + 1, 2**m))
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.builds(F, _BIG, _BIG), st.integers(2, 256))
+def test_zero_and_point_ends_take_the_enclosure_loop(x, k):
+    """A zero end is 0 without a root; a point takes one root for both ends."""
+    t, m = oracle_root_units(x, k)
+    assert nth_root_enclosure(0, k) == (0, 0)
+    assert pow_enclosure(x, x, 1, k) == (F(t, 2**m), F(t + 1, 2**m))
+    assert pow_enclosure(0, x, 1, k) == (0, F(t + 1, 2**m))
+    assert pow_enclosure(0, 0, 1, k) == (0, 0)
 
 
 def test_nth_root_enclosure_exact_cube():
