@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _scan
-from .errors import DomainError, InternalError, PrecisionError
+from .errors import DomainError, InternalError, PrecisionError, ResourceError
 from .exact import (CertifiedScalar, CertifiedVector, LatticePoint3, Verdict,
                     certified_dist_nearest_lattice, is_primitive,
                     projective_distance, rational, wedge)
@@ -389,22 +389,16 @@ class VerifyReport:
 
 
 def _affine_dist(point: tuple[Fraction, Fraction], theta: CertifiedVector) -> CertifiedScalar:
-    lo = hi = None
-    for c, t in zip(point, theta.coords):
-        gap = abs(c - t)
-        a = max(Fraction(0), gap - theta.radius)
-        b = gap + theta.radius
-        lo = a if lo is None else max(lo, a)
-        hi = b if hi is None else max(hi, b)
-    return CertifiedScalar.from_bounds(lo, hi)
+    """max_i |point_i - theta_i| certified: the max of each end of the
+    coordinates' certified absolute values."""
+    dists = [abs(CertifiedScalar(c - t, theta.radius)) for c, t in zip(point, theta.coords)]
+    return CertifiedScalar.from_bounds(max(x.lo for x in dists), max(x.hi for x in dists))
 
 
 def _form_value_abs(delta: LatticePoint3, theta: CertifiedVector) -> CertifiedScalar:
     """|<(r,s), theta> + t| certified (no reduction mod 1)."""
     center = delta.x * theta.coords[0] + delta.y * theta.coords[1] + delta.z
-    radius = (abs(delta.x) + abs(delta.y)) * theta.radius
-    gap = abs(center)
-    return CertifiedScalar.from_bounds(max(Fraction(0), gap - radius), gap + radius)
+    return abs(CertifiedScalar(center, (abs(delta.x) + abs(delta.y)) * theta.radius))
 
 
 def verify_construction(state: ConstructionState,
@@ -428,7 +422,6 @@ def verify_construction(state: ConstructionState,
     steps = state.steps
     top = state.depth + 1  # last stored index
     a, h0 = state.a_seq, state.h0_seq
-    budget = _scan.DEFAULT_BUDGET
 
     def add(name, scope, ok, detail=""):
         checks.append(CheckResult(name, scope, ok, detail))
@@ -526,14 +519,14 @@ def verify_construction(state: ConstructionState,
     for n in levels:
         q_hi = steps[n + 1].q
         scope = f"level {n}: q < {q_hi}"
-        if q_hi - 1 > budget:
-            add("no better approximation below q_{n+1} (brute force)", scope,
-                None, f"scan of {q_hi - 1} exceeds budget {budget}")
-            continue
         exceptions = {steps[n + 1].q - steps[n].q}
         try:
             violations, report = _scan.all_greater_than_baseline(
                 fine, q_hi, steps[n].q, exceptions)
+        except ResourceError:
+            add("no better approximation below q_{n+1} (brute force)", scope,
+                None, f"scan of {q_hi - 1} exceeds budget {_scan.DEFAULT_BUDGET}")
+            continue
         except PrecisionError as exc:
             if not broken:
                 raise

@@ -15,13 +15,11 @@ The four series compute on integers.  A term's base is the certified error
 product), each end a coprime pair (num, den) reduced at its smallest operand:
 the error end first, then the factor against the denominator.  thm5 and
 prop32 take their errors from exact's distance rule, with theta's common
-denominator taken once per series.  roots._root_units takes its k-th root as an integer dyadic end t / 2^m, by
-the enclosure rule of pow_enclosure: a zero end is 0 without a root, a point
-(exact theta) costs one root, and lo < 0 raises
-DomainError("invalid base interval") in every series.  So each term is the
-rational interval pow_enclosure gives for its base, and the partial sums add
-the ends as integers over a power of two.  type_evidence and window_bound
-take their powers from pow_enclosure.
+denominator taken once per series.  Each term is roots._root_ends of its base,
+the enclosure rule of every certified root (stated there), as integer dyadic
+ends t / 2^m that the partial sums add as integers over a power of two; a
+lo < 0 raises DomainError("invalid base interval") in every series.
+type_evidence and window_bound take their powers from pow_enclosure.
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ from .bestapprox import (best_linear, best_simultaneous, linear_error, linear_pr
 from .errors import DegenerateInputError, DomainError, PrecisionError, ResourceError
 from .exact import (CertifiedScalar, Verdict, _distances_to_z, _interval, as_vector,
                     certified_form_dist, rational)
-from .roots import _MAX_ROOT_ORDER, _root_units, pow_enclosure
+from .roots import _MAX_ROOT_ORDER, _root_ends, pow_enclosure
 
 
 def _power(lo: Fraction, hi: Fraction, num: int, den: int) -> CertifiedScalar:
@@ -73,25 +71,6 @@ def _both(f, lo, hi, *args):
     """f applied to the ends lo and hi of a base, to a point once."""
     out = f(*lo, *args)
     return out, out if hi == lo else f(*hi, *args)
-
-
-def _root_ends(lo: tuple[int, int], hi: tuple[int, int], k: int):
-    """(t_lo, m_lo, t_hi, m_hi): [lo, hi]^(1/k) lies in
-    [t_lo / 2^m_lo, t_hi / 2^m_hi], for coprime pairs 0 <= lo <= hi and k >= 2.
-
-    pow_enclosure's rule: a zero end is 0 without a root, and a point takes
-    one root, whose two ends bound it.
-    """
-    if lo[0] == 0:
-        if hi[0] == 0:
-            return 0, 0, 0, 0
-        t_lo = m_lo = 0
-    else:
-        t_lo, m_lo = _root_units(*lo, k)
-        if hi == lo:
-            return t_lo, m_lo, t_lo + 1, m_lo
-    t_hi, m_hi = _root_units(*hi, k)
-    return t_lo, m_lo, t_hi + 1, m_hi
 
 
 def _ends(eps: CertifiedScalar):

@@ -69,55 +69,70 @@ def nth_root_enclosure(x, k: int, rel_bits: int = 64) -> tuple[Fraction, Fractio
     x = rational(x)
     if x < 0:
         raise DomainError("root of a negative rational")
-    if x == 0:
-        return Fraction(0), Fraction(0)
     if k == 1:
         return x, x
-    t, m = _root_units(x.numerator, x.denominator, k, rel_bits)
-    s = 1 << m
-    return Fraction(t, s), Fraction(t + 1, s)
+    return _root_enclosure(x, x, k, rel_bits)
 
 
 def _root_units(num: int, den: int, k: int, rel_bits: int = 64) -> tuple[int, int]:
     """(t, m) with t/2^m <= (num/den)^(1/k) < (t+1)/2^m and t >= 2^rel_bits,
-    for coprime num, den >= 1 and k >= 2.
+    for coprime num, den >= 1 and k >= 2, from one integer root.
 
     The first scale m is placed from the bit lengths of num and den, so an
-    unreduced pair may start one scale off and give other (t, m).
+    unreduced pair may start one scale off and give other (t, m).  That
+    scale already gives t >= 2^rel_bits: with mag = bl(num) - bl(den),
+    log2(num/den) > mag - 1, and m >= rel_bits + 2 - mag/k, so
+    log2(t + 1) > m + (mag - 1)/k >= rel_bits + 2 - 1/k >= rel_bits + 3/2.
     """
     mag = num.bit_length() - den.bit_length()  # about log2(num/den)
     m = rel_bits + 2 + max(0, -(mag // k) + 1)
-    while True:
-        t = iroot((num << m * k) // den, k)
-        if t >> rel_bits:
-            return t, m
-        m += rel_bits - t.bit_length() + 2
+    return iroot((num << m * k) // den, k), m
+
+
+def _root_ends(lo: tuple[int, int], hi: tuple[int, int], k: int, rel_bits: int = 64):
+    """(t_lo, m_lo, t_hi, m_hi): [lo, hi]^(1/k) lies in
+    [t_lo / 2^m_lo, t_hi / 2^m_hi], for coprime pairs 0 <= lo <= hi and k >= 2.
+
+    The enclosure rule of every certified root: the lower end is the lower
+    end of the root of lo and the upper end the upper end of the root of hi,
+    each from _root_units; a zero end is 0 without a root, and a point takes
+    one root, whose two ends bound it.
+    """
+    if lo[0] == 0:
+        if hi[0] == 0:
+            return 0, 0, 0, 0
+        t_lo = m_lo = 0
+    else:
+        t_lo, m_lo = _root_units(*lo, k, rel_bits)
+        if hi == lo:
+            return t_lo, m_lo, t_lo + 1, m_lo
+    t_hi, m_hi = _root_units(*hi, k, rel_bits)
+    return t_lo, m_lo, t_hi + 1, m_hi
+
+
+def _root_enclosure(lo: Fraction, hi: Fraction, k: int, rel_bits: int = 64):
+    """The ends of _root_ends for rationals 0 <= lo <= hi, as Fractions."""
+    t_lo, m_lo, t_hi, m_hi = _root_ends((lo.numerator, lo.denominator),
+                                        (hi.numerator, hi.denominator), k, rel_bits)
+    return Fraction(t_lo, 1 << m_lo), Fraction(t_hi, 1 << m_hi)
 
 
 def pow_enclosure(lo, hi, num: int, den: int) -> tuple[Fraction, Fraction]:
-    """Enclosure of t**(num/den) over t in [lo, hi]; needs lo >= 0, den >= 1.
-
-    num may be negative (then lo must be > 0).  Each end comes from one
-    nth_root_enclosure of relative width 2^-64.
+    """Enclosure of t**(num/den) over t in [lo, hi]; needs num >= 1, den >= 1
+    and 0 <= lo <= hi.  The power lo**num, hi**num is exact, and its root of
+    order den (in lowest terms) takes _root_ends' rule at relative width 2^-64.
     """
     lo, hi = rational(lo), rational(hi)
-    if den < 1:
-        raise DomainError("denominator of the exponent must be >= 1")
+    if num < 1 or den < 1:
+        raise DomainError("the exponent num/den needs num >= 1 and den >= 1")
     if lo < 0 or hi < lo:
         raise DomainError("invalid base interval")
-    if num < 0:
-        if lo == 0:
-            raise DomainError("negative power of an interval touching 0")
-        lo, hi = 1 / hi, 1 / lo
-        num = -num
-    if num == 0:
-        return Fraction(1), Fraction(1)
     g = math.gcd(num, den)
     num, den = num // g, den // g
-    a = nth_root_enclosure(lo**num, den)
-    if hi == lo:  # a point: one enclosure gives both ends
-        return a
-    return a[0], nth_root_enclosure(hi**num, den)[1]
+    lo, hi = lo ** num, hi ** num
+    if den == 1:
+        return lo, hi
+    return _root_enclosure(lo, hi, den)
 
 
 def log2_enclosure(x, frac_bits: int = 32) -> tuple[Fraction, Fraction]:

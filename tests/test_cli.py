@@ -452,6 +452,38 @@ def test_main_resource_exhaustion_exit_4(tmp_path):
     assert err["error"] == "ResourceError"
 
 
+def test_main_approx_budget_exit_4(tmp_path):
+    """A simultaneous scan one multiplier over its budget is refused."""
+    cfg = write_config(tmp_path, """\
+        command=approx
+        theta=3/1000003,7/1000003
+        limit=1001
+        budget=1000
+    """)
+    out = tmp_path / "out"
+    assert cli.main(["approx", "--config", cfg, "--out", str(out)]) == 4
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "ResourceError"
+    assert "scan of 1001 multipliers exceeds budget 1000" in err["message"]
+
+
+def test_main_inconclusive_order_exit_3(tmp_path):
+    """A radius too wide to order two linear forms exits 3 with error.json."""
+    cfg = write_config(tmp_path, """\
+        command=approx
+        theta=1/10,799999/1000000
+        radius=1/100000
+        mode=linear
+        limit=1
+    """)
+    out = tmp_path / "out"
+    assert cli.main(["approx", "--config", cfg, "--out", str(out)]) == 3
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "PrecisionError" and err["exit_code"] == 3
+    assert ("cannot order <(1, 1),theta> against <(1, 0),theta> at radius 1/100000"
+            in err["message"])
+
+
 def test_main_delta_with_large_terms_exit_4(tmp_path):
     cfg = write_config(tmp_path, """\
         command=simulate

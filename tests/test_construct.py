@@ -613,12 +613,16 @@ def test_best_approximations_below_q1_are_construction_data():
 # --- alternating continued-fraction vectors -----------------------------------
 
 def test_alternating_cf_growth_table():
-    # q_{i,n} is stored at denominators[i-1][n-1]
-    spec = alternating_cf(2, F(4), 3, 2)
-    q1, q2 = spec.denominators
-    for n in range(spec.start_index, spec.levels + 1):
-        assert q2[n - 1] >= q1[n - 1] ** 2 * n ** 4
-        assert q1[n] >= q2[n - 1] ** 2 * n ** 4
+    # q_{i,n} is stored at denominators[i-1][n-1]; delta = a/b, and a
+    # fractional delta takes its digits from an integer root
+    for delta, levels in ((F(4), 3), (F(7, 2), 6)):
+        spec = alternating_cf(2, delta, levels, 2)
+        a, b = delta.numerator, delta.denominator
+        q1, q2 = spec.denominators
+        for n in range(spec.start_index, spec.levels + 1):
+            assert q2[n - 1] ** b >= q1[n - 1] ** (2 * b) * n ** a
+            assert q1[n] ** b >= q2[n - 1] ** (2 * b) * n ** a
+        assert spec.verify_growth() == []
 
 
 def test_alternating_cf_three_dimensions():

@@ -6,7 +6,7 @@ from itertools import accumulate
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shrinktarget.bestapprox import best_linear, linear_profile
+from shrinktarget.bestapprox import best_linear, best_simultaneous, linear_profile
 from shrinktarget.construct import build_theta, minimal_heights
 from shrinktarget.criteria import (SeriesReport, _sup_norm,
                                    dyadic_condition_iii, series_lemma22, series_prop32,
@@ -218,6 +218,25 @@ def test_type_evidence_pell_liminf_bounded_below():
 def test_type_evidence_empty_depth():
     up, down = type_evidence(pell_theta(), F(0), "simultaneous", 0)
     assert up.samples == () and down.samples == ()
+
+
+def test_type_evidence_doubles_the_scan_height():
+    """F_61/F_62 has 12 records up to 256, so 14 records take two doublings
+    (records at 377 and 610); the samples are those of the records up to
+    1024, each scaled by an exact height (d = 1, tau = 0)."""
+    fib = [0, 1]
+    while len(fib) < 63:
+        fib.append(fib[-1] + fib[-2])
+    theta = F(fib[61], fib[62])
+    up, down = type_evidence(theta, F(0), "simultaneous", 13)
+    recs = best_simultaneous(theta, 1024)
+    assert up.samples == tuple((n, recs[n].value * recs[n + 1].height) for n in range(13))
+    assert down.samples == tuple((n, recs[n].value * recs[n].height) for n in range(13))
+
+
+def test_type_evidence_stops_at_an_exact_lattice_hit():
+    with pytest.raises(DegenerateInputError, match="exact lattice hit after 2 records"):
+        type_evidence(F(1, 7), F(0), "simultaneous", 10)
 
 
 # --- window bounds ------------------------------------------------------------

@@ -149,6 +149,12 @@ def test_pow_enclosure_monotone_in_interval():
     assert lo1 ** 2 <= Fraction(1, 4) and hi1 ** 2 >= Fraction(1, 2)
 
 
+@pytest.mark.parametrize("num", [0, -1])
+def test_pow_enclosure_refuses_exponents_below_one(num):
+    with pytest.raises(DomainError, match="num >= 1"):
+        pow_enclosure(F(1, 2), F(2), num, 3)
+
+
 def test_sqrt_upper_dominates():
     for x in (Fraction(2), Fraction(1, 3), Fraction(10**8), Fraction(0)):
         u = sqrt_upper(x)

@@ -728,6 +728,20 @@ def test_linear_budget_edge(monkeypatch):
             scan(theta, 10, budget=cells - 1)
 
 
+def test_simultaneous_budget_edge(monkeypatch):
+    """The scan budget counts the multipliers 1..q_max: one over it is
+    refused before the multipliers are built, and the budget itself is
+    answered."""
+    theta = CertifiedVector((F(3, 1000003), F(7, 1000003)))
+    assert simultaneous_scan(theta, 1000, budget=1000) == simultaneous_scan(theta, 1000)
+
+    def no_work(*args):
+        raise AssertionError("the scan started before refusing")
+    monkeypatch.setattr("shrinktarget._scan._Multipliers", no_work)
+    with pytest.raises(ResourceError, match="scan of 1001 multipliers exceeds budget 1000"):
+        simultaneous_scan(theta, 1001, budget=1000)
+
+
 @pytest.mark.parametrize("den", [2**64 - 59, 2**65 + 11, 2**66 + 3])
 def test_linear_record_by_one_unit_past_the_rounded_limit(den):
     # theta = (t - m, m)/den with 2t = -(m - 1): shell 1 has its minimum m
