@@ -36,7 +36,7 @@ from .exact import (CertifiedScalar, CertifiedVector, LatticePoint3, Verdict,
                     as_vector, certified_dist_nearest_lattice,
                     certified_form_dist, dist_nearest_int,
                     dist_nearest_lattice, is_primitive, projective_distance,
-                    rational, wedge)
+                    rational)
 from .roots import (iroot, iroot_ceil, log2_enclosure, nth_root_enclosure,
                     pow_enclosure, sqrt_upper)
 from .bestapprox import (ApproxRecord, ContinuedFraction, ErrorProfile,
@@ -63,7 +63,7 @@ __all__ = [
     "EXIT_INTERNAL",
     # exact
     "CertifiedScalar", "CertifiedVector", "LatticePoint3", "Verdict",
-    "rational", "as_vector", "wedge", "is_primitive",
+    "rational", "as_vector", "is_primitive",
     "dist_nearest_int", "dist_nearest_lattice",
     "certified_dist_nearest_lattice", "certified_form_dist",
     "projective_distance",

@@ -77,7 +77,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, PrecisionError, ResourceError
-from .exact import CertifiedScalar, CertifiedVector, Verdict
+from .exact import CertifiedScalar, CertifiedVector, Verdict, _l1
 
 DEFAULT_BUDGET = 10**8
 _NP_LIMIT = 1 << 62
@@ -343,10 +343,6 @@ class _LinearBox:
         else:
             g = cells.astype(object) @ np.array(self.nums, dtype=object) % self.den
         return cells, np.minimum(g, self.den - g)
-
-
-def _l1(pt) -> int:
-    return sum(abs(c) for c in pt)
 
 
 def _order_cells(dist_a: int, pt_a, dist_b: int, pt_b, den: int, r: Fraction) -> Verdict:

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from . import _scan
 from .errors import DomainError
-from .exact import CertifiedScalar, as_vector, rational
+from .exact import CertifiedScalar, _l1, as_vector, rational
 
 
 @dataclass(frozen=True, slots=True)
@@ -93,11 +93,10 @@ def best_linear(theta, h_max: int, *,
     if h_max < 1:
         return []
     recs, den, _zero = _scan.linear_records(theta, int(h_max), budget=budget)
-    out = []
-    for i, (s, pt, dist) in enumerate(recs):
-        radius = sum(abs(c) for c in pt) * theta.radius
-        out.append(ApproxRecord(i, s, tuple(pt), CertifiedScalar(Fraction(dist, den), radius)))
-    return out
+    return [
+        ApproxRecord(i, s, tuple(pt), CertifiedScalar(Fraction(dist, den), _l1(pt) * theta.radius))
+        for i, (s, pt, dist) in enumerate(recs)
+    ]
 
 
 def simultaneous_error(theta, h, *, budget: int = _scan.DEFAULT_BUDGET) -> CertifiedScalar:

@@ -33,7 +33,7 @@ from . import _scan
 from .errors import DomainError, InternalError, PrecisionError, ResourceError
 from .exact import (CertifiedScalar, CertifiedVector, LatticePoint3, Verdict,
                     certified_dist_nearest_lattice, is_primitive,
-                    projective_distance, rational, wedge)
+                    projective_distance, rational)
 from .roots import iroot
 
 # contraction ratio of consecutive projective gaps, valid for every
@@ -131,7 +131,7 @@ def complete_basis(delta: LatticePoint3, p: LatticePoint3) -> LatticePoint3:
             alpha = (p.x - beta * v2.x) // v1.x
         else:
             alpha = (p.y - beta * v2.y) // v1.y
-    w = wedge(v1, v2)
+    w = v1.wedge(v2)
     if w != d and w != -d:
         raise InternalError("kernel basis does not span the direction")
     if v1.scale(alpha) + v2.scale(beta) != p:
@@ -142,9 +142,9 @@ def complete_basis(delta: LatticePoint3, p: LatticePoint3) -> LatticePoint3:
     # (alpha, beta), (gamma, delta') with alpha*delta' - beta*gamma = 1
     prime = v1.scale(-bv) + v2.scale(bu)
     prime = _best_shift(prime, p)
-    if wedge(p, prime) == -d:
+    if p.wedge(prime) == -d:
         prime = -prime
-    if wedge(p, prime) != d:
+    if p.wedge(prime) != d:
         raise InternalError("completion does not generate the lattice")
     if prime.norm * p.norm > 2 * max(p.norm * p.norm, delta.norm):
         raise InternalError(
@@ -281,7 +281,7 @@ def _dual_step(x: LatticePoint3, y: LatticePoint3, target: int,
     prime = complete_basis(y, x)
     if 3 * prime.norm > target:
         raise InternalError(f"completion for {name} too large: |{name}'| = {prime.norm}")
-    if wedge(x, prime) != y:
+    if x.wedge(prime) != y:
         raise InternalError(f"completion for {name} has the wrong orientation")
     nxt = x.scale(target // x.norm) + prime
     if not target <= 2 * nxt.norm or not nxt.norm <= 2 * target:
@@ -458,10 +458,10 @@ def verify_construction(state: ConstructionState,
                  or max(abs(s.delta.x), abs(s.delta.y)) != s.h])
     add_failing("Delta_n ^ Delta_{n+1} = P_n", f"n in [0, {top - 1}]",
                 [n for n in range(top)
-                 if wedge(steps[n].delta, steps[n + 1].delta) != steps[n].p])
+                 if steps[n].delta.wedge(steps[n + 1].delta) != steps[n].p])
     add_failing("P_n ^ P_{n+1} = Delta_{n+1}", f"n in [0, {top - 1}]",
                 [n for n in range(top)
-                 if wedge(steps[n].p, steps[n + 1].p) != steps[n + 1].delta])
+                 if steps[n].p.wedge(steps[n + 1].p) != steps[n + 1].delta])
     add_failing("<Delta_n, P_{n+1}> = 1", f"n in [0, {top - 1}]",
                 [n for n in range(top) if steps[n].delta.dot(steps[n + 1].p) != 1])
     add_failing("sandwich bounds h_n ~ h_n°, q_n ~ q_n° (factor 2)", f"n in [0, {top}]",
@@ -550,18 +550,20 @@ class CFVectorSpec:
     """Per-coordinate continued fractions with cyclically dominating
     denominators: q_{d,n} >= q_{1,n}^d n^delta within a level and
     q_{i-1,n+1} >= q_{i,n}^d n^delta across levels (2 <= i <= d), enforced
-    for start_index <= n <= levels.
+    for 2 <= n <= levels.
+
+    The cross-level coupling holds for every pair (i-1, i) with 2 <= i <= d:
+    an exclusive lower index bound would leave the first coupling
+    unconstrained, contradicting the series it feeds (a suspected index typo
+    in the source constraint family).
     """
 
     dimension: int
     delta: Fraction
-    start_index: int
     levels: int
     quotients: tuple[tuple[int, ...], ...]
     denominators: tuple[tuple[int, ...], ...]  # [i][n-1] = q_{i+1,n}
     theta: CertifiedVector
-    digit_rule: str
-    notes: str
 
     def denominator(self, coord: int, level: int) -> int:
         """q_{coord, level} with coord in 1..d, level in 1..levels+2."""
@@ -572,7 +574,7 @@ class CFVectorSpec:
         d = self.dimension
         a, b = self.delta.numerator, self.delta.denominator
         bad = []
-        for n in range(self.start_index, self.levels + 1):
+        for n in range(2, self.levels + 1):
             if self.denominator(d, n) ** b < self.denominator(1, n) ** (d * b) * n ** a:
                 bad.append(f"q_{d},{n} < q_1,{n}^{d} * {n}^{self.delta}")
             for i in range(2, d + 1):
@@ -582,8 +584,7 @@ class CFVectorSpec:
         return bad
 
 
-def alternating_cf(dimension: int, delta, levels: int,
-                   start_index: int = 2) -> CFVectorSpec:
+def alternating_cf(dimension: int, delta, levels: int) -> CFVectorSpec:
     """Build d coupled continued fractions whose denominators dominate each
     other cyclically with gap n^delta (see CFVectorSpec).
 
@@ -600,8 +601,6 @@ def alternating_cf(dimension: int, delta, levels: int,
         raise DomainError(f"delta must exceed d + 1 = {dimension + 1}")
     if levels < 1:
         raise DomainError("levels must be >= 1")
-    if start_index < 1:
-        raise DomainError("start_index must be >= 1")
     d = dimension
     a_num, b_den = delta.numerator, delta.denominator
 
@@ -632,14 +631,14 @@ def alternating_cf(dimension: int, delta, levels: int,
 
     total = levels + 2  # two levels past the last constrained one
     for n in range(1, total + 1):
-        constrained = start_index <= n - 1 <= levels
+        constrained = 2 <= n - 1 <= levels
         for i in range(d - 1):  # coordinates 1..d-1 look one level back
-            if constrained and n >= 2:
+            if constrained:
                 digit = target_digit(qs[i][1], table[i + 1][n - 2], n - 1)
             else:
                 digit = 1
             push(i, digit)
-        if start_index <= n <= levels:  # coordinate d looks at this level
+        if 2 <= n <= levels:  # coordinate d looks at this level
             digit = target_digit(qs[d - 1][1], table[0][n - 1], n)
         else:
             digit = 1
@@ -653,18 +652,8 @@ def alternating_cf(dimension: int, delta, levels: int,
         coords.append(Fraction(ps[i][0], table[i][levels]))
         radius = max(radius, Fraction(1, table[i][levels] * table[i][levels + 1]))
     theta = CertifiedVector(coords, radius)
-    spec = CFVectorSpec(
-        d, delta, start_index, levels,
-        tuple(tuple(v) for v in digits),
-        tuple(tuple(v) for v in table),
-        theta,
-        "digit = ceil(target/q) + 1; fractional-delta targets rounded up "
-        "through an integer root bound; unconstrained digits are 1",
-        "cross-level coupling enforced for every pair (i-1, i) with "
-        "2 <= i <= d: an exclusive lower index bound would leave the first "
-        "coupling unconstrained, contradicting the series it feeds "
-        "(suspected index typo in the source constraint family)",
-    )
+    spec = CFVectorSpec(d, delta, levels, tuple(tuple(v) for v in digits),
+                        tuple(tuple(v) for v in table), theta)
     bad = spec.verify_growth()
     if bad:
         raise InternalError("growth constraints failed: " + "; ".join(bad))

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import DomainError, PrecisionError
 
@@ -28,7 +28,6 @@ __all__ = [
     "LatticePoint3",
     "dist_nearest_int",
     "dist_nearest_lattice",
-    "wedge",
     "is_primitive",
     "projective_distance",
     "certified_dist_nearest_lattice",
@@ -183,16 +182,18 @@ def _interval(lo: Fraction, hi: Fraction) -> CertifiedScalar:
     return out
 
 
+@dataclass(frozen=True, slots=True)
 class CertifiedVector:
     """A vector of exact rational coordinates with one shared sup-norm radius."""
 
-    __slots__ = ("coords", "radius")
+    coords: tuple[Fraction, ...]
+    radius: Fraction = Fraction(0)
 
-    def __init__(self, coords: Iterable, radius=0):
-        self.coords: tuple[Fraction, ...] = tuple(rational(c) for c in coords)
+    def __post_init__(self):
+        object.__setattr__(self, "coords", tuple(rational(c) for c in self.coords))
         if not self.coords:
             raise DomainError("empty vector")
-        self.radius: Fraction = rational(radius)
+        object.__setattr__(self, "radius", rational(self.radius))
         if self.radius < 0:
             raise DomainError("certified radius must be >= 0")
 
@@ -200,30 +201,12 @@ class CertifiedVector:
     def dim(self) -> int:
         return len(self.coords)
 
-    @property
-    def is_exact(self) -> bool:
-        return self.radius == 0
-
     def common_denominator(self) -> tuple[tuple[int, ...], int]:
         """Return (numerators, D) with coords[i] == numerators[i] / D."""
         d = 1
         for c in self.coords:
             d = d * c.denominator // math.gcd(d, c.denominator)
         return tuple(int(c * d) for c in self.coords), d
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CertifiedVector)
-            and self.coords == other.coords
-            and self.radius == other.radius
-        )
-
-    def __hash__(self):
-        return hash((self.coords, self.radius))
-
-    def __repr__(self):
-        body = ", ".join(str(c) for c in self.coords)
-        return f"CertifiedVector(({body}), radius={self.radius})"
 
 
 @dataclass(frozen=True, slots=True)
@@ -273,10 +256,6 @@ class LatticePoint3:
         return (self.x, self.y, self.z)
 
 
-def wedge(p: LatticePoint3, q: LatticePoint3) -> LatticePoint3:
-    return p.wedge(q)
-
-
 def is_primitive(p: LatticePoint3) -> bool:
     """True iff gcd of the coordinates is 1.  The zero point is an error."""
     if p.is_zero:
@@ -308,6 +287,12 @@ def as_vector(theta) -> CertifiedVector:
     return CertifiedVector(theta)
 
 
+def _l1(delta) -> int:
+    """|delta|_1, the weight of theta's radius in the form <delta, theta>: a
+    sup-norm perturbation of theta by r moves the form by at most |delta|_1 r."""
+    return sum(abs(c) for c in delta)
+
+
 def _distances_to_z(theta: CertifiedVector):
     """(form, lattice) for theta: form(delta) is certified_form_dist(delta,
     theta) and lattice(q) is certified_dist_nearest_lattice(q, theta).
@@ -328,7 +313,7 @@ def _distances_to_z(theta: CertifiedVector):
         delta = [int(c) for c in delta]
         if len(delta) != len(nums):
             raise DomainError("form vector and theta have different dimensions")
-        return near(sum(c * a for c, a in zip(delta, nums)), sum(abs(c) for c in delta))
+        return near(sum(c * a for c, a in zip(delta, nums)), _l1(delta))
 
     def lattice(q: int) -> CertifiedScalar:
         if not isinstance(q, int):

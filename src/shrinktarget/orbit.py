@@ -178,13 +178,15 @@ def _units(coords, bits: int) -> list[int]:
             // (2 * c.denominator) % (1 << bits) for c in coords]
 
 
-def _x0_units(x0, dim: int, bits: int) -> list[int]:
+def _x0(x0, dim: int) -> list[Fraction]:
+    """The start x0 (default 0) as exact coordinates in [0, 1); DomainError
+    unless it has theta's dimension."""
     if x0 is None:
-        return [0] * dim
-    coords = [rational(c) for c in x0]
+        return [Fraction(0)] * dim
+    coords = [rational(c) % 1 for c in x0]
     if len(coords) != dim:
         raise DomainError(f"x0 has dimension {len(coords)}, theta has {dim}")
-    return _units(coords, bits)
+    return coords
 
 
 def _error_units(n: int, theta_radius: Fraction, bits: int) -> int:
@@ -433,12 +435,11 @@ def _sweep(config: OrbitConfig, starts, x0_fracs=None) -> list[_SweepResult]:
         steps, hit, miss = eng.levels(b0, length, slack)
         miss32 = _miss32(miss)
         miss_lim = np.repeat(miss32, steps)
-        level = np.arange(len(steps), dtype=np.min_scalar_type(len(steps)))
-        level = np.repeat(level, steps)  # of each step
+        ends = np.cumsum(steps)
         # miss32 never rises, so the steps with miss32 < c start at
         # first[bisect_right(fall, -c)]
         fall = (-miss32.astype(np.int64)).tolist()
-        first = [0] + np.cumsum(steps).tolist()
+        first = [0] + ends.tolist()
         offs = tops + eng.tops([[0] * config.dim], b0)[0]  # wraps mod 2^64
         offs32 = (offs >> 32).astype(np.uint32)
         ramp = [r[:length] for r in ramp32]
@@ -455,7 +456,7 @@ def _sweep(config: OrbitConfig, starts, x0_fracs=None) -> list[_SweepResult]:
             k64 = ks.astype(np.uint64)
             d = _d64([np.repeat(offs[i0:i1, c], counts) + k64 * t
                       for c, t in enumerate(eng.theta_top)])
-            lv = level[ks]
+            lv = np.searchsorted(ends, ks, side="right")
             sure = d < hit[lv]  # hit <= miss + 1: no sure hit is past the miss limit
             sure_n = (ks[sure] + b0).tolist()
             cut = np.searchsorted(rows[sure], np.arange(i0, i1 + 1)).tolist()
@@ -525,9 +526,8 @@ def orbit_hits(config: OrbitConfig, x0=None) -> HitRecord:
     certified comparisons; ambiguity the exact fallback cannot settle (theta
     radius straddling a threshold) lands in `inconclusive`.
     """
-    x0u = _x0_units(x0, config.dim, config.precision_bits)
-    x0_frac = None if x0 is None else [rational(c) % 1 for c in x0]
-    (rec,) = _hit_records(config, _sweep(config, [x0u], [x0_frac]))
+    x = _x0(x0, config.dim)
+    (rec,) = _hit_records(config, _sweep(config, [_units(x, config.precision_bits)], [x]))
     return rec
 
 
@@ -540,9 +540,7 @@ def exact_orbit_hits(config: OrbitConfig, x0=None) -> tuple[int, ...]:
         raise DomainError("the exact oracle needs an exact theta (radius 0)")
     p, q = config.delta.numerator, config.delta.denominator
     coords = [c % 1 for c in config.theta.coords]
-    x = [rational(c) % 1 for c in x0] if x0 is not None else [Fraction(0)] * config.dim
-    if len(x) != config.dim:
-        raise DomainError("x0 dimension mismatch")
+    x = _x0(x0, config.dim)
     hits = []
     for n in range(1, config.n_max + 1):
         x = [(xi + ti) % 1 for xi, ti in zip(x, coords)]

@@ -62,10 +62,13 @@ def iroot_ceil(n: int, k: int) -> int:
 
 
 def nth_root_enclosure(x, k: int, rel_bits: int = 64) -> tuple[Fraction, Fraction]:
-    """Enclosure lo <= x**(1/k) <= hi with hi - lo <= 2**-rel_bits * lo (x > 0).
+    """Enclosure lo <= x**(1/k) <= hi with hi - lo <= 2**-rel_bits * lo (x > 0,
+    k >= 1).
 
     x == 0 returns (0, 0).
     """
+    if k < 1:
+        raise DomainError("root order must be positive")
     x = rational(x)
     if x < 0:
         raise DomainError("root of a negative rational")

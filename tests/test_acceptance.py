@@ -166,7 +166,7 @@ def test_06_polynomial_regime_series_bounded_and_tail_small():
 def test_07_coupled_continued_fraction_growth_table():
     """The two coupled continued fractions dominate each other cyclically
     with gap n^4 at every level 2..10 (exact integer comparisons)."""
-    spec = alternating_cf(2, 4, 10, start_index=2)
+    spec = alternating_cf(2, 4, 10)
     assert spec.verify_growth() == []
     for n in range(2, 11):
         q1n = spec.denominator(1, n)

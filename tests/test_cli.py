@@ -193,11 +193,22 @@ def test_keys_the_run_ignores_are_rejected(text, line, message):
     ("command=approx\nlimit=-5\ntheta=1/3\nmode=linear\n", 2, 7, "limit must be >= 1"),
     ("command=verify\ntranscript=t.txt\nbruteforce_depth=-1\n", 3, 18,
      "bruteforce_depth must be >= 0"),
+    ("command=approx\ntheta=1/3\nlimit=5\nradius = 1/0\n", 4, 10,
+     "expected a rational (like 3/7 or 0.125), got '1/0'"),
+    ("command=approx\ntheta=1/3, x\nlimit=5\n", 2, 7,
+     "expected a rational (like 3/7 or 0.125), got 'x'"),
+    ("command=approx\ntheta=1/3\nlimit=5\nmode=diagonal\n", 4, 6,
+     "expected one of simultaneous, linear; got 'diagonal'"),
+    ("command=construct\na=33\nh0=1\nsteps=3\nverify=maybe\n", 5, 8,
+     "expected a boolean (0/1), got 'maybe'"),
+    ("command=approx\ntheta=1/3\n =5\n", 3, 1, "empty key"),
 ])
 def test_values_the_run_cannot_use_are_rejected(text, line, column, message):
-    """An approx limit below 1 (no multiplier or height to scan) and a
-    negative verify bruteforce_depth (no level to scan) are refused at parse
-    time, at the value's line and column, before any artifact is written."""
+    """A value its key's parser cannot read, an approx limit below 1 (no
+    multiplier or height to scan), a negative verify bruteforce_depth (no
+    level to scan) and a line with an empty key are refused at parse time, at
+    the value's (or the line's) line and column, before any artifact is
+    written."""
     with pytest.raises(ConfigError,
                        match=rf"^line {line}, col {column}: {re.escape(message)}$"):
         cli.parse_config(text)
@@ -228,6 +239,13 @@ def test_sequence_spec_forms(raw, expected):
         if isinstance(h0, int):
             h0 = minimal_heights(lambda n: 33, h0, 3)
         assert h0 == heights
+
+
+@pytest.mark.parametrize("raw, value", [("1", True), ("true", True), ("yes", True),
+                                        ("0", False), ("false", False), ("no", False)])
+def test_flag_spellings(raw, value):
+    config = cli.parse_config(f"command=construct\na=33\nh0=1\nsteps=3\nverify={raw}\n")
+    assert config.values["verify"] is value
 
 
 def test_sequence_spec_rejects_other_geometric_rules():
@@ -846,6 +864,15 @@ RUN_CONFIGS = {
         "seed=7\n"
         "precision_bits=64\n"
     ),
+    "simulate-census-one-step": (
+        "command=simulate\n"
+        "theta=195025/470832, 80782/195025\n"
+        "delta=2\n"
+        "n_max=1\n"
+        "samples=3\n"
+        "seed=7\n"
+        "precision_bits=64\n"
+    ),
     "simulate-window": (
         "command=simulate\n"
         "theta=195025/470832, 80782/195025\n"
@@ -1153,6 +1180,43 @@ sample_id,hit_count,stat_lo,stat_hi,inconclusive_count
     "delta": "2",
     "generator": "PCG64",
     "n_max": 3000,
+    "precision_bits": 64,
+    "samples": 3,
+    "seed": 7,
+    "theta": [
+      "195025/470832",
+      "80782/195025"
+    ],
+    "theta_radius": "0"
+  },
+  "n_lo": 1,
+  "tool": "shrinktarget",
+  "version": "1.0.0"
+}
+""",
+    },
+    # one step: no n >= 2, so the statistic's cells are empty
+    "simulate-census-one-step": {
+        "census.csv": """\
+sample_id,hit_count,stat_lo,stat_hi,inconclusive_count
+0,1,,,0
+1,1,,,0
+2,1,,,0
+""",
+        "summary.json": """\
+{
+  "aggregates": {
+    "inconclusive_total": 0,
+    "mean": "1",
+    "mean_decimal": "1.000000",
+    "median": "1",
+    "q1": "1",
+    "q3": "1"
+  },
+  "config": {
+    "delta": "2",
+    "generator": "PCG64",
+    "n_max": 1,
     "precision_bits": 64,
     "samples": 3,
     "seed": 7,

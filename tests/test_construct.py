@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,7 @@ from shrinktarget.construct import (ConstructionState, _bezout, _content,
                                     verify_construction)
 from shrinktarget.errors import DomainError, InternalError, PrecisionError
 from shrinktarget.exact import (CertifiedVector, LatticePoint3, is_primitive,
-                                projective_distance, wedge)
+                                projective_distance)
 
 F = Fraction
 
@@ -49,7 +50,7 @@ def test_complete_basis_postconditions():
     ]
     for delta, p in cases:
         prime = complete_basis(delta, p)
-        w = wedge(p, prime)
+        w = p.wedge(prime)
         assert w.as_tuple() in (delta.as_tuple(), delta.scale(-1).as_tuple())
         bound = 2 * max(p.norm, F(delta.norm, p.norm))
         assert prime.norm <= bound
@@ -141,11 +142,11 @@ def oracle_complete_basis(delta: LatticePoint3, p: LatticePoint3) -> LatticePoin
         _g, u, v = _bezout(d.x, d.y)
         v1 = LatticePoint3(d.y // g1, -d.x // g1, 0)
         v2 = LatticePoint3(-u * d.z, -v * d.z, g1)
-    w = wedge(v1, v2)
+    w = v1.wedge(v2)
     if w != d and w != -d:
         raise InternalError("kernel basis does not span the direction")
-    alpha = _ratio_component(wedge(p, v2), w)
-    beta = -_ratio_component(wedge(p, v1), w)
+    alpha = _ratio_component(p.wedge(v2), w)
+    beta = -_ratio_component(p.wedge(v1), w)
     if v1.scale(alpha) + v2.scale(beta) != p:
         raise InternalError("lattice coordinates of P failed to reconstruct")
     g, bu, bv = _bezout(alpha, beta)
@@ -154,9 +155,9 @@ def oracle_complete_basis(delta: LatticePoint3, p: LatticePoint3) -> LatticePoin
     # (alpha, beta), (gamma, delta') with alpha*delta' - beta*gamma = 1
     prime = v1.scale(-bv) + v2.scale(bu)
     prime = _oracle_best_shift(prime, p)
-    if wedge(p, prime) == -d:
+    if p.wedge(prime) == -d:
         prime = -prime
-    if wedge(p, prime) != d:
+    if p.wedge(prime) != d:
         raise InternalError("completion does not generate the lattice")
     if prime.norm * p.norm > 2 * max(p.norm * p.norm, delta.norm):
         raise InternalError(
@@ -188,7 +189,7 @@ def orthogonal_pairs(draw):
         x = 0
     content = draw(st.one_of(st.just(1), st.integers(2, 10 ** 6)))
     delta = LatticePoint3(x, y, z).scale(content)
-    cross = wedge(delta, LatticePoint3(draw(_COORD), draw(_COORD), draw(_COORD)))
+    cross = delta.wedge(LatticePoint3(draw(_COORD), draw(_COORD), draw(_COORD)))
     assume(not cross.is_zero)  # also rules out delta = 0
     c = _content(cross)
     return delta, LatticePoint3(cross.x // c, cross.y // c, cross.z // c)
@@ -217,7 +218,7 @@ def test_complete_basis_matches_the_ratio_oracle_at_the_edges(delta, p):
     got = complete_basis(delta, p)
     assert got == oracle_complete_basis(delta, p)
     c = _content(delta)
-    assert wedge(p, got) == LatticePoint3(delta.x // c, delta.y // c, delta.z // c)
+    assert p.wedge(got) == LatticePoint3(delta.x // c, delta.y // c, delta.z // c)
 
 
 def test_dual_step_checks():
@@ -274,8 +275,8 @@ def test_structural_invariants_direct():
         q_target = 33 * h0[n] ** 2
         assert F(1, 2) * q_target <= step.q <= 2 * q_target
     for s, t in zip(state.steps, state.steps[1:]):
-        assert wedge(s.delta, t.delta).as_tuple() == s.p.as_tuple()
-        assert wedge(s.p, t.p).as_tuple() == t.delta.as_tuple()
+        assert s.delta.wedge(t.delta).as_tuple() == s.p.as_tuple()
+        assert s.p.wedge(t.p).as_tuple() == t.delta.as_tuple()
         assert s.delta.dot(t.p) == 1
 
 
@@ -551,6 +552,11 @@ MALFORMED_TRANSCRIPTS = [
     ("non_integer_step", lambda ls: ls[:5] + [_retoken(ls[5], 3, "1.5")] + ls[6:],
      "non-integer token"),
     ("non_integer_depth", lambda ls: [ls[0], "depth three"] + ls[2:], "non-integer token"),
+    ("bad_header", lambda ls: ["# shrinktarget transcript v0"] + ls[1:], r"\(bad header\)"),
+    ("unknown_line", lambda ls: ls + ["theta 1 2"], "unknown transcript line: 'theta 1 2'"),
+    ("short_step", lambda ls: ls[:5] + [ls[5].rsplit(" ", 1)[0]] + ls[6:],
+     "malformed transcript step line"),
+    ("missing_step", lambda ls: ls[:5] + ls[6:], r"steps do not run 0\.\.depth\+1"),
 ]
 
 
@@ -573,9 +579,11 @@ def test_transcript_rejects_inconsistent_norms():
 @pytest.mark.parametrize("edit, message", [case[1:] for case in MALFORMED_TRANSCRIPTS],
                          ids=[case[0] for case in MALFORMED_TRANSCRIPTS])
 def test_transcript_rejects_malformed_lines(edit, message):
-    """Transcripts are parsed strictly: a depth below 1, a, h0 lists shorter
-    than depth + 2, a missing or repeated line or a non-integer token is a
-    DomainError, not an IndexError or a verify pass over an empty range."""
+    """Transcripts are parsed strictly: a bad header, an unknown line, a step
+    line without nine integers, steps that do not run 0..depth+1, a depth
+    below 1, a, h0 lists shorter than depth + 2, a missing or repeated line or
+    a non-integer token is a DomainError, not an IndexError or a verify pass
+    over an empty range."""
     with pytest.raises(DomainError, match=message):
         ConstructionState.from_text(_malformed(edit))
 
@@ -616,19 +624,19 @@ def test_alternating_cf_growth_table():
     # q_{i,n} is stored at denominators[i-1][n-1]; delta = a/b, and a
     # fractional delta takes its digits from an integer root
     for delta, levels in ((F(4), 3), (F(7, 2), 6)):
-        spec = alternating_cf(2, delta, levels, 2)
+        spec = alternating_cf(2, delta, levels)
         a, b = delta.numerator, delta.denominator
         q1, q2 = spec.denominators
-        for n in range(spec.start_index, spec.levels + 1):
+        for n in range(2, spec.levels + 1):
             assert q2[n - 1] ** b >= q1[n - 1] ** (2 * b) * n ** a
             assert q1[n] ** b >= q2[n - 1] ** (2 * b) * n ** a
         assert spec.verify_growth() == []
 
 
 def test_alternating_cf_three_dimensions():
-    spec = alternating_cf(3, F(5), 2, 2)
+    spec = alternating_cf(3, F(5), 2)
     qs = spec.denominators
-    for n in range(spec.start_index, spec.levels + 1):
+    for n in range(2, spec.levels + 1):
         assert qs[2][n - 1] >= qs[0][n - 1] ** 3 * n ** 5
         for i in (2, 3):
             assert qs[i - 2][n] >= qs[i - 1][n - 1] ** 3 * n ** 5
@@ -636,17 +644,31 @@ def test_alternating_cf_three_dimensions():
 
 def test_alternating_cf_rejects_small_delta():
     with pytest.raises(DomainError):
-        alternating_cf(2, F(3), 3, 2)
+        alternating_cf(2, F(3), 3)
 
 
 def test_alternating_cf_single_level_vacuous():
-    spec = alternating_cf(2, F(4), 1, 2)
+    spec = alternating_cf(2, F(4), 1)
     assert spec.levels == 1
-    assert spec.digit_rule  # provenance recorded
+    assert spec.quotients == ((1, 1, 1), (1, 1, 1))  # no level is constrained
+
+
+@pytest.mark.parametrize("coord, level, bound, failure", [
+    (2, 3, lambda q1, q2: q1[2] ** 2 * 3 ** 4, "q_2,3 < q_1,3^2 * 3^4"),
+    (1, 4, lambda q1, q2: q2[2] ** 2 * 3 ** 4, "q_1,4 < q_2,3^2 * 3^4"),
+])
+def test_alternating_cf_tampered_denominator_fails_at_its_level(coord, level, bound, failure):
+    """A denominator lowered to just below its constraint fails verify_growth
+    at that constraint and nowhere else."""
+    spec = alternating_cf(2, F(4), 3)
+    table = [list(row) for row in spec.denominators]
+    table[coord - 1][level - 1] = bound(*spec.denominators) - 1
+    tampered = replace(spec, denominators=tuple(map(tuple, table)))
+    assert tampered.verify_growth() == [failure]
 
 
 def test_alternating_cf_theta_matches_convergents():
-    spec = alternating_cf(2, F(4), 3, 2)
+    spec = alternating_cf(2, F(4), 3)
     assert spec.theta.dim == 2
     assert spec.theta.radius > 0
     for coord in spec.theta.coords:

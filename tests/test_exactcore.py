@@ -11,7 +11,7 @@ from shrinktarget.exact import (CertifiedScalar, CertifiedVector,
                                 certified_dist_nearest_lattice,
                                 certified_form_dist, dist_nearest_int,
                                 dist_nearest_lattice, is_primitive,
-                                projective_distance, rational, wedge)
+                                projective_distance, rational)
 
 F = Fraction
 
@@ -60,17 +60,17 @@ def test_dist_nearest_lattice():
 
 def test_wedge_basis_identity():
     e1, e2 = LatticePoint3(1, 0, 0), LatticePoint3(0, 1, 0)
-    assert wedge(e1, e2).as_tuple() == (0, 0, 1)
+    assert e1.wedge(e2).as_tuple() == (0, 0, 1)
 
 
 def test_wedge_self_vanishes():
     p = LatticePoint3(1, 1, 33)
-    assert wedge(p, p).is_zero
+    assert p.wedge(p).is_zero
 
 
 def test_wedge_hand_example():
     # (1,1,33) x (0,0,1) = (1*1-33*0, 33*0-1*1, 1*0-1*0)
-    assert wedge(LatticePoint3(1, 1, 33), LatticePoint3(0, 0, 1)).as_tuple() \
+    assert LatticePoint3(1, 1, 33).wedge(LatticePoint3(0, 0, 1)).as_tuple() \
         == (1, -1, 0)
 
 
@@ -82,13 +82,13 @@ nonzero_points = points.filter(lambda p: not p.is_zero)
 @given(points, points)
 def test_wedge_norm_bound(p, q):
     """Sup-norm of a cross product is at most 2 |P| |Q|."""
-    assert wedge(p, q).norm <= 2 * p.norm * q.norm
+    assert p.wedge(q).norm <= 2 * p.norm * q.norm
 
 
 @given(points, points)
 def test_wedge_antisymmetric_and_orthogonal(p, q):
-    w = wedge(p, q)
-    assert wedge(q, p).as_tuple() == w.scale(-1).as_tuple()
+    w = p.wedge(q)
+    assert q.wedge(p).as_tuple() == w.scale(-1).as_tuple()
     assert w.dot(p) == 0 and w.dot(q) == 0
 
 
@@ -195,5 +195,8 @@ def test_certified_vector_validation():
         CertifiedVector((F(1, 2),), -1)
     v = as_vector(("2/7", "3/11"))
     assert v.dim == 2 and v.coords == (F(2, 7), F(3, 11))
+    assert v == CertifiedVector((F(2, 7), F(3, 11)), 0) and hash(v) == hash(as_vector(v.coords))
+    with pytest.raises(AttributeError):  # frozen
+        v.radius = F(1)
     nums, den = v.common_denominator()
     assert [F(n, den) for n in nums] == list(v.coords)

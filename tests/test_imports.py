@@ -64,3 +64,47 @@ def test_only_the_cli_does_file_io(path):
 def test_file_io_is_found():
     assert file_io("import csv, os\nfrom json import dump\nopen('x')\nP.write_text('')\n") == [
         "csv", "json", "open() (line 3)", "write_text() (line 4)"]
+
+
+def _defined(stmt) -> list[str]:
+    """The names a module-level statement defines."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    if isinstance(stmt, ast.Assign):
+        targets = stmt.targets
+    elif isinstance(stmt, ast.AnnAssign):
+        targets = [stmt.target]
+    else:
+        return []
+    return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+
+def _referenced(stmt) -> set[str]:
+    """Every name, attribute and imported name a statement mentions."""
+    return {getattr(n, "id", None) or getattr(n, "attr", None) or getattr(n, "name", None)
+            for n in ast.walk(stmt) if isinstance(n, (ast.Name, ast.Attribute, ast.alias))}
+
+
+def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
+    """The module-level private names (one leading underscore) of the
+    modules in `sources` that no other statement of any of them mentions:
+    a name used only inside its own definition, or only by tests, is dead."""
+    stmts = [(module, stmt) for module, source in sources.items()
+             for stmt in ast.parse(source).body]
+    refs = [_referenced(stmt) for _, stmt in stmts]
+    return [f"{module}: {name}" for i, (module, stmt) in enumerate(stmts)
+            for name in _defined(stmt)
+            if name.startswith("_") and not name.startswith("__")
+            and not any(name in r for j, r in enumerate(refs) if j != i)]
+
+
+def test_private_names_are_referenced():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert unreferenced_private_names(sources) == []
+
+
+def test_unreferenced_private_name_is_found():
+    sources = {"a.py": "_LIMIT = 3\ndef _walk(n):\n    return _walk(n - 1)\n"
+                       "def _kept():\n    return _LIMIT\n__all__ = []\n",
+               "b.py": "from .a import _kept\n"}
+    assert unreferenced_private_names(sources) == ["a.py: _walk"]

@@ -19,7 +19,7 @@ from shrinktarget.exact import CertifiedVector
 from shrinktarget.orbit import (_BATCH, _BLOCK, OrbitConfig, _auto_hit_bound, _d64,
                                 _draw_starts, _Engine, _error_units, _exact_classify,
                                 _hit_records, _miss32, _sweep, _SweepResult,
-                                _threshold_pair, _units, _window, _x0_units,
+                                _threshold_pair, _units, _window,
                                 bc_window_estimate, exact_orbit_hits, hit_census,
                                 log_law_stat, orbit_hits)
 from shrinktarget.roots import iroot, log2_enclosure
@@ -125,6 +125,26 @@ def cfg(theta, delta, n_max, **kw):
 def test_config_rejects_delta_below_dimension():
     with pytest.raises(DomainError):
         cfg(CertifiedVector((F(1, 3), F(1, 5))), F(3, 2), 100)
+
+
+@pytest.mark.parametrize("kw, message", [
+    ({"n_max": -1}, "n_max must be nonnegative"),
+    ({"samples": 0}, "samples must be >= 1"),
+    ({"seed": 2 ** 64}, "seed must fit in 64 bits"),
+    ({"seed": -1}, "seed must fit in 64 bits"),
+    ({"precision_bits": 7}, "precision_bits must be >= 8"),
+])
+def test_config_domain_refusals(kw, message):
+    kw = {"n_max": 10} | kw
+    with pytest.raises(DomainError, match=message):
+        cfg(CertifiedVector((F(1, 3),)), F(1), **kw)
+
+
+@pytest.mark.parametrize("run", [orbit_hits, exact_orbit_hits])
+def test_x0_must_have_the_dimension_of_theta(run):
+    config = cfg(CertifiedVector((F(1, 3), F(1, 5))), F(2), 10)
+    with pytest.raises(DomainError, match="x0 has dimension 1, theta has 2"):
+        run(config, x0=(F(1, 2),))
 
 
 def test_config_rejects_budget_blowout():
@@ -405,7 +425,7 @@ def test_sweep_matches_oracle(family):
 def test_orbit_hits_off_grid_start_matches_oracle(family, x0):
     config, _starts = family
     x0 = x0[:config.dim]
-    x0u = _x0_units(x0, config.dim, config.precision_bits)
+    x0u = _units(x0, config.precision_bits)
     hits, inconclusive, _lo, _hi = oracle_sweep(config, x0u, x0)
     rec = orbit_hits(config, x0=x0)
     assert (rec.hits, rec.inconclusive) == (tuple(hits), inconclusive)
@@ -981,7 +1001,7 @@ def test_top_limb_drift_stays_inside_the_filter_margin(margin):
     config = OrbitConfig(theta=theta, delta=F(2), n_max=hi, precision_bits=bits)
     t = _threshold_pair(hi - 1, F(2), bits)[1]
     x0 = _placed_start(theta_u, hi - 1, t + margin * (1 << 64), bits)
-    starts = [_x0_units(x0, 1, bits)]
+    starts = [_units(x0, bits)]
     got = engine_window(config, starts, lo, hi - 1)
     assert got == oracle_window(config, starts, lo, hi - 1)
     assert got[0] == [margin < 0]
@@ -998,7 +1018,7 @@ def test_error_budget_widens_the_miss_limit():
     config = OrbitConfig(theta=theta, delta=F(1), n_max=n, precision_bits=bits)
     x0 = _placed_start(theta_u, n, (1 << bits) // n + 5 * 10 ** 5 * (1 << 64), bits)
     rec = orbit_hits(config, x0=x0)
-    hits, inconclusive, _lo, _hi = oracle_sweep(config, _x0_units(x0, 1, bits), x0)
+    hits, inconclusive, _lo, _hi = oracle_sweep(config, _units(x0, bits), x0)
     assert inconclusive >= 1
     assert (rec.hits, rec.inconclusive) == (tuple(hits), inconclusive)
 

@@ -55,6 +55,11 @@ def test_iroot_ceil_is_ceiling_root(n, k):
 def test_iroot_rejects_negative():
     with pytest.raises(DomainError):
         iroot(-1, 2)
+    for x, k in ((2, 0), (2, -1), (0, 0)):  # root orders below 1, before any work
+        with pytest.raises(DomainError, match="root order must be positive"):
+            nth_root_enclosure(x, k)
+        with pytest.raises(DomainError, match="root order must be positive"):
+            iroot(x, k)
 
 
 @given(st.fractions(min_value=Fraction(1, 10**12), max_value=Fraction(10**12)),
