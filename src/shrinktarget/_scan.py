@@ -23,15 +23,23 @@ from Python ints and goes through the exact logic, and every other q
 provably changes nothing.  Blocks double, [k, 2k), up to _BLOCK multipliers,
 and are filtered coordinate first: for L < 2^63, min(x, -x) <= L exactly
 when x = q*P_1 lies in the circular range [-L, L].  Once per scan the ramp
-x_i = i*P_1, i < _RAMP, is sorted as keys: x_i with its low bits replaced by
-i.  A block of n multipliers from q0 is ceil(n / _RAMP) copies of the ramp,
-copy j shifted by (q0 + j*_RAMP)*P_1, so its survivors lie in one range of
-keys per copy, found by binary search (the keys are stored twice over, so a
-range that wraps past 2^64 is one slice).  The truncated keys give a
-superset, the test a_q <= L on every coordinate makes it exact, and the
-survivors are re-sorted by offset; when the ranges would hold n candidates
-or more, the block takes every multiplier instead.  The other coordinates
-and the running minimum only see the candidates.
+x_i = i*P_1, i < m = min(_RAMP, (q_max + 1) // 2), is sorted as keys: x_i
+with its low bits replaced by i.  One query answers a run of consecutive
+blocks from q0: the run is copies of the ramp, copy c shifted by
+(q0 + c*m)*P_1, so its survivors lie in one range of keys per copy.  The
+ranges of every copy up to q_max come from two array binary searches (the
+keys are stored twice over, so a range that wraps past 2^64 is one slice),
+and their sizes cut the run: it takes the most whole blocks, one at
+least, whose copies hold at most _RAMP keys (or that have at most _RAMP
+multipliers, where those are fewer), so a run holds about as much as one
+block.  The ranges are gathered in one pass, the test a_q <= L on every
+coordinate makes the superset exact, and the survivors are sorted by
+offset; when the ranges hold as many keys as the run has multipliers, the
+run takes every multiplier instead.  The other coordinates and the running
+minimum only see the candidates.  The run's L is that of its first block;
+a later block keeps its own survivors, those with a_q <= its own L, which
+is lower or equal: records only lower the seed, and the baseline's L is
+fixed.  A block with no survivors changes nothing and is skipped.
 Records take L = seed + fast + 2E: a q with a_q > L cannot lower
 min(seed, .), and every survivor has a_q <= L, so a survivor is hot exactly
 when a_q <= (running minimum of the survivors up to q) + fast + 2E.
@@ -83,7 +91,7 @@ DEFAULT_BUDGET = 10**8
 _NP_LIMIT = 1 << 62
 _CHUNK = 1 << 20  # linear cells per fixed-point block
 _BLOCK = 1 << 16  # widest block of multipliers
-_RAMP = 1 << 14  # sorted ramp entries: a block is up to _BLOCK / _RAMP copies
+_RAMP = 1 << 14  # sorted ramp entries, and the keys of a run of blocks (or of one)
 
 
 def scan_data(theta: CertifiedVector) -> tuple[tuple[int, ...], int, Fraction]:
@@ -148,49 +156,73 @@ class _Multipliers:
             yield q0, n
             q0 += n
 
-    def _candidates(self, q0: int, n: int, limit: int):
-        """The offsets i < n, unsorted, of a superset of the multipliers whose
-        first coordinate is within limit < 2^63."""
-        m, step, keys = self.m, int(self.steps[0]), self.keys
-        head = keys[:m]
-        parts = []
-        for j in range(0, n, _RAMP):
-            # the copy from offset j holds q = q0 + j + i; its survivors have
-            # x_i in [lo, hi = lo + 2*limit] on the circle, so their keys lie
-            # between lo with its low bits cleared and hi with them set
-            lo = (-(q0 + j) * step - limit) % (1 << 64)
-            hi = lo + 2 * limit
-            s = int(head.searchsorted(np.uint64(lo & -_RAMP)))
-            e = int(head.searchsorted(np.uint64(hi % (1 << 64) | (_RAMP - 1)), "right"))
-            if hi >> 64:  # wraps past 2^64: on into the second copy of the keys
-                e = min(e + m, s + m)
-            i = keys[s:e] & np.uint64(_RAMP - 1)
-            if j:
-                i += np.uint64(j)
-            parts.append(i)
-        i = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        return i[i < n] if n < len(parts) * m else i
+    @cached_property
+    def ends(self):
+        """The first multiplier after each block, ascending."""
+        return np.array([q0 + n for q0, n in self.blocks()], dtype=np.int64)
 
-    def hits(self, q0: int, n: int, limit: int):
-        """(i, a): the offsets i < n, ascending, with a_{q0+i} <= limit, and
-        those a_{q0+i}.  Below 2^63 a range query in the sorted ramp gives
-        a superset, which the test on every coordinate makes exact."""
+    def run(self, q0: int, limit: int, stop: int | None = None):
+        """(end, cuts, i, a): a run of whole blocks from the block start q0
+        to end - 1, at least one block and none past the block end stop
+        (default q_max + 1); the offsets i from q0, ascending, of the run's
+        multipliers with a_{q0+i} <= limit, those a_{q0+i}, and cuts[j] the
+        number of them in the run's first j + 1 blocks.  Below 2^63 one range
+        query per ramp copy gives a superset, which the test on every
+        coordinate makes exact.  The run ends at the last block that keeps
+        the multipliers or candidates to take at _RAMP or fewer."""
+        stop = self.q_max + 1 if stop is None else stop
+        ends = self.ends[np.searchsorted(self.ends, q0, "right"):
+                         np.searchsorted(self.ends, stop, "right")] - q0
         limit = min(limit, 1 << 63)  # every a_q <= 2^63
-        # each copy's range covers a share 2*limit / 2^64 of its m keys: when
-        # the candidates would number n or more, take every multiplier
-        dense = limit * self.m * -(-n // _RAMP) >= n << 63
-        i = np.arange(n, dtype=np.uint64) if dense else self._candidates(q0, n, limit)
+        m = self.m
+        if limit == 1 << 63:  # every multiplier
+            take, cum = ends, None
+        else:
+            # copy c holds q = q0 + c*m + i; its survivors have x_i in
+            # [lo, hi = lo + 2*limit] on the circle, so their keys lie
+            # between lo with its low bits cleared and hi with them set
+            base = np.arange(q0, q0 + int(ends[-1]), m, dtype=np.uint64)
+            base *= self.steps[0]  # wraps mod 2^64
+            lo = np.negative(base, out=base)
+            lo -= np.uint64(limit)
+            hi = lo + np.uint64(2 * limit)
+            head = self.keys[:m]
+            s = head.searchsorted(lo & np.uint64(-_RAMP % (1 << 64)))
+            e = head.searchsorted(hi | np.uint64(_RAMP - 1), "right")
+            # a range that wraps past 2^64 goes on into the second copy
+            np.minimum(e + m, s + m, out=e, where=hi < lo)
+            cum = np.cumsum(e - s)
+            take = np.minimum(cum[(ends - 1) // m], ends)
+        n = int(ends[max(int(np.searchsorted(take, _RAMP, "right")), 1) - 1])
+        dense = cum is None or cum[(n - 1) // m] >= n
+        if dense:  # the ranges would hold n candidates or more
+            i = np.arange(n, dtype=np.uint64)
+        else:
+            k = -(-n // m)  # copies
+            lens = e[:k] - s[:k]
+            pos = np.arange(cum[k - 1])
+            pos += np.repeat(s[:k] - (cum[:k] - lens), lens)
+            i = self.keys[pos]
+            i &= np.uint64(_RAMP - 1)
+            i += np.repeat(np.arange(0, k * m, m, dtype=np.uint64), lens)
+            if n < k * m:
+                i = i[i < n]
         qs = i + np.uint64(q0)
         a = np.uint64(0)
-        for s in self.steps:
-            x = qs * s  # wraps mod 2^64
+        for st in self.steps:
+            x = qs * st  # wraps mod 2^64
             a = np.maximum(a, np.minimum(x, np.negative(x), out=x), out=x)
         keep = a <= np.uint64(limit)
         i, a = i[keep], a[keep]
         if not dense:
             o = i.argsort()
             i, a = i[o], a[o]
-        return i, a
+        cuts = i.searchsorted(ends[ends <= n].astype(np.uint64))
+        return q0 + n, cuts, i, a
+
+    def hits(self, q0: int, n: int, limit: int):
+        """(i, a): the run query on the one block q0, ..., q0 + n - 1."""
+        return self.run(q0, limit, q0 + n)[2:]
 
 
 # ---------------------------------------------------------------------------
@@ -222,30 +254,42 @@ def simultaneous_scan(theta: CertifiedVector, q_max: int, *,
     out = []
     # an exact scan stops at q = den at the latest, where D_q = 0
     mult = _Multipliers(nums, den, min(q_max, den) if exact else q_max)
-    for q0, n in mult.blocks():
-        if slack >= 1 << 63:  # degenerate radius: a_q <= 2^63 is always hot
-            hot = range(n)
-        else:
-            seed = _fp_up(best_d, den) if best_q else 1 << 63
-            idx, a = mult.hits(q0, n, seed + slack)
-            # a running minimum <= 2^63 plus slack < 2^63 fits in uint64
-            hot = idx[a <= np.minimum.accumulate(a) + np.uint64(slack)].tolist()
-        for i in hot:
-            q = q0 + i
-            dq = _dist(nums, den, q)
-            if best_q:  # a record must beat the running minimum
-                if dq > best_d + fast:
-                    continue
-                v = _order(dq, q, best_d, best_q, den, r)
-                if v is Verdict.INCONCLUSIVE:
-                    raise PrecisionError(
-                        f"cannot order |{q}*theta| against |{best_q}*theta| at radius {r}")
-                if v is not Verdict.LESS:
-                    continue
-            best_d, best_q = dq, q
-            out.append((q, dq))
-            if best_d == 0 and exact:
-                return out, den, True
+    q0 = 1
+    while q0 <= mult.q_max:
+        # one query for a run of blocks at its first block's limit; the seed
+        # only falls, so each block then keeps the survivors of its own
+        limit = run_limit = min((_fp_up(best_d, den) if best_q else 1 << 63) + slack, 1 << 63)
+        end, cuts, idx, a = mult.run(q0, run_limit)
+        cuts = [0, *cuts.tolist()]
+        for c0, c1 in zip(cuts, cuts[1:]):
+            if c0 == c1:  # no survivors: the block changes nothing
+                continue
+            ib, ab = idx[c0:c1], a[c0:c1]
+            if best_q:
+                limit = min(_fp_up(best_d, den) + slack, 1 << 63)
+            if limit < run_limit:
+                keep = ab <= np.uint64(limit)
+                ib, ab = ib[keep], ab[keep]
+            if slack < 1 << 63:  # else a degenerate radius: every a_q <= 2^63 is hot
+                # a running minimum <= 2^63 plus slack < 2^63 fits in uint64
+                ib = ib[ab <= np.minimum.accumulate(ab) + np.uint64(slack)]
+            for i in ib.tolist():
+                q = q0 + i
+                dq = _dist(nums, den, q)
+                if best_q:  # a record must beat the running minimum
+                    if dq > best_d + fast:
+                        continue
+                    v = _order(dq, q, best_d, best_q, den, r)
+                    if v is Verdict.INCONCLUSIVE:
+                        raise PrecisionError(
+                            f"cannot order |{q}*theta| against |{best_q}*theta| at radius {r}")
+                    if v is not Verdict.LESS:
+                        continue
+                best_d, best_q = dq, q
+                out.append((q, dq))
+                if best_d == 0 and exact:
+                    return out, den, True
+        q0 = end
     return out, den, False
 
 
@@ -474,9 +518,10 @@ def all_greater_than_baseline(theta: CertifiedVector, q_hi: int, base_q: int,
     violations = []
     report = {}
     mult = _Multipliers(nums, den, q_hi - 1)
-    for q0, n in mult.blocks():
-        for i in mult.hits(q0, n, lim)[0].tolist():
-            q = q0 + i
+    q0 = 1
+    while q0 < q_hi:
+        end, _cuts, idx, _a = mult.run(q0, lim)
+        for q in (idx + np.uint64(q0)).tolist():
             dist = _dist(nums, den, q)
             if dist > fast or q == base_q:
                 continue
@@ -490,6 +535,7 @@ def all_greater_than_baseline(theta: CertifiedVector, q_hi: int, base_q: int,
                     "extend the construction depth for a smaller radius")
             elif v is not Verdict.GREATER:
                 violations.append(q)
+        q0 = end
     for q in exceptions:
         if 0 < q < q_hi and q not in report:
             # excepted multiplier never fell inside the fast margin: it is

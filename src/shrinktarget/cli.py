@@ -585,15 +585,16 @@ def run(config: RunConfig, out_dir=".") -> list[Path]:
     return outputs + [manifest]
 
 
+_PARSER = argparse.ArgumentParser(
+    prog="shrinktarget",
+    description="Certified experiments with shrinking targets on torus translations.")
+_PARSER.add_argument("command", choices=_COMMANDS)
+_PARSER.add_argument("--config", required=True, help="key=value config file")
+_PARSER.add_argument("--out", default=".", help="output directory")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="shrinktarget",
-        description="Certified experiments with shrinking targets on torus "
-                    "translations.")
-    parser.add_argument("command", choices=_COMMANDS)
-    parser.add_argument("--config", required=True, help="key=value config file")
-    parser.add_argument("--out", default=".", help="output directory")
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         config = parse_config(_read(args.config, "config"))
         if config.command != args.command:

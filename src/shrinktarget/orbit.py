@@ -267,6 +267,18 @@ def _miss32(miss: np.ndarray) -> np.ndarray:
     return np.minimum(((miss + 0xFFFF_FFFF) >> 32) + 1, _NO_MISS32).astype(np.uint32)
 
 
+def _levels_at(steps, ks):
+    """The ladder level of each step k in ks, where level i covers steps[i]
+    consecutive steps (see _Engine.levels).  A ladder of at most _BLOCK
+    steps is read from a per-step level array, one gather for the batch; a
+    longer one (a bucketed window run, whose steps can far outnumber its
+    candidates) is searched at its level ends."""
+    if steps.sum() <= _BLOCK:
+        level = np.arange(len(steps), dtype=np.min_scalar_type(len(steps)))
+        return np.repeat(level, steps)[ks]
+    return np.searchsorted(np.cumsum(steps), ks, side="right")
+
+
 class _Engine:
     """The top-unit frame of one configuration (see the module doc): what
     every sample shares, and the exact full-precision rule for survivors."""
@@ -363,7 +375,7 @@ class _Engine:
     def limits(self, b0: int, length: int, slack: int, ks):
         """The limits of bounds() at the steps b0 + ks only, as (hit, miss)."""
         steps, hit, miss = self.levels(b0, length, slack)
-        level = np.searchsorted(np.cumsum(steps), ks, side="right")
+        level = _levels_at(steps, ks)
         return hit[level], miss[level]
 
     def dist(self, pt, n: int) -> int:
@@ -435,11 +447,10 @@ def _sweep(config: OrbitConfig, starts, x0_fracs=None) -> list[_SweepResult]:
         steps, hit, miss = eng.levels(b0, length, slack)
         miss32 = _miss32(miss)
         miss_lim = np.repeat(miss32, steps)
-        ends = np.cumsum(steps)
         # miss32 never rises, so the steps with miss32 < c start at
         # first[bisect_right(fall, -c)]
         fall = (-miss32.astype(np.int64)).tolist()
-        first = [0] + ends.tolist()
+        first = [0] + np.cumsum(steps).tolist()
         offs = tops + eng.tops([[0] * config.dim], b0)[0]  # wraps mod 2^64
         offs32 = (offs >> 32).astype(np.uint32)
         ramp = [r[:length] for r in ramp32]
@@ -456,7 +467,7 @@ def _sweep(config: OrbitConfig, starts, x0_fracs=None) -> list[_SweepResult]:
             k64 = ks.astype(np.uint64)
             d = _d64([np.repeat(offs[i0:i1, c], counts) + k64 * t
                       for c, t in enumerate(eng.theta_top)])
-            lv = np.searchsorted(ends, ks, side="right")
+            lv = _levels_at(steps, ks)
             sure = d < hit[lv]  # hit <= miss + 1: no sure hit is past the miss limit
             sure_n = (ks[sure] + b0).tolist()
             cut = np.searchsorted(rows[sure], np.arange(i0, i1 + 1)).tolist()

@@ -122,6 +122,18 @@ def test_profiles_are_step_functions_of_records():
     assert lin.value(1).value == F(1, 7)
 
 
+@pytest.mark.parametrize("first, h, message", [
+    (8, None, "empty record list"),
+    (1, 8, "height 8 beyond scanned range 7"),
+    (3, 2, "no record at or below height 2"),
+], ids=["empty", "beyond-range", "below-first-record"])
+def test_profile_refuses_heights_it_cannot_answer(first, h, message):
+    """A profile of the records of height `first` or more, scanned to 7."""
+    recs = [r for r in best_simultaneous(as_vector(("2/7",)), 7) if r.height >= first]
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        ErrorProfile(recs, 7).value(h)
+
+
 def test_profile_matches_pointwise_error():
     theta = as_vector(("3/8", "2/5"))
     prof = ErrorProfile(best_simultaneous(theta, 30), 30)

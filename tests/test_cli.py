@@ -343,6 +343,21 @@ def test_main_transfer_ok(tmp_path):
     assert [row["holds"] for row in payload["rows"]] == [True, True]
 
 
+def test_successive_main_calls_each_parse_their_own_command(tmp_path):
+    """main parses with one parser for the whole process: a second call
+    with another command, config and output runs as if it came first."""
+    approx = tmp_path / "approx.cfg"
+    approx.write_text("command=approx\ntheta=2/7, 3/11\nlimit=80\n")
+    transfer = tmp_path / "transfer.cfg"
+    transfer.write_text("command=transfer\ntheta=2/7, 3/7\nh=3,6\n")
+    assert cli.main(["approx", "--config", str(approx), "--out", str(tmp_path / "a")]) == 0
+    assert cli.main(["transfer", "--config", str(transfer), "--out", str(tmp_path / "t")]) == 0
+    assert json.loads((tmp_path / "a" / "manifest.json").read_text())["command"] == "approx"
+    assert json.loads((tmp_path / "t" / "manifest.json").read_text())["command"] == "transfer"
+    assert sorted(p.name for p in (tmp_path / "t").iterdir()) == ["manifest.json",
+                                                                  "transfer.json"]
+
+
 def test_main_config_error_exit_2_and_error_json(tmp_path, capsys):
     cfg = write_config(tmp_path, """\
         command=approx

@@ -156,6 +156,17 @@ def test_certified_dist_nearest_lattice_rejects_zero_multiplier():
         certified_dist_nearest_lattice(0, CertifiedVector((F(2, 7),)))
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda t: certified_form_dist((1, 2, 3), t),
+     "form vector and theta have different dimensions"),
+    (lambda t: certified_dist_nearest_lattice(F(2), t), "multiplier must be an int"),
+    (lambda t: certified_dist_nearest_lattice(0, t), "multiplier must be nonzero"),
+], ids=["form-dimension", "lattice-not-int", "lattice-zero"])
+def test_distances_to_z_refuse_bad_arguments(call, message):
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        call(CertifiedVector((F(2, 7), F(3, 7))))
+
+
 def test_certified_form_dist():
     theta = CertifiedVector((F(2, 7), F(3, 7)))
     assert certified_form_dist((1, -1), theta).value == F(1, 7)

@@ -726,6 +726,20 @@ def test_bulk_ladder_matches_the_per_level_loop(bits, delta, start, length):
         [orbit._last_step(delta, t) for t in (1, 2, 1 << 60)]
 
 
+@pytest.mark.parametrize("length", [1, _BLOCK, _BLOCK + 1, 10 ** 9])
+def test_ladder_levels_of_any_length(length):
+    """_levels_at gives each step its level, the index of the level that
+    covers it, both from the per-step array (up to _BLOCK steps) and from
+    the level ends (beyond), levels of no steps included."""
+    rnd = random.Random(length)
+    cuts = sorted(rnd.randrange(length + 1) for _ in range(40))
+    steps = np.diff([0, *cuts, length])
+    ks = np.array([rnd.randrange(length) for _ in range(500)] + [0, length - 1])
+    ends = np.cumsum(steps).tolist()
+    want = [next(i for i, e in enumerate(ends) if k < e) for k in ks.tolist()]
+    assert orbit._levels_at(steps, ks).tolist() == want
+
+
 @settings(deadline=None, max_examples=300)
 @given(st.sampled_from(RULE_BITS), rule_delta(), st.data())
 def test_classify_matches_the_root_rule(bits, delta, data):

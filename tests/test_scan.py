@@ -3,9 +3,11 @@
 The multiplier scans are checked against `oracle_simultaneous` and
 `oracle_baseline`: the plain per-q walks, with every decision made on exact
 integers, that the fixed-point engine must reproduce record for record and
-error for error.  The linear scans are checked the same way against
-`oracle_linear_min` and `oracle_linear_records`, walks over every canonical
-cell of the box, shell by shell.
+error for error, and the run query of `_Multipliers` is checked block by
+block against `oracle_block_hits`, the per-copy walk it replaced.  The
+linear scans are checked the same way against `oracle_linear_min` and
+`oracle_linear_records`, walks over every canonical cell of the box, shell
+by shell.
 """
 
 import itertools
@@ -13,6 +15,7 @@ import math
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -365,6 +368,75 @@ def test_ramp_index_hits_match_the_filter_values(den, dim, q_max, kind, limit, d
     assert a.tolist() == [values[i] for i in idx.tolist()]
 
 
+def oracle_block_hits(mult, q0, n, limit):
+    """The hits of one block by the per-copy walk: one pair of scalar binary
+    searches in the sorted ramp for each copy of the block, then the test on
+    every coordinate."""
+    limit = min(limit, 1 << 63)
+    m, step, keys = mult.m, int(mult.steps[0]), mult.keys
+    if limit * m * -(-n // _RAMP) >= n << 63:
+        i = np.arange(n, dtype=np.uint64)
+    else:
+        parts = []
+        for j in range(0, n, _RAMP):
+            lo = (-(q0 + j) * step - limit) % (1 << 64)
+            hi = lo + 2 * limit
+            s = int(keys[:m].searchsorted(np.uint64(lo & -_RAMP)))
+            e = int(keys[:m].searchsorted(np.uint64(hi % (1 << 64) | (_RAMP - 1)), "right"))
+            if hi >> 64:
+                e = min(e + m, s + m)
+            parts.append((keys[s:e] & np.uint64(_RAMP - 1)) + np.uint64(j))
+        i = np.concatenate(parts)
+        i = np.sort(i[i < n])
+    qs = i + np.uint64(q0)
+    a = np.zeros(len(i), dtype=np.uint64)
+    for s in mult.steps:
+        x = qs * s
+        a = np.maximum(a, np.minimum(x, np.negative(x)))
+    keep = a <= np.uint64(limit)
+    return i[keep], a[keep]
+
+
+@settings(deadline=None, max_examples=150)
+@given(DENS, st.integers(1, 3), st.sampled_from([600, _RAMP + 1, 3 * _BLOCK + 5]),
+       st.integers(1, 8), st.sampled_from(["drawn", "last", "wrap"]), LIMITS, st.data())
+def test_runs_match_the_per_block_oracle(den, dim, q_max, k, kind, limit, data):
+    """A run query from a block start, up to k blocks, against the per-copy
+    oracle block by block: the run holds whole blocks, at least one, and each
+    block's survivors under its own limit (the first block's or lower) are
+    the oracle's.  3 * _BLOCK + 5 runs from doubling into full blocks and
+    on into a short last one; denominators up to 600 make the ramp's keys
+    tie; a "wrap" vector puts the range of a copy of the run across 2^64."""
+    rnd = data.draw(st.randoms(use_true_random=True))
+    nums = [rnd.randrange(den) for _ in range(dim)]
+    mult = _Multipliers(nums, den, q_max)
+    blocks = list(mult.blocks())
+    b = len(blocks) - k if kind == "last" else data.draw(st.integers(0, len(blocks) - 1))
+    b = max(b, 0)
+    run = blocks[b:b + k]
+    q0, stop = run[0][0], run[-1][0] + run[-1][1]
+    if kind == "wrap":
+        # a copy start q of the run with q*P_1 within the limit of 0
+        q = q0 + data.draw(st.integers(0, (stop - q0 - 1) // mult.m)) * mult.m
+        nums[0] = den * data.draw(st.integers(1, q)) // q % den
+        limit = min(_filter_value(nums[:1], den, q) + limit % (1 << 40), 2**63 - 1)
+        mult = _Multipliers(nums, den, q_max)
+    end, cuts, idx, a = mult.run(q0, limit, stop)
+    ends = [q + n for q, n in run]
+    assert end in ends and len(cuts) == ends.index(end) + 1
+    assert idx.tolist() == sorted(idx.tolist()) and len(idx) == cuts[-1]
+    c0 = 0
+    for j, ((qb, n), c1) in enumerate(zip(run, cuts.tolist())):
+        if j:  # a later block's limit: the seed only falls
+            limit = data.draw(st.integers(0, min(limit, 2**64)))
+        ib, ab = idx[c0:c1], a[c0:c1]
+        keep = ab <= np.uint64(min(limit, 1 << 63))
+        want_i, want_a = oracle_block_hits(mult, qb, n, limit)
+        assert (ib[keep] - np.uint64(qb - q0)).tolist() == want_i.tolist()
+        assert ab[keep].tolist() == want_a.tolist()
+        c0 = c1
+
+
 def _hot_records(theta, q_max):
     """The multipliers simultaneous_scan re-checks exactly, from Python ints:
     in each block, q is hot when a_q <= min(seed, a of the block's earlier
@@ -440,6 +512,26 @@ def test_scans_at_the_block_cap(theta, q_max):
                       exceptions) == [base_q, *hot]
 
 
+@pytest.mark.parametrize("theta", EDGE_THETAS, ids=["exact", "radius"])
+def test_records_inside_a_run_lower_the_later_blocks_limits(theta):
+    """Records that land in a run's later blocks, after its query: the
+    blocks behind them keep only the survivors of the lowered limit, so the
+    re-checks are still the hot set and the records the oracle's."""
+    q_max = 3 * _BLOCK + 5
+    runs, run = [], _Multipliers.run
+
+    def spy(mult, q0, limit, stop=None):
+        res = run(mult, q0, limit, stop)
+        runs.append((q0 + min(q0, _BLOCK), res[0]))  # its later blocks
+        return res
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(_Multipliers, "run", spy)
+        got = simultaneous_scan(theta, q_max)
+    assert got == oracle_simultaneous(theta, q_max)
+    assert any(lo <= q < end for q, _d in got[0] for lo, end in runs)
+    assert _rechecked(simultaneous_scan, theta, q_max) == _hot_records(theta, q_max)
+
+
 def test_scan_memory_does_not_grow_with_the_range():
     """Peak traced allocation (numpy reports its buffers to tracemalloc) of a
     d = 3 record scan and a baseline scan on a 34-bit denominator: ten times
@@ -462,6 +554,26 @@ def test_scan_memory_does_not_grow_with_the_range():
     for name in ("records", "baseline"):
         assert peaks[name, 10**7] <= 2 * peaks[name, 10**6]
     assert max(peaks.values()) < 4 * _BLOCK * 8
+
+
+def test_scan_memory_on_a_clustered_first_coordinate():
+    """Peak traced allocation where the first coordinate is 1/3: every third
+    multiplier passes the first-coordinate range query at any limit, so a
+    run must be cut by the candidates its copies actually hold."""
+    den = 3 * (2**40 + 15)
+    theta = CertifiedVector([F(1, 3), F(1555555555553, den)])
+    base_q = simultaneous_scan(theta, 10**7)[0][-1][0]
+    peaks = []
+    for q_max in (10**6, 10**7):
+        for scan, args in ((simultaneous_scan, (theta, q_max)),
+                           (all_greater_than_baseline, (theta, q_max, base_q, set()))):
+            tracemalloc.start()
+            try:
+                scan(*args)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+    assert max(peaks) < 4 * _BLOCK * 8
 
 
 @pytest.mark.parametrize("den", [2**63 - 25, 2**63 + 29, 2**64 - 59, 2**64 + 13,
