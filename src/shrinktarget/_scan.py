@@ -26,16 +26,18 @@ when x = q*P_1 lies in the circular range [-L, L].  Once per scan the ramp
 x_i = i*P_1, i < m = min(_RAMP, (q_max + 1) // 2), is sorted as keys: x_i
 with its low bits replaced by i.  One query answers a run of consecutive
 blocks from q0: the run is copies of the ramp, copy c shifted by
-(q0 + c*m)*P_1, so its survivors lie in one range of keys per copy.  The
-ranges of every copy up to q_max come from two array binary searches (the
-keys are stored twice over, so a range that wraps past 2^64 is one slice),
-and their sizes cut the run: it takes the most whole blocks, one at
-least, whose copies hold at most _RAMP keys (or that have at most _RAMP
-multipliers, where those are fewer), so a run holds about as much as one
-block.  The ranges are gathered in one pass, the test a_q <= L on every
-coordinate makes the superset exact, and the survivors are sorted by
-offset; when the ranges hold as many keys as the run has multipliers, the
-run takes every multiplier instead.  The other coordinates and the running
+(q0 + c*m)*P_1, so its survivors lie in one range of keys per copy.  Array
+binary searches find the ranges of the first block's copies, then of as
+many more copies as would hold about 2*_RAMP keys at that density, _RAMP
+copies at most (a range that wraps past 2^64 is one slice of the indices,
+which are stored twice over).  The sizes of the ranges cut the run: it
+takes the most whole blocks of those copies, one at least, whose ranges
+hold at most _RAMP keys (or that have at most _RAMP multipliers, where
+those are fewer), so a run holds about as much as one block however the
+candidates cluster.  The ranges are gathered in one pass, the test
+a_q <= L on every coordinate makes the superset exact, and the survivors
+are sorted by offset; when the ranges hold as many keys as the run has
+multipliers, the run takes every multiplier instead.  The other coordinates and the running
 minimum only see the candidates.  The run's L is that of its first block;
 a later block keeps its own survivors, those with a_q <= its own L, which
 is lower or equal: records only lower the seed, and the baseline's L is
@@ -140,13 +142,20 @@ class _Multipliers:
     @cached_property
     def keys(self):
         """The ramp x_i = i*P_1, i < m, as sorted keys (x_i with its low bits
-        replaced by i), twice over so that a circular range is one slice."""
+        replaced by i)."""
         i = np.arange(self.m, dtype=np.uint64)
         keys = i * self.steps[0]
         keys &= np.uint64((1 << 64) - _RAMP)  # clear the low bits
         keys |= i
         keys.sort()
-        return np.concatenate([keys, keys])
+        return keys
+
+    @cached_property
+    def index(self):
+        """The i of each key, in key order, twice over so that a circular
+        range of keys is one slice."""
+        i = (self.keys & np.uint64(_RAMP - 1)).astype(np.uint32)
+        return np.concatenate([i, i])
 
     def blocks(self):
         """Yield (q0, n): the multipliers q0, ..., q0 + n - 1."""
@@ -167,9 +176,10 @@ class _Multipliers:
         (default q_max + 1); the offsets i from q0, ascending, of the run's
         multipliers with a_{q0+i} <= limit, those a_{q0+i}, and cuts[j] the
         number of them in the run's first j + 1 blocks.  Below 2^63 one range
-        query per ramp copy gives a superset, which the test on every
-        coordinate makes exact.  The run ends at the last block that keeps
-        the multipliers or candidates to take at _RAMP or fewer."""
+        of keys per ramp copy gives a superset, which the test on every
+        coordinate makes exact.  The run takes the most blocks, of the copies
+        looked at, whose candidates (or multipliers, where fewer) number
+        _RAMP or fewer."""
         stop = self.q_max + 1 if stop is None else stop
         ends = self.ends[np.searchsorted(self.ends, q0, "right"):
                          np.searchsorted(self.ends, stop, "right")] - q0
@@ -178,36 +188,33 @@ class _Multipliers:
         if limit == 1 << 63:  # every multiplier
             take, cum = ends, None
         else:
-            # copy c holds q = q0 + c*m + i; its survivors have x_i in
-            # [lo, hi = lo + 2*limit] on the circle, so their keys lie
-            # between lo with its low bits cleared and hi with them set
-            base = np.arange(q0, q0 + int(ends[-1]), m, dtype=np.uint64)
-            base *= self.steps[0]  # wraps mod 2^64
-            lo = np.negative(base, out=base)
-            lo -= np.uint64(limit)
-            hi = lo + np.uint64(2 * limit)
-            head = self.keys[:m]
-            s = head.searchsorted(lo & np.uint64(-_RAMP % (1 << 64)))
-            e = head.searchsorted(hi | np.uint64(_RAMP - 1), "right")
-            # a range that wraps past 2^64 goes on into the second copy
-            np.minimum(e + m, s + m, out=e, where=hi < lo)
+            # the first block's copies, then as many as would hold about
+            # 2*_RAMP keys at their density, and _RAMP copies at most: so
+            # every offset of a run is below 2^32
+            k = -(-int(ends[0]) // m)
+            s, e = self._ranges(q0, k, limit)
+            held = int((e - s).sum())
+            more = min(-(-int(ends[-1]) // m) - k, _RAMP, 2 * _RAMP * k // max(held, 1))
+            if held <= _RAMP and more:
+                s2, e2 = self._ranges(q0 + k * m, more, limit)
+                s, e = np.concatenate([s, s2]), np.concatenate([e, e2])
+            ends = ends[ends <= len(s) * m]
             cum = np.cumsum(e - s)
             take = np.minimum(cum[(ends - 1) // m], ends)
         n = int(ends[max(int(np.searchsorted(take, _RAMP, "right")), 1) - 1])
         dense = cum is None or cum[(n - 1) // m] >= n
-        if dense:  # the ranges would hold n candidates or more
-            i = np.arange(n, dtype=np.uint64)
-        else:
-            k = -(-n // m)  # copies
+        if dense:  # the ranges hold n keys or more: take every multiplier
+            i = np.arange(n, dtype=np.uint32)
+        else:  # gather the ranges of the run's k copies in one pass
+            k = -(-n // m)
             lens = e[:k] - s[:k]
-            pos = np.arange(cum[k - 1])
-            pos += np.repeat(s[:k] - (cum[:k] - lens), lens)
-            i = self.keys[pos]
-            i &= np.uint64(_RAMP - 1)
-            i += np.repeat(np.arange(0, k * m, m, dtype=np.uint64), lens)
+            pos = np.arange(cum[k - 1], dtype=np.int32)
+            pos += np.repeat((s[:k] - (cum[:k] - lens)).astype(np.int32), lens)
+            i = self.index.take(pos)
+            i += np.repeat(np.arange(0, k * m, m, dtype=np.uint32), lens)
             if n < k * m:
                 i = i[i < n]
-        qs = i + np.uint64(q0)
+        qs = i + np.uint64(q0)  # uint64
         a = np.uint64(0)
         for st in self.steps:
             x = qs * st  # wraps mod 2^64
@@ -217,8 +224,26 @@ class _Multipliers:
         if not dense:
             o = i.argsort()
             i, a = i[o], a[o]
-        cuts = i.searchsorted(ends[ends <= n].astype(np.uint64))
+        cuts = i.searchsorted(ends[ends <= n].astype(np.uint32))
         return q0 + n, cuts, i, a
+
+    def _ranges(self, start: int, copies: int, limit: int):
+        """(s, e): the ranges [s, e) in index of the copies of the ramp from
+        the multiplier start on, for a limit < 2^63.  Copy c holds
+        q = start + c*m + i; its survivors have x_i in [lo, hi = lo + 2*limit]
+        on the circle, so their keys lie between lo with its low bits cleared
+        and hi with them set."""
+        m = self.m
+        lo = np.arange(start, start + copies * m, m, dtype=np.uint64)
+        lo *= self.steps[0]  # wraps mod 2^64
+        np.negative(lo, out=lo)
+        lo -= np.uint64(limit)
+        hi = lo + np.uint64(2 * limit)
+        s = self.keys.searchsorted(lo & np.uint64(-_RAMP % (1 << 64)))
+        e = self.keys.searchsorted(hi | np.uint64(_RAMP - 1), "right")
+        # a range that wraps past 2^64 goes on into the second copy
+        np.minimum(e + m, s + m, out=e, where=hi < lo)
+        return s, e
 
     def hits(self, q0: int, n: int, limit: int):
         """(i, a): the run query on the one block q0, ..., q0 + n - 1."""

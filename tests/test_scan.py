@@ -381,11 +381,11 @@ def oracle_block_hits(mult, q0, n, limit):
         for j in range(0, n, _RAMP):
             lo = (-(q0 + j) * step - limit) % (1 << 64)
             hi = lo + 2 * limit
-            s = int(keys[:m].searchsorted(np.uint64(lo & -_RAMP)))
-            e = int(keys[:m].searchsorted(np.uint64(hi % (1 << 64) | (_RAMP - 1)), "right"))
+            s = int(keys.searchsorted(np.uint64(lo & -_RAMP)))
+            e = int(keys.searchsorted(np.uint64(hi % (1 << 64) | (_RAMP - 1)), "right"))
             if hi >> 64:
                 e = min(e + m, s + m)
-            parts.append((keys[s:e] & np.uint64(_RAMP - 1)) + np.uint64(j))
+            parts.append(mult.index[s:e].astype(np.uint64) + np.uint64(j))
         i = np.concatenate(parts)
         i = np.sort(i[i < n])
     qs = i + np.uint64(q0)
