@@ -279,21 +279,24 @@ def simultaneous_scan(theta: CertifiedVector, q_max: int, *,
     out = []
     # an exact scan stops at q = den at the latest, where D_q = 0
     mult = _Multipliers(nums, den, min(q_max, den) if exact else q_max)
+
+    def limit():  # the filter limit of a block, from the record in force
+        return min((_fp_up(best_d, den) if best_q else 1 << 63) + slack, 1 << 63)
+
     q0 = 1
     while q0 <= mult.q_max:
         # one query for a run of blocks at its first block's limit; the seed
         # only falls, so each block then keeps the survivors of its own
-        limit = run_limit = min((_fp_up(best_d, den) if best_q else 1 << 63) + slack, 1 << 63)
+        run_limit = limit()
         end, cuts, idx, a = mult.run(q0, run_limit)
         cuts = [0, *cuts.tolist()]
         for c0, c1 in zip(cuts, cuts[1:]):
             if c0 == c1:  # no survivors: the block changes nothing
                 continue
             ib, ab = idx[c0:c1], a[c0:c1]
-            if best_q:
-                limit = min(_fp_up(best_d, den) + slack, 1 << 63)
-            if limit < run_limit:
-                keep = ab <= np.uint64(limit)
+            lim = limit()
+            if lim < run_limit:
+                keep = ab <= np.uint64(lim)
                 ib, ab = ib[keep], ab[keep]
             if slack < 1 << 63:  # else a degenerate radius: every a_q <= 2^63 is hot
                 # a running minimum <= 2^63 plus slack < 2^63 fits in uint64

@@ -4,10 +4,10 @@ The multiplier scans are checked against `oracle_simultaneous` and
 `oracle_baseline`: the plain per-q walks, with every decision made on exact
 integers, that the fixed-point engine must reproduce record for record and
 error for error, and the run query of `_Multipliers` is checked block by
-block against `oracle_block_hits`, the per-copy walk it replaced.  The
-linear scans are checked the same way against `oracle_linear_min` and
-`oracle_linear_records`, walks over every canonical cell of the box, shell
-by shell.
+block against `oracle_block_hits`, a walk over the ramp copies of one
+block.  The linear scans are checked the same way against
+`oracle_linear_min` and `oracle_linear_records`, walks over every canonical
+cell of the box, shell by shell.
 """
 
 import itertools
