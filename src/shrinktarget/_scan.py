@@ -22,43 +22,33 @@ every multiplier the exact walk would look at; each hot q gets its exact D_q
 from Python ints and goes through the exact logic, and every other q
 provably changes nothing.  Blocks double, [k, 2k), up to _BLOCK multipliers,
 and are filtered coordinate first: for L < 2^63, min(x, -x) <= L exactly
-when x = q*P_1 lies in the circular range [-L, L].  Once per scan the ramp
-x_i = i*P_1, i < m = min(_RAMP, (q_max + 1) // 2), is sorted as keys: x_i
-with its low bits replaced by i.  One query answers a run of consecutive
-blocks from q0: the run is copies of the ramp, copy c shifted by
-(q0 + c*m)*P_1, so its survivors lie in one range of keys per copy.  Array
-binary searches find the ranges of the first block's copies, then of as
-many more copies as would hold about 2*_RAMP keys at that density, _RAMP
-copies at most (a range that wraps past 2^64 is one slice of the indices,
-which are stored twice over).  The sizes of the ranges cut the run: it
-takes the most whole blocks of those copies, one at least, whose ranges
-hold at most _RAMP keys (or that have at most _RAMP multipliers, where
-those are fewer), so a run holds about as much as one block however the
-candidates cluster.  The ranges are gathered in one pass, the test
-a_q <= L on every coordinate makes the superset exact, and the survivors
-are sorted by offset; when the ranges hold as many keys as the run has
-multipliers, the run takes every multiplier instead.  The other coordinates and the running
-minimum only see the candidates.  The run's L is that of its first block;
-a later block keeps its own survivors, those with a_q <= its own L, which
-is lower or equal: records only lower the seed, and the baseline's L is
-fixed.  A block with no survivors changes nothing and is skipped.
-Records take L = seed + fast + 2E: a q with a_q > L cannot lower
-min(seed, .), and every survivor has a_q <= L, so a survivor is hot exactly
-when a_q <= (running minimum of the survivors up to q) + fast + 2E.
+when x = q*P_1 lies in the circular range [-L, L].  The ramp x_i = i*P_1,
+i < m = min(_RAMP, (q_max + 1) // 2), is one _Ramp per scan, and a run of
+consecutive blocks from q0 is copies of it, copy c shifted by
+(q0 + c*m)*P_1: one range per copy, all in one query (see
+_Multipliers.run).  The test a_q <= L on every coordinate makes the
+superset exact; the other coordinates and the running minimum only see the
+candidates.  The run's L is that of its first block; a later block keeps
+its own survivors, those with a_q <= its own L, which is lower or equal:
+records only lower the seed, and the baseline's L is fixed.  A block with
+no survivors changes nothing and is skipped.  Records take
+L = seed + fast + 2E: a q with a_q > L cannot lower min(seed, .), and every
+survivor has a_q <= L, so a survivor is hot exactly when
+a_q <= (running minimum of the survivors up to q) + fast + 2E.
 
 Linear scans (linear_min, linear_records) take the nonzero integer vectors s
 with |s|_sup <= h, first nonzero coordinate positive, and
 D(s) = min(g, D - g) for g = <s, p> mod D.  The same filter puts cell s at
 the wrapping position sum s_i*P_i with |a(s) - 2^64 * D(s) / D| <= E := d*h.
-The positions of the tails (s_2, ..., s_d) are sorted once; head s_1 >= 1
-then finds its nearest cells by np.searchsorted around -s_1*P_1 on the circle,
-and s_1 = 0 takes the canonical tails alone.  A minimum: by the box
+The tails (s_2, ..., s_d) are one _Ramp; each head s_1 >= 1 takes the range
+[y - L, y + L] around y = -s_1*P_1, all heads in one query, and s_1 = 0
+takes the canonical tails alone.  A range may add cells less than 2^bits
+past L, which change nothing: each gets its exact D, and every minimizer,
+witness and cell re-checked below lies within L.  A minimum: by the box
 principle two of the (h+1)^d cells of {0..h}^d have values within
 1/(h+1)^d on the circle, and their difference is a nonzero cell of the box,
-so min D(s) / D <= 1/(h+1)^d and every exact minimizer has a(s) <= L :=
-floor(2^64 / (h+1)^d) + E; every cell within the fast margin of it has
-a(s) <= L + ceil(fast * 2^64 / D).  These candidates come from two range
-queries per head, are put back in lexicographic order, get their exact D,
+so every exact minimizer has a(s) <= L := floor(2^64 / (h+1)^d) + E, every
+cell within the fast margin of it has a(s) <= L + ceil(fast * 2^64 / D),
 and the witness is the lexicographically first minimizer.  Records run
 shells in doubling blocks (H/2, H]: the running record is the minimum over
 the box of radius H/2, a shell whose minimum exceeds it by more than the
@@ -93,7 +83,7 @@ DEFAULT_BUDGET = 10**8
 _NP_LIMIT = 1 << 62
 _CHUNK = 1 << 20  # linear cells per fixed-point block
 _BLOCK = 1 << 16  # widest block of multipliers
-_RAMP = 1 << 14  # sorted ramp entries, and the keys of a run of blocks (or of one)
+_RAMP = 1 << 14  # sorted ramp entries, and the words of a run of blocks (or of one)
 
 
 def scan_data(theta: CertifiedVector) -> tuple[tuple[int, ...], int, Fraction]:
@@ -130,6 +120,69 @@ def _fp_up(x: int, den: int) -> int:
     return -((-x << 64) // den)
 
 
+def _d64(positions) -> np.ndarray:
+    """Largest |pos| over the coordinates' uint64 (or uint32) positions, each
+    read as signed: the distance to 0 on the circle, where |-2^63| wraps back
+    to 2^63 (|-2^31| to 2^31).  Overwrites the positions."""
+    d = None
+    for pos in positions:
+        signed = pos.view(f"i{pos.itemsize}")
+        np.abs(signed, out=signed)
+        d = pos if d is None else np.maximum(d, pos, out=d)
+    return d
+
+
+class _Ramp:
+    """Steps i < n at uint64 positions x_i on the circle of 2^64, sorted as
+    words: x_i with its low `bits` bits replaced by i (n <= 2^bits).
+
+    The range query of every scan engine: a circular range [lo, lo + width]
+    of positions holds the words from lo with its low bits cleared to
+    lo + width with them set, so every step whose position lies in it and
+    only steps within 2^bits - 1 of it.  The widened range must not reach
+    around the circle: width <= 2^64 - 2^(bits+1) ([y - L, y + L] with
+    L <= reach = 2^63 - 2^bits), or the whole circle, width 2^64 - 1 from a
+    lo with its low bits clear.
+    """
+
+    def __init__(self, positions, bits: int):
+        """Takes over the uint64 array positions as its words."""
+        self.mask = np.uint64((1 << bits) - 1)
+        self.reach = (1 << 63) - (1 << bits)
+        self.words = words = positions
+        words &= ~self.mask
+        words |= np.arange(len(words), dtype=np.uint64)
+        words.sort()
+        self.index = words.astype(np.uint32)
+        self.index &= np.uint32(self.mask)
+
+    def ranges(self, lo, width: int):
+        """(r, s, e) for the ranges [lo[j], lo[j] + width] (lo uint64): r,
+        ascending, the places j whose first word on the circle from lo with
+        its low bits cleared lies within width + 2^(bits+1) - 2 of it (so
+        every range holding a word), whose upper ends alone are searched, and
+        the slices [s, e) of the sorted words their ranges hold; a place
+        p >= n stands for p - n, so a range across 2^64 is one slice."""
+        low = lo & ~self.mask
+        s = self.words.searchsorted(low)
+        first = self.words.take(s, mode="wrap")
+        first -= low
+        r = np.flatnonzero(first <= np.uint64(min(width + 2 * int(self.mask), 2**64 - 1)))
+        lo = lo[r]
+        hi = lo + np.uint64(width)
+        hi |= self.mask  # below lo where the range wraps past 2^64
+        return r, s[r], self.words.searchsorted(hi, "right") + len(self.words) * (hi < lo)
+
+    def gather(self, r, s, e):
+        """(r, i): the steps i of the slices [s, e) of ranges(), slice by
+        slice, each with the place r of its range (both uint32)."""
+        lens = e - s
+        cum = np.cumsum(lens)
+        pos = np.arange(cum[-1] if len(cum) else 0, dtype=np.int32)
+        pos += np.repeat((s - (cum - lens)).astype(np.int32), lens)
+        return np.repeat(r.astype(np.uint32), lens), self.index.take(pos, mode="wrap")
+
+
 class _Multipliers:
     """The fixed-point distances a_q of the multipliers 1..q_max, in doubling
     blocks [1, 1], [2, 3], [4, 7], ..., at most _BLOCK wide."""
@@ -140,22 +193,10 @@ class _Multipliers:
         self.m = min(_RAMP, (q_max + 1) // 2)  # every block has n <= (q_max + 1) // 2
 
     @cached_property
-    def keys(self):
-        """The ramp x_i = i*P_1, i < m, as sorted keys (x_i with its low bits
-        replaced by i)."""
-        i = np.arange(self.m, dtype=np.uint64)
-        keys = i * self.steps[0]
-        keys &= np.uint64((1 << 64) - _RAMP)  # clear the low bits
-        keys |= i
-        keys.sort()
-        return keys
-
-    @cached_property
-    def index(self):
-        """The i of each key, in key order, twice over so that a circular
-        range of keys is one slice."""
-        i = (self.keys & np.uint64(_RAMP - 1)).astype(np.uint32)
-        return np.concatenate([i, i])
+    def ramp(self):
+        """The ramp x_i = i*P_1, i < m, as a _Ramp of 14-bit indices."""
+        return _Ramp(np.arange(self.m, dtype=np.uint64) * self.steps[0],
+                     _RAMP.bit_length() - 1)
 
     def blocks(self):
         """Yield (q0, n): the multipliers q0, ..., q0 + n - 1."""
@@ -175,50 +216,47 @@ class _Multipliers:
         to end - 1, at least one block and none past the block end stop
         (default q_max + 1); the offsets i from q0, ascending, of the run's
         multipliers with a_{q0+i} <= limit, those a_{q0+i}, and cuts[j] the
-        number of them in the run's first j + 1 blocks.  Below 2^63 one range
-        of keys per ramp copy gives a superset, which the test on every
-        coordinate makes exact.  The run takes the most blocks, of the copies
-        looked at, whose candidates (or multipliers, where fewer) number
-        _RAMP or fewer."""
+        number of them in the run's first j + 1 blocks.  It queries the first
+        block's copies of the ramp, then as many more as would hold about
+        2*_RAMP words at that density (_RAMP at most: offsets stay below
+        2^32), and takes the most whole blocks of them, one at least, whose
+        ranges hold at most _RAMP words (or multipliers, where fewer): about
+        one block's worth however the candidates cluster.  It takes every
+        multiplier where the ranges hold as many, or past the ramp's reach."""
         stop = self.q_max + 1 if stop is None else stop
         ends = self.ends[np.searchsorted(self.ends, q0, "right"):
                          np.searchsorted(self.ends, stop, "right")] - q0
         limit = min(limit, 1 << 63)  # every a_q <= 2^63
         m = self.m
-        if limit == 1 << 63:  # every multiplier
+        if limit > (1 << 63) - _RAMP:  # past the ramp's reach: every multiplier
             take, cum = ends, None
         else:
-            # the first block's copies, then as many as would hold about
-            # 2*_RAMP keys at their density, and _RAMP copies at most: so
-            # every offset of a run is below 2^32
             k = -(-int(ends[0]) // m)
-            s, e = self._ranges(q0, k, limit)
+            r, s, e = self._ranges(q0, k, limit)
             held = int((e - s).sum())
             more = min(-(-int(ends[-1]) // m) - k, _RAMP, 2 * _RAMP * k // max(held, 1))
             if held <= _RAMP and more:
-                s2, e2 = self._ranges(q0 + k * m, more, limit)
-                s, e = np.concatenate([s, s2]), np.concatenate([e, e2])
-            ends = ends[ends <= len(s) * m]
-            cum = np.cumsum(e - s)
+                r2, s2, e2 = self._ranges(q0 + k * m, more, limit)
+                r, s, e = (np.concatenate(p) for p in ((r, r2 + k), (s, s2), (e, e2)))
+                k += more
+            ends = ends[ends <= k * m]
+            cum = np.zeros(k, dtype=np.intp)  # the words of the copies up to each
+            cum[r] = e - s
+            np.cumsum(cum, out=cum)
             take = np.minimum(cum[(ends - 1) // m], ends)
         n = int(ends[max(int(np.searchsorted(take, _RAMP, "right")), 1) - 1])
         dense = cum is None or cum[(n - 1) // m] >= n
-        if dense:  # the ranges hold n keys or more: take every multiplier
+        if dense:
             i = np.arange(n, dtype=np.uint32)
-        else:  # gather the ranges of the run's k copies in one pass
-            k = -(-n // m)
-            lens = e[:k] - s[:k]
-            pos = np.arange(cum[k - 1], dtype=np.int32)
-            pos += np.repeat((s[:k] - (cum[:k] - lens)).astype(np.int32), lens)
-            i = self.index.take(pos)
-            i += np.repeat(np.arange(0, k * m, m, dtype=np.uint32), lens)
-            if n < k * m:
+        else:  # gather the ranges of the run's copies in one pass
+            j = np.searchsorted(r, -(-n // m))
+            c, i = self.ramp.gather(r[:j], s[:j], e[:j])
+            c *= np.uint32(m)
+            i += c
+            if n % m:
                 i = i[i < n]
         qs = i + np.uint64(q0)  # uint64
-        a = np.uint64(0)
-        for st in self.steps:
-            x = qs * st  # wraps mod 2^64
-            a = np.maximum(a, np.minimum(x, np.negative(x), out=x), out=x)
+        a = _d64(qs * st for st in self.steps)  # the positions wrap mod 2^64
         keep = a <= np.uint64(limit)
         i, a = i[keep], a[keep]
         if not dense:
@@ -228,22 +266,16 @@ class _Multipliers:
         return q0 + n, cuts, i, a
 
     def _ranges(self, start: int, copies: int, limit: int):
-        """(s, e): the ranges [s, e) in index of the copies of the ramp from
-        the multiplier start on, for a limit < 2^63.  Copy c holds
-        q = start + c*m + i; its survivors have x_i in [lo, hi = lo + 2*limit]
-        on the circle, so their keys lie between lo with its low bits cleared
-        and hi with them set."""
+        """The ramp's ranges (r, s, e) of its copies from the multiplier
+        start on, for a limit within its reach.  Copy c holds
+        q = start + c*m + i; its survivors have x_i in [lo, lo + 2*limit] on
+        the circle."""
         m = self.m
         lo = np.arange(start, start + copies * m, m, dtype=np.uint64)
         lo *= self.steps[0]  # wraps mod 2^64
         np.negative(lo, out=lo)
         lo -= np.uint64(limit)
-        hi = lo + np.uint64(2 * limit)
-        s = self.keys.searchsorted(lo & np.uint64(-_RAMP % (1 << 64)))
-        e = self.keys.searchsorted(hi | np.uint64(_RAMP - 1), "right")
-        # a range that wraps past 2^64 goes on into the second copy
-        np.minimum(e + m, s + m, out=e, where=hi < lo)
-        return s, e
+        return self.ramp.ranges(lo, 2 * limit)
 
     def hits(self, q0: int, n: int, limit: int):
         """(i, a): the run query on the one block q0, ..., q0 + n - 1."""
@@ -342,7 +374,7 @@ def _check_linear_budget(h, dim, budget):
 
 class _LinearBox:
     """The canonical half of the box |s|_sup <= h, filtered in 64-bit fixed
-    point through one sorted list of the tails (s_2, ..., s_d).
+    point through one _Ramp of the tails (s_2, ..., s_d).
 
     Cell s has the key s_1 * T + t, where t is the lexicographic index of its
     tail among the T = (2h+1)^(d-1) tails, so key order is lexicographic
@@ -359,47 +391,34 @@ class _LinearBox:
         for step in steps[1:]:
             x = (x[:, None] + side * step).ravel()
         self.T = len(x)
-        self.head0 = np.minimum(x, np.negative(x))[self.T // 2 + 1:]
-        self.order = np.argsort(x)
-        self.sorted = x[self.order]
-        # cell (s_1, t) with s_1 >= 1 has filter distance |x_t - y| on the
-        # circle, y = -s_1*P_1
+        self.head0 = _d64([x[self.T // 2 + 1:].copy()])
+        self.ramp = _Ramp(x, (self.T - 1).bit_length())  # tail t has index t
+        # cell (s_1, t), s_1 >= 1, has filter distance |x_t - y|, y = -s_1*P_1
         self.y = np.negative(np.arange(1, h + 1, dtype=np.uint64) * steps[0])
 
     def scan(self, limit: int):
-        """Yield (cells, dists): the canonical cells whose filter distance is
-        at most limit, in lexicographic order and in chunks of about _CHUNK
-        cells, with their exact integer distances D over den."""
+        """Yield (cells, dists), in lexicographic order and in chunks of about
+        _CHUNK cells: the canonical cells whose filter distance is at most
+        limit (and some less than 2^bits past it, see _Ramp), with their
+        exact integer distances D over den."""
         T, h = self.T, self.h
         first = T // 2 + 1
-        if limit >= 1 << 63:  # every cell
-            starts = np.zeros((h, 2), dtype=np.int64)
-            stops = np.zeros((h, 2), dtype=np.int64)
-            stops[:, 0] = T
+        if limit > self.ramp.reach:  # every cell: each head takes the circle
+            lo, width = np.zeros(h, dtype=np.uint64), 2**64 - 1
             keys = np.arange(first, T)
-        else:
-            # the tails within limit of y: [y - limit, y + limit] on the
-            # circle, one or two index ranges of the sorted list
-            lim = np.uint64(limit)
-            lo, hi = self.y - lim, self.y + lim
-            i0 = np.searchsorted(self.sorted, lo, "left")
-            i1 = np.searchsorted(self.sorted, hi, "right")
-            wrap = lo > hi
-            starts = np.stack([i0, np.zeros_like(i0)], axis=1)
-            stops = np.stack([np.where(wrap, T, i1), np.where(wrap, i1, 0)], axis=1)
-            keys = first + np.flatnonzero(self.head0 <= lim)
+        else:  # the tails within limit of y: [y - limit, y + limit]
+            lo, width = self.y - np.uint64(limit), 2 * limit
+            keys = first + np.flatnonzero(self.head0 <= np.uint64(limit))
         if len(keys):
             yield self._exact(keys)
-        lens = stops - starts
-        cum = np.cumsum(lens.sum(axis=1))
+        r, s, e = self.ramp.ranges(lo, width)  # head s_1 = r + 1
+        cum = np.cumsum(e - s)
         k = 0
-        while k < h:
+        while k < len(r):
             base = int(cum[k - 1]) if k else 0
-            k1 = max(k + 1, min(h, int(np.searchsorted(cum, base + _CHUNK)) + 1))
-            st, ln = starts[k:k1].ravel(), lens[k:k1].ravel()
-            pos = np.repeat(st - (np.cumsum(ln) - ln), ln) + np.arange(int(cum[k1 - 1]) - base)
-            keys = np.repeat(np.arange(k + 1, k1 + 1) * T, lens[k:k1].sum(axis=1))
-            keys += self.order[pos]
+            k1 = max(k + 1, min(len(r), int(np.searchsorted(cum, base + _CHUNK)) + 1))
+            head, t = self.ramp.gather(r[k:k1], s[k:k1], e[k:k1])
+            keys = (head.astype(np.int64) + 1) * T + t
             keys.sort()
             if len(keys):
                 yield self._exact(keys)

@@ -63,14 +63,13 @@ def _content(p: LatticePoint3) -> int:
 
 
 def _best_shift(base: LatticePoint3, p: LatticePoint3) -> LatticePoint3:
-    """base - k*p minimizing the sup norm, ties broken by the k nearest 0.
+    """base - k*p (p nonzero) minimizing the sup norm, ties broken by the k
+    nearest 0.
 
     The norm is convex in k, so its minimizers form an interval: locate the
     endpoints by binary search on the slope and clamp 0 into the interval.
     """
     cands = [b // c for b, c in zip(base.as_tuple(), p.as_tuple()) if c]
-    if not cands:
-        return base
     window = min(cands) - 2, max(cands) + 2
     (bx, by, bz), (px, py, pz) = base.as_tuple(), p.as_tuple()
 
@@ -437,13 +436,13 @@ def verify_construction(state: ConstructionState,
         return v is bad or v is Verdict.INCONCLUSIVE
 
     def add_enclosure(name, what, bounds):
-        """lo <= value <= hi for (value, lo, hi) = bounds(n), n in [0, depth];
-        the upper bound is compared only when the lower one holds."""
+        """lo <= value <= hi for (value, lo, hi) = bounds(n) (None fails n),
+        n in [0, depth]; the upper bound is compared only when the lower holds."""
         bad = []
         for n in range(state.depth + 1):
-            val, lo, hi = bounds(n)
-            if (fails(val, lo, Verdict.LESS, f"{what} lower")
-                    or fails(val, hi, Verdict.GREATER, f"{what} upper")):
+            b = bounds(n)
+            if (b is None or fails(b[0], b[1], Verdict.LESS, f"{what} lower")
+                    or fails(b[0], b[2], Verdict.GREATER, f"{what} upper")):
                 bad.append(n)
         add_failing(name, f"n in [0, {state.depth}]", bad)
 
@@ -509,8 +508,9 @@ def verify_construction(state: ConstructionState,
                              Fraction(3, 4 * steps[n + 1].q), Fraction(5, 4 * steps[n + 1].q)))
     add_enclosure("weighted enclosure 3/(32a_{n+1}) <= h_{n+1}^2 |<Delta_n, theta_bar>| "
                   "<= 10/a_{n+1}", "weighted line value",
-                  lambda n: (_form_value_abs(steps[n].delta, fine) * steps[n + 1].h ** 2,
-                             Fraction(3, 32 * a[n + 1]), Fraction(10, a[n + 1])))
+                  lambda n: None if a[n + 1] < 1 else (  # the sandwich fails it too
+                      _form_value_abs(steps[n].delta, fine) * steps[n + 1].h ** 2,
+                      Fraction(3, 32 * a[n + 1]), Fraction(10, a[n + 1])))
 
     # brute-force minimality below each scanned level: every q < q_{n+1}
     # outside {q_n, q_{n+1} - q_n} satisfies |q theta| > |q_n theta|

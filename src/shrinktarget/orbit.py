@@ -41,14 +41,14 @@ sits at top(x) + base + k*top(theta), so it can be a candidate only when
 the ramp value k*top(theta) is within the miss limit of p = -(top(x) +
 base) on every coordinate.  The ramp, k < m <= L, is bucketed once in
 cells of 2^shift top units (wider than the largest target plus E and e) on
-at most two coordinates, sorted as words key << 16 | k (keys of at most 48
-bits), and bucketed again only when a later run allows narrower cells; m
-is chosen so that a block yields about 2^20 candidate pairs.  A run of
-blocks b0, b0 + m, ... (at most 2^16 probes, one block at least, and about
-2^20 candidate pairs) probes the 3^keyed cells around every unhit sample's
-p in each of its blocks: one sorted probe array, one left/right search of
-the ramp's keys.  Its cells are those of its first block, whose targets are
-the widest.  Only the candidates get their d64, and their limits from
+at most two coordinates, as a _Ramp of 16-bit indices at the positions
+key << 16 (see _Grid), and bucketed again only when a later run allows
+narrower cells; m is chosen so that a block yields about 2^20 candidate
+pairs.  A run of blocks b0, b0 + m, ... (at most 2^16 probes, one block at
+least, and about 2^20 candidate pairs) probes the 3^keyed cells around
+every unhit sample's p in each of its blocks in one query of one-key
+ranges.  Its cells are those of its first block, whose targets are the
+widest.  Only the candidates get their d64, and their limits from
 one lookup in the run's level ladder, whose E is that of one block (each
 block is rebased); the run is settled at once.
 
@@ -74,6 +74,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._scan import _d64, _Ramp
 from .errors import DomainError, PrecisionError, ResourceError
 from .exact import CertifiedVector, as_vector, dist_nearest_int, rational
 from .roots import _MAX_ROOT_ORDER, _log2_units, iroot, log2_enclosure, sqrt_upper
@@ -246,18 +247,6 @@ class _SweepResult(NamedTuple):
     inconclusive: int
     min_lo: int | None  # certified bounds on min_{n>=2} distance, in
     min_hi: int | None  # fixed-point units; None if no n >= 2
-
-
-def _d64(positions) -> np.ndarray:
-    """Largest |pos| over the coordinates' uint64 (or uint32) positions, each
-    read as signed: |-2^63| wraps back to 2^63 (|-2^31| to 2^31).
-    Overwrites the positions."""
-    d = None
-    for pos in positions:
-        signed = pos.view(f"i{pos.itemsize}")
-        np.abs(signed, out=signed)
-        d = pos if d is None else np.maximum(d, pos, out=d)
-    return d
 
 
 def _miss32(miss: np.ndarray) -> np.ndarray:
@@ -680,52 +669,44 @@ def bc_window_estimate(config: OrbitConfig, window: tuple[int, int]) -> WindowEs
 
 class _Grid:
     """The step ramp k*top(theta), k < m, of the narrow window search: each
-    step keyed by the cells of 2^shift top units its coordinates lie in, and
-    sorted as words key << 16 | k (keys of at most 48 bits)."""
+    step keyed by the cells of 2^shift top units its coordinates lie in, as
+    a _Ramp at the position key << 16 (keys of at most 48 bits)."""
 
     def __init__(self, theta_top, shift: int, m: int):
-        """theta_top: top(theta) on at most two coordinates.  The words are
-        made in place: each fresh array of the ramp's size costs its page
-        faults again."""
-        self.shift, self.width = np.uint64(shift), np.uint64(64 - shift)
-        self.mask = np.uint64((1 << (64 - shift)) - 1)  # cell indices wrap at 2^width
+        """theta_top: top(theta) on at most two coordinates.  The positions
+        are made in place: each fresh array of the ramp's size costs its
+        page faults again."""
+        self.width = np.uint64(64 - shift)
         k = np.arange(m, dtype=np.uint64)
-        words = np.zeros(m, dtype=np.uint64)
+        pos = np.zeros(m, dtype=np.uint64)
         for t in theta_top:
-            words <<= self.width
-            words |= k * t >> self.shift
-        words <<= np.uint64(_INDEX_BITS)
-        words |= k
-        words.sort()
-        self.words = words
-        # and a last key above every probe, which no probe meets
-        self.keys = np.empty(m + 1, dtype=np.uint64)
-        np.right_shift(words, np.uint64(_INDEX_BITS), out=self.keys[:m])
-        self.keys[m] = 2 ** 64 - 1
+            pos <<= self.width
+            pos |= k * t >> np.uint64(shift)
+        pos <<= np.uint64(_INDEX_BITS)
+        self.ramp = _Ramp(pos, _INDEX_BITS)
+        self.shift = np.uint64(shift - _INDEX_BITS)  # to cell indices above the index bits
+        self.cells = np.uint64(((1 << (64 - shift)) - 1) << _INDEX_BITS)  # wrap at 2^width
         keyed = len(theta_top)
         self.around = np.array([[o // 3 ** c % 3 - 1 for c in range(keyed)]
                                 for o in range(3 ** keyed)]).astype(np.uint64)  # -1 wraps
+        self.around <<= np.uint64(_INDEX_BITS)
 
     def near(self, points):
         """The pairs (i, k) whose step k lies in one of the 3^keyed cells
         around point i, on every coordinate: points is an array (..., keyed)
         of top units and i a flat index of its points.  One sorted pass
         finds them: a pair within a cell's width of a point on every
-        coordinate is among them."""
+        coordinate is among them.  Each probe is the one-key range of the
+        ramp at its cell's key << 16."""
         cell = points >> self.shift
         probe = np.zeros(cell.shape[:-1] + (len(self.around),), dtype=np.uint64)
         for c in range(cell.shape[-1]):
             probe <<= self.width
-            probe |= (cell[..., c, None] + self.around[:, c]) & self.mask
+            probe |= (cell[..., c, None] + self.around[:, c]) & self.cells
         order = np.argsort(probe, axis=None)
         probe = probe.ravel()[order]
-        first = np.searchsorted(self.keys, probe, side="left")
-        found = np.flatnonzero(self.keys[first] == probe)
-        first = first[found]
-        count = np.searchsorted(self.keys, probe[found], side="right") - first
-        at = np.repeat(first - (np.cumsum(count) - count), count)
-        ks = (self.words[at + np.arange(len(at))] & np.uint64(_BLOCK - 1)).astype(np.intp)
-        return np.repeat(order[found] // len(self.around), count), ks
+        r, ks = self.ramp.gather(*self.ramp.ranges(probe, 0))
+        return order[r] // len(self.around), ks
 
 
 def _window(config: OrbitConfig, starts, l_lo: int, l_hi: int):

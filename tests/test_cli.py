@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from shrinktarget import cli
 from shrinktarget.construct import _materialize, build_theta, minimal_heights
-from shrinktarget.errors import ConfigError
+from shrinktarget.errors import ConfigError, InternalError
 
 
 def parse(text):
@@ -358,7 +358,7 @@ def test_successive_main_calls_each_parse_their_own_command(tmp_path):
                                                                   "transfer.json"]
 
 
-def test_main_config_error_exit_2_and_error_json(tmp_path, capsys):
+def test_main_config_error_exit_2_and_error_json(tmp_path, capsys, monkeypatch):
     cfg = write_config(tmp_path, """\
         command=approx
         theta=2/7
@@ -373,31 +373,84 @@ def test_main_config_error_exit_2_and_error_json(tmp_path, capsys):
     # the same payload goes to stderr for scripting
     captured = capsys.readouterr()
     assert json.loads(captured.err.strip())["exit_code"] == 2
+    # a failed invariant of the package is no input error: exit 5
+    def broken(values, out):
+        raise InternalError("an invariant failed")
+    monkeypatch.setitem(cli._RUNNERS, "approx", broken)
+    cfg = write_config(tmp_path, "command=approx\ntheta=2/7\nlimit=5\n")
+    assert cli.main(["approx", "--config", cfg, "--out", str(out)]) == 5
+    err = json.loads((out / "error.json").read_text())
+    assert (err["error"], err["exit_code"]) == ("InternalError", 5)
 
 
 def test_verify_tampered_certification_step_exit_2(tmp_path):
-    """Doubling Delta_{depth+1} and its norm widens the refined radius until a
-    gap enclosure is undecidable; verify still writes its report, naming the
-    primitivity failure, and exits 2 (a failed verification), not 3."""
+    """Tampered transcripts: verify writes its report, naming the failed
+    checks, and exits 2 (a failed verification), not 3 or 5.  Doubling
+    Delta_{depth+1} and its norm widens the refined radius until a gap
+    enclosure is undecidable.  An `a` line whose a_1 is 0 fails the sandwich
+    at level 1 and the weighted enclosure, whose bounds divide by a_1, at
+    level 0."""
     a = lambda n: 33
-    lines = build_theta(a, minimal_heights(a, 1, 5), 2).to_text().splitlines()
-    for i, ln in enumerate(lines):
-        if ln.startswith("step 3 "):
-            parts = ln.split()
-            parts[2:5] = [str(2 * int(v)) for v in parts[2:5]]
-            parts[8] = str(2 * int(parts[8]))
-            lines[i] = " ".join(parts)
-    transcript = tmp_path / "tampered.txt"
-    transcript.write_text("\n".join(lines) + "\n")
+
+    def step3(ln):
+        parts = ln.split()
+        parts[2:5] = [str(2 * int(v)) for v in parts[2:5]]
+        parts[8] = str(2 * int(parts[8]))
+        return " ".join(parts)
+    sandwich = "sandwich bounds h_n ~ h_n°, q_n ~ q_n° (factor 2)"
+    cases = [
+        (2, "step 3 ", step3,
+         ["primitivity of Delta_n and P_n (n in [0, 3]) -- failing n: [3]",
+          "Delta_n ^ Delta_{n+1} = P_n (n in [0, 2]) -- failing n: [2]",
+          "P_n ^ P_{n+1} = Delta_{n+1} (n in [0, 2]) -- failing n: [2]",
+          f"{sandwich} (n in [0, 3]) -- failing n: [3]",
+          "theta gap enclosure (1/2)g_n <= |P~_n - theta| <= (3/2)g_n (n in [0, 2]) -- "
+          "lower fails: [2], upper fails: []",
+          "orbit enclosure h_{n+1}/(2q_{n+1}) <= |q_n theta| <= 3h_{n+1}/(2q_{n+1})"
+          " (n in [0, 2]) -- failing n: [2]"]),
+        (3, "a ", lambda ln: ln.replace(" 33 33", " 33 0", 1),
+         [f"{sandwich} (n in [0, 4]) -- failing n: [1]",
+          "weighted enclosure 3/(32a_{n+1}) <= h_{n+1}^2 |<Delta_n, theta_bar>| <= 10/a_{n+1}"
+          " (n in [0, 3]) -- failing n: [0]"])]
+    for depth, prefix, edit, failed in cases:
+        lines = build_theta(a, minimal_heights(a, 1, 5), depth).to_text().splitlines()
+        lines = [edit(ln) if ln.startswith(prefix) else ln for ln in lines]
+        transcript = tmp_path / f"tampered{depth}.txt"
+        transcript.write_text("\n".join(lines) + "\n")
+        cfg = write_config(tmp_path, f"""\
+            command=verify
+            transcript={transcript}
+        """)
+        out = tmp_path / f"out{depth}"
+        assert cli.main(["verify", "--config", cfg, "--out", str(out)]) == 2
+        report = (out / "verify_report.txt").read_text().splitlines()
+        assert [ln[7:] for ln in report if ln.startswith("[FAIL]")] == failed
+        assert json.loads((out / "error.json").read_text())["error"] == "DomainError"
+
+
+def test_simulate_on_a_transcript_runs_the_refined_theta(tmp_path):
+    """refined=1, as census and late window jobs set it, runs simulate on
+    the transcript's refined theta, whose radius summary.json records."""
+    a = lambda n: 33
+    state = build_theta(a, minimal_heights(a, 1, 5), 3)
+    transcript = tmp_path / "t.txt"
+    transcript.write_text(state.to_text())
     cfg = write_config(tmp_path, f"""\
-        command=verify
+        command=simulate
         transcript={transcript}
+        refined=1
+        delta=2
+        n_max=1000
+        samples=3
+        precision_bits=64
     """)
     out = tmp_path / "out"
-    assert cli.main(["verify", "--config", cfg, "--out", str(out)]) == 2
-    report = (out / "verify_report.txt").read_text()
-    assert "[FAIL] primitivity of Delta_n and P_n (n in [0, 3]) -- failing n: [3]" in report
-    assert json.loads((out / "error.json").read_text())["error"] == "DomainError"
+    assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())["config"]
+    fine = state.refined_theta()
+    assert fine.radius < state.theta.radius
+    assert summary["theta_radius"] == str(fine.radius)
+    assert summary["theta"] == [str(c) for c in fine.coords]
 
 
 def test_main_command_mismatch(tmp_path):

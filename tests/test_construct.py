@@ -62,6 +62,8 @@ def test_complete_basis_rejects_bad_inputs():
     with pytest.raises(DomainError):
         # <delta, p> != 0
         complete_basis(LatticePoint3(1, 0, 0), LatticePoint3(1, 1, 0))
+    with pytest.raises(DomainError, match="delta must be nonzero"):
+        complete_basis(LatticePoint3(0, 0, 0), LatticePoint3(0, 0, 1))
 
 
 # --- the completion before it read P's coordinates off the basis: the oracle --
@@ -262,6 +264,14 @@ def test_build_theta_admissibility_errors():
         build_theta(lambda n: 32, minimal_heights(A33, 1, 5), 2)
     with pytest.raises(DomainError):
         build_theta(A33, (1, 700, 639704, 507102337), 2)
+    h0 = minimal_heights(A33, 1, 5)
+    for a, heights, steps, message in (
+            (A33, h0, 0, "steps must be >= 1"),
+            (A33, (0, *h0[1:]), 2, r"h0_seq\[0\] must be a positive integer"),
+            ([33] * 3, h0, 2, "a_seq needs 4 entries .* got 3"),
+            ([33, F(67, 2), 33, 33], h0, 2, r"a_seq\[1\] = Fraction\(67, 2\) is not an integer")):
+        with pytest.raises(DomainError, match=message):
+            build_theta(a, heights, steps)
 
 
 def test_structural_invariants_direct():
@@ -643,8 +653,13 @@ def test_alternating_cf_three_dimensions():
 
 
 def test_alternating_cf_rejects_small_delta():
+    """And a dimension below 2 or no level."""
     with pytest.raises(DomainError):
         alternating_cf(2, F(3), 3)
+    with pytest.raises(DomainError, match="dimension must be >= 2"):
+        alternating_cf(1, F(5), 3)
+    with pytest.raises(DomainError, match="levels must be >= 1"):
+        alternating_cf(2, F(5), 0)
 
 
 def test_alternating_cf_single_level_vacuous():

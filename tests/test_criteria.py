@@ -1,5 +1,6 @@
 """Series criteria, transfer inequality, type evidence, window bounds."""
 
+from dataclasses import replace
 from fractions import Fraction
 from itertools import accumulate
 
@@ -53,8 +54,10 @@ def test_transfer_dimension_one():
 
 
 def test_transfer_small_h_rejected():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="no multiplier available"):
         transfer_check(as_vector(("2/7", "3/11", "5/13")), 1)
+    with pytest.raises(DomainError, match="^h must be >= 1$"):
+        transfer_check(as_vector(("2/7",)), 0)
 
 
 def test_transfer_holds_on_assorted_exact_vectors():
@@ -88,6 +91,8 @@ def test_series_thm5_empty_and_errors():
         series_thm5(as_vector(("2/7", "3/11")), [(1, 0), (0, 1)], 1)
     with pytest.raises(DegenerateInputError):
         series_thm5(theta, [(7,), (10,)], 1)
+    with pytest.raises(DomainError, match="^term count must be >= 0$"):
+        series_thm5(theta, [(1,), (3,)], -1)
 
 
 def test_series_thm5_sub_sequence_never_increases_terms():
@@ -133,6 +138,8 @@ def test_series_lemma22_single_term_and_bad_delta():
     assert len(rep.terms) == 1
     with pytest.raises(DomainError):
         series_lemma22(theta, 4, F(1, 2))
+    with pytest.raises(DomainError, match="^k_max must be >= 1$"):
+        series_lemma22(theta, 0, F(2))
 
 
 def test_series_lemma22_root_order_bound(monkeypatch):
@@ -158,6 +165,8 @@ def test_dyadic_condition_terms_for_two_sevenths():
     assert (n0, n1) == (0, 1)
     assert t0.lo ** 2 <= F(2, 7) <= t0.hi ** 2
     assert t1.lo ** 2 <= F(4, 7) <= t1.hi ** 2
+    with pytest.raises(DomainError, match="^term count must be >= 0$"):
+        dyadic_condition_iii(as_vector(("2/7",)), -1)
 
 
 def test_dyadic_and_lemma22_sums_bracket_each_other():
@@ -193,6 +202,10 @@ def test_series_prop32_single_and_errors():
     assert len(rep.terms) == 1
     with pytest.raises(DomainError):
         series_prop32(theta, (3, 2), 1)
+    with pytest.raises(DomainError, match="^term count must be >= 0$"):
+        series_prop32(theta, (1, 2), -1)
+    with pytest.raises(DomainError, match="^denominators must be positive$"):
+        series_prop32(theta, (0, 2), 1)
 
 
 def test_series_report_shape():
@@ -201,6 +214,8 @@ def test_series_report_shape():
     for a, b in zip(rep.partial_sums, rep.partial_sums[1:]):
         assert b.hi >= a.lo  # non-decreasing within certification
     assert "no convergence claim" in rep.verdict
+    with pytest.raises(DomainError, match=r"^no terms with index in \[9, 20\]$"):
+        rep.window_sum(9, 20)
 
 
 # --- diophantine type evidence ----------------------------------------------
@@ -235,8 +250,15 @@ def test_type_evidence_doubles_the_scan_height():
 
 
 def test_type_evidence_stops_at_an_exact_lattice_hit():
+    """And, before any scan, a negative tau or depth and an unknown mode
+    are refused."""
     with pytest.raises(DegenerateInputError, match="exact lattice hit after 2 records"):
         type_evidence(F(1, 7), F(0), "simultaneous", 10)
+    for tau, mode, depth, message in ((F(-1), "linear", 3, "tau must be >= 0"),
+                                      (F(0), "linear", -1, "depth must be >= 0"),
+                                      (F(0), "both", 3, "mode must be")):
+        with pytest.raises(DomainError, match=message):
+            type_evidence(pell_theta(), tau, mode, depth)
 
 
 # --- window bounds ------------------------------------------------------------
@@ -259,9 +281,27 @@ def test_window_bound_edges_satisfy_defining_power_identity():
 
 
 def test_window_bound_zero_eps_rejected():
+    """And every other refusal of window_bound: delta < 1, a window index
+    below 1, too few vectors, a zero vector, and a form distance whose
+    enclosure reaches 0; a window with no certified integer has no
+    integer_window."""
+    x_seq = [(2, 1), (3, 1), (4, 1)]
     with pytest.raises(DegenerateInputError):
-        window_bound(as_vector(("2/7", "3/7")), [(2, 1), (3, 1), (4, 1)],
-                     F(2), 1)
+        window_bound(as_vector(("2/7", "3/7")), x_seq, F(2), 1)
+    for theta, xs, delta, n, error, message in (
+            (as_vector(("2/7", "3/11")), x_seq, F(1, 2), 1, DomainError, "delta must be"),
+            (as_vector(("2/7", "3/11")), x_seq, F(2), 0, DomainError, "window index"),
+            (as_vector(("2/7", "3/11")), x_seq, F(2), 2, DomainError,
+             "window 2 needs 4 vectors, got 3"),
+            (as_vector(("2/7", "3/11")), [(2, 1), (0, 0), (4, 1)], F(2), 1, DomainError,
+             "zero vector has no norm record"),
+            (CertifiedVector((F(2, 7), F(3, 7)), F(1, 10**6)), x_seq, F(2), 1,
+             PrecisionError, "form distance at step 0 not conclusively positive")):
+        with pytest.raises(error, match=message):
+            window_bound(theta, xs, delta, n)
+    wb = window_bound(as_vector(("2/7", "3/11")), x_seq, F(2), 1)
+    with pytest.raises(DomainError, match="no certified integers"):
+        replace(wb, l_upper=wb.l_lower).integer_window()
 
 
 # --- the four series against their interval-product formulation -------------

@@ -97,6 +97,8 @@ def test_is_primitive():
     assert is_primitive(LatticePoint3(1, -1, 0))
     with pytest.raises(DomainError):
         is_primitive(LatticePoint3(0, 0, 0))
+    with pytest.raises(DomainError, match="lattice coordinates must be ints"):
+        LatticePoint3(1, 2.0, 3)
 
 
 # --- projective distance ---------------------------------------------------

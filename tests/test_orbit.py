@@ -14,9 +14,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from shrinktarget import orbit
+from shrinktarget._scan import _d64
 from shrinktarget.errors import DomainError, PrecisionError, ResourceError
 from shrinktarget.exact import CertifiedVector
-from shrinktarget.orbit import (_BATCH, _BLOCK, OrbitConfig, _auto_hit_bound, _d64,
+from shrinktarget.orbit import (_BATCH, _BLOCK, OrbitConfig, _auto_hit_bound,
                                 _draw_starts, _Engine, _error_units, _exact_classify,
                                 _hit_records, _miss32, _sweep, _SweepResult,
                                 _threshold_pair, _units, _window,

@@ -55,6 +55,8 @@ def test_iroot_ceil_is_ceiling_root(n, k):
 def test_iroot_rejects_negative():
     with pytest.raises(DomainError):
         iroot(-1, 2)
+    with pytest.raises(DomainError, match="root of a negative rational"):
+        nth_root_enclosure(-1, 3)
     for x, k in ((2, 0), (2, -1), (0, 0)):  # root orders below 1, before any work
         with pytest.raises(DomainError, match="root order must be positive"):
             nth_root_enclosure(x, k)
@@ -141,6 +143,7 @@ def test_zero_and_point_ends_take_the_enclosure_loop(x, k):
 def test_nth_root_enclosure_exact_cube():
     lo, hi = nth_root_enclosure(Fraction(27), 3)
     assert lo <= 3 <= hi
+    assert nth_root_enclosure(Fraction(2, 3), 1) == (Fraction(2, 3), Fraction(2, 3))
 
 
 @given(st.fractions(min_value=Fraction(1, 10**9), max_value=Fraction(10**9)))

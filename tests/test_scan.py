@@ -20,11 +20,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from shrinktarget import _scan
-from shrinktarget._scan import (_BLOCK, _RAMP, DEFAULT_BUDGET, _margin, _Multipliers,
-                                all_greater_than_baseline, linear_min,
+from shrinktarget._scan import (_BLOCK, _RAMP, DEFAULT_BUDGET, _LinearBox, _margin,
+                                _Multipliers, _Ramp, all_greater_than_baseline, linear_min,
                                 linear_records, scan_data, simultaneous_scan)
 from shrinktarget.bestapprox import best_linear, linear_error
-from shrinktarget.errors import PrecisionError, ResourceError
+from shrinktarget.errors import DomainError, PrecisionError, ResourceError
 from shrinktarget.exact import (CertifiedScalar, CertifiedVector, Verdict,
                                 dist_nearest_int, dist_nearest_lattice)
 
@@ -99,10 +99,16 @@ def test_linear_records_first_is_one_over_77():
 
 
 def test_budget_guard_trips():
+    """And an empty scan is a DomainError: no multiplier, or a box radius
+    below 1."""
     theta = CertifiedVector((F(2, 7), F(3, 11), F(5, 13)))
     with pytest.raises(ResourceError):
         linear_min(theta, 10**6)
     assert DEFAULT_BUDGET == 10**8
+    with pytest.raises(DomainError, match="q_max must be >= 1"):
+        simultaneous_scan(theta, 0)
+    with pytest.raises(DomainError, match="box radius must be >= 1"):
+        linear_min(theta, 0)
 
 
 def test_all_greater_than_baseline_detects_smaller():
@@ -368,24 +374,111 @@ def test_ramp_index_hits_match_the_filter_values(den, dim, q_max, kind, limit, d
     assert a.tolist() == [values[i] for i in idx.tolist()]
 
 
+@st.composite
+def _ramp_case(draw):
+    """(positions, bits, los, width): a ramp and ranges of one width.  The
+    index widths are the multiplier ramp's 14, the window grid's 16 and an
+    odd 5, a d = 2 box's tails at h = 8.  Positions are multiples of a step
+    over a denominator up to 600 (tied words), grid keys << 16, or drawn;
+    ranges are one key (width 0), narrow, as wide as allowed, or the whole
+    circle from a lo with its low bits clear, and lie anywhere, at a
+    position, or across 2^64."""
+    bits = draw(st.sampled_from([5, 14, 16]))
+    n = draw(st.integers(1, min(1 << bits, 1000)))
+    kind = draw(st.sampled_from(["tied", "grid", "drawn"]))
+    rnd = draw(st.randoms(use_true_random=True))
+    if kind == "tied":
+        den = draw(st.integers(1, 600))
+        step = (rnd.randrange(den) << 64) // den
+        pos = [i * step % 2**64 for i in range(n)]
+    elif kind == "grid":
+        pos = [rnd.randrange(draw(st.sampled_from([4, 2**20, 2**48]))) << 16 for _ in range(n)]
+    else:
+        pos = [rnd.randrange(2**64) for _ in range(n)]
+    widest = 2**64 - 2**(bits + 1)
+    width = draw(st.one_of(st.sampled_from([0, 1, widest, 2**64 - 1]),
+                           st.integers(0, 2**draw(st.integers(0, 63)))))
+    los = []
+    for _ in range(draw(st.integers(1, 12))):
+        where = draw(st.sampled_from(["any", "at", "wrap"]))
+        lo = rnd.randrange(2**64)
+        if where == "at":
+            lo = (rnd.choice(pos) + draw(st.integers(-3, 3))) % 2**64
+        elif where == "wrap":
+            lo = (2**64 - min(width, widest) // 2 - draw(st.integers(0, 5))) % 2**64
+        los.append(lo & -(1 << bits) if width == 2**64 - 1 else lo)
+    return pos, bits, los, width if width == 2**64 - 1 else min(width, widest)
+
+
+@settings(deadline=None, max_examples=200)
+@given(_ramp_case())
+def test_ramp_ranges_match_a_circular_filter(case):
+    """_Ramp.ranges and gather against a brute-force filter of the words on
+    the circle: each range [lo, lo + width] gives, in word order from lo,
+    exactly the steps whose word lies between lo with its low bits cleared
+    and lo + width with them set.  So it holds every step whose position is
+    in the range, and only steps whose position is within 2^bits - 1 of
+    it, the two bounds of the docstring; the whole circle holds each step
+    once, and the listed ranges include every range that holds a step."""
+    pos, bits, los, width = case
+    mask = (1 << bits) - 1
+    ramp = _Ramp(np.array(pos, dtype=np.uint64), bits)
+    r, s, e = ramp.ranges(np.array(los, dtype=np.uint64), width)
+    assert r.tolist() == sorted(set(r.tolist())) and (e >= s).all()
+    place, steps = ramp.gather(r, s, e)
+    words = np.array([x & ~mask | i for i, x in enumerate(pos)], dtype=np.uint64)
+    x = np.array(pos, dtype=np.uint64)
+    for j, lo in enumerate(los):
+        first, last = lo & ~mask, (lo + width) % 2**64 | mask
+        rel = words - np.uint64(first)  # mod 2^64
+        want = np.flatnonzero(rel <= np.uint64((last - first) % 2**64))
+        want = want[np.argsort(rel[want])].tolist()
+        got = steps[place == j].tolist()
+        assert got == want
+        if width == 2**64 - 1:
+            assert sorted(got) == list(range(len(pos)))
+            continue
+        inside = np.flatnonzero(x - np.uint64(lo) <= np.uint64(width))
+        assert set(inside.tolist()) <= set(got)
+        assert (x[got] - np.uint64((lo - mask) % 2**64) <= np.uint64(width + 2 * mask)).all()
+    assert set(place.tolist()) <= set(r.tolist())
+
+
+def test_linear_box_tails_are_an_odd_width_ramp():
+    """A d = 2 box at h = 8 packs its 17 tails with 5 index bits.  A scan at
+    any limit returns, in lexicographic order, every canonical cell whose
+    filter distance is at most the limit, and only cells less than 2^5 past
+    it (every cell past the ramp's reach)."""
+    nums, den = [5871239457, 11234567891], 2**34 - 41
+    box = _LinearBox(nums, den, 8)
+    assert box.T == 17 and int(box.ramp.mask) == 31
+    steps = [(p << 64) // den for p in nums]
+    value = {}
+    for c in itertools.product(range(-8, 9), repeat=2):
+        if c > (0, 0):
+            v = (c[0] * steps[0] + c[1] * steps[1]) % 2**64
+            value[c] = min(v, 2**64 - v)
+    for limit in (0, 2**40, 2**58, box.ramp.reach, box.ramp.reach + 1, 2**63 - 1):
+        cells = [tuple(c) for chunk, _d in box.scan(limit) for c in chunk.tolist()]
+        assert cells == sorted(cells)
+        assert {c for c, v in value.items() if v <= limit} <= set(cells)
+        assert all(value[c] < limit + 32 for c in cells)
+
+
 def oracle_block_hits(mult, q0, n, limit):
-    """The hits of one block by the per-copy walk: one pair of scalar binary
-    searches in the sorted ramp for each copy of the block, then the test on
-    every coordinate."""
+    """The hits of one block by the per-copy walk: one query of the sorted
+    ramp (a single range of _Ramp.ranges, read by _Ramp.gather) for each copy
+    of the block, then the test on every coordinate."""
     limit = min(limit, 1 << 63)
-    m, step, keys = mult.m, int(mult.steps[0]), mult.keys
-    if limit * m * -(-n // _RAMP) >= n << 63:
+    m, step, ramp = mult.m, int(mult.steps[0]), mult.ramp
+    if limit > ramp.reach:
         i = np.arange(n, dtype=np.uint64)
     else:
         parts = []
-        for j in range(0, n, _RAMP):
+        for j in range(0, n, m):
             lo = (-(q0 + j) * step - limit) % (1 << 64)
-            hi = lo + 2 * limit
-            s = int(keys.searchsorted(np.uint64(lo & -_RAMP)))
-            e = int(keys.searchsorted(np.uint64(hi % (1 << 64) | (_RAMP - 1)), "right"))
-            if hi >> 64:
-                e = min(e + m, s + m)
-            parts.append(mult.index[s:e].astype(np.uint64) + np.uint64(j))
+            found = ramp.ranges(np.array([lo], dtype=np.uint64), 2 * limit)
+            parts.append(ramp.gather(*found)[1].astype(np.uint64) + np.uint64(j))
         i = np.concatenate(parts)
         i = np.sort(i[i < n])
     qs = i + np.uint64(q0)
