@@ -26,12 +26,13 @@ when x = q*P_1 lies in the circular range [-L, L].  The ramp x_i = i*P_1,
 i < m = min(_RAMP, (q_max + 1) // 2), is one _Ramp per scan, and a run of
 consecutive blocks from q0 is copies of it, copy c shifted by
 (q0 + c*m)*P_1: one range per copy, all in one query (see
-_Multipliers.run).  The test a_q <= L on every coordinate makes the
+_Multipliers._run).  The test a_q <= L on every coordinate makes the
 superset exact; the other coordinates and the running minimum only see the
-candidates.  The run's L is that of its first block; a later block keeps
-its own survivors, those with a_q <= its own L, which is lower or equal:
-records only lower the seed, and the baseline's L is fixed.  A block with
-no survivors changes nothing and is skipped.  Records take
+candidates.  Both scans read the survivors block by block from
+_Multipliers.walk: a run's L is that of its first block, and a later block
+keeps its own survivors, those with a_q <= its own L, which is lower or
+equal: records only lower the seed, and the baseline's L is fixed.  A
+block with no survivors changes nothing and is skipped.  Records take
 L = seed + fast + 2E: a q with a_q > L cannot lower min(seed, .), and every
 survivor has a_q <= L, so a survivor is hot exactly when
 a_q <= (running minimum of the survivors up to q) + fast + 2E.
@@ -40,11 +41,11 @@ Linear scans (linear_min, linear_records) take the nonzero integer vectors s
 with |s|_sup <= h, first nonzero coordinate positive, and
 D(s) = min(g, D - g) for g = <s, p> mod D.  The same filter puts cell s at
 the wrapping position sum s_i*P_i with |a(s) - 2^64 * D(s) / D| <= E := d*h.
-The tails (s_2, ..., s_d) are one _Ramp; each head s_1 >= 1 takes the range
-[y - L, y + L] around y = -s_1*P_1, all heads in one query, and s_1 = 0
-takes the canonical tails alone.  A range may add cells less than 2^bits
-past L, which change nothing: each gets its exact D, and every minimizer,
-witness and cell re-checked below lies within L.  A minimum: by the box
+The tails (s_2, ..., s_d) are one _Ramp; each head s_1 = 0..h takes the
+range [y - L, y + L] around y = -s_1*P_1, all heads in one query, and the
+canonical cells are kept.  A range may add cells less than 2^bits past L,
+which change nothing: each gets its exact D, and every minimizer, witness
+and cell re-checked below lies within L.  A minimum: by the box
 principle two of the (h+1)^d cells of {0..h}^d have values within
 1/(h+1)^d on the circle, and their difference is a nonzero cell of the box,
 so every exact minimizer has a(s) <= L := floor(2^64 / (h+1)^d) + E, every
@@ -185,7 +186,8 @@ class _Ramp:
 
 class _Multipliers:
     """The fixed-point distances a_q of the multipliers 1..q_max, in doubling
-    blocks [1, 1], [2, 3], [4, 7], ..., at most _BLOCK wide."""
+    blocks [1, 1], [2, 3], [4, 7], ..., at most _BLOCK wide: walk reads the
+    survivors block by block, from one query per run of blocks (_run)."""
 
     def __init__(self, nums, den: int, q_max: int):
         self.q_max = q_max
@@ -211,21 +213,40 @@ class _Multipliers:
         """The first multiplier after each block, ascending."""
         return np.array([q0 + n for q0, n in self.blocks()], dtype=np.int64)
 
-    def run(self, q0: int, limit: int, stop: int | None = None):
-        """(end, cuts, i, a): a run of whole blocks from the block start q0
-        to end - 1, at least one block and none past the block end stop
-        (default q_max + 1); the offsets i from q0, ascending, of the run's
-        multipliers with a_{q0+i} <= limit, those a_{q0+i}, and cuts[j] the
-        number of them in the run's first j + 1 blocks.  It queries the first
-        block's copies of the ramp, then as many more as would hold about
-        2*_RAMP words at that density (_RAMP at most: offsets stay below
-        2^32), and takes the most whole blocks of them, one at least, whose
-        ranges hold at most _RAMP words (or multipliers, where fewer): about
-        one block's worth however the candidates cluster.  It takes every
-        multiplier where the ranges hold as many, or past the ramp's reach."""
-        stop = self.q_max + 1 if stop is None else stop
-        ends = self.ends[np.searchsorted(self.ends, q0, "right"):
-                         np.searchsorted(self.ends, stop, "right")] - q0
+    def walk(self, limit):
+        """Yield (q, a) for each block with survivors, in order: its
+        multipliers q (uint64), ascending, with a_q <= limit(), and those
+        a_q.  limit() is read as each block comes up, and must not rise: a
+        run of blocks is queried at its first block's limit (see _run), and
+        each later block keeps the run's survivors within its own."""
+        q0 = 1
+        while q0 <= self.q_max:
+            run_limit = limit()
+            end, cuts, q, a = self._run(q0, run_limit)
+            for c0, c1 in zip([0, *cuts], cuts):
+                if c0 == c1:  # no survivors: the block changes nothing
+                    continue
+                qb, ab = q[c0:c1], a[c0:c1]
+                lim = limit()
+                if lim < run_limit:
+                    keep = ab <= np.uint64(lim)
+                    qb, ab = qb[keep], ab[keep]
+                if len(qb):
+                    yield qb, ab
+            q0 = end
+
+    def _run(self, q0: int, limit: int):
+        """(end, cuts, q, a): a run of whole blocks from the block start q0
+        to end - 1, at least one block; its multipliers q (uint64),
+        ascending, with a_q <= limit, those a_q, and cuts[j] the number of
+        them in the run's first j + 1 blocks.  It queries the first block's
+        copies of the ramp, then as many more as would hold about 2*_RAMP
+        words at that density (_RAMP at most: offsets stay below 2^32), and
+        takes the most whole blocks of them, one at least, whose ranges hold
+        at most _RAMP words (or multipliers, where fewer): about one block's
+        worth however the candidates cluster.  It takes every multiplier
+        where the ranges hold as many, or past the ramp's reach."""
+        ends = self.ends[np.searchsorted(self.ends, q0, "right"):] - q0
         limit = min(limit, 1 << 63)  # every a_q <= 2^63
         m = self.m
         if limit > (1 << 63) - _RAMP:  # past the ramp's reach: every multiplier
@@ -255,15 +276,15 @@ class _Multipliers:
             i += c
             if n % m:
                 i = i[i < n]
-        qs = i + np.uint64(q0)  # uint64
-        a = _d64(qs * st for st in self.steps)  # the positions wrap mod 2^64
+        q = i + np.uint64(q0)
+        a = _d64(q * st for st in self.steps)  # the positions wrap mod 2^64
         keep = a <= np.uint64(limit)
-        i, a = i[keep], a[keep]
+        q, a = q[keep], a[keep]
         if not dense:
-            o = i.argsort()
-            i, a = i[o], a[o]
-        cuts = i.searchsorted(ends[ends <= n].astype(np.uint32))
-        return q0 + n, cuts, i, a
+            o = q.argsort()
+            q, a = q[o], a[o]
+        cuts = q.searchsorted((ends[ends <= n] + q0).astype(np.uint64))
+        return q0 + n, cuts.tolist(), q, a
 
     def _ranges(self, start: int, copies: int, limit: int):
         """The ramp's ranges (r, s, e) of its copies from the multiplier
@@ -276,10 +297,6 @@ class _Multipliers:
         np.negative(lo, out=lo)
         lo -= np.uint64(limit)
         return self.ramp.ranges(lo, 2 * limit)
-
-    def hits(self, q0: int, n: int, limit: int):
-        """(i, a): the run query on the one block q0, ..., q0 + n - 1."""
-        return self.run(q0, limit, q0 + n)[2:]
 
 
 # ---------------------------------------------------------------------------
@@ -315,41 +332,25 @@ def simultaneous_scan(theta: CertifiedVector, q_max: int, *,
     def limit():  # the filter limit of a block, from the record in force
         return min((_fp_up(best_d, den) if best_q else 1 << 63) + slack, 1 << 63)
 
-    q0 = 1
-    while q0 <= mult.q_max:
-        # one query for a run of blocks at its first block's limit; the seed
-        # only falls, so each block then keeps the survivors of its own
-        run_limit = limit()
-        end, cuts, idx, a = mult.run(q0, run_limit)
-        cuts = [0, *cuts.tolist()]
-        for c0, c1 in zip(cuts, cuts[1:]):
-            if c0 == c1:  # no survivors: the block changes nothing
-                continue
-            ib, ab = idx[c0:c1], a[c0:c1]
-            lim = limit()
-            if lim < run_limit:
-                keep = ab <= np.uint64(lim)
-                ib, ab = ib[keep], ab[keep]
-            if slack < 1 << 63:  # else a degenerate radius: every a_q <= 2^63 is hot
-                # a running minimum <= 2^63 plus slack < 2^63 fits in uint64
-                ib = ib[ab <= np.minimum.accumulate(ab) + np.uint64(slack)]
-            for i in ib.tolist():
-                q = q0 + i
-                dq = _dist(nums, den, q)
-                if best_q:  # a record must beat the running minimum
-                    if dq > best_d + fast:
-                        continue
-                    v = _order(dq, q, best_d, best_q, den, r)
-                    if v is Verdict.INCONCLUSIVE:
-                        raise PrecisionError(
-                            f"cannot order |{q}*theta| against |{best_q}*theta| at radius {r}")
-                    if v is not Verdict.LESS:
-                        continue
-                best_d, best_q = dq, q
-                out.append((q, dq))
-                if best_d == 0 and exact:
-                    return out, den, True
-        q0 = end
+    for qs, a in mult.walk(limit):
+        if slack < 1 << 63:  # else a degenerate radius: every a_q <= 2^63 is hot
+            # a running minimum <= 2^63 plus slack < 2^63 fits in uint64
+            qs = qs[a <= np.minimum.accumulate(a) + np.uint64(slack)]
+        for q in qs.tolist():
+            dq = _dist(nums, den, q)
+            if best_q:  # a record must beat the running minimum
+                if dq > best_d + fast:
+                    continue
+                v = _order(dq, q, best_d, best_q, den, r)
+                if v is Verdict.INCONCLUSIVE:
+                    raise PrecisionError(
+                        f"cannot order |{q}*theta| against |{best_q}*theta| at radius {r}")
+                if v is not Verdict.LESS:
+                    continue
+            best_d, best_q = dq, q
+            out.append((q, dq))
+            if best_d == 0 and exact:
+                return out, den, True
     return out, den, False
 
 
@@ -378,8 +379,9 @@ class _LinearBox:
 
     Cell s has the key s_1 * T + t, where t is the lexicographic index of its
     tail among the T = (2h+1)^(d-1) tails, so key order is lexicographic
-    order; with s_1 = 0 only the tails t > T // 2 (first nonzero coordinate
-    positive) are canonical.
+    order, and the canonical cells (first nonzero coordinate positive) are
+    the keys > T // 2.  The heads s_1 = 0..h each take one range of the
+    ramp, all in one query.
     """
 
     def __init__(self, nums, den: int, h: int):
@@ -391,35 +393,30 @@ class _LinearBox:
         for step in steps[1:]:
             x = (x[:, None] + side * step).ravel()
         self.T = len(x)
-        self.head0 = _d64([x[self.T // 2 + 1:].copy()])
         self.ramp = _Ramp(x, (self.T - 1).bit_length())  # tail t has index t
-        # cell (s_1, t), s_1 >= 1, has filter distance |x_t - y|, y = -s_1*P_1
-        self.y = np.negative(np.arange(1, h + 1, dtype=np.uint64) * steps[0])
+        # cell (s_1, t) has filter distance |x_t - y|, y = -s_1*P_1
+        self.y = np.negative(np.arange(h + 1, dtype=np.uint64) * steps[0])
 
     def scan(self, limit: int):
         """Yield (cells, dists), in lexicographic order and in chunks of about
         _CHUNK cells: the canonical cells whose filter distance is at most
         limit (and some less than 2^bits past it, see _Ramp), with their
         exact integer distances D over den."""
-        T, h = self.T, self.h
-        first = T // 2 + 1
+        T = self.T
         if limit > self.ramp.reach:  # every cell: each head takes the circle
-            lo, width = np.zeros(h, dtype=np.uint64), 2**64 - 1
-            keys = np.arange(first, T)
+            lo, width = np.zeros(len(self.y), dtype=np.uint64), 2**64 - 1
         else:  # the tails within limit of y: [y - limit, y + limit]
             lo, width = self.y - np.uint64(limit), 2 * limit
-            keys = first + np.flatnonzero(self.head0 <= np.uint64(limit))
-        if len(keys):
-            yield self._exact(keys)
-        r, s, e = self.ramp.ranges(lo, width)  # head s_1 = r + 1
+        r, s, e = self.ramp.ranges(lo, width)  # head s_1 = r
         cum = np.cumsum(e - s)
         k = 0
         while k < len(r):
             base = int(cum[k - 1]) if k else 0
             k1 = max(k + 1, min(len(r), int(np.searchsorted(cum, base + _CHUNK)) + 1))
             head, t = self.ramp.gather(r[k:k1], s[k:k1], e[k:k1])
-            keys = (head.astype(np.int64) + 1) * T + t
+            keys = head.astype(np.int64) * T + t
             keys.sort()
+            keys = keys[keys.searchsorted(T // 2, "right"):]  # the canonical cells
             if len(keys):
                 yield self._exact(keys)
             k = k1
@@ -564,11 +561,8 @@ def all_greater_than_baseline(theta: CertifiedVector, q_hi: int, base_q: int,
     lim = _fp_up(fast, den) + q_hi  # a_q is within q_hi - 1 of the exact value
     violations = []
     report = {}
-    mult = _Multipliers(nums, den, q_hi - 1)
-    q0 = 1
-    while q0 < q_hi:
-        end, _cuts, idx, _a = mult.run(q0, lim)
-        for q in (idx + np.uint64(q0)).tolist():
+    for qs, _a in _Multipliers(nums, den, q_hi - 1).walk(lambda: lim):
+        for q in qs.tolist():
             dist = _dist(nums, den, q)
             if dist > fast or q == base_q:
                 continue
@@ -582,7 +576,6 @@ def all_greater_than_baseline(theta: CertifiedVector, q_hi: int, base_q: int,
                     "extend the construction depth for a smaller radius")
             elif v is not Verdict.GREATER:
                 violations.append(q)
-        q0 = end
     for q in exceptions:
         if 0 < q < q_hi and q not in report:
             # excepted multiplier never fell inside the fast margin: it is

@@ -25,6 +25,7 @@ completion with the roles of Delta and P exchanged.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -66,32 +67,19 @@ def _best_shift(base: LatticePoint3, p: LatticePoint3) -> LatticePoint3:
     """base - k*p (p nonzero) minimizing the sup norm, ties broken by the k
     nearest 0.
 
-    The norm is convex in k, so its minimizers form an interval: locate the
-    endpoints by binary search on the slope and clamp 0 into the interval.
+    The norm is the upper envelope of the lines +-(b_i - k*p_i), convex and
+    unbounded in k, so its real minimizers form an interval [x, y] whose ends
+    are crossings of two lines.  Its integer minimizers run from ceil(x) to
+    floor(y), or are among floor(x), floor(y) + 1 when no integer lies in
+    [x, y]; the one nearest 0 is 0 or an end of them.
     """
-    cands = [b // c for b, c in zip(base.as_tuple(), p.as_tuple()) if c]
-    window = min(cands) - 2, max(cands) + 2
-    (bx, by, bz), (px, py, pz) = base.as_tuple(), p.as_tuple()
-
-    def val(k: int) -> int:
-        return max(abs(bx - k * px), abs(by - k * py), abs(bz - k * pz))
-
-    lo, hi = window
-    while lo < hi:  # leftmost minimizer: first k with val(k) <= val(k+1)
-        m = (lo + hi) // 2
-        if val(m) <= val(m + 1):
-            hi = m
-        else:
-            lo = m + 1
-    left = lo
-    lo, hi = left, window[1]
-    while lo < hi:  # rightmost minimizer: first k with val(k) < val(k+1)
-        m = (lo + hi) // 2
-        if val(m) < val(m + 1):
-            hi = m
-        else:
-            lo = m + 1
-    k = min(max(left, 0), lo)
+    lines = [(s * b, s * c) for b, c in zip(base.as_tuple(), p.as_tuple()) for s in (1, -1)]
+    ks = {0}
+    for (b1, c1), (b2, c2) in itertools.combinations(lines, 2):
+        if c1 != c2:  # b1 - k*c1 and b2 - k*c2 cross at (b1 - b2) / (c1 - c2)
+            x = (b1 - b2) // (c1 - c2)
+            ks.update((x, x + 1))
+    k = min(ks, key=lambda k: ((base - p.scale(k)).norm, abs(k)))
     return base - p.scale(k)
 
 

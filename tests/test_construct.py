@@ -8,10 +8,10 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from shrinktarget import _scan, cli
-from shrinktarget.construct import (ConstructionState, _bezout, _content,
+from shrinktarget.construct import (ConstructionState, _best_shift, _bezout, _content,
                                     _dual_step, alternating_cf, build_theta,
                                     complete_basis, minimal_heights,
                                     verify_construction)
@@ -114,6 +114,22 @@ def _oracle_best_shift(base: LatticePoint3, p: LatticePoint3) -> LatticePoint3:
             lo = m + 1
     k = min(max(left, 0), lo)
     return base - p.scale(k)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.tuples(*[st.integers(-300, 300)] * 3), st.tuples(*[st.integers(-60, 60)] * 3))
+@example((0, 198, -216), (0, 58, 0))
+def test_best_shift_is_the_least_norm_nearest_zero(base, p):
+    """_best_shift against a brute-force argmin of (norm, |k|) over every k
+    with |k*p| <= 2|base|, where every minimizer lies.  At base
+    (0, 198, -216), p (0, 58, 0) the norm is 216 for k = 0..7; the binary
+    search's window [1, 5] missed 0 there."""
+    assume(any(p))
+    base, p = LatticePoint3(*base), LatticePoint3(*p)
+    n = base.norm
+    k = min(range(-2 * n, 2 * n + 1), key=lambda k: ((base - p.scale(k)).norm, abs(k)))
+    assert _best_shift(base, p) == base - p.scale(k)
+    assert _oracle_best_shift(base, p).norm == (base - p.scale(k)).norm
 
 
 def oracle_complete_basis(delta: LatticePoint3, p: LatticePoint3) -> LatticePoint3:

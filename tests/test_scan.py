@@ -3,13 +3,14 @@
 The multiplier scans are checked against `oracle_simultaneous` and
 `oracle_baseline`: the plain per-q walks, with every decision made on exact
 integers, that the fixed-point engine must reproduce record for record and
-error for error, and the run query of `_Multipliers` is checked block by
-block against `oracle_block_hits`, a walk over the ramp copies of one
+error for error, and the survivor walk of `_Multipliers` is checked block
+by block against `oracle_block_hits`, a walk over the ramp copies of one
 block.  The linear scans are checked the same way against
 `oracle_linear_min` and `oracle_linear_records`, walks over every canonical
 cell of the box, shell by shell.
 """
 
+import bisect
 import itertools
 import math
 import tracemalloc
@@ -314,6 +315,23 @@ def _filter_value(nums, den, q):
     return max(min(x, one - x) for x in (q * ((p << 64) // den) % one for p in nums))
 
 
+def _walk_block(mult, q0, n, limit):
+    """(i, a): the offsets from q0 and the a_q that the walk at a fixed limit
+    yields for the block q0, ..., q0 + n - 1, empty when it skips the block.
+    Each yield must be the ascending survivors of one block, after those of
+    the block before."""
+    ends = mult.ends.tolist()
+    got, last = (np.zeros(0, dtype=np.uint64),) * 2, 0
+    for q, a in mult.walk(lambda: limit):
+        qs = q.tolist()
+        end = ends[bisect.bisect_right(ends, qs[0])]
+        assert qs == sorted(qs) and last <= qs[0] and qs[-1] < end and len(a) == len(q)
+        last = end
+        if end == q0 + n:
+            got = q - np.uint64(q0), a
+    return got
+
+
 LIMITS = st.one_of(st.sampled_from([0, 1, 2**63 - 1, 2**63, 2**64]),
                    st.integers(0, 63).flatmap(lambda b: st.integers(0, 2**b - 1)))
 
@@ -322,9 +340,10 @@ LIMITS = st.one_of(st.sampled_from([0, 1, 2**63 - 1, 2**63, 2**64]),
 @given(DENS, st.integers(1, 4), st.sampled_from([1, 2, 600, _BLOCK - 1, _BLOCK,
                                                  3 * _BLOCK + 5]), LIMITS, st.data())
 def test_filter_hits_are_the_multipliers_within_the_limit(den, dim, q_max, limit, data):
-    """_Multipliers.hits against a_q from Python ints: the offsets it keeps,
-    with their a_q, are exactly the q of the block with a_q <= limit, in the
-    first block, the doubling ones, the full ones and the last, short one."""
+    """_Multipliers.walk at a fixed limit against a_q from Python ints: the
+    offsets it yields for a block, with their a_q, are exactly the q of the
+    block with a_q <= limit, in the first block, the doubling ones, the full
+    ones and the last, short one."""
     theta, _q = data.draw(_theta_for(den, q_max, dim))
     nums = scan_data(theta)[0]
     mult = _Multipliers(nums, den, q_max)
@@ -333,7 +352,7 @@ def test_filter_hits_are_the_multipliers_within_the_limit(den, dim, q_max, limit
     assert all(q0 + n == nxt for (q0, n), (nxt, _n) in zip(blocks, blocks[1:]))
     assert all(n == min(q0, _BLOCK, q_max + 1 - q0) for q0, n in blocks)
     q0, n = data.draw(st.sampled_from(blocks))
-    idx, a = mult.hits(q0, n, limit)
+    idx, a = _walk_block(mult, q0, n, limit)
     values = [_filter_value(nums, den, q0 + i) for i in range(n)]
     assert idx.tolist() == [i for i, v in enumerate(values) if v <= limit]
     assert a.tolist() == [values[i] for i in idx.tolist()]
@@ -345,7 +364,7 @@ def test_filter_hits_are_the_multipliers_within_the_limit(den, dim, q_max, limit
                         2 * _BLOCK + 5]),
        st.sampled_from(["drawn", "edge", "wrap"]), LIMITS, st.data())
 def test_ramp_index_hits_match_the_filter_values(den, dim, q_max, kind, limit, data):
-    """_Multipliers.hits against a_q from Python ints, where the sorted ramp
+    """_Multipliers.walk against a_q from Python ints, where the sorted ramp
     matters: q_max around one and a few copies of it (2 * _BLOCK + 5 has a
     full block of four), denominators up to _RAMP (the ramp repeats and its
     keys tie), near 2^63 and 2^64 and beyond.  In the widest blocks an
@@ -368,7 +387,7 @@ def test_ramp_index_hits_match_the_filter_values(den, dim, q_max, kind, limit, d
         nums[0] = den * data.draw(st.integers(1, q)) // q % den
         near = _filter_value(nums[:1], den, q) + limit % (1 << 40)
         limit = min(max(near, _filter_value(nums, den, q)), 2**63 - 1)
-    idx, a = _Multipliers(nums, den, q_max).hits(q0, n, limit)
+    idx, a = _walk_block(_Multipliers(nums, den, q_max), q0, n, limit)
     values = [_filter_value(nums, den, q0 + i) for i in range(n)]
     assert idx.tolist() == [i for i, v in enumerate(values) if v <= limit]
     assert a.tolist() == [values[i] for i in idx.tolist()]
@@ -492,42 +511,62 @@ def oracle_block_hits(mult, q0, n, limit):
 
 @settings(deadline=None, max_examples=150)
 @given(DENS, st.integers(1, 3), st.sampled_from([600, _RAMP + 1, 3 * _BLOCK + 5]),
-       st.integers(1, 8), st.sampled_from(["drawn", "last", "wrap"]), LIMITS, st.data())
+       st.integers(1, 8), st.sampled_from(["drawn", "wrap"]), LIMITS, st.data())
 def test_runs_match_the_per_block_oracle(den, dim, q_max, k, kind, limit, data):
-    """A run query from a block start, up to k blocks, against the per-copy
-    oracle block by block: the run holds whole blocks, at least one, and each
-    block's survivors under its own limit (the first block's or lower) are
-    the oracle's.  3 * _BLOCK + 5 runs from doubling into full blocks and
-    on into a short last one; denominators up to 600 make the ramp's keys
-    tie; a "wrap" vector puts the range of a copy of the run across 2^64."""
+    """The walk against the per-copy oracle block by block, with a limit
+    that falls at every k-th read: each block it yields holds the oracle's
+    survivors at a limit read for it since the last yield, and a block it
+    skips has none at the limit in force when the walk passed it.  Each run
+    holds whole blocks, at least one, the runs tile 1..q_max, and a run's
+    limit is the one read at its start.  3 * _BLOCK + 5 runs from doubling
+    into full blocks and on into a short last one; denominators up to 600
+    make the ramp's keys tie; a "wrap" vector puts the range of a block's
+    copy across 2^64."""
     rnd = data.draw(st.randoms(use_true_random=True))
     nums = [rnd.randrange(den) for _ in range(dim)]
     mult = _Multipliers(nums, den, q_max)
     blocks = list(mult.blocks())
-    b = len(blocks) - k if kind == "last" else data.draw(st.integers(0, len(blocks) - 1))
-    b = max(b, 0)
-    run = blocks[b:b + k]
-    q0, stop = run[0][0], run[-1][0] + run[-1][1]
     if kind == "wrap":
-        # a copy start q of the run with q*P_1 within the limit of 0
-        q = q0 + data.draw(st.integers(0, (stop - q0 - 1) // mult.m)) * mult.m
+        # a copy start q of a block with q*P_1 within the limit of 0
+        q0, n = data.draw(st.sampled_from(blocks))
+        q = q0 + data.draw(st.integers(0, (n - 1) // mult.m)) * mult.m
         nums[0] = den * data.draw(st.integers(1, q)) // q % den
         limit = min(_filter_value(nums[:1], den, q) + limit % (1 << 40), 2**63 - 1)
         mult = _Multipliers(nums, den, q_max)
-    end, cuts, idx, a = mult.run(q0, limit, stop)
-    ends = [q + n for q, n in run]
-    assert end in ends and len(cuts) == ends.index(end) + 1
-    assert idx.tolist() == sorted(idx.tolist()) and len(idx) == cuts[-1]
-    c0 = 0
-    for j, ((qb, n), c1) in enumerate(zip(run, cuts.tolist())):
-        if j:  # a later block's limit: the seed only falls
-            limit = data.draw(st.integers(0, min(limit, 2**64)))
-        ib, ab = idx[c0:c1], a[c0:c1]
-        keep = ab <= np.uint64(min(limit, 1 << 63))
-        want_i, want_a = oracle_block_hits(mult, qb, n, limit)
-        assert (ib[keep] - np.uint64(qb - q0)).tolist() == want_i.tolist()
-        assert ab[keep].tolist() == want_a.tolist()
-        c0 = c1
+    reads, runs, run = [], [], _Multipliers._run
+
+    def falling():
+        if not reads:
+            reads.append(limit)
+        elif len(reads) % k == 0:
+            reads.append(data.draw(st.integers(0, reads[-1])))
+        else:
+            reads.append(reads[-1])
+        return reads[-1]
+
+    def spy(mult, q0, lim):
+        res = end, cuts, q, _a = run(mult, q0, lim)
+        ends = [b + n for b, n in blocks if b >= q0]
+        assert lim == reads[-1] and end in ends and len(cuts) == ends.index(end) + 1
+        assert q.tolist() == sorted(q.tolist()) and len(q) == cuts[-1]
+        runs.append((q0, end, lim))
+        return res
+    got, seen = {}, 0
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(_Multipliers, "_run", spy)
+        for q, a in mult.walk(falling):
+            assert len(reads) > seen  # a read of its own
+            seen = len(reads)
+            q0 = max(b for b, _n in blocks if b <= int(q[0]))
+            got[q0] = q - np.uint64(q0), a, reads[-1]
+    assert runs[0][0] == 1 and runs[-1][1] == q_max + 1
+    assert all(end == nxt for (_q, end, _l), (nxt, _e, _m) in zip(runs, runs[1:]))
+    empty = np.zeros(0, dtype=np.uint64)
+    for q0, n in blocks:
+        later = [got[b][2] for b in sorted(got) if b > q0]
+        i, a, lim = got.get(q0, (empty, empty, later[0] if later else reads[-1]))
+        want_i, want_a = oracle_block_hits(mult, q0, n, lim)
+        assert i.tolist() == want_i.tolist() and a.tolist() == want_a.tolist()
 
 
 def _hot_records(theta, q_max):
@@ -611,14 +650,14 @@ def test_records_inside_a_run_lower_the_later_blocks_limits(theta):
     blocks behind them keep only the survivors of the lowered limit, so the
     re-checks are still the hot set and the records the oracle's."""
     q_max = 3 * _BLOCK + 5
-    runs, run = [], _Multipliers.run
+    runs, run = [], _Multipliers._run
 
-    def spy(mult, q0, limit, stop=None):
-        res = run(mult, q0, limit, stop)
+    def spy(mult, q0, limit):
+        res = run(mult, q0, limit)
         runs.append((q0 + min(q0, _BLOCK), res[0]))  # its later blocks
         return res
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(_Multipliers, "run", spy)
+        m.setattr(_Multipliers, "_run", spy)
         got = simultaneous_scan(theta, q_max)
     assert got == oracle_simultaneous(theta, q_max)
     assert any(lo <= q < end for q, _d in got[0] for lo, end in runs)
