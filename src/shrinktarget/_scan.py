@@ -13,29 +13,26 @@ its survivors.  With P_i = floor(p_i * 2^64 / D), the position q*P_i wraps
 mod 2^64 and a_q = max_i min(x, 2^64 - x) is the filter's distance.  Since
 0 <= q*p_i*2^64/D - q*P_i < q and the distance is 1-Lipschitz,
 |a_q - 2^64 * D_q / D| < q_max =: E.  A multiplier is kept ("hot") when a_q
-could still satisfy the exact walk's test: a_q <= min(seed, running
-fixed-point minimum) + fast + 2E for records, seed the exact record at the
-block start (2^63 before the first), and a_q <= fast + E for baseline
-domination, with every exact bound rounded up to fixed point.  The exact
-running minimum is within E of the fixed-point one, so the hot set contains
-every multiplier the exact walk would look at; each hot q gets its exact D_q
-from Python ints and goes through the exact logic, and every other q
-provably changes nothing.  Blocks double, [k, 2k), up to _BLOCK multipliers,
-and are filtered coordinate first: for L < 2^63, min(x, -x) <= L exactly
-when x = q*P_1 lies in the circular range [-L, L].  The ramp x_i = i*P_1,
-i < m = min(_RAMP, (q_max + 1) // 2), is one _Ramp per scan, and a run of
-consecutive blocks from q0 is copies of it, copy c shifted by
-(q0 + c*m)*P_1: one range per copy, all in one query (see
+could still satisfy the exact walk's test: for records,
+a_q <= min(2^63, min_{q' < q} a_q') + fast + 2E, and for baseline
+domination a_q <= fast + E, with every exact bound rounded up to fixed
+point.  The exact record is at most every earlier D_q', and each D_q' lies
+within E of its a_q', so the hot set contains every multiplier the exact
+walk would look at; each hot q gets its exact D_q from Python ints and goes
+through the exact logic, and every other q provably changes nothing.  The
+multipliers are filtered coordinate first: for L < 2^63, min(x, -x) <= L
+exactly when x = q*P_1 lies in the circular range [-L, L].  The ramp
+x_i = i*P_1, i < m = min(_RAMP, (q_max + 1) // 2), is one _Ramp per scan,
+and the multipliers are copies of it, copy c shifted by (1 + c*m)*P_1: a
+run of whole copies is one range per copy, all in one query (see
 _Multipliers._run).  The test a_q <= L on every coordinate makes the
 superset exact; the other coordinates and the running minimum only see the
-candidates.  Both scans read the survivors block by block from
-_Multipliers.walk: a run's L is that of its first block, and a later block
-keeps its own survivors, those with a_q <= its own L, which is lower or
-equal: records only lower the seed, and the baseline's L is fixed.  A
-block with no survivors changes nothing and is skipped.  Records take
-L = seed + fast + 2E: a q with a_q > L cannot lower min(seed, .), and every
-survivor has a_q <= L, so a survivor is hot exactly when
-a_q <= (running minimum of the survivors up to q) + fast + 2E.
+candidates.  Both scans read the survivors run by run from
+_Multipliers.walk, each run at the L read as it comes up; the baseline's L
+is fixed.  Records take L = min(low + fast + 2E, 2^63), low the least a_q
+before the run (2^63 before the first): a q with a_q > L is not hot,
+and every survivor has a_q <= L, so a survivor is hot exactly when
+a_q <= (running minimum of the run's survivors up to q) + fast + 2E.
 
 Linear scans (linear_min, linear_records) take the nonzero integer vectors s
 with |s|_sup <= h, first nonzero coordinate positive, and
@@ -83,8 +80,7 @@ from .exact import CertifiedScalar, CertifiedVector, Verdict, _l1
 DEFAULT_BUDGET = 10**8
 _NP_LIMIT = 1 << 62
 _CHUNK = 1 << 20  # linear cells per fixed-point block
-_BLOCK = 1 << 16  # widest block of multipliers
-_RAMP = 1 << 14  # sorted ramp entries, and the words of a run of blocks (or of one)
+_RAMP = 1 << 14  # sorted ramp entries, and the words of a run of ramp copies
 
 
 def scan_data(theta: CertifiedVector) -> tuple[tuple[int, ...], int, Fraction]:
@@ -185,14 +181,15 @@ class _Ramp:
 
 
 class _Multipliers:
-    """The fixed-point distances a_q of the multipliers 1..q_max, in doubling
-    blocks [1, 1], [2, 3], [4, 7], ..., at most _BLOCK wide: walk reads the
-    survivors block by block, from one query per run of blocks (_run)."""
+    """The fixed-point distances a_q of the multipliers 1..q_max, as copies of
+    one ramp of m multipliers, copy c holding 1 + c*m, ..., (c + 1)*m: walk
+    reads the survivors of one run of whole copies at a time (_run)."""
 
     def __init__(self, nums, den: int, q_max: int):
         self.q_max = q_max
         self.steps = [np.uint64((p << 64) // den) for p in nums]
-        self.m = min(_RAMP, (q_max + 1) // 2)  # every block has n <= (q_max + 1) // 2
+        # no longer than two copies need to cover 1..q_max: a short scan sorts less
+        self.m = min(_RAMP, (q_max + 1) // 2)
 
     @cached_property
     def ramp(self):
@@ -200,81 +197,50 @@ class _Multipliers:
         return _Ramp(np.arange(self.m, dtype=np.uint64) * self.steps[0],
                      _RAMP.bit_length() - 1)
 
-    def blocks(self):
-        """Yield (q0, n): the multipliers q0, ..., q0 + n - 1."""
-        q0 = 1
-        while q0 <= self.q_max:
-            n = min(q0, _BLOCK, self.q_max + 1 - q0)
-            yield q0, n
-            q0 += n
-
-    @cached_property
-    def ends(self):
-        """The first multiplier after each block, ascending."""
-        return np.array([q0 + n for q0, n in self.blocks()], dtype=np.int64)
-
     def walk(self, limit):
-        """Yield (q, a) for each block with survivors, in order: its
+        """Yield (q, a) for each run with survivors, in order: its
         multipliers q (uint64), ascending, with a_q <= limit(), and those
-        a_q.  limit() is read as each block comes up, and must not rise: a
-        run of blocks is queried at its first block's limit (see _run), and
-        each later block keeps the run's survivors within its own."""
+        a_q.  limit() is read once per run, as the run comes up."""
         q0 = 1
         while q0 <= self.q_max:
-            run_limit = limit()
-            end, cuts, q, a = self._run(q0, run_limit)
-            for c0, c1 in zip([0, *cuts], cuts):
-                if c0 == c1:  # no survivors: the block changes nothing
-                    continue
-                qb, ab = q[c0:c1], a[c0:c1]
-                lim = limit()
-                if lim < run_limit:
-                    keep = ab <= np.uint64(lim)
-                    qb, ab = qb[keep], ab[keep]
-                if len(qb):
-                    yield qb, ab
-            q0 = end
+            q0, q, a = self._run(q0, limit())
+            if len(q):
+                yield q, a
 
     def _run(self, q0: int, limit: int):
-        """(end, cuts, q, a): a run of whole blocks from the block start q0
-        to end - 1, at least one block; its multipliers q (uint64),
-        ascending, with a_q <= limit, those a_q, and cuts[j] the number of
-        them in the run's first j + 1 blocks.  It queries the first block's
-        copies of the ramp, then as many more as would hold about 2*_RAMP
-        words at that density (_RAMP at most: offsets stay below 2^32), and
-        takes the most whole blocks of them, one at least, whose ranges hold
-        at most _RAMP words (or multipliers, where fewer): about one block's
-        worth however the candidates cluster.  It takes every multiplier
-        where the ranges hold as many, or past the ramp's reach."""
-        ends = self.ends[np.searchsorted(self.ends, q0, "right"):] - q0
+        """(end, q, a): a run of whole copies from the copy start q0 to
+        end - 1 (the last copy ends at q_max); its multipliers q (uint64),
+        ascending, with a_q <= limit, and those a_q.  It queries the first
+        copy, then as many more as would hold about 2*_RAMP words at that
+        density (_RAMP at most: offsets stay below 2^32), and takes the most
+        copies whose ranges hold at most _RAMP words (one at least: a copy's
+        range holds at most m <= _RAMP): about _RAMP candidates however they
+        cluster.  It takes every multiplier where the ranges hold as many,
+        or past the ramp's reach."""
         limit = min(limit, 1 << 63)  # every a_q <= 2^63
-        m = self.m
+        m, left = self.m, self.q_max + 1 - q0
         if limit > (1 << 63) - _RAMP:  # past the ramp's reach: every multiplier
-            take, cum = ends, None
+            n, dense = min(_RAMP // m * m, left), True
         else:
-            k = -(-int(ends[0]) // m)
-            r, s, e = self._ranges(q0, k, limit)
-            held = int((e - s).sum())
-            more = min(-(-int(ends[-1]) // m) - k, _RAMP, 2 * _RAMP * k // max(held, 1))
-            if held <= _RAMP and more:
-                r2, s2, e2 = self._ranges(q0 + k * m, more, limit)
-                r, s, e = (np.concatenate(p) for p in ((r, r2 + k), (s, s2), (e, e2)))
-                k += more
-            ends = ends[ends <= k * m]
-            cum = np.zeros(k, dtype=np.intp)  # the words of the copies up to each
+            r, s, e = self._ranges(q0, 1, limit)
+            more = min(-(-left // m) - 1, _RAMP, 2 * _RAMP // max(int((e - s).sum()), 1))
+            if more:
+                r2, s2, e2 = self._ranges(q0 + m, more, limit)
+                r, s, e = (np.concatenate(p) for p in ((r, r2 + 1), (s, s2), (e, e2)))
+            cum = np.zeros(1 + more, dtype=np.intp)  # the words of the copies up to each
             cum[r] = e - s
             np.cumsum(cum, out=cum)
-            take = np.minimum(cum[(ends - 1) // m], ends)
-        n = int(ends[max(int(np.searchsorted(take, _RAMP, "right")), 1) - 1])
-        dense = cum is None or cum[(n - 1) // m] >= n
+            k = int(np.searchsorted(cum, _RAMP, "right"))
+            n = min(k * m, left)
+            dense = cum[k - 1] >= n
         if dense:
             i = np.arange(n, dtype=np.uint32)
         else:  # gather the ranges of the run's copies in one pass
-            j = np.searchsorted(r, -(-n // m))
+            j = np.searchsorted(r, k)
             c, i = self.ramp.gather(r[:j], s[:j], e[:j])
             c *= np.uint32(m)
             i += c
-            if n % m:
+            if n % m:  # the last copy ends at q_max
                 i = i[i < n]
         q = i + np.uint64(q0)
         a = _d64(q * st for st in self.steps)  # the positions wrap mod 2^64
@@ -283,8 +249,7 @@ class _Multipliers:
         if not dense:
             o = q.argsort()
             q, a = q[o], a[o]
-        cuts = q.searchsorted((ends[ends <= n] + q0).astype(np.uint64))
-        return q0 + n, cuts.tolist(), q, a
+        return q0 + n, q, a
 
     def _ranges(self, start: int, copies: int, limit: int):
         """The ramp's ranges (r, s, e) of its copies from the multiplier
@@ -326,13 +291,15 @@ def simultaneous_scan(theta: CertifiedVector, q_max: int, *,
     best_d = -1
     best_q = 0
     out = []
+    low = 1 << 63  # the least a_q yielded so far
     # an exact scan stops at q = den at the latest, where D_q = 0
     mult = _Multipliers(nums, den, min(q_max, den) if exact else q_max)
 
-    def limit():  # the filter limit of a block, from the record in force
-        return min((_fp_up(best_d, den) if best_q else 1 << 63) + slack, 1 << 63)
+    def limit():  # the filter limit of a run: a q above it is not hot
+        return min(low + slack, 1 << 63)
 
     for qs, a in mult.walk(limit):
+        low = min(low, int(a.min()))
         if slack < 1 << 63:  # else a degenerate radius: every a_q <= 2^63 is hot
             # a running minimum <= 2^63 plus slack < 2^63 fits in uint64
             qs = qs[a <= np.minimum.accumulate(a) + np.uint64(slack)]

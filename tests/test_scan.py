@@ -3,14 +3,13 @@
 The multiplier scans are checked against `oracle_simultaneous` and
 `oracle_baseline`: the plain per-q walks, with every decision made on exact
 integers, that the fixed-point engine must reproduce record for record and
-error for error, and the survivor walk of `_Multipliers` is checked block
-by block against `oracle_block_hits`, a walk over the ramp copies of one
-block.  The linear scans are checked the same way against
+error for error, and the survivor walk of `_Multipliers` is checked run by
+run against `oracle_copy_hits`, a walk over the ramp copies of one run, one
+query per copy.  The linear scans are checked the same way against
 `oracle_linear_min` and `oracle_linear_records`, walks over every canonical
 cell of the box, shell by shell.
 """
 
-import bisect
 import itertools
 import math
 import tracemalloc
@@ -21,7 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from shrinktarget import _scan
-from shrinktarget._scan import (_BLOCK, _RAMP, DEFAULT_BUDGET, _LinearBox, _margin,
+from shrinktarget._scan import (_RAMP, DEFAULT_BUDGET, _LinearBox, _margin,
                                 _Multipliers, _Ramp, all_greater_than_baseline, linear_min,
                                 linear_records, scan_data, simultaneous_scan)
 from shrinktarget.bestapprox import best_linear, linear_error
@@ -296,15 +295,15 @@ def test_exact_theta_terminates_at_zero():
     assert simultaneous_scan(CertifiedVector((F(0),)), 5) == ([(1, 0)], 1, True)
 
 
-def test_scans_cross_block_boundary_on_big_denominator():
-    # a 2^64-size prime denominator with a radius, over two full blocks
+def test_scans_cross_ramp_copies_on_big_denominator():
+    # a 2^64-size prime denominator with a radius, over eight full ramp copies
     den = 2**64 - 59
     theta = CertifiedVector((F(7640891576956012809, den),), F(1, 2**90))
-    q_max = 2 * _BLOCK + 300
+    q_max = 8 * _RAMP + 300
     assert simultaneous_scan(theta, q_max) == oracle_simultaneous(theta, q_max)
     recs, _den, _zero = simultaneous_scan(theta, q_max)
     base_q = recs[-2][0]
-    exceptions = {recs[-1][0], _BLOCK + 7}
+    exceptions = {recs[-1][0], 4 * _RAMP + 7}
     assert (all_greater_than_baseline(theta, q_max, base_q, exceptions)
             == oracle_baseline(theta, q_max, base_q, exceptions))
 
@@ -315,21 +314,40 @@ def _filter_value(nums, den, q):
     return max(min(x, one - x) for x in (q * ((p << 64) // den) % one for p in nums))
 
 
-def _walk_block(mult, q0, n, limit):
-    """(i, a): the offsets from q0 and the a_q that the walk at a fixed limit
-    yields for the block q0, ..., q0 + n - 1, empty when it skips the block.
-    Each yield must be the ascending survivors of one block, after those of
-    the block before."""
-    ends = mult.ends.tolist()
-    got, last = (np.zeros(0, dtype=np.uint64),) * 2, 0
-    for q, a in mult.walk(lambda: limit):
+def _filter_values(nums, den, q_max):
+    """a_q for q = 1..q_max in one uint64 pass over every multiplier: the
+    walk's range queries must give what this gives."""
+    q = np.arange(1, q_max + 1, dtype=np.uint64)
+    a = np.zeros(q_max, dtype=np.uint64)
+    for p in nums:
+        x = q * np.uint64((p << 64) // den)  # wraps mod 2^64
+        a = np.maximum(a, np.minimum(x, np.negative(x)))
+    return a
+
+
+def _copies(mult):
+    """(q0, n) for each copy of the ramp: q0 = 1 + c*m, the last ending at q_max."""
+    return [(q0, min(mult.m, mult.q_max + 1 - q0)) for q0 in range(1, mult.q_max + 1, mult.m)]
+
+
+def _check_walk(nums, den, q_max, limit, copy):
+    """_Multipliers.walk at a fixed limit: its yields are ascending and
+    disjoint, each after the one before, and together exactly the
+    q <= q_max with a_q <= limit, with those a_q; the a_q of the ramp copy
+    (q0, n) are checked against Python ints."""
+    got_q, got_a, last = [], [], 0
+    for q, a in _Multipliers(nums, den, q_max).walk(lambda: limit):
         qs = q.tolist()
-        end = ends[bisect.bisect_right(ends, qs[0])]
-        assert qs == sorted(qs) and last <= qs[0] and qs[-1] < end and len(a) == len(q)
-        last = end
-        if end == q0 + n:
-            got = q - np.uint64(q0), a
-    return got
+        assert qs and qs == sorted(set(qs)) and last < qs[0] and len(a) == len(q)
+        last = qs[-1]
+        got_q += qs
+        got_a += a.tolist()
+    values = _filter_values(nums, den, q_max)
+    want = np.flatnonzero(values <= min(limit, 2**63))
+    assert got_q == (want + 1).tolist() and got_a == values[want].tolist()
+    q0, n = copy
+    assert values[q0 - 1:q0 - 1 + n].tolist() == [_filter_value(nums, den, q)
+                                                  for q in range(q0, q0 + n)]
 
 
 LIMITS = st.one_of(st.sampled_from([0, 1, 2**63 - 1, 2**63, 2**64]),
@@ -337,60 +355,47 @@ LIMITS = st.one_of(st.sampled_from([0, 1, 2**63 - 1, 2**63, 2**64]),
 
 
 @settings(deadline=None, max_examples=120)
-@given(DENS, st.integers(1, 4), st.sampled_from([1, 2, 600, _BLOCK - 1, _BLOCK,
-                                                 3 * _BLOCK + 5]), LIMITS, st.data())
+@given(DENS, st.integers(1, 4), st.sampled_from([1, 2, 600, 4 * _RAMP - 1, 4 * _RAMP,
+                                                 12 * _RAMP + 5]), LIMITS, st.data())
 def test_filter_hits_are_the_multipliers_within_the_limit(den, dim, q_max, limit, data):
-    """_Multipliers.walk at a fixed limit against a_q from Python ints: the
-    offsets it yields for a block, with their a_q, are exactly the q of the
-    block with a_q <= limit, in the first block, the doubling ones, the full
-    ones and the last, short one."""
+    """_Multipliers.walk at a fixed limit against a pass over every q: the
+    survivors are exactly the q with a_q <= limit (_check_walk), in whole
+    ramp copies and in a short last one, with a drawn copy's a_q from
+    Python ints."""
     theta, _q = data.draw(_theta_for(den, q_max, dim))
     nums = scan_data(theta)[0]
-    mult = _Multipliers(nums, den, q_max)
-    blocks = list(mult.blocks())
-    assert sum(n for _q0, n in blocks) == q_max and blocks[0] == (1, 1)
-    assert all(q0 + n == nxt for (q0, n), (nxt, _n) in zip(blocks, blocks[1:]))
-    assert all(n == min(q0, _BLOCK, q_max + 1 - q0) for q0, n in blocks)
-    q0, n = data.draw(st.sampled_from(blocks))
-    idx, a = _walk_block(mult, q0, n, limit)
-    values = [_filter_value(nums, den, q0 + i) for i in range(n)]
-    assert idx.tolist() == [i for i, v in enumerate(values) if v <= limit]
-    assert a.tolist() == [values[i] for i in idx.tolist()]
+    copies = _copies(_Multipliers(nums, den, q_max))
+    assert copies[0][0] == 1 and sum(n for _q0, n in copies) == q_max
+    _check_walk(nums, den, q_max, limit, data.draw(st.sampled_from(copies)))
 
 
 @settings(deadline=None, max_examples=150)
 @given(DENS, st.integers(1, 3),
        st.sampled_from([_RAMP - 1, _RAMP, _RAMP + 1, 2 * _RAMP + 3, 4 * _RAMP,
-                        2 * _BLOCK + 5]),
+                        8 * _RAMP + 5]),
        st.sampled_from(["drawn", "edge", "wrap"]), LIMITS, st.data())
 def test_ramp_index_hits_match_the_filter_values(den, dim, q_max, kind, limit, data):
-    """_Multipliers.walk against a_q from Python ints, where the sorted ramp
-    matters: q_max around one and a few copies of it (2 * _BLOCK + 5 has a
-    full block of four), denominators up to _RAMP (the ramp repeats and its
-    keys tie), near 2^63 and 2^64 and beyond.  In the widest blocks an
-    "edge" limit puts a survivor's first coordinate on an end of its range,
-    and a "wrap" limit makes the range of a survivor's copy cross 2^64."""
+    """_Multipliers.walk against a pass over every q, where the sorted ramp
+    matters: q_max around one and a few copies of it (8 * _RAMP + 5 has
+    eight full copies and a short last one), denominators up to _RAMP (the
+    ramp repeats and its keys tie), near 2^63 and 2^64 and beyond.  In a
+    drawn ramp copy an "edge" limit puts a survivor's first coordinate on
+    an end of its range, and a "wrap" limit makes the copy's range cross
+    2^64."""
     rnd = data.draw(st.randoms(use_true_random=True))
     nums = [rnd.randrange(den) for _ in range(dim)]
-    blocks = list(_Multipliers(nums, den, q_max).blocks())
-    if kind != "drawn":
-        blocks = sorted(blocks, key=lambda b: b[1])[-2:]
-    q0, n = data.draw(st.sampled_from(blocks))
+    q0, n = data.draw(st.sampled_from(_copies(_Multipliers(nums, den, q_max))))
     if kind == "edge":
         # q's largest coordinate first, and the limit at its value
         q = q0 + data.draw(st.integers(0, n - 1))
         nums.sort(key=lambda p: -_filter_value([p], den, q))
         limit = _filter_value(nums, den, q)
     elif kind == "wrap":
-        # the first multiplier q of a copy, with q*P_1 within the limit of 0
-        q = q0 + data.draw(st.integers(0, (n - 1) // _RAMP)) * _RAMP
-        nums[0] = den * data.draw(st.integers(1, q)) // q % den
-        near = _filter_value(nums[:1], den, q) + limit % (1 << 40)
-        limit = min(max(near, _filter_value(nums, den, q)), 2**63 - 1)
-    idx, a = _walk_block(_Multipliers(nums, den, q_max), q0, n, limit)
-    values = [_filter_value(nums, den, q0 + i) for i in range(n)]
-    assert idx.tolist() == [i for i, v in enumerate(values) if v <= limit]
-    assert a.tolist() == [values[i] for i in idx.tolist()]
+        # the copy's first multiplier q0, with q0*P_1 within the limit of 0
+        nums[0] = den * data.draw(st.integers(1, q0)) // q0 % den
+        near = _filter_value(nums[:1], den, q0) + limit % (1 << 40)
+        limit = min(max(near, _filter_value(nums, den, q0)), 2**63 - 1)
+    _check_walk(nums, den, q_max, limit, (q0, n))
 
 
 @st.composite
@@ -484,10 +489,11 @@ def test_linear_box_tails_are_an_odd_width_ramp():
         assert all(value[c] < limit + 32 for c in cells)
 
 
-def oracle_block_hits(mult, q0, n, limit):
-    """The hits of one block by the per-copy walk: one query of the sorted
-    ramp (a single range of _Ramp.ranges, read by _Ramp.gather) for each copy
-    of the block, then the test on every coordinate."""
+def oracle_copy_hits(mult, q0, n, limit):
+    """The hits of the multipliers q0, ..., q0 + n - 1 from a copy start q0
+    by the per-copy walk: one query of the sorted ramp (a single range of
+    _Ramp.ranges, read by _Ramp.gather) for each copy, then the test on
+    every coordinate."""
     limit = min(limit, 1 << 63)
     m, step, ramp = mult.m, int(mult.steps[0]), mult.ramp
     if limit > ramp.reach:
@@ -509,31 +515,71 @@ def oracle_block_hits(mult, q0, n, limit):
     return i[keep], a[keep]
 
 
+def _held(mult, q0, limit):
+    """The words that the range of the copy from q0 holds at a limit within
+    the ramp's reach, from a query of that one range."""
+    lo = (-q0 * int(mult.steps[0]) - limit) % (1 << 64)
+    found = mult.ramp.ranges(np.array([lo], dtype=np.uint64), 2 * limit)
+    return len(mult.ramp.gather(*found)[1])
+
+
+def oracle_run_end(mult, q0, limit):
+    """The end of the run from the copy start q0, copy by copy: past the
+    ramp's reach _RAMP // m copies; else the first copy and as many more as
+    would hold 2*_RAMP words at its density (_RAMP at most), of which the
+    most whose ranges hold at most _RAMP words together."""
+    limit = min(limit, 1 << 63)
+    m, left = mult.m, mult.q_max + 1 - q0
+    if limit > mult.ramp.reach:
+        return q0 + min(_RAMP // m * m, left)
+    held = _held(mult, q0, limit)
+    k = 1
+    for c in range(1, 1 + min(-(-left // m) - 1, _RAMP, 2 * _RAMP // max(held, 1))):
+        held += _held(mult, q0 + c * m, limit)
+        if held > _RAMP:
+            break
+        k += 1
+    return q0 + min(k * m, left)
+
+
+def _spy_runs(runs):
+    """A stand-in for _Multipliers._run that checks each run against the
+    per-copy oracles and appends (q0, end, limit, q) to runs."""
+    run = _Multipliers._run
+
+    def spy(mult, q0, limit):
+        res = end, q, a = run(mult, q0, limit)
+        assert (q0 - 1) % mult.m == 0 and end == oracle_run_end(mult, q0, limit) > q0
+        want_i, want_a = oracle_copy_hits(mult, q0, end - q0, limit)
+        assert (q - np.uint64(q0)).tolist() == want_i.tolist()
+        assert a.tolist() == want_a.tolist()
+        runs.append((q0, end, limit, q.tolist()))
+        return res
+    return spy
+
+
 @settings(deadline=None, max_examples=150)
-@given(DENS, st.integers(1, 3), st.sampled_from([600, _RAMP + 1, 3 * _BLOCK + 5]),
+@given(DENS, st.integers(1, 3), st.sampled_from([600, _RAMP + 1, 12 * _RAMP + 5]),
        st.integers(1, 8), st.sampled_from(["drawn", "wrap"]), LIMITS, st.data())
 def test_runs_match_the_per_block_oracle(den, dim, q_max, k, kind, limit, data):
-    """The walk against the per-copy oracle block by block, with a limit
-    that falls at every k-th read: each block it yields holds the oracle's
-    survivors at a limit read for it since the last yield, and a block it
-    skips has none at the limit in force when the walk passed it.  Each run
-    holds whole blocks, at least one, the runs tile 1..q_max, and a run's
-    limit is the one read at its start.  3 * _BLOCK + 5 runs from doubling
-    into full blocks and on into a short last one; denominators up to 600
-    make the ramp's keys tie; a "wrap" vector puts the range of a block's
-    copy across 2^64."""
+    """The walk against the per-copy oracles run by run, with a limit that
+    falls at every k-th read: each run (a spy on _run) reads a limit of its
+    own, holds whole copies from a copy start to the end of its rule
+    (oracle_run_end), and has the survivors of oracle_copy_hits at that
+    limit; the runs tile 1..q_max, and the walk yields the survivors of
+    each run that has some.  12 * _RAMP + 5 ends in a short last copy;
+    denominators up to 600 make the ramp's keys tie; a "wrap" vector puts
+    the range of a drawn copy across 2^64."""
     rnd = data.draw(st.randoms(use_true_random=True))
     nums = [rnd.randrange(den) for _ in range(dim)]
     mult = _Multipliers(nums, den, q_max)
-    blocks = list(mult.blocks())
     if kind == "wrap":
-        # a copy start q of a block with q*P_1 within the limit of 0
-        q0, n = data.draw(st.sampled_from(blocks))
-        q = q0 + data.draw(st.integers(0, (n - 1) // mult.m)) * mult.m
+        # a copy start q with q*P_1 within the limit of 0
+        q = data.draw(st.sampled_from(_copies(mult)))[0]
         nums[0] = den * data.draw(st.integers(1, q)) // q % den
         limit = min(_filter_value(nums[:1], den, q) + limit % (1 << 40), 2**63 - 1)
         mult = _Multipliers(nums, den, q_max)
-    reads, runs, run = [], [], _Multipliers._run
+    reads, runs = [], []
 
     def falling():
         if not reads:
@@ -543,49 +589,50 @@ def test_runs_match_the_per_block_oracle(den, dim, q_max, k, kind, limit, data):
         else:
             reads.append(reads[-1])
         return reads[-1]
-
-    def spy(mult, q0, lim):
-        res = end, cuts, q, _a = run(mult, q0, lim)
-        ends = [b + n for b, n in blocks if b >= q0]
-        assert lim == reads[-1] and end in ends and len(cuts) == ends.index(end) + 1
-        assert q.tolist() == sorted(q.tolist()) and len(q) == cuts[-1]
-        runs.append((q0, end, lim))
-        return res
-    got, seen = {}, 0
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(_Multipliers, "_run", spy)
-        for q, a in mult.walk(falling):
-            assert len(reads) > seen  # a read of its own
-            seen = len(reads)
-            q0 = max(b for b, _n in blocks if b <= int(q[0]))
-            got[q0] = q - np.uint64(q0), a, reads[-1]
+        m.setattr(_Multipliers, "_run", _spy_runs(runs))
+        got = [q.tolist() for q, _a in mult.walk(falling)]
+    assert [lim for _q0, _end, lim, _q in runs] == reads
     assert runs[0][0] == 1 and runs[-1][1] == q_max + 1
-    assert all(end == nxt for (_q, end, _l), (nxt, _e, _m) in zip(runs, runs[1:]))
-    empty = np.zeros(0, dtype=np.uint64)
-    for q0, n in blocks:
-        later = [got[b][2] for b in sorted(got) if b > q0]
-        i, a, lim = got.get(q0, (empty, empty, later[0] if later else reads[-1]))
-        want_i, want_a = oracle_block_hits(mult, q0, n, lim)
-        assert i.tolist() == want_i.tolist() and a.tolist() == want_a.tolist()
+    assert all(end == nxt for (_q, end, *_r), (nxt, *_s) in zip(runs, runs[1:]))
+    assert got == [q for *_r, q in runs if q]
+
+
+@pytest.mark.parametrize("q_max, limit, ends", [
+    (_RAMP, (1 << 63) - _RAMP, [_RAMP + 1]),
+    (2 * _RAMP, (1 << 63) - _RAMP, [_RAMP + 1, 2 * _RAMP + 1]),
+    (_RAMP, 1 << 63, [_RAMP + 1]),
+    (2 * _RAMP + 1, 1 << 63, [_RAMP + 1, 2 * _RAMP + 1, 2 * _RAMP + 2])],
+    ids=["halves-at-reach", "copies-at-reach", "halves-past-reach", "short-past-reach"])
+def test_runs_hold_at_most_the_ramp(q_max, limit, ends):
+    """At the ramp's reach every copy's range holds all m of its words: the
+    two copies of m = _RAMP / 2 hold _RAMP words and are one run, and a
+    copy of m = _RAMP is a run of its own.  Past the reach a run takes
+    every multiplier of _RAMP // m copies."""
+    den = 2**64 - 59
+    mult = _Multipliers([7640891576956012809], den, q_max)
+    if limit <= mult.ramp.reach:
+        assert all(_held(mult, q0, limit) == mult.m for q0, _n in _copies(mult))
+    runs = []
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(_Multipliers, "_run", _spy_runs(runs))
+        list(mult.walk(lambda: limit))
+    assert [end for _q0, end, *_r in runs] == ends
 
 
 def _hot_records(theta, q_max):
     """The multipliers simultaneous_scan re-checks exactly, from Python ints:
-    in each block, q is hot when a_q <= min(seed, a of the block's earlier
-    multipliers) + slack, seed the oracle's record before the block in fixed
-    point (2^63 before the first), slack the margin plus 2*q_max."""
+    q is hot when a_q <= min(2^63, a_q' for every q' < q) + slack, slack the
+    margin plus 2*q_max, up to the zero of an exact theta."""
     nums, den, r = scan_data(theta)
     recs, _den, zero = oracle_simultaneous(theta, q_max)
     slack = -((-_margin(r, den, 2 * q_max) << 64) // den) + 2 * q_max
-    hot = []
-    for q0, n in _Multipliers(nums, den, q_max).blocks():
-        best = [d for q, d in recs if q < q0]
-        run = -((-best[-1] << 64) // den) if best else 1 << 63
-        for q in range(q0, q0 + n):
-            a = _filter_value(nums, den, q)
-            if slack >= 1 << 63 or a <= run + slack:
-                hot.append(q)
-            run = min(run, a)
+    hot, low = [], 1 << 63
+    for q in range(1, q_max + 1):
+        a = _filter_value(nums, den, q)
+        if a <= low + slack:
+            hot.append(q)
+        low = min(low, a)
     return [q for q in hot if not zero or q <= recs[-1][0]]
 
 
@@ -605,8 +652,8 @@ def _rechecked(scan, *args):
 @settings(deadline=None, max_examples=60)
 @given(_scan_case())
 def test_records_recheck_the_specified_hot_set(case):
-    """The records re-check exactly the multipliers of the hot-set rule: the
-    limits come from the survivors' running minimum capped at the seed."""
+    """The records re-check exactly the multipliers of the hot-set rule: a
+    value within the slack of the least one before it, capped at 2^63."""
     theta, q_max = case
     try:
         expected = _hot_records(theta, q_max)
@@ -622,11 +669,15 @@ EDGE_THETAS = [CertifiedVector((F(1414213562373095048, 2**61 - 1),
                                 F(3141592653589793238, 2**64 - 59)), F(1, 2**96))]
 
 
-@pytest.mark.parametrize("q_max", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])
+@pytest.mark.parametrize("q_max", [_RAMP - 1, _RAMP + 1, 2 * _RAMP - 1, 2 * _RAMP + 1,
+                                   4 * _RAMP - 1, 4 * _RAMP, 4 * _RAMP + 1, 8 * _RAMP + 1])
 @pytest.mark.parametrize("theta", EDGE_THETAS, ids=["exact", "radius"])
-def test_scans_at_the_block_cap(theta, q_max):
-    """Both multiplier scans against their oracles where the doubling blocks
-    reach the cap, with the records' and the baseline's hot sets."""
+def test_scans_at_ramp_copy_ends(theta, q_max):
+    """Both multiplier scans against their oracles where q_max is a whole
+    number of ramp copies or one off it, with the records' and the
+    baseline's hot sets.  Below 2 * _RAMP the ramp has (q_max + 1) // 2
+    entries, and the scan is two copies, the last one short by one or
+    none."""
     got = simultaneous_scan(theta, q_max)
     assert got == oracle_simultaneous(theta, q_max)
     assert _rechecked(simultaneous_scan, theta, q_max) == _hot_records(theta, q_max)
@@ -645,23 +696,30 @@ def test_scans_at_the_block_cap(theta, q_max):
 
 
 @pytest.mark.parametrize("theta", EDGE_THETAS, ids=["exact", "radius"])
-def test_records_inside_a_run_lower_the_later_blocks_limits(theta):
-    """Records that land in a run's later blocks, after its query: the
-    blocks behind them keep only the survivors of the lowered limit, so the
-    re-checks are still the hot set and the records the oracle's."""
-    q_max = 3 * _BLOCK + 5
-    runs, run = [], _Multipliers._run
-
-    def spy(mult, q0, limit):
-        res = run(mult, q0, limit)
-        runs.append((q0 + min(q0, _BLOCK), res[0]))  # its later blocks
-        return res
+def test_runs_read_the_least_value_before_them(theta):
+    """A record scan queries each run at min(2^63, low + slack), low the
+    least a_q before the run: the first run takes every multiplier at 2^63,
+    and records land past the first copy of a later run, whose limit they
+    do not lower.  The re-checks are still the hot set and the records the
+    oracle's."""
+    q_max = 12 * _RAMP + 5
+    nums, den, r = scan_data(theta)
+    slack = -((-_margin(r, den, 2 * q_max) << 64) // den) + 2 * q_max
+    runs = []
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(_Multipliers, "_run", spy)
+        m.setattr(_Multipliers, "_run", _spy_runs(runs))
         got = simultaneous_scan(theta, q_max)
     assert got == oracle_simultaneous(theta, q_max)
-    assert any(lo <= q < end for q, _d in got[0] for lo, end in runs)
+    low = np.minimum.accumulate(_filter_values(nums, den, q_max)).tolist()
+    assert [lim for _q0, _end, lim, _q in runs] == [
+        min(2**63, (low[q0 - 2] if q0 > 1 else 2**63) + slack) for q0, *_r in runs]
+    assert runs[0][2] == 2**63 > runs[1][2]
+    assert any(q0 + _RAMP <= q < end for q, _d in got[0] for q0, end, *_r in runs[1:])
     assert _rechecked(simultaneous_scan, theta, q_max) == _hot_records(theta, q_max)
+
+
+# the unit of the scan memory bounds below: 2^16 uint64 words
+_BLOCK = 1 << 16
 
 
 def test_scan_memory_does_not_grow_with_the_range():
