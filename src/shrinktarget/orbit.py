@@ -256,16 +256,19 @@ def _miss32(miss: np.ndarray) -> np.ndarray:
     return np.minimum(((miss + 0xFFFF_FFFF) >> 32) + 1, _NO_MISS32).astype(np.uint32)
 
 
-def _levels_at(steps, ks):
-    """The ladder level of each step k in ks, where level i covers steps[i]
-    consecutive steps (see _Engine.levels).  A ladder of at most _BLOCK
-    steps is read from a per-step level array, one gather for the batch; a
-    longer one (a bucketed window run, whose steps can far outnumber its
-    candidates) is searched at its level ends."""
+def _limits(ladder, ks):
+    """(hit, miss) at the steps ks of a ladder (steps, hit, miss) of
+    _Engine.levels.  A ladder of at most _BLOCK steps is read from a
+    per-step level array, one gather for the batch; a longer one (a bucketed
+    window run, whose steps can far outnumber its candidates) is searched
+    at its level ends."""
+    steps, hit, miss = ladder
     if steps.sum() <= _BLOCK:
         level = np.arange(len(steps), dtype=np.min_scalar_type(len(steps)))
-        return np.repeat(level, steps)[ks]
-    return np.searchsorted(np.cumsum(steps), ks, side="right")
+        level = np.repeat(level, steps)[ks]
+    else:
+        level = np.searchsorted(np.cumsum(steps), ks, side="right")
+    return hit[level], miss[level]
 
 
 class _Engine:
@@ -323,9 +326,11 @@ class _Engine:
                     for c, kt in enumerate(self.k_theta))
 
     def levels(self, b0: int, length: int, slack: int):
-        """The limits of bounds() per level, as (steps, hit, miss): level i
-        covers steps[i] consecutive steps (none when the radius skips it),
-        and level 0 holds the auto-hit steps."""
+        """The ladder of the steps b0 .. b0+length-1, as (steps, hit, miss):
+        level i covers steps[i] consecutive steps (none when the radius skips
+        it), on which d64 < hit[i] is a certain hit and d64 > miss[i] a
+        certain miss for every sample whose d64 is within `slack` of its
+        d_B / 2^s; level 0 holds the auto-hit steps."""
         end = b0 + length - 1
         a = min(max(b0, self.auto + 1), end + 1)
         xs = []  # t of the first level, then low of every level
@@ -354,18 +359,10 @@ class _Engine:
         return steps, hit, miss
 
     def bounds(self, b0: int, length: int, slack: int):
-        """Shared limits for the steps b0 .. b0+length-1: d64 < hit[k] is a
-        certain hit and d64 > miss[k] a certain miss for every sample whose
-        d64 is within `slack` of its d_B / 2^s."""
+        """The limits of levels() per step, as one (2, length) array."""
         steps, hit, miss = self.levels(b0, length, slack)
         # one 2 x length array: two separate ones fault in twice the fresh pages
         return np.repeat([hit, miss], steps, axis=1)
-
-    def limits(self, b0: int, length: int, slack: int, ks):
-        """The limits of bounds() at the steps b0 + ks only, as (hit, miss)."""
-        steps, hit, miss = self.levels(b0, length, slack)
-        level = _levels_at(steps, ks)
-        return hit[level], miss[level]
 
     def dist(self, pt, n: int) -> int:
         """Exact B-bit fixed-point distance to 0 of pt + n*theta."""
@@ -433,7 +430,7 @@ def _sweep(config: OrbitConfig, starts, x0_fracs=None) -> list[_SweepResult]:
     for b0 in range(1, n_max + 1, _BLOCK):
         length = min(_BLOCK, n_max - b0 + 1)
         slack = eng.slack(length)
-        steps, hit, miss = eng.levels(b0, length, slack)
+        steps, _, miss = ladder = eng.levels(b0, length, slack)
         miss32 = _miss32(miss)
         miss_lim = np.repeat(miss32, steps)
         # miss32 never rises, so the steps with miss32 < c start at
@@ -456,13 +453,13 @@ def _sweep(config: OrbitConfig, starts, x0_fracs=None) -> list[_SweepResult]:
             k64 = ks.astype(np.uint64)
             d = _d64([np.repeat(offs[i0:i1, c], counts) + k64 * t
                       for c, t in enumerate(eng.theta_top)])
-            lv = _levels_at(steps, ks)
-            sure = d < hit[lv]  # hit <= miss + 1: no sure hit is past the miss limit
+            hit_at, miss_at = _limits(ladder, ks)
+            sure = d < hit_at  # hit <= miss + 1: no sure hit is past the miss limit
             sure_n = (ks[sure] + b0).tolist()
             cut = np.searchsorted(rows[sure], np.arange(i0, i1 + 1)).tolist()
             for r in range(len(found)):
                 hits[i0 + r] += sure_n[cut[r]:cut[r + 1]]
-            check = (d <= miss[lv]) & ~sure
+            check = (d <= miss_at) & ~sure
             for i, k in zip(rows[check].tolist(), ks[check].tolist()):
                 verdict = eng.classify(starts[i], b0 + k, x0_fracs[i])
                 if verdict is True:
@@ -573,15 +570,15 @@ def log_law_stat(config: OrbitConfig, x0=None) -> tuple[Fraction, Fraction]:
 def _draw_starts(config: OrbitConfig, count: int) -> list[list[int]]:
     """count dyadic-grid starts, PCG64(seed), sample-major coordinate order."""
     rng = np.random.Generator(np.random.PCG64(config.seed))
-    bits = config.precision_bits
+    bits, dim = config.precision_bits, config.dim
     words = (bits + 63) // 64
-    raw = rng.integers(0, 2 ** 64, size=(count, config.dim, words),
+    raw = rng.integers(0, 2 ** 64, size=(count, dim, words),
                        dtype=np.uint64, endpoint=False)
     # a coordinate is its words read big-endian, mod 2^bits
     raw[..., 0] &= np.uint64((1 << (bits + 64 - 64 * words)) - 1)
     size, flat = 8 * words, raw.astype(">u8").tobytes()
     vals = [int.from_bytes(flat[j:j + size], "big") for j in range(0, len(flat), size)]
-    return [vals[j:j + config.dim] for j in range(0, len(vals), config.dim)]
+    return [vals[j:j + dim] for j in range(0, len(vals), dim)]
 
 
 @dataclass(frozen=True)
@@ -694,7 +691,7 @@ class _Grid:
     def near(self, points):
         """The pairs (i, k) whose step k lies in one of the 3^keyed cells
         around point i, on every coordinate: points is an array (..., keyed)
-        of top units and i a flat index of its points.  One sorted pass
+        of top units and i a flat index of its points.  One range query
         finds them: a pair within a cell's width of a point on every
         coordinate is among them.  Each probe is the one-key range of the
         ramp at its cell's key << 16."""
@@ -703,10 +700,8 @@ class _Grid:
         for c in range(cell.shape[-1]):
             probe <<= self.width
             probe |= (cell[..., c, None] + self.around[:, c]) & self.cells
-        order = np.argsort(probe, axis=None)
-        probe = probe.ravel()[order]
-        r, ks = self.ramp.gather(*self.ramp.ranges(probe, 0))
-        return order[r] // len(self.around), ks
+        r, ks = self.ramp.gather(*self.ramp.ranges(probe.ravel(), 0))
+        return r.astype(np.intp) // len(self.around), ks
 
 
 def _window(config: OrbitConfig, starts, l_lo: int, l_hi: int):
@@ -719,9 +714,9 @@ def _window(config: OrbitConfig, starts, l_lo: int, l_hi: int):
     l0 = _last_step(config.delta, 1 << 60) + 1  # first l with target radius < 1/16
     b0 = l_lo
     # wide targets: hits are dense, so classify samples x times directly.
-    # The bucketed stage below gives the same flags here but is slower: with
-    # radii >= 1/16 sent through it, each early-window benchmark job (seed 3,
-    # best of 10 in-process, 2-core VM) took 5.5-9.1 ms instead of 3.6-6.2 ms
+    # The bucketed stage gives the same flags here but is slower (best of 15,
+    # 2-core VM): 4.1-7.8 ms, not 0.7-1.5, per seed-1 early benchmark window;
+    # 59-68 ms, not 1.5-2.6, for [3, 1000] at d = 1, delta = 3/2, 2,000 samples
     while b0 <= min(l0 - 1, l_hi) and not hit.all():
         active = np.flatnonzero(~hit)
         length = min(l0 - b0, l_hi - b0 + 1, _BLOCK,
@@ -767,7 +762,7 @@ def _window(config: OrbitConfig, starts, l_lo: int, l_hi: int):
         blk, rows, ks, kr = blk[keep], active[rows[keep]], ks[keep], kr[keep]
         k64 = ks.astype(np.uint64)
         d = _d64(tops[rows, c] + bases[blk, c] + k64 * t for c, t in enumerate(eng.theta_top))
-        hit_lim, miss_lim = eng.limits(b0, total, eng.slack(m), kr)
+        hit_lim, miss_lim = _limits(eng.levels(b0, total, eng.slack(m)), kr)
         keep = d <= miss_lim
         eng.settle(starts, hit, amb, rows[keep], b0, kr[keep], d[keep] < hit_lim[keep])
         b0 += total

@@ -3,6 +3,7 @@
 import csv
 import json
 import re
+from dataclasses import replace
 from fractions import Fraction as F
 from pathlib import Path
 from textwrap import dedent
@@ -341,6 +342,25 @@ def test_main_transfer_ok(tmp_path):
     payload = json.loads((out / "transfer.json").read_text())
     assert payload["dimension"] == 2
     assert [row["holds"] for row in payload["rows"]] == [True, True]
+
+
+def test_main_transfer_violation_exit_2(tmp_path, monkeypatch):
+    """A row whose inequality fails is still written to transfer.json, and
+    the run then exits 2 with an error.json that points there."""
+    check = cli.criteria.transfer_check
+    monkeypatch.setattr(cli.criteria, "transfer_check",
+                        lambda *args, **kw: replace(check(*args, **kw), holds=False))
+    cfg = write_config(tmp_path, """\
+        command=transfer
+        theta=2/7, 3/7
+        h=3
+    """)
+    out = tmp_path / "out"
+    assert cli.main(["transfer", "--config", cfg, "--out", str(out)]) == 2
+    payload = json.loads((out / "transfer.json").read_text())
+    assert [row["holds"] for row in payload["rows"]] == [False]
+    err = json.loads((out / "error.json").read_text())
+    assert err["message"] == "transfer inequality violated (see transfer.json)"
 
 
 def test_successive_main_calls_each_parse_their_own_command(tmp_path):

@@ -711,7 +711,7 @@ def test_bulk_ladder_matches_the_per_level_loop(bits, delta, start, length):
     """The bulk ladder of _Engine.bounds gives the array of the per-level
     loop, element for element: block starts beyond 2^63 (far windows),
     pads slack + e beyond 2^64 at 8 bits, and terms of delta up to 256.
-    _Engine.limits looks up the same limits for steps in any order."""
+    _limits looks up the same limits in the ladder for steps in any order."""
     auto = _auto_hit_bound(delta)
     b0 = {"1": 1, "auto": auto, "auto+1": auto + 1, "2^16+1": 2 ** 16 + 1,
           "10^12+1": 10 ** 12 + 1, "2^63+5": 2 ** 63 + 5, "2^200": 2 ** 200}[start]
@@ -722,23 +722,25 @@ def test_bulk_ladder_matches_the_per_level_loop(bits, delta, start, length):
     assert got.dtype == want.dtype and got.shape == want.shape == (2, length)
     assert np.array_equal(got, want)
     ks = np.arange(length)[::-1]
-    assert np.array_equal(eng.limits(b0, length, slack, ks), want[:, ks])
+    assert np.array_equal(orbit._limits(eng.levels(b0, length, slack), ks), want[:, ks])
     assert orbit._last_steps(delta, [1, 2, 1 << 60]) == \
         [orbit._last_step(delta, t) for t in (1, 2, 1 << 60)]
 
 
 @pytest.mark.parametrize("length", [1, _BLOCK, _BLOCK + 1, 10 ** 9])
 def test_ladder_levels_of_any_length(length):
-    """_levels_at gives each step its level, the index of the level that
-    covers it, both from the per-step array (up to _BLOCK steps) and from
-    the level ends (beyond), levels of no steps included."""
+    """_limits gives each step the limit of its level, the one that covers
+    it, both from the per-step array (up to _BLOCK steps) and from the level
+    ends (beyond), levels of no steps included: with the level indices as
+    limits, each step's limit is its level."""
     rnd = random.Random(length)
     cuts = sorted(rnd.randrange(length + 1) for _ in range(40))
     steps = np.diff([0, *cuts, length])
     ks = np.array([rnd.randrange(length) for _ in range(500)] + [0, length - 1])
     ends = np.cumsum(steps).tolist()
     want = [next(i for i, e in enumerate(ends) if k < e) for k in ks.tolist()]
-    assert orbit._levels_at(steps, ks).tolist() == want
+    levels = np.arange(len(steps))
+    assert orbit._limits((steps, levels, levels), ks)[0].tolist() == want
 
 
 @settings(deadline=None, max_examples=300)
@@ -1043,33 +1045,31 @@ def test_error_budget_widens_the_miss_limit():
 # once, re-buckets it only when the cells narrow, and probes the cells around
 # each sample's -(x + base) for a run of blocks at once.  A lost candidate
 # changes a verdict only when it is a hit, so these tests check the pairs
-# themselves: every (sample, l) whose dense d64 (from _Engine.distances) is
-# within the batch's miss limit reaches _Engine.settle, and no other pair does.
+# themselves: every (sample, l) whose dense d64 is within the batch's miss
+# limit reaches _Engine.settle, and no other pair does.
 
 
 class _SettleSpy:
     """Records each window batch (a dense block or a bucketed run): the
     engine, its first step, length and rebase interval, its limits, the
     samples not yet hit and the (sample, l) pairs handed to settle.  The
-    limits are those of _Engine.bounds for every step of the batch: the
-    dense stage asks for them, the bucketed stage looks up its candidates'
-    own.  A bucketed run rebases every m steps, m of the _Grid in force."""
+    limits are those of the batch's ladder (_Engine.levels) for every step
+    of the batch: the dense stage spreads them over its steps, the bucketed
+    stage looks up its candidates' own.  A bucketed run rebases every m
+    steps, m of the _Grid in force, and a dense block (which comes before
+    any grid) once, at its start."""
 
     def __init__(self, patch):
         self.batches = []
-        bounds, limits, settle = orbit._Engine.bounds, orbit._Engine.limits, orbit._Engine.settle
+        self.m = None
+        levels, settle = orbit._Engine.levels, orbit._Engine.settle
         grid = orbit._Grid.__init__
 
-        def record(eng, b0, length, slack, step):
-            self.limits = (b0, length, step, *bounds(eng, b0, length, slack))
-            return self.limits[3:]
-
-        def spy_bounds(eng, b0, length, slack):
-            return record(eng, b0, length, slack, length)
-
-        def spy_limits(eng, b0, length, slack, ks):
-            record(eng, b0, length, slack, self.m)
-            return limits(eng, b0, length, slack, ks)
+        def spy_levels(eng, b0, length, slack):
+            steps, hit, miss = ladder = levels(eng, b0, length, slack)
+            self.limits = (b0, length, self.m or length,
+                           *np.repeat([hit, miss], steps, axis=1))
+            return ladder
 
         def spy_grid(g, theta_top, shift, m):
             self.m = m
@@ -1081,8 +1081,7 @@ class _SettleSpy:
             self.batches.append((eng, *self.limits, np.flatnonzero(~hit), pairs))
             settle(eng, starts, hit, amb, rows, b0, ks, sure)
 
-        patch.setattr(orbit._Engine, "bounds", spy_bounds)
-        patch.setattr(orbit._Engine, "limits", spy_limits)
+        patch.setattr(orbit._Engine, "levels", spy_levels)
         patch.setattr(orbit._Engine, "settle", spy_settle)
         patch.setattr(orbit._Grid, "__init__", spy_grid)
 
