@@ -51,13 +51,16 @@ and the witness is the lexicographically first minimizer.  Records run
 shells in doubling blocks (H/2, H]: the running record is the minimum over
 the box of radius H/2, a shell whose minimum exceeds it by more than the
 fast margin is conclusively greater, so the block only needs the cells with
-a(s) <= ceil((record + fast) * 2^64 / D) + E.  Ties: a minimum's witness is
-the lexicographically first minimizer of the whole box; a record is set by
-the first shell that improves on the last one, with its lexicographically
-first minimizer, and a later shell with an equal minimum sets none.  With a
-radius, after each shell's record decision every other cell of the shell
-within the fast margin of the record in force is ordered against it, as
-linear_min orders the cells near its witness.
+a(s) <= ceil((record + fast) * 2^64 / D) + E.  It keeps those of its shells
+within the fast margin and sorts them once, stably, by shell: each shell is
+one run in lexicographic order, whose first least D is its lexicographically
+first minimizer.  Ties: a minimum's witness is the lexicographically first
+minimizer of the whole box; a record is set by the first shell that improves
+on the last one, with that minimizer, and a later shell with an equal
+minimum sets none.  After each shell's record decision the other cells of
+its run within the fast margin of the record in force are ordered against
+it in lexicographic order (_order_near), as linear_min orders the cells near
+its witness.
 
 Certified bookkeeping: with a coordinate radius r, the distance attached to
 multiplier q carries radius q*r (the lattice distance is 1-Lipschitz), and a
@@ -328,16 +331,12 @@ def simultaneous_scan(theta: CertifiedVector, q_max: int, *,
 # are deterministic.
 
 
-def _box_count(h: int, dim: int) -> int:
-    return (2 * h + 1) ** dim
-
-
 def _check_linear_budget(h, dim, budget):
     if h < 1:
         raise DomainError("box radius must be >= 1")
-    if _box_count(h, dim) > budget:
-        raise ResourceError(
-            f"box scan of {_box_count(h, dim)} candidates exceeds budget {budget}")
+    cells = (2 * h + 1) ** dim
+    if cells > budget:
+        raise ResourceError(f"box scan of {cells} candidates exceeds budget {budget}")
 
 
 class _LinearBox:
@@ -410,6 +409,16 @@ def _order_cells(dist_a: int, pt_a, dist_b: int, pt_b, den: int, r: Fraction) ->
     return v
 
 
+def _order_near(cells, dist, best: int, pt, fast: int, den: int, r: Fraction):
+    """Order against pt, whose distance is best, every other cell within the
+    fast margin of it, in the given (lexicographic) order: PrecisionError
+    names the first cell whose order is inconclusive."""
+    for i in np.flatnonzero(dist <= best + fast).tolist():
+        c = tuple(cells[i].tolist())
+        if c != pt:
+            _order_cells(int(dist[i]), c, best, pt, den, r)
+
+
 def linear_min(theta: CertifiedVector, h: int, *, budget: int = DEFAULT_BUDGET):
     """Certified min of |<delta, theta>| over nonzero |delta|_sup <= h.
 
@@ -436,10 +445,7 @@ def linear_min(theta: CertifiedVector, h: int, *, budget: int = DEFAULT_BUDGET):
             best, witness = int(dist[i]), tuple(cells[i].tolist())
     if r != 0:
         for cells, dist in box.scan(lim + _fp_up(fast, den)):
-            for i in np.flatnonzero(dist <= best + fast).tolist():
-                pt = tuple(cells[i].tolist())
-                if pt != witness:
-                    _order_cells(int(dist[i]), pt, best, witness, den, r)
+            _order_near(cells, dist, best, witness, fast, den, r)
     return CertifiedScalar(Fraction(best, den), _l1(witness) * r), witness
 
 
@@ -466,42 +472,31 @@ def linear_records(theta: CertifiedVector, h_max: int, *, budget: int = DEFAULT_
         hi = min(2 * lo, h_max) or 1
         box = _LinearBox(nums, den, hi)
         limit = 1 << 63 if best_d is None else _fp_up(best_d + fast, den) + box.E
-        shells = {}
-        kept = []
+        parts = []  # the block's candidates, chunk by chunk, in lexicographic order
         for cells, dist in box.scan(limit):
             norm = np.abs(cells).max(axis=1)
             keep = norm > lo
             if best_d is not None:
                 keep &= dist <= best_d + fast
-            norm, cells, dist = norm[keep], cells[keep], dist[keep]
-            if not exact:
-                kept.append((norm, cells, dist))
-            idx = np.lexsort((dist, norm))  # stable: lexicographic among ties
-            for i in idx[np.flatnonzero(np.diff(norm[idx], prepend=-1))].tolist():
-                s = int(norm[i])
-                if s not in shells or dist[i] < shells[s][0]:
-                    shells[s] = (int(dist[i]), tuple(cells[i].tolist()))
-        if kept:  # only with a radius
-            k_norm, k_cells, k_dist = (np.concatenate(a) for a in zip(*kept))
-        for s in sorted(shells):
-            sh_best, sh_pt = shells[s]
-            if best_d is None:
-                best_d, best_pt = sh_best, sh_pt
-                out.append((s, sh_pt, sh_best))
-            elif _order_cells(sh_best, sh_pt, best_d, best_pt, den, r) is Verdict.LESS:
+            parts.append((norm[keep], cells[keep], dist[keep]))
+        # parts is not empty: the record's own cell lies within the limit
+        norm, cells, dist = (np.concatenate(p) for p in zip(*parts))
+        o = np.argsort(norm, kind="stable")  # each shell one run, still lexicographic
+        norm, cells, dist = norm[o], cells[o], dist[o]
+        cuts = np.flatnonzero(np.diff(norm, prepend=-1, append=-1)).tolist()
+        for a, b in zip(cuts, cuts[1:]):  # the run [a, b) of one shell
+            i = a + int(np.argmin(dist[a:b]))  # the lexicographically first minimizer
+            s, sh_best, sh_pt = int(norm[i]), int(dist[i]), tuple(cells[i].tolist())
+            if best_d is None or _order_cells(
+                    sh_best, sh_pt, best_d, best_pt, den, r) is Verdict.LESS:
                 best_d, best_pt = sh_best, sh_pt
                 out.append((s, sh_pt, sh_best))
             if best_d == 0 and exact:
                 return out, den, True
-            if exact:
-                continue
             # every other cell of the shell within the fast margin of the
             # record in force may reach below the record's enclosure: order
             # each against it, in lexicographic order
-            for i in np.flatnonzero((k_norm == s) & (k_dist <= best_d + fast)).tolist():
-                pt = tuple(k_cells[i].tolist())
-                if pt != best_pt:
-                    _order_cells(int(k_dist[i]), pt, best_d, best_pt, den, r)
+            _order_near(cells[a:b], dist[a:b], best_d, best_pt, fast, den, r)
         lo = hi
     return out, den, False
 

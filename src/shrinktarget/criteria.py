@@ -381,7 +381,7 @@ class WindowBound:
     delta: Fraction
     l_lower: CertifiedScalar   # window start L_n
     l_upper: CertifiedScalar   # window end L_{n+1}
-    bound: CertifiedScalar     # measure bound 2(L_{n+1> eps_n + d L_n^(-1/delta) |X_n|)
+    bound: CertifiedScalar     # measure bound 2(L_{n+1} eps_n + d L_n^(-1/delta) |X_n|)
 
     def integer_window(self) -> tuple[int, int]:
         """Largest integer range (start, end) certainly inside (L_n, L_{n+1}]."""

@@ -358,12 +358,6 @@ class _Engine:
         np.add(np.minimum(x[:-1], _NO_MISS - add), add, out=miss[1:])
         return steps, hit, miss
 
-    def bounds(self, b0: int, length: int, slack: int):
-        """The limits of levels() per step, as one (2, length) array."""
-        steps, hit, miss = self.levels(b0, length, slack)
-        # one 2 x length array: two separate ones fault in twice the fresh pages
-        return np.repeat([hit, miss], steps, axis=1)
-
     def dist(self, pt, n: int) -> int:
         """Exact B-bit fixed-point distance to 0 of pt + n*theta."""
         one = 1 << self.bits
@@ -721,7 +715,8 @@ def _window(config: OrbitConfig, starts, l_lo: int, l_hi: int):
         active = np.flatnonzero(~hit)
         length = min(l0 - b0, l_hi - b0 + 1, _BLOCK,
                      max(1, _BATCH // len(active)))
-        hit_lim, miss_lim = eng.bounds(b0, length, eng.slack(length))
+        hit_lim, miss_lim = _limits(eng.levels(b0, length, eng.slack(length)),
+                                    np.arange(length))
         d = eng.distances(tops[active], eng.tops(origin, b0)[0], length)
         r, k = np.nonzero(d <= miss_lim)
         eng.settle(starts, hit, amb, active[r], b0, k, d[r, k] < hit_lim[k])

@@ -581,7 +581,7 @@ def test_stat_enclosure_matches_fraction_chain(bits, data, n_max):
 
 
 # --- the integer rule for the target radius ------------------------------------
-# _Engine.bounds walks a ladder of levels t in top units and ends each level at
+# _Engine.levels walks a ladder of levels t in top units and ends each level at
 # _last_step(delta, low); classify compares integer powers with 2^(B*p).  The
 # tests hold both to the radius in integers and to the B-bit root brackets
 # that the engine used before.
@@ -656,7 +656,8 @@ def test_bounds_are_sound_per_step(bits, block):
     p, q = delta.numerator, delta.denominator
     eng = _rule_engine(delta, bits, b0 + length - 1, length)
     slack = eng.slack(length)
-    hit, miss = (lim.tolist() for lim in eng.bounds(b0, length, slack))
+    ladder = eng.levels(b0, length, slack)
+    hit, miss = (lim.tolist() for lim in orbit._limits(ladder, np.arange(length)))
     one = 1 << (64 * p)
     edges = {0, length - 1}
     for lim in (hit, miss):
@@ -677,9 +678,9 @@ def test_bounds_are_sound_per_step(bits, block):
 
 
 def _ladder_per_level(eng, b0, length, slack):
-    """_Engine.bounds as one Python step per level: one _last_step root each
-    and the saturated limits in Python integers (the form that the bulk
-    ladder replaced)."""
+    """The per-step limits of _Engine.levels as one Python step per level:
+    one _last_step root each and the saturated limits in Python integers
+    (the form that the bulk ladder replaced)."""
     end = b0 + length - 1
     a = min(max(b0, eng.auto + 1), end + 1)
     runs = [(a - b0, orbit._ALL_HIT, orbit._NO_MISS)]  # (steps, hit, miss) per level
@@ -708,16 +709,17 @@ def ladder_delta(draw):
 @example(8, F(1), "2^200", _BLOCK)  # slack + e is far above 2^64
 @example(64, F(256, 255), "1", _BLOCK)  # the longest ladders
 def test_bulk_ladder_matches_the_per_level_loop(bits, delta, start, length):
-    """The bulk ladder of _Engine.bounds gives the array of the per-level
-    loop, element for element: block starts beyond 2^63 (far windows),
-    pads slack + e beyond 2^64 at 8 bits, and terms of delta up to 256.
-    _limits looks up the same limits in the ladder for steps in any order."""
+    """The bulk ladder of _Engine.levels, read per step through _limits,
+    gives the array of the per-level loop, element for element: block
+    starts beyond 2^63 (far windows), pads slack + e beyond 2^64 at 8 bits,
+    and terms of delta up to 256.  _limits looks up the same limits in the
+    ladder for steps in any order."""
     auto = _auto_hit_bound(delta)
     b0 = {"1": 1, "auto": auto, "auto+1": auto + 1, "2^16+1": 2 ** 16 + 1,
           "10^12+1": 10 ** 12 + 1, "2^63+5": 2 ** 63 + 5, "2^200": 2 ** 200}[start]
     eng = _rule_engine(delta, bits, b0 + length - 1, length)
     slack = eng.slack(length)
-    got = eng.bounds(b0, length, slack)
+    got = np.array(orbit._limits(eng.levels(b0, length, slack), np.arange(length)))
     want = _ladder_per_level(eng, b0, length, slack)
     assert got.dtype == want.dtype and got.shape == want.shape == (2, length)
     assert np.array_equal(got, want)
@@ -832,7 +834,8 @@ def _limit_starts(config, n, offsets):
     eng = _Engine(config, config.n_max, config.n_max)
     b0 = n - (n - 1) % _BLOCK
     length = min(_BLOCK, config.n_max - b0 + 1)
-    limits = [int(lim[n - b0]) for lim in eng.bounds(b0, length, eng.slack(length))]
+    ladder = eng.levels(b0, length, eng.slack(length))
+    limits = [int(lim[0]) for lim in orbit._limits(ladder, np.array([n - b0]))]
     return _placed_starts(eng, n, [lim + o for lim in limits if lim < orbit._NO_MISS
                                    for o in offsets])
 
@@ -893,6 +896,49 @@ def test_sweep_selection_at_block_edges_matches_oracle(theta, bits, n_max):
     starts += _placed_starts(_Engine(config, 0, 0), n_max, [2 ** 48 + 2 ** 31])[1:]
     for x0u, res in zip(starts, _sweep(config, starts)):
         assert tuple(res) == oracle_sweep(config, x0u), x0u
+
+
+@pytest.mark.parametrize("bits", [64, 128])
+@pytest.mark.parametrize("delta", [F(2), F(3, 2)])
+def test_dense_window_level_ends_match_oracle(bits, delta):
+    """Two-step windows [n, n + 1] of the dense stage (radius >= 1/16), n
+    the last step of a ladder level, with starts placed at n up to 2^40 top
+    units inside the radius and just outside it.  theta = 1/2 + 2^-40 puts
+    step n + 1 near 1/2, a sure miss.  Between the lower end of n's level
+    and the radius of n, only the limits of n itself keep a hit: the
+    limits of n + 1 end at that lower end."""
+    theta = CertifiedVector((F(1, 2) + F(1, 2 ** 40),))
+    auto, l0 = _auto_hit_bound(delta), orbit._last_step(delta, 1 << 60) + 1
+    config = OrbitConfig(theta=theta, delta=delta, n_max=l0, precision_bits=bits)
+    eng = _Engine(config, l0, l0)
+    steps = eng.levels(auto + 1, l0 - auto - 1, 0)[0]
+    ends = sorted(set((auto + np.cumsum(steps)).tolist()) - {l0 - 1})
+    hits = 0
+    for n in ends:
+        t = _threshold_pair(n, delta, 64)[0]
+        starts = _placed_starts(eng, n, [t + o for o in (-2 ** 40, -2 ** 20, -1, 2)])
+        got = engine_window(config, starts, n, n + 1)
+        assert got == oracle_window(config, starts, n, n + 1), n
+        hits += sum(got[0])
+    assert len(ends) > 10 and hits > 0
+
+
+def test_dense_window_keeps_the_drift_slack_above_64_bits():
+    """A 128-bit dense window of 1000 steps at 2^63, delta = 16, where the
+    radius falls by about 8 top units over the window.  theta's low 64 bits
+    are all ones, so the top-unit positions lag the exact ones by about one
+    unit per step; a start placed 4 top units inside the radius at the last
+    step, below 0, then reads about 1000 units further out than it is.  Only
+    the slack of one block keeps it a candidate.  theta = 1/2 + 2^-50 keeps
+    every other step of that start away from 0."""
+    delta, lo, n = F(16), 2 ** 63, 2 ** 63 + 999
+    theta = CertifiedVector((F(1, 2) + F(1, 2 ** 50) + F(2 ** 64 - 1, 2 ** 128),))
+    config = OrbitConfig(theta=theta, delta=delta, n_max=n, precision_bits=128)
+    assert n < orbit._last_step(delta, 1 << 60)  # the dense stage
+    inside = _threshold_pair(n, delta, 64)[0] - 4
+    starts = _placed_starts(_Engine(config, n, 1000), n, [inside])
+    assert engine_window(config, starts, lo, n) == oracle_window(config, starts, lo, n) \
+        == ([True, True], [False, False])
 
 
 @pytest.mark.parametrize("bits", [63, 64, 65, 128])

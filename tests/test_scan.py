@@ -920,13 +920,28 @@ def test_linear_records_order_every_cell_near_the_record():
     """theta = (1/10, 4/5 - 10^-6) with radius 10^-5: shell 1 has its minimum
     at (1, 0), and (1, 1) is within the radius of it.  At theta + (r, r),
     inside the ball, (1, 1) gives 99981/10^6, below the lower end 9999/10^5
-    of the (1, 0) enclosure, so no scan may certify that record."""
-    theta = CertifiedVector((F(1, 10), F(4, 5) - F(1, 10**6)), F(1, 10**5))
-    text = f"cannot order <(1, 1),theta> against <(1, 0),theta> at radius {F(1, 10**5)}"
-    for scan in (linear_records, oracle_linear_records, best_linear, linear_error):
-        with pytest.raises(PrecisionError) as exc:
-            scan(theta, 1)
-        assert str(exc.value) == text
+    of the (1, 0) enclosure, so no scan may certify that record.
+
+    theta = (3904, 2368)/7185 with radius 2/18681: the minimum of the box of
+    radius 8 and the record of shell 8 is 38/7185 at (8, 5), and neither
+    (3, -8) at 47/7185 nor (8, 2) at 43/7185 can be ordered against it.  The
+    near cells are ordered lexicographically, not by distance, so every scan
+    names (3, -8).
+
+    theta = (499, 489)/1001 with radius 3/4004: the fast margin is 3/1001,
+    and the corner (1, 1) at 13/1001 lies exactly that far above the minimum
+    10/1001 at (1, -1).  Their enclosures touch, so a cell at the margin
+    itself is one to order."""
+    for coords, radius, h, near, record in [
+            ((F(1, 10), F(4, 5) - F(1, 10**6)), F(1, 10**5), 1, (1, 1), (1, 0)),
+            ((F(3904, 7185), F(2368, 7185)), F(2, 18681), 8, (3, -8), (8, 5)),
+            ((F(499, 1001), F(489, 1001)), F(3, 4004), 1, (1, 1), (1, -1))]:
+        theta = CertifiedVector(coords, radius)
+        text = f"cannot order <{near},theta> against <{record},theta> at radius {radius}"
+        for scan in (linear_records, oracle_linear_records, best_linear, linear_error):
+            with pytest.raises(PrecisionError) as exc:
+                scan(theta, h)
+            assert str(exc.value) == text
 
 
 @st.composite
@@ -977,6 +992,11 @@ def test_linear_ties_pick_lexicographic_first():
         assert _linear_min_out(theta, h) == oracle_linear_min(theta, h)
         assert linear_records(theta, h) == oracle_linear_records(theta, h)
     assert linear_min(theta, 12)[1] == (0, 0, 7)  # 7 * 6/7 = 6
+    # (3, -1) and (3, 0) both give 1/29 in shell 3, which shares a block with
+    # shell 4: the record is the lexicographically first of them
+    theta = CertifiedVector((F(10, 29), F(2, 29)))
+    assert linear_records(theta, 4) == ([(1, (0, 1), 2), (3, (3, -1), 1)], 29, False)
+    assert linear_records(theta, 5) == oracle_linear_records(theta, 5)
 
 
 @pytest.mark.parametrize("dim,den,h,records,refused", [
