@@ -4,8 +4,8 @@ Ground truth for approximation minima is brute force: walk every candidate
 multiplier q (or every lattice vector in a sup-norm box) and take certified
 minima.  All decisions use integer arithmetic over a common denominator D of
 the vector's coordinates: the distance of q*theta to the lattice is the
-integer D_q = max_i min(q*p_i mod D, D - q*p_i mod D) over D.  No floats
-anywhere.
+integer D_q = max_i min(q*p_i mod D, D - q*p_i mod D) over D (exact._dist).
+No floats anywhere.
 
 Multiplier scans (simultaneous records, baseline domination) run one numpy
 engine for every D: a 64-bit fixed-point filter, then an exact re-check of
@@ -78,7 +78,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, PrecisionError, ResourceError
-from .exact import CertifiedScalar, CertifiedVector, Verdict, _l1
+from .exact import CertifiedScalar, CertifiedVector, Verdict, _dist, _l1
 
 DEFAULT_BUDGET = 10**8
 _NP_LIMIT = 1 << 62
@@ -108,11 +108,6 @@ def _order(dist_a: int, mult_a: int, dist_b: int, mult_b: int,
     a = CertifiedScalar(Fraction(dist_a, den), mult_a * r)
     b = CertifiedScalar(Fraction(dist_b, den), mult_b * r)
     return a.compare(b)
-
-
-def _dist(nums, den: int, q: int) -> int:
-    """Exact integer distance D_q of q*theta to the lattice, over den."""
-    return max(min(m, den - m) for m in (q * p % den for p in nums))
 
 
 def _fp_up(x: int, den: int) -> int:
@@ -276,10 +271,11 @@ def simultaneous_scan(theta: CertifiedVector, q_max: int, *,
     """Walk q = 1..q_max tracking the running certified minimum of the
     distance from q*theta to the lattice.
 
-    Returns (record list [(q, dist_int)], den, zero_terminated).  A record is
-    a strict running-min improvement, so the last record is the minimum over
-    1..q_max with its least multiplier; an exact zero value is emitted and
-    terminates the walk when theta is exact.
+    Returns (records [(q, (q,), dist_int)], den, zero_terminated): each
+    record is the (height, witness, dist_int) of linear_records, whose d = 1
+    records these are.  A record is a strict running-min improvement, so the
+    last record is the minimum over 1..q_max with its least multiplier; an
+    exact zero value is emitted and terminates the walk when theta is exact.
     """
     if q_max < 1:
         raise DomainError("q_max must be >= 1")
@@ -318,7 +314,7 @@ def simultaneous_scan(theta: CertifiedVector, q_max: int, *,
                 if v is not Verdict.LESS:
                     continue
             best_d, best_q = dq, q
-            out.append((q, dq))
+            out.append((q, (q,), dq))
             if best_d == 0 and exact:
                 return out, den, True
     return out, den, False
@@ -428,24 +424,23 @@ def linear_min(theta: CertifiedVector, h: int, *, budget: int = DEFAULT_BUDGET):
     dim = theta.dim
     _check_linear_budget(h, dim, budget)
     nums, den, r = scan_data(theta)
-    if dim == 1:
-        recs, den_, zero = simultaneous_scan(theta, h, budget=budget)
-        q, dist = recs[-1]
-        return CertifiedScalar(Fraction(dist, den_), q * r), (q,)
-    fast = _margin(r, den, 2 * dim * h)
-    box = _LinearBox(nums, den, h)
-    # pigeonhole: two of the (h+1)^d cells of {0..h}^d have form values
-    # within 1/(h+1)^d on the circle, and their difference is a cell of the
-    # box, so every minimizer has a(s) <= 2^64 / (h+1)^d + E
-    lim = (1 << 64) // (h + 1) ** dim + box.E
-    best = witness = None
-    for cells, dist in box.scan(lim):
-        i = int(np.argmin(dist))
-        if best is None or dist[i] < best:
-            best, witness = int(dist[i]), tuple(cells[i].tolist())
-    if r != 0:
-        for cells, dist in box.scan(lim + _fp_up(fast, den)):
-            _order_near(cells, dist, best, witness, fast, den, r)
+    if dim == 1:  # the last record: the least multiplier of the minimum
+        _q, witness, best = simultaneous_scan(theta, h, budget=budget)[0][-1]
+    else:
+        fast = _margin(r, den, 2 * dim * h)
+        box = _LinearBox(nums, den, h)
+        # pigeonhole: two of the (h+1)^d cells of {0..h}^d have form values
+        # within 1/(h+1)^d on the circle, and their difference is a cell of
+        # the box, so every minimizer has a(s) <= 2^64 / (h+1)^d + E
+        lim = (1 << 64) // (h + 1) ** dim + box.E
+        best = witness = None
+        for cells, dist in box.scan(lim):
+            i = int(np.argmin(dist))
+            if best is None or dist[i] < best:
+                best, witness = int(dist[i]), tuple(cells[i].tolist())
+        if r != 0:
+            for cells, dist in box.scan(lim + _fp_up(fast, den)):
+                _order_near(cells, dist, best, witness, fast, den, r)
     return CertifiedScalar(Fraction(best, den), _l1(witness) * r), witness
 
 
@@ -455,10 +450,9 @@ def linear_records(theta: CertifiedVector, h_max: int, *, budget: int = DEFAULT_
     """
     dim = theta.dim
     _check_linear_budget(h_max, dim, budget)
-    nums, den, r = scan_data(theta)
     if dim == 1:
-        recs, den_, zero = simultaneous_scan(theta, h_max, budget=budget)
-        return [(q, (q,), dist) for q, dist in recs], den_, zero
+        return simultaneous_scan(theta, h_max, budget=budget)
+    nums, den, r = scan_data(theta)
     fast = _margin(r, den, 2 * dim * h_max)
     exact = r == 0
     out = []

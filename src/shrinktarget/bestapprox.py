@@ -76,26 +76,25 @@ def continued_fraction(x) -> ContinuedFraction:
 def best_simultaneous(theta, q_max: int, *,
                       budget: int = _scan.DEFAULT_BUDGET) -> list[ApproxRecord]:
     """All simultaneous best-approximation records with multiplier <= q_max."""
-    theta = as_vector(theta)
-    if q_max < 1:
-        return []
-    recs, den, _zero = _scan.simultaneous_scan(theta, int(q_max), budget=budget)
-    return [
-        ApproxRecord(i, q, (q,), CertifiedScalar(Fraction(dist, den), q * theta.radius))
-        for i, (q, dist) in enumerate(recs)
-    ]
+    return _records(_scan.simultaneous_scan, theta, q_max, budget)
 
 
 def best_linear(theta, h_max: int, *,
                 budget: int = _scan.DEFAULT_BUDGET) -> list[ApproxRecord]:
     """All linear best-approximation records with sup-norm height <= h_max."""
+    return _records(_scan.linear_records, theta, h_max, budget)
+
+
+def _records(scan, theta, h_max: int, budget: int) -> list[ApproxRecord]:
+    """The records (height, witness, dist) of scan up to h_max, each certified
+    as dist / den +- |witness|_1 times theta's radius."""
     theta = as_vector(theta)
     if h_max < 1:
         return []
-    recs, den, _zero = _scan.linear_records(theta, int(h_max), budget=budget)
+    recs, den, _zero = scan(theta, int(h_max), budget=budget)
     return [
-        ApproxRecord(i, s, tuple(pt), CertifiedScalar(Fraction(dist, den), _l1(pt) * theta.radius))
-        for i, (s, pt, dist) in enumerate(recs)
+        ApproxRecord(i, h, w, CertifiedScalar(Fraction(dist, den), _l1(w) * theta.radius))
+        for i, (h, w, dist) in enumerate(recs)
     ]
 
 

@@ -59,10 +59,6 @@ def _bezout(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_u, old_v
 
 
-def _content(p: LatticePoint3) -> int:
-    return math.gcd(math.gcd(abs(p.x), abs(p.y)), abs(p.z))
-
-
 def _best_shift(base: LatticePoint3, p: LatticePoint3) -> LatticePoint3:
     """base - k*p (p nonzero) minimizing the sup norm, ties broken by the k
     nearest 0.
@@ -97,7 +93,7 @@ def complete_basis(delta: LatticePoint3, p: LatticePoint3) -> LatticePoint3:
     if delta.dot(p) != 0:
         raise DomainError("P must be orthogonal to delta")
     d = delta
-    c = _content(delta)
+    c = math.gcd(delta.x, delta.y, delta.z)
     if c > 1:
         d = LatticePoint3(delta.x // c, delta.y // c, delta.z // c)
     # kernel basis (v1, v2) of <d, .> = 0 with v1 ^ v2 = +-d, and the

@@ -260,7 +260,7 @@ def is_primitive(p: LatticePoint3) -> bool:
     """True iff gcd of the coordinates is 1.  The zero point is an error."""
     if p.is_zero:
         raise DomainError("primitivity of the zero point is undefined")
-    return math.gcd(math.gcd(abs(p.x), abs(p.y)), abs(p.z)) == 1
+    return math.gcd(p.x, p.y, p.z) == 1
 
 
 def dist_nearest_int(x) -> Fraction:
@@ -293,6 +293,12 @@ def _l1(delta) -> int:
     return sum(abs(c) for c in delta)
 
 
+def _dist(nums, den: int, q: int) -> int:
+    """Exact integer distance D_q of q*theta to the lattice, over den, for
+    theta = nums / den."""
+    return max(min(m, den - m) for m in (q * p % den for p in nums))
+
+
 def _distances_to_z(theta: CertifiedVector):
     """(form, lattice) for theta: form(delta) is certified_form_dist(delta,
     theta) and lattice(q) is certified_dist_nearest_lattice(q, theta).
@@ -320,8 +326,7 @@ def _distances_to_z(theta: CertifiedVector):
             raise DomainError("multiplier must be an int")
         if q == 0:
             raise DomainError("multiplier must be nonzero")
-        # the coordinate of q theta farthest from Z
-        return near(max((q * a % den for a in nums), key=lambda v: min(v, den - v)), abs(q))
+        return near(_dist(nums, den, q), abs(q))
 
     return form, lattice
 

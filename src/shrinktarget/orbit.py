@@ -205,20 +205,13 @@ def _threshold_pair(n: int, delta: Fraction, bits: int) -> tuple[int, int]:
     return t, t + 1
 
 
-def _last_steps(delta: Fraction, ts) -> list[int]:
-    """For each t >= 1 of ts, the last step n >= 0 whose target radius
-    n^(-1/delta) is at least t top units: t^p n^q <= 2^(64p) for
-    delta = p/q (no root when q = 1)."""
-    p, q = delta.numerator, delta.denominator
-    one = 1 << (64 * p)
-    if q == 1:
-        return [one // t ** p for t in ts]
-    return [iroot(one // t ** p, q) for t in ts]
-
-
 def _last_step(delta: Fraction, t: int) -> int:
-    """_last_steps for one t."""
-    return _last_steps(delta, (t,))[0]
+    """The last step n >= 0 whose target radius n^(-1/delta) is at least
+    t >= 1 top units: t^p n^q <= 2^(64p) for delta = p/q (no root when
+    q = 1)."""
+    p, q = delta.numerator, delta.denominator
+    n = (1 << (64 * p)) // t ** p
+    return n if q == 1 else iroot(n, q)
 
 
 def _auto_hit_bound(delta: Fraction) -> int:
@@ -344,7 +337,7 @@ class _Engine:
                 xs.append(t)
                 if t <= last:
                     break
-        ends = _last_steps(self.config.delta, xs[1:-1])  # each before `end`
+        ends = [_last_step(self.config.delta, t) for t in xs[1:-1]]  # each before `end`
         steps = np.diff([0, a - b0] + [b - b0 + 1 for b in ends] + [length] * bool(xs))
         # min(max(low - pad + 1, 0), _ALL_HIT) and min(t + pad, _NO_MISS), with
         # pad clipped so that no uint64 wraps (low < t <= 2^63)

@@ -14,8 +14,8 @@ from shrinktarget.bestapprox import (ErrorProfile, best_linear, best_simultaneou
                                      linear_profile, simultaneous_error)
 from shrinktarget.construct import build_theta, minimal_heights
 from shrinktarget.errors import (DomainError, PrecisionError, ResourceError)
-from shrinktarget.exact import (CertifiedVector, as_vector, dist_nearest_int,
-                                dist_nearest_lattice)
+from shrinktarget.exact import (CertifiedVector, as_vector, certified_dist_nearest_lattice,
+                                certified_form_dist, dist_nearest_int, dist_nearest_lattice)
 
 F = Fraction
 
@@ -48,9 +48,17 @@ def test_eps_l_dimension_two_height_one():
 
 
 def test_eps_l_equals_eps_s_in_dimension_one():
-    theta = as_vector(("2/7",))
-    for h in (1, 2, 3, 5):
-        assert linear_error(theta, h).value == simultaneous_error(theta, h).value
+    """In d = 1 both scans are one: the same records and the same
+    enclosures, theta's radius weighted by the witness q on either path."""
+    golden = CertifiedVector((F(6180339887, 10**10),), F(1, 10**14))
+    for theta in (as_vector(("2/7",)), golden):
+        for h in (1, 2, 3, 5, 100):
+            eps_l, eps_s = linear_error(theta, h), simultaneous_error(theta, h)
+            assert (eps_l.lo, eps_l.hi) == (eps_s.lo, eps_s.hi)
+            assert best_linear(theta, h) == best_simultaneous(theta, h)
+    records = best_simultaneous(golden, 100)
+    assert [r.height for r in records] == [1, 2, 3, 5, 8, 13, 21, 34, 55, 89]
+    assert [r.value.radius for r in records] == [r.height * golden.radius for r in records]
 
 
 def test_eps_l_budget_guard():
@@ -84,6 +92,20 @@ def test_best_linear_dimension_one():
 
 def test_best_linear_empty():
     assert best_linear(as_vector(("2/7",)), 0) == []
+
+
+def test_records_are_certified_by_their_witnesses():
+    """Each record's enclosure is the certified distance of its witness: the
+    radius weight is |delta|_1 for a linear record, not its height, and q
+    for a simultaneous one."""
+    theta = CertifiedVector((F(6180339887, 10**10), F(4142135624, 10**10)), F(1, 10**16))
+    linear = best_linear(theta, 30)
+    assert any(sum(map(abs, r.witness)) != r.height for r in linear)
+    assert [r.value for r in linear] == [certified_form_dist(r.witness, theta) for r in linear]
+    records = best_simultaneous(theta, 1000)
+    assert len(records) > 3
+    assert [r.value for r in records] == [
+        certified_dist_nearest_lattice(r.height, theta) for r in records]
 
 
 def test_best_linear_finds_construction_witnesses():

@@ -3,6 +3,8 @@
 import csv
 import json
 import re
+import runpy
+import sys
 from dataclasses import replace
 from fractions import Fraction as F
 from pathlib import Path
@@ -491,6 +493,21 @@ def test_main_missing_config_file(tmp_path):
     err = json.loads((out / "error.json").read_text())
     assert err["error"] == "ConfigError" and err["exit_code"] == 2
     assert repr(path) in err["message"]
+
+
+def test_module_entry_point_exits_with_the_code_of_main(tmp_path, monkeypatch, capsys):
+    """`python -m shrinktarget.cli`, run in this process: a config that
+    cannot be read exits 2 and writes error.json.  The imported module
+    leaves sys.modules for the run, as in a fresh interpreter."""
+    out = tmp_path / "out"
+    monkeypatch.setattr(sys, "argv", ["shrinktarget", "approx", "--config",
+                                      str(tmp_path / "absent.cfg"), "--out", str(out)])
+    monkeypatch.delitem(sys.modules, "shrinktarget.cli")
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("shrinktarget.cli", run_name="__main__")
+    assert exc.value.code == 2
+    assert json.loads((out / "error.json").read_text())["error"] == "ConfigError"
+    assert '"exit_code": 2' in capsys.readouterr().err
 
 
 def test_main_undecodable_config_file(tmp_path):

@@ -11,10 +11,9 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from shrinktarget import _scan, cli
-from shrinktarget.construct import (ConstructionState, _best_shift, _bezout, _content,
-                                    _dual_step, alternating_cf, build_theta,
-                                    complete_basis, minimal_heights,
-                                    verify_construction)
+from shrinktarget.construct import (ConstructionState, _best_shift, _bezout, _dual_step,
+                                    alternating_cf, build_theta, complete_basis,
+                                    minimal_heights, verify_construction)
 from shrinktarget.errors import DomainError, InternalError, PrecisionError
 from shrinktarget.exact import (CertifiedVector, LatticePoint3, is_primitive,
                                 projective_distance)
@@ -146,7 +145,7 @@ def oracle_complete_basis(delta: LatticePoint3, p: LatticePoint3) -> LatticePoin
     if delta.dot(p) != 0:
         raise DomainError("P must be orthogonal to delta")
     d = delta
-    c = _content(delta)
+    c = math.gcd(delta.x, delta.y, delta.z)
     if c > 1:
         d = LatticePoint3(delta.x // c, delta.y // c, delta.z // c)
     # kernel basis (v1, v2) of <d, .> = 0 with v1 ^ v2 = +-d
@@ -209,7 +208,7 @@ def orthogonal_pairs(draw):
     delta = LatticePoint3(x, y, z).scale(content)
     cross = delta.wedge(LatticePoint3(draw(_COORD), draw(_COORD), draw(_COORD)))
     assume(not cross.is_zero)  # also rules out delta = 0
-    c = _content(cross)
+    c = math.gcd(cross.x, cross.y, cross.z)
     return delta, LatticePoint3(cross.x // c, cross.y // c, cross.z // c)
 
 
@@ -235,7 +234,7 @@ def test_complete_basis_matches_the_ratio_oracle_at_the_edges(delta, p):
     assert delta.dot(p) == 0 and is_primitive(p)
     got = complete_basis(delta, p)
     assert got == oracle_complete_basis(delta, p)
-    c = _content(delta)
+    c = math.gcd(delta.x, delta.y, delta.z)
     assert p.wedge(got) == LatticePoint3(delta.x // c, delta.y // c, delta.z // c)
 
 

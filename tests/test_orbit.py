@@ -725,8 +725,6 @@ def test_bulk_ladder_matches_the_per_level_loop(bits, delta, start, length):
     assert np.array_equal(got, want)
     ks = np.arange(length)[::-1]
     assert np.array_equal(orbit._limits(eng.levels(b0, length, slack), ks), want[:, ks])
-    assert orbit._last_steps(delta, [1, 2, 1 << 60]) == \
-        [orbit._last_step(delta, t) for t in (1, 2, 1 << 60)]
 
 
 @pytest.mark.parametrize("length", [1, _BLOCK, _BLOCK + 1, 10 ** 9])

@@ -65,8 +65,9 @@ small_coord = st.fractions(min_value=0, max_value=1).filter(
 def test_simultaneous_scan_matches_bruteforce(coords, q_max):
     theta = CertifiedVector(coords)
     records, den, _exact_zero = simultaneous_scan(theta, q_max)
-    got = [(q, F(num, den)) for q, num in records]
+    got = [(q, F(num, den)) for q, _w, num in records]
     assert got == brute_simultaneous(coords, q_max)
+    assert all(w == (q,) for q, w, _num in records)
 
 
 @settings(deadline=None, max_examples=25)
@@ -156,7 +157,7 @@ def oracle_simultaneous(theta, q_max, records=True):
             continue
         if best_q == 0:
             best_d, best_q = dist, q
-            out.append((q, dist))
+            out.append((q, (q,), dist))
         elif dist < best_d or (not exact and dist <= best_d + fast):
             v = _verdict(dist, q, best_d, best_q, den, r)
             if v is Verdict.INCONCLUSIVE:
@@ -165,9 +166,9 @@ def oracle_simultaneous(theta, q_max, records=True):
             if v is Verdict.LESS:
                 best_d, best_q = dist, q
                 if records:
-                    out.append((q, dist))
+                    out.append((q, (q,), dist))
                 else:
-                    out[-1] = (q, dist)
+                    out[-1] = (q, (q,), dist)
         if best_d == 0 and exact:
             return out, den, True
     return out, den, False
@@ -291,8 +292,8 @@ def test_exact_theta_terminates_at_zero():
     theta = CertifiedVector((F(3, 7), F(5, 11)))
     got = simultaneous_scan(theta, 10**6)
     assert got == oracle_simultaneous(theta, 10**6)
-    assert got[2] and got[0][-1] == (77, 0)
-    assert simultaneous_scan(CertifiedVector((F(0),)), 5) == ([(1, 0)], 1, True)
+    assert got[2] and got[0][-1] == (77, (77,), 0)
+    assert simultaneous_scan(CertifiedVector((F(0),)), 5) == ([(1, (1,), 0)], 1, True)
 
 
 def test_scans_cross_ramp_copies_on_big_denominator():
@@ -714,7 +715,7 @@ def test_runs_read_the_least_value_before_them(theta):
     assert [lim for _q0, _end, lim, _q in runs] == [
         min(2**63, (low[q0 - 2] if q0 > 1 else 2**63) + slack) for q0, *_r in runs]
     assert runs[0][2] == 2**63 > runs[1][2]
-    assert any(q0 + _RAMP <= q < end for q, _d in got[0] for q0, end, *_r in runs[1:])
+    assert any(q0 + _RAMP <= q < end for q, *_r in got[0] for q0, end, *_r in runs[1:])
     assert _rechecked(simultaneous_scan, theta, q_max) == _hot_records(theta, q_max)
 
 
@@ -788,7 +789,7 @@ def test_one_unit_ties_on_big_denominators(den):
         raise AssertionError("no filter inversion found")
     step = CertifiedVector([F(p, den) for p in nums])
     recs, den_, _zero = simultaneous_scan(step, 2)
-    assert den_ == den and [(q, x - d) for q, d in recs] == [(1, 0), (2, 1)]
+    assert den_ == den and [(q, x - d) for q, _w, d in recs] == [(1, 0), (2, 1)]
     for theta in (tie, step):
         for q_max in (2, 50):
             assert simultaneous_scan(theta, q_max) == oracle_simultaneous(theta, q_max)
