@@ -72,10 +72,10 @@ PrecisionError naming the offending pair.
 
 from __future__ import annotations
 
+import importlib.util
+import sys
 from fractions import Fraction
 from functools import cached_property
-
-import numpy as np
 
 from .errors import DomainError, PrecisionError, ResourceError
 from .exact import CertifiedScalar, CertifiedVector, Verdict, _dist, _l1
@@ -84,6 +84,27 @@ DEFAULT_BUDGET = 10**8
 _NP_LIMIT = 1 << 62
 _CHUNK = 1 << 20  # linear cells per fixed-point block
 _RAMP = 1 << 14  # sorted ramp entries, and the words of a run of ramp copies
+
+
+def _lazy(name: str):
+    """The module `name` without running it yet: the one in sys.modules when
+    it is loaded, else one that importlib.util.LazyLoader runs on its first
+    attribute access."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    if spec is None:  # as `import name` fails
+        raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+# the package's one numpy binding (orbit imports it from here): numpy loads
+# at the first scan or orbit call, so exact-only work never pays its import
+np = _lazy("numpy")
 
 
 def scan_data(theta: CertifiedVector) -> tuple[tuple[int, ...], int, Fraction]:
@@ -328,10 +349,11 @@ def simultaneous_scan(theta: CertifiedVector, q_max: int, *,
 
 
 def _check_linear_budget(h, dim, budget):
+    """At d = 1 the scan is simultaneous_scan, which charges its h multipliers."""
     if h < 1:
         raise DomainError("box radius must be >= 1")
     cells = (2 * h + 1) ** dim
-    if cells > budget:
+    if dim > 1 and cells > budget:
         raise ResourceError(f"box scan of {cells} candidates exceeds budget {budget}")
 
 

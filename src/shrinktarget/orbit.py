@@ -72,9 +72,7 @@ from functools import cached_property
 from fractions import Fraction
 from typing import NamedTuple
 
-import numpy as np
-
-from ._scan import _d64, _Ramp
+from ._scan import _d64, _Ramp, np
 from .errors import DomainError, PrecisionError, ResourceError
 from .exact import CertifiedVector, as_vector, dist_nearest_int, rational
 from .roots import _MAX_ROOT_ORDER, _log2_units, iroot, log2_enclosure, sqrt_upper

@@ -65,6 +65,13 @@ def float_uses(source: str, module: str = "<snippet>") -> list[str]:
             for a in node.names:
                 if (a.name not in INT_MATH if node.module == "math" else _np_float(a.name)):
                     flag(node)
+        elif isinstance(node, ast.ImportFrom):  # numpy as bound by _scan
+            aliases.update((a.asname or a.name, "numpy") for a in node.names if a.name == "np")
+        elif (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+              and node.value.args and isinstance(node.value.args[0], ast.Constant)
+              and node.value.args[0].value in ("math", "numpy")):  # np = _lazy("numpy")
+            aliases.update((t.id, node.value.args[0].value)
+                           for t in node.targets if isinstance(t, ast.Name))
     for node in ast.walk(tree):
         if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
             flag(node)
@@ -116,3 +123,20 @@ def test_float_uses_are_found():
         "7: np.zeros(3, dtype='f8')", "7: np.zeros(3, dtype='f8').astype(float)",
         "7: np.float64", "7: np.mean",
     ]
+
+
+def test_float_uses_are_found_through_the_lazy_numpy_binding():
+    """_scan binds numpy as `np = _lazy("numpy")` and orbit imports that
+    name: both count as numpy, so the check still reads every np.* use of
+    the package."""
+    snippet = "\n".join([
+        'np = _lazy("numpy")',
+        "a = np.sqrt(4) + np.arange(3)",
+        "from ._scan import _d64, np as xp",
+        "b = xp.float64(1) + xp.uint64(2) + _d64.pi",
+    ])
+    assert float_uses(snippet) == ["2: np.sqrt", "4: xp.float64"]
+    for module in ("_scan.py", "orbit.py"):
+        source = (PACKAGE / module).read_text()
+        assert float_uses(source + "\nnp.float64(1)\n", module) == [
+            f"{len(source.splitlines()) + 2}: np.float64"]

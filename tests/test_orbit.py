@@ -6,6 +6,7 @@ the exact rule, that the top-limb filter must reproduce hit for hit.
 """
 
 import random
+from bisect import bisect_right
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -677,10 +678,10 @@ def test_bounds_are_sound_per_step(bits, block):
             assert band * 32 * p <= _threshold_pair(n, delta, 64)[1] * q, n
 
 
-def _ladder_per_level(eng, b0, length, slack):
-    """The per-step limits of _Engine.levels as one Python step per level:
-    one _last_step root each and the saturated limits in Python integers
-    (the form that the bulk ladder replaced)."""
+def _ladder_runs(eng, b0, length, slack):
+    """The ladder of _Engine.levels as one Python step per level, (steps,
+    hit, miss) for each: one _last_step root each and the saturated limits
+    in Python integers (the form that the bulk ladder replaced)."""
     end = b0 + length - 1
     a = min(max(b0, eng.auto + 1), end + 1)
     runs = [(a - b0, orbit._ALL_HIT, orbit._NO_MISS)]  # (steps, hit, miss) per level
@@ -691,7 +692,12 @@ def _ladder_per_level(eng, b0, length, slack):
         runs.append((b - a + 1, min(max(low - slack - eng.e + 1, 0), orbit._ALL_HIT),
                      min(t + slack + eng.e, orbit._NO_MISS)))
         a, t = b + 1, low
-    steps, hit, miss = np.array(runs, dtype=np.uint64).T
+    return runs
+
+
+def _ladder_per_level(eng, b0, length, slack):
+    """The per-step limits of _ladder_runs."""
+    steps, hit, miss = np.array(_ladder_runs(eng, b0, length, slack), dtype=np.uint64).T
     return np.repeat([hit, miss], steps.astype(np.intp), axis=1)
 
 
@@ -725,6 +731,30 @@ def test_bulk_ladder_matches_the_per_level_loop(bits, delta, start, length):
     assert np.array_equal(got, want)
     ks = np.arange(length)[::-1]
     assert np.array_equal(orbit._limits(eng.levels(b0, length, slack), ks), want[:, ks])
+
+
+@pytest.mark.parametrize("delta,b0", [(F(1), 2 ** 40 + 3), (F(3, 2), 2 ** 44 + 1),
+                                      (F(2), 2 ** 48 + 7), (F(7, 3), 2 ** 52 + 5)],
+                         ids=["1", "3/2", "2", "7/3"])
+def test_ladder_ends_each_level_at_its_last_step(delta, b0):
+    """Far out the last steps of radius >= low and of radius >= low + 1 top
+    units differ (at delta = 1 once n^2 reaches about 2^64), so each level of
+    a block must end at _last_step(delta, low).  A block of b0/16 steps
+    holds three level ends; the limits read at the steps from two before to
+    two after each end are those of the per-level loop."""
+    length = b0 // 16
+    eng = _rule_engine(delta, 64, b0 + length - 1, length)
+    slack = eng.slack(length)
+    runs = _ladder_runs(eng, b0, length, slack)
+    after = np.cumsum([r[0] for r in runs]).tolist()  # the first step after each level
+    assert after[0] == 0 and len(after) >= 5  # no auto-hit steps this far out
+    for i in range(1, len(runs) - 1):  # level i's low is level i + 1's t
+        low = runs[i + 1][2] - slack - eng.e
+        assert orbit._last_step(delta, low) == b0 + after[i] - 1
+        assert orbit._last_step(delta, low + 1) != b0 + after[i] - 1
+    ks = [k for e in after[1:-1] for k in range(e - 2, e + 3)]
+    hit, miss = orbit._limits(eng.levels(b0, length, slack), np.array(ks))
+    assert list(zip(hit.tolist(), miss.tolist())) == [runs[bisect_right(after, k)][1:] for k in ks]
 
 
 @pytest.mark.parametrize("length", [1, _BLOCK, _BLOCK + 1, 10 ** 9])

@@ -1036,19 +1036,44 @@ def test_former_enumeration_cap_edges_answered(dim, den, h, records, refused):
 
 
 def test_linear_budget_edge(monkeypatch):
-    """The scan budget counts the nominal (2h+1)^d box: one cell over it is
-    refused before the box is built, and the budget itself is answered."""
-    theta = CertifiedVector((F(2, 7), F(3, 11), F(5, 13)))
-    cells = 21 ** 3  # h = 10
-    answers = linear_min(theta, 10, budget=cells), linear_records(theta, 10, budget=cells)
-    assert answers == (linear_min(theta, 10), linear_records(theta, 10))
+    """The scan budget counts the nominal (2h+1)^d box at d = 2 and 3: one
+    cell over it is refused before the box is built, and the budget itself
+    is answered."""
+    thetas = [CertifiedVector((F(2, 7), F(3, 11))), CertifiedVector((F(2, 7), F(3, 11), F(5, 13)))]
+    for theta in thetas:
+        cells = 21 ** theta.dim  # h = 10
+        answers = linear_min(theta, 10, budget=cells), linear_records(theta, 10, budget=cells)
+        assert answers == (linear_min(theta, 10), linear_records(theta, 10))
 
     def no_work(*args):
         raise AssertionError("the scan started before refusing")
     monkeypatch.setattr("shrinktarget._scan._LinearBox", no_work)
+    for theta in thetas:
+        cells = 21 ** theta.dim
+        for scan in (linear_min, linear_records):
+            with pytest.raises(ResourceError, match=f" {cells} candidates exceeds budget"):
+                scan(theta, 10, budget=cells - 1)
+
+
+def test_linear_budget_at_d1_counts_multipliers(monkeypatch):
+    """At d = 1 both linear scans are simultaneous_scan, so the budget
+    counts its h multipliers, not the 2h + 1 cells of the box: h = 60 is
+    answered at budget 60 (121 cells), 61 is refused before any work, and
+    a radius below 1 stays a DomainError of the box."""
+    theta = CertifiedVector((F(2, 7),))
+    records = simultaneous_scan(theta, 60, budget=100)
+    assert linear_records(theta, 60, budget=100) == records
+    assert linear_records(theta, 60, budget=60) == records
+    assert linear_min(theta, 60, budget=60) == linear_min(theta, 60)
+
+    def no_work(*args):
+        raise AssertionError("the scan started before refusing")
+    monkeypatch.setattr("shrinktarget._scan._Multipliers", no_work)
     for scan in (linear_min, linear_records):
-        with pytest.raises(ResourceError, match=f"{cells} candidates exceeds budget"):
-            scan(theta, 10, budget=cells - 1)
+        with pytest.raises(ResourceError, match="scan of 61 multipliers exceeds budget 60"):
+            scan(theta, 61, budget=60)
+        with pytest.raises(DomainError, match="box radius must be >= 1"):
+            scan(theta, 0, budget=60)
 
 
 def test_simultaneous_budget_edge(monkeypatch):
