@@ -28,6 +28,8 @@ cli
 
 __version__ = "1.0.0"
 
+import importlib
+
 from .errors import (EXIT_DOMAIN, EXIT_INTERNAL, EXIT_OK, EXIT_PRECISION,
                      EXIT_RESOURCE, ConfigError, DegenerateInputError,
                      DomainError, InternalError, PrecisionError,
@@ -50,9 +52,20 @@ from .construct import (CFVectorSpec, CheckResult, ConstructionState,
                         ConstructionStep, VerifyReport, alternating_cf,
                         build_theta, complete_basis, minimal_heights,
                         verify_construction)
-from .orbit import (CensusSummary, HitRecord, OrbitConfig, WindowEstimate,
-                    bc_window_estimate, exact_orbit_hits, hit_census,
-                    log_law_stat, orbit_hits)
+
+# orbit is imported at the first use of one of its names (PEP 562): the
+# exact-only work never compiles it
+_ORBIT_NAMES = ("OrbitConfig", "HitRecord", "CensusSummary", "WindowEstimate",
+                "orbit_hits", "exact_orbit_hits", "log_law_stat", "hit_census",
+                "bc_window_estimate")
+
+
+def __getattr__(name):
+    if name == "orbit" or name in _ORBIT_NAMES:
+        orbit = importlib.import_module(".orbit", __name__)
+        return orbit if name == "orbit" else getattr(orbit, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "__version__",
@@ -83,7 +96,5 @@ __all__ = [
     "CFVectorSpec", "build_theta", "minimal_heights", "complete_basis",
     "verify_construction", "alternating_cf",
     # orbit
-    "OrbitConfig", "HitRecord", "CensusSummary", "WindowEstimate",
-    "orbit_hits", "exact_orbit_hits", "log_law_stat", "hit_census",
-    "bc_window_estimate",
+    *_ORBIT_NAMES,
 ]

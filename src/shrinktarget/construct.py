@@ -21,6 +21,16 @@ multiple of Delta_n plus the completion of Delta_n in the lattice
 {D : <D, P_n> = 0}, and P_{n+1} is a multiple of P_n plus the completion of
 P_n in {P : <Delta_{n+1}, P> = 0}.  The line and the point step are the same
 completion with the roles of Delta and P exchanged.
+
+A step completing x against y reads its completion off an earlier vector e
+with <x, e> = 1: then X = y ^ e has x ^ X = y.  The point step P_{n+1} takes
+e = Delta_{n-1} (<Delta_m, P_{m+1}> = 1), the line step Delta_{n+1} takes
+e = P_{n-2} (<Delta_m, P_{m-2}> = 1, from Delta_{m-2} ^ Delta_{m-1} =
+P_{m-2} and the step rule), from the seeds Delta_{-1} = (1, 0, 0), P_{-2} =
+(0, -1, 0) and P_{-1} = (0, 0, -1).  The completion is still complete_basis's
+canonical one, the _best_shift of Euclid's base: X fixes that base up to a
+multiple of x, and one residue fixes the multiple (see _completion).  Only
+Delta_1, where x = Delta_0 has z = 0, runs the extended Euclid algorithm.
 """
 
 from __future__ import annotations
@@ -59,6 +69,16 @@ def _bezout(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_u, old_v
 
 
+def _bezout_u(t: int, b: int) -> int:
+    """The u of _bezout(a, b) from any t = u mod b' (b' = b / gcd(a, b) != 0):
+    the residue of t in (-|b'|/2, |b'|/2], or -1 at b' = -2."""
+    m = abs(b)
+    u = t % m
+    if 2 * u > m or (2 * u == m and b < 0):
+        u -= m
+    return u
+
+
 def _best_shift(base: LatticePoint3, p: LatticePoint3) -> LatticePoint3:
     """base - k*p (p nonzero) minimizing the sup norm, ties broken by the k
     nearest 0.
@@ -86,44 +106,68 @@ def complete_basis(delta: LatticePoint3, p: LatticePoint3) -> LatticePoint3:
     p ^ p' = delta / content(delta), and satisfying the completion bound
     |p'| <= 2 max(|p|, |delta|/|p|).
     """
+    return _completion(delta, p, None)
+
+
+def _completion(delta: LatticePoint3, p: LatticePoint3,
+                e: LatticePoint3 | None) -> LatticePoint3:
+    """complete_basis(delta, p), read off e when e is given: InternalError
+    unless <p, e> = 1.
+
+    The canonical base is Euclid's -bv v1 + bu v2, for the kernel basis
+    (v1, v2) of d = delta / content(delta), p = alpha v1 + beta v2 and
+    _bezout(alpha, beta) = (1, bu, bv); the completion is its _best_shift
+    against p, turned to p ^ p' = d.  When beta = p.z / g1 != 0 (g1 =
+    gcd(d.x, d.y)), that base is the X with p ^ X = v1 ^ v2 = -d whose
+    v2-coordinate X.z / g1 lies in (-|beta|/2, |beta|/2], or is -1 at
+    beta = -2: any such X, here e ^ d, shifted by a multiple of p.  Only
+    beta = 0 or an unknown e runs the Euclid steps.
+    """
     if delta.is_zero:
         raise DomainError("delta must be nonzero")
     if not is_primitive(p):
         raise DomainError("P must be primitive")
     if delta.dot(p) != 0:
         raise DomainError("P must be orthogonal to delta")
+    if e is not None and p.dot(e) != 1:
+        raise InternalError("the step's <x, e> is not 1")
     d = delta
     c = math.gcd(delta.x, delta.y, delta.z)
     if c > 1:
         d = LatticePoint3(delta.x // c, delta.y // c, delta.z // c)
-    # kernel basis (v1, v2) of <d, .> = 0 with v1 ^ v2 = +-d, and the
-    # coordinates of p = alpha v1 + beta v2
     g1 = math.gcd(d.x, d.y)
-    if g1 == 0:
-        v1 = LatticePoint3(1, 0, 0)
-        v2 = LatticePoint3(0, 1, 0)
-        alpha, beta = p.x, p.y
+    if g1 and math.gcd(g1, d.z) != 1:
+        raise InternalError("direction vector not primitive after scaling")
+    if e is not None and g1 and p.z:
+        beta, x = p.z // g1, e.wedge(d)  # p ^ (e ^ d) = -<p, e> d
+        t = x.z // g1
+        prime = x + p.scale((_bezout_u(t, beta) - t) // beta)
     else:
-        if math.gcd(g1, d.z) != 1:
-            raise InternalError("direction vector not primitive after scaling")
-        _g, u, v = _bezout(d.x, d.y)
-        v1 = LatticePoint3(d.y // g1, -d.x // g1, 0)
-        v2 = LatticePoint3(-u * d.z, -v * d.z, g1)
-        beta = p.z // g1  # v1.z = 0, v2.z = g1
-        if v1.x:
-            alpha = (p.x - beta * v2.x) // v1.x
+        # kernel basis (v1, v2) of <d, .> = 0 with v1 ^ v2 = +-d, and the
+        # coordinates of p = alpha v1 + beta v2
+        if g1 == 0:
+            v1 = LatticePoint3(1, 0, 0)
+            v2 = LatticePoint3(0, 1, 0)
+            alpha, beta = p.x, p.y
         else:
-            alpha = (p.y - beta * v2.y) // v1.y
-    w = v1.wedge(v2)
-    if w != d and w != -d:
-        raise InternalError("kernel basis does not span the direction")
-    if v1.scale(alpha) + v2.scale(beta) != p:
-        raise InternalError("lattice coordinates of P failed to reconstruct")
-    g, bu, bv = _bezout(alpha, beta)
-    if g != 1:
-        raise InternalError("P is not primitive inside the planar lattice")
-    # (alpha, beta), (gamma, delta') with alpha*delta' - beta*gamma = 1
-    prime = v1.scale(-bv) + v2.scale(bu)
+            _g, u, v = _bezout(d.x, d.y)
+            v1 = LatticePoint3(d.y // g1, -d.x // g1, 0)
+            v2 = LatticePoint3(-u * d.z, -v * d.z, g1)
+            beta = p.z // g1  # v1.z = 0, v2.z = g1
+            if v1.x:
+                alpha = (p.x - beta * v2.x) // v1.x
+            else:
+                alpha = (p.y - beta * v2.y) // v1.y
+        w = v1.wedge(v2)
+        if w != d and w != -d:
+            raise InternalError("kernel basis does not span the direction")
+        if v1.scale(alpha) + v2.scale(beta) != p:
+            raise InternalError("lattice coordinates of P failed to reconstruct")
+        g, bu, bv = _bezout(alpha, beta)
+        if g != 1:
+            raise InternalError("P is not primitive inside the planar lattice")
+        # (alpha, beta), (gamma, delta') with alpha*delta' - beta*gamma = 1
+        prime = v1.scale(-bv) + v2.scale(bu)
     prime = _best_shift(prime, p)
     if p.wedge(prime) == -d:
         prime = -prime
@@ -252,16 +296,16 @@ class ConstructionState:
 
 
 def _dual_step(x: LatticePoint3, y: LatticePoint3, target: int,
-               name: str) -> LatticePoint3:
+               name: str, e: LatticePoint3) -> LatticePoint3:
     """The next line or point `name`: (target // |x|) x + x', where x'
-    completes x in the lattice orthogonal to y.
+    completes x in the lattice orthogonal to y, read off e with <x, e> = 1.
 
     The line step is (x, y) = (Delta_n, P_n) with target h_{n+1}°, the point
     step (P_n, Delta_{n+1}) with target q_{n+1}°.  InternalError unless
     3|x'| <= target, x ^ x' = y and the result's norm is within a factor 2
     of target.
     """
-    prime = complete_basis(y, x)
+    prime = _completion(y, x, e)
     if 3 * prime.norm > target:
         raise InternalError(f"completion for {name} too large: |{name}'| = {prime.norm}")
     if x.wedge(prime) != y:
@@ -324,13 +368,16 @@ def build_theta(a_seq, h0_seq, steps: int) -> ConstructionState:
     delta = LatticePoint3(h0[0], -1, 0)
     p = LatticePoint3(1, h0[0], q0[0])
     trail = [ConstructionStep(0, delta, p, delta.norm, p.norm)]
+    # Delta_{n-2}, P_{n-3}, P_{n-2} from the seeds Delta_{-1}, P_{-2}, P_{-1}
+    delta2, p3, p2 = LatticePoint3(1, 0, 0), LatticePoint3(0, -1, 0), LatticePoint3(0, 0, -1)
     for n in range(1, total):
-        delta_next = _dual_step(delta, p, h0[n], f"Delta_{n}")
-        p_next = _dual_step(p, delta_next, q0[n], f"P_{n}")
+        delta_next = _dual_step(delta, p, h0[n], f"Delta_{n}", p3)
+        p_next = _dual_step(p, delta_next, q0[n], f"P_{n}", delta2)
         if delta.dot(p_next) != 1:
             raise InternalError(f"<Delta_{n - 1}, P_{n}> != 1")
         if p_next.z != p_next.norm:
             raise InternalError(f"affine denominator is not the norm at step {n}")
+        delta2, p3, p2 = delta, p2, p
         delta, p = delta_next, p_next
         trail.append(ConstructionStep(n, delta, p, delta.norm, p.norm))
     return ConstructionState(a, h0, steps, tuple(trail))

@@ -10,10 +10,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from shrinktarget import _scan, cli
-from shrinktarget.construct import (ConstructionState, _best_shift, _bezout, _dual_step,
-                                    alternating_cf, build_theta, complete_basis,
-                                    minimal_heights, verify_construction)
+from shrinktarget import _scan, cli, construct
+from shrinktarget.construct import (ConstructionState, _best_shift, _bezout, _bezout_u,
+                                    _completion, _dual_step, alternating_cf, build_theta,
+                                    complete_basis, minimal_heights, verify_construction)
 from shrinktarget.errors import DomainError, InternalError, PrecisionError
 from shrinktarget.exact import (CertifiedVector, LatticePoint3, is_primitive,
                                 projective_distance)
@@ -242,15 +242,138 @@ def test_dual_step_checks():
     """Each of the dual step's invariants raises InternalError on an input
     that breaks it: a completion above target/3, a y with content > 1 (the
     completion then has x ^ x' = y / content(y)), and |x| > target (no
-    multiple of x, so the result falls below target/2)."""
-    delta0, p0 = LatticePoint3(1, -1, 0), LatticePoint3(1, 1, 33)
-    assert _dual_step(delta0, p0, 792, "Delta_1") == const33(1).steps[1].delta
+    multiple of x, so the result falls below target/2).  Each call passes an
+    e with <x, e> = 1, for Delta_1 the seed P_{-2} = (0, -1, 0)."""
+    delta0, p0, e = LatticePoint3(1, -1, 0), LatticePoint3(1, 1, 33), LatticePoint3(0, -1, 0)
+    assert _dual_step(delta0, p0, 792, "Delta_1", e) == const33(1).steps[1].delta
     with pytest.raises(InternalError, match="completion for Delta_1 too large"):
-        _dual_step(delta0, p0, 1, "Delta_1")
+        _dual_step(delta0, p0, 1, "Delta_1", e)
     with pytest.raises(InternalError, match="completion for Delta_1 has the wrong orientation"):
-        _dual_step(delta0, p0.scale(2), 10 ** 6, "Delta_1")
+        _dual_step(delta0, p0.scale(2), 10 ** 6, "Delta_1", e)
     with pytest.raises(InternalError, match="factor-2 sandwich violated by P_1"):
-        _dual_step(LatticePoint3(33, 1, 0), LatticePoint3(0, 0, 1), 3, "P_1")
+        _dual_step(LatticePoint3(33, 1, 0), LatticePoint3(0, 0, 1), 3, "P_1",
+                   LatticePoint3(0, 1, 0))
+
+
+# --- completions read off a vector e with <x, e> = 1 ---------------------------
+
+@pytest.mark.parametrize("a, b", [
+    (3, 2), (3, -2), (-3, 2), (-3, -2), (12, -8), (-6, 4),   # |b / g| = 2
+    (7, 1), (7, -1), (10, -5), (-4, 4),                     # |b / g| = 1
+    (0, 5), (0, -5), (0, 1), (0, -2),                       # a zero operand
+    (2 ** 3001 + 1, 2), (2 ** 3001 + 1, -2), (-2 ** 3001 - 1, -2),
+    (3 ** 1900, -(2 ** 3005 + 1)), (-(2 ** 3003 * 3 + 7), 2 ** 3000 * 5 + 3),
+    (2 ** 3100 * 9 + 3, 2 ** 3100 * 6 + 2),                 # content 2 ** 3100 * 3 + 1
+], ids=lambda v: str(v) if abs(v) < 2 ** 20 else f"{'-' * (v < 0)}{abs(v).bit_length()}bits")
+def test_bezout_u_is_euclids_u_at_the_edges(a, b):
+    g, u, _v = _bezout(a, b)
+    m = b // g
+    for k in (-3, -1, 0, 1, 2, 5):
+        assert _bezout_u(u + k * m, m) == u
+
+
+_SIGNED = st.one_of(st.integers(-2 ** 70, 2 ** 70), st.integers(-2 ** 3100, 2 ** 3100))
+
+
+@settings(deadline=None, max_examples=400)
+@given(_SIGNED, st.one_of(_SIGNED, st.sampled_from([1, -1, 2, -2])),
+       st.one_of(st.just(1), st.integers(2, 10 ** 6)), st.integers(-2 ** 80, 2 ** 80))
+def test_bezout_u_is_euclids_u(a, b, content, k):
+    """Euclid's u for (a, b) is the residue of u mod b / gcd(a, b) taken in
+    (-|b'|/2, |b'|/2] (-1 at b' = -2), so any representative gives it."""
+    assume(b != 0)
+    g, u, _v = _bezout(a * content, b * content)
+    m = b * content // g
+    assert _bezout_u(u + k * m, m) == u
+
+
+def unit_dual(p: LatticePoint3, r: LatticePoint3) -> LatticePoint3:
+    """A vector e with <p, e> = 1 for a primitive p, moved by p ^ r."""
+    g, u, v = _bezout(p.x, p.y)
+    _g, s, t = _bezout(g, p.z)
+    return LatticePoint3(s * u, s * v, t) + p.wedge(r)
+
+
+@settings(deadline=None, max_examples=400)
+@given(orthogonal_pairs(), st.tuples(_COORD, _COORD, _COORD))
+def test_completion_read_off_e_is_complete_basis(pair, r):
+    """Any e with <p, e> = 1 gives complete_basis's completion (or its
+    error): the residue rule where beta != 0, Euclid at beta = 0 and g1 = 0,
+    whatever the content of delta."""
+    delta, p = pair
+    e = unit_dual(p, LatticePoint3(*r))
+    assert p.dot(e) == 1
+    assert (_outcome(lambda d, x: _completion(d, x, e), delta, p)
+            == _outcome(complete_basis, delta, p))
+
+
+@pytest.mark.parametrize("delta, p", [
+    ((0, 0, 7), (3, -5, 0)), ((0, 0, -1), (-2 ** 200, 1, 0)), ((6, 0, -4), (2, 7, 3)),
+    ((-9, 0, 15), (5, 1, 3)), ((12, -18, 30), (2, 3, 1)), ((1, -1, 0), (1, 1, 33)),
+    ((2 ** 200 + 1, -3, 2 ** 199), (3, 2 ** 200 + 1, 0)),
+])
+def test_completion_refuses_an_e_off_the_unit_level(delta, p):
+    """<p, e> = 1 is checked, also where beta = 0 sends the completion to
+    Euclid; e = -e0 would otherwise pass every later check."""
+    delta, p = LatticePoint3(*delta), LatticePoint3(*p)
+    e = unit_dual(p, LatticePoint3(2, -1, 5))
+    assert _completion(delta, p, e) == complete_basis(delta, p)
+    for bad in (-e, e.scale(2), e + p, LatticePoint3(0, 0, 0)):
+        with pytest.raises(InternalError, match="the step's <x, e> is not 1"):
+            _completion(delta, p, bad)
+
+
+def dual_steps(state):
+    """(x, y, e, next) for every line and point step of a build: Delta_n
+    from (Delta_{n-1}, P_{n-1}) with e = P_{n-3}, then P_n from (P_{n-1},
+    Delta_n) with e = Delta_{n-2}, from the seeds Delta_{-1} = (1, 0, 0),
+    P_{-2} = (0, -1, 0) and P_{-1} = (0, 0, -1)."""
+    deltas = [LatticePoint3(1, 0, 0)] + [s.delta for s in state.steps]  # [m + 1] = Delta_m
+    points = [LatticePoint3(0, -1, 0), LatticePoint3(0, 0, -1)] + [s.p for s in state.steps]
+    for n in range(1, len(state.steps)):  # points[m + 2] = P_m
+        yield deltas[n], points[n + 1], points[n - 1], deltas[n + 1]
+        yield points[n + 1], deltas[n + 1], deltas[n - 1], points[n + 2]
+
+
+@st.composite
+def step_builds(draw):
+    """const:k (k = 33..60) or poly:p (p = 4..6), an h0 start 1..5 with the
+    tightest heights, depth 1..12."""
+    k = draw(st.one_of(st.integers(33, 60), st.sampled_from(["poly:4", "poly:5", "poly:6"])))
+    a = (lambda n: k) if isinstance(k, int) else (lambda n: (n + 3) ** int(k[5:]))
+    depth = draw(st.integers(1, 12))
+    return build_theta(a, minimal_heights(a, draw(st.integers(1, 5)), depth + 2), depth)
+
+
+@settings(deadline=None, max_examples=40)
+@given(step_builds())
+def test_each_step_completes_with_its_earlier_levels(state):
+    """Every step's e has <x, e> = 1, and the completion read off it is
+    complete_basis(y, x), the one the step added to a multiple of x."""
+    for x, y, e, nxt in dual_steps(state):
+        assert x.dot(e) == 1
+        prime = _completion(y, x, e)
+        assert prime == complete_basis(y, x)
+        assert (nxt - prime).wedge(x).is_zero
+
+
+def test_a_build_runs_euclid_for_its_level_0_line_step_only(monkeypatch):
+    """Only Delta_1 (beta = Delta_0.z = 0) runs _bezout: a depth-50 poly:4
+    build makes exactly complete_basis(P_0, Delta_0)'s calls."""
+    calls, bezout = [], construct._bezout
+
+    def spy(a, b):
+        calls.append((a, b))
+        return bezout(a, b)
+
+    monkeypatch.setattr(construct, "_bezout", spy)
+    a = lambda n: (n + 3) ** 4
+    state = build_theta(a, minimal_heights(a, 1, 52), 50)
+    made = calls[:]
+    calls.clear()
+    complete_basis(state.steps[0].p, state.steps[0].delta)
+    assert made == calls and len(calls) == 2
+    assert state.steps[0].delta.z == 0
 
 
 # --- heights helper -----------------------------------------------------------

@@ -1,6 +1,8 @@
 """numpy is bound once, in _scan, and loads at the first scan or orbit call:
 importing the package and its exact-only work (the construction, window
-bounds, the transcript series) never load it."""
+bounds, the transcript series) never load it.  The package root imports
+orbit at the first use of one of its names, so that work never loads orbit
+either."""
 
 import ast
 import json
@@ -12,6 +14,7 @@ from textwrap import dedent
 
 import pytest
 
+import shrinktarget
 from shrinktarget import _scan, orbit
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -54,6 +57,44 @@ def test_exact_work_in_a_cold_process_leaves_numpy_unloaded(tmp_path):
     assert got["code"] == 0 and (tmp_path / "out" / "series.csv").is_file()
     assert got["before"] == []
     assert got["after"] > 0 and got["one"]
+
+
+COLD_ROOT = dedent("""\
+    import json, sys
+    from fractions import Fraction
+    sys.path.insert(0, sys.argv[1])
+    import shrinktarget
+    from shrinktarget import construct, criteria
+
+    a = lambda n: (n + 3) ** 4
+    state = construct.build_theta(a, construct.minimal_heights(a, 1, 12), 10)
+    criteria.window_bound(state.refined_theta(), state.linear_witnesses(), Fraction(2), 1)
+    construct.verify_construction(state, 0)
+    before = sorted(m for m in sys.modules if m == "shrinktarget.orbit" or m.startswith("numpy."))
+    orbit = shrinktarget.orbit  # the attribute loads the module, as it did when eager
+    from shrinktarget import hit_census
+    print(json.dumps({"before": before, "after": orbit is sys.modules["shrinktarget.orbit"]
+                      and hit_census is orbit.hit_census}))
+""")
+
+
+def test_exact_work_in_a_cold_process_leaves_orbit_unloaded():
+    """A fresh interpreter imports the package, builds a depth-10 poly:4
+    construction, takes its window bound and verifies its structure with
+    neither orbit nor numpy loaded; `shrinktarget.orbit` and importing an
+    orbit name load orbit."""
+    run = subprocess.run([sys.executable, "-c", COLD_ROOT, str(ROOT / "src")],
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    got = json.loads(run.stdout.splitlines()[-1])
+    assert got == {"before": [], "after": True}
+
+
+def test_every_exported_name_resolves_at_the_package_root():
+    assert all(getattr(shrinktarget, name) is not None for name in shrinktarget.__all__)
+    assert shrinktarget.orbit is orbit and shrinktarget.hit_census is orbit.hit_census
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        shrinktarget.no_such_name
 
 
 def test_lazy_binds_a_loaded_module_as_it_is():
