@@ -12,19 +12,19 @@ enclosure per term suffices.
 
 The four series compute on integers.  A term's base is the certified error
 [lo, hi] with both ends scaled by the term's positive factor (no interval
-product), each end a coprime pair (num, den) reduced at its smallest operand:
-the error end first, then the factor against the denominator.  thm5 and
-prop32 take their errors from exact's distance rule, with theta's common
-denominator taken once per series.  Each term is roots._root_ends of its base,
-the enclosure rule of every certified root (stated there), as integer dyadic
-ends t / 2^m that the partial sums add as integers over a power of two; a
-lo < 0 raises DomainError("invalid base interval") in every series.
+product), each end a pair (num, den) that is never reduced: thm5 and prop32
+read exact's distance rule as integer ends over one denominator
+L = lcm(den, radius denominator), taken once per series with its power L^d,
+and lemma22 and dyadic read the ends of eps_l's records.  Each term is
+roots._root_ends of its base, the enclosure rule of every certified root
+(stated there, with the scale rule that reads a pair as given), as integer
+dyadic ends t / 2^m that the partial sums add as integers over a power of
+two; a lo < 0 raises DomainError("invalid base interval") in every series.
 type_evidence and window_bound take their powers from pow_enclosure.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -50,48 +50,34 @@ def _sup_norm(vec) -> int:
 
 
 def _times(num: int, den: int, c: int, e: int = 1) -> tuple[int, int]:
-    """num^e * c / den^e as a coprime pair, for coprime num, den and c >= 1:
-    the gcd is taken against c, the smaller operand, and against den^e only
-    when c and den share a factor."""
-    g = math.gcd(c, den)
-    if e != 1:
-        num, den = num ** e, den ** e
-        if g != 1:
-            g = math.gcd(c, den)
-    return num * (c // g), den // g
+    """The pair (num^e * c, den), for a den already raised to the power e."""
+    return num ** e * c, den
 
 
 def _over(num: int, den: int, k: int, q: int) -> tuple[int, int]:
-    """(num / (den * k))^q as a coprime pair, for coprime num >= 0, den."""
-    g = math.gcd(num, k)
-    return (num // g) ** q, (den * (k // g)) ** q
+    """(num / (den * k))^q as the pair (num^q, (den * k)^q)."""
+    return num ** q, (den * k) ** q
 
 
 def _both(f, lo, hi, *args):
-    """f applied to the ends lo and hi of a base, to a point once."""
+    """f of each end lo <= hi of a base, of a point once; lo < 0 raises DomainError."""
+    if lo[0] < 0:
+        raise DomainError("invalid base interval")
     out = f(*lo, *args)
     return out, out if hi == lo else f(*hi, *args)
 
 
-def _ends(eps: CertifiedScalar):
-    """The ends lo <= hi of a certified base as coprime pairs; lo < 0 raises
-    DomainError("invalid base interval")."""
-    if eps.lo < 0:
-        raise DomainError("invalid base interval")
-    return (eps.lo.numerator, eps.lo.denominator), (eps.hi.numerator, eps.hi.denominator)
-
-
 def _profile_ends(prof, heights):
-    """The coprime pairs (lo, hi) of eps_l at each height (ascending, within
-    the profile) from one walk of the profile's records; a negative lo
-    raises DomainError("invalid base interval")."""
+    """The pairs (lo, hi) of eps_l at each height (ascending, within the
+    profile) from one walk of the profile's records."""
     records = prof.records
     i, ends = 0, None
     for h in heights:
         while i < len(records) and records[i].height <= h:
             i, ends = i + 1, None
         if ends is None:
-            ends = _ends(records[i - 1].value)
+            eps = records[i - 1].value
+            ends = (eps.lo.numerator, eps.lo.denominator), (eps.hi.numerator, eps.hi.denominator)
         yield ends
 
 
@@ -154,14 +140,15 @@ def series_thm5(theta, x_seq, n_terms: int) -> SeriesReport:
     for a, b in zip(norms, norms[1:]):
         if b <= a:
             raise DomainError("vector norms must be strictly increasing")
-    form, _ = _distances_to_z(theta)
+    form, _, den = _distances_to_z(theta)
     terms = []
     for n in range(n_terms):
-        eps = form(x_seq[n])
-        if eps.hi == 0:
+        lo, hi = form(x_seq[n])
+        if hi == 0:
             raise DegenerateInputError(
                 f"<X_{n}, theta> is exactly an integer; the series degenerates")
-        terms.append((n, *_root_ends(*_both(_times, *_ends(eps), norms[n + 1] ** d), d + 1)))
+        terms.append((n, *_root_ends(*_both(_times, (lo, den), (hi, den), norms[n + 1] ** d),
+                                     d + 1)))
     return _assemble("vector-sequence series", terms)
 
 
@@ -229,11 +216,13 @@ def series_prop32(theta, q_seq, n_terms: int) -> SeriesReport:
     for a, b in zip(q_seq, q_seq[1:]):
         if b <= a:
             raise DomainError("denominator sequence must be strictly increasing")
-    _, lattice = _distances_to_z(theta)
+    _, lattice, den = _distances_to_z(theta)
+    den **= d  # L^d: the denominator of every base
     terms = []
     for n in range(1, n_terms + 1):
-        lo, hi = _ends(lattice(q_seq[n - 1]))
-        terms.append((n, *_root_ends(*_both(_times, lo, hi, q_seq[n], d), d * (d + 1))))
+        lo, hi = lattice(q_seq[n - 1])
+        terms.append((n, *_root_ends(*_both(_times, (lo, den), (hi, den), q_seq[n], d),
+                                     d * (d + 1))))
     return _assemble("simultaneous-denominator series", terms)
 
 

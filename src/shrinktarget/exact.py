@@ -300,35 +300,37 @@ def _dist(nums, den: int, q: int) -> int:
 
 
 def _distances_to_z(theta: CertifiedVector):
-    """(form, lattice) for theta: form(delta) is certified_form_dist(delta,
-    theta) and lattice(q) is certified_dist_nearest_lattice(q, theta).
+    """(form, lattice, L) for theta: form(delta) and lattice(q) are the ends
+    lo <= hi of certified_form_dist(delta, theta) and
+    certified_dist_nearest_lattice(q, theta), as integers over L.
 
-    Both read theta as nums / den over its common denominator, taken once
-    here: a centre is the integer residue s mod den, and the certified
-    distance is [|s / den|_Z - w r, |s / den|_Z + w r] for theta's radius r
-    and the weight w the value's perturbation carries.
+    Both read theta as nums / den and its radius r as rn / rd, with
+    L = lcm(den, rd) taken once here: a centre is the integer residue s mod
+    den, and the ends |s / den|_Z -+ w r, for the weight w the value's
+    perturbation carries, are integers over L, not reduced.
     """
     nums, den = theta.common_denominator()
-    radius = theta.radius
+    r, g = theta.radius, math.gcd(den, theta.radius.denominator)
+    to_l, rad = r.denominator // g, r.numerator * (den // g)  # L = den * to_l
 
-    def near(s: int, w: int) -> CertifiedScalar:
-        s %= den
-        return CertifiedScalar(Fraction(min(s, den - s), den), w * radius)
+    def near(s: int, w: int) -> tuple[int, int]:
+        c, e = min(s % den, -s % den) * to_l, w * rad
+        return c - e, c + e
 
-    def form(delta: Sequence) -> CertifiedScalar:
+    def form(delta: Sequence) -> tuple[int, int]:
         delta = [int(c) for c in delta]
         if len(delta) != len(nums):
             raise DomainError("form vector and theta have different dimensions")
         return near(sum(c * a for c, a in zip(delta, nums)), _l1(delta))
 
-    def lattice(q: int) -> CertifiedScalar:
+    def lattice(q: int) -> tuple[int, int]:
         if not isinstance(q, int):
             raise DomainError("multiplier must be an int")
         if q == 0:
             raise DomainError("multiplier must be nonzero")
         return near(_dist(nums, den, q), abs(q))
 
-    return form, lattice
+    return form, lattice, den * to_l
 
 
 def certified_dist_nearest_lattice(q: int, theta: CertifiedVector) -> CertifiedScalar:
@@ -337,7 +339,8 @@ def certified_dist_nearest_lattice(q: int, theta: CertifiedVector) -> CertifiedS
     The lattice distance is 1-Lipschitz in the sup metric, so a perturbation of
     theta by at most r moves the distance by at most |q| * r.
     """
-    return _distances_to_z(theta)[1](q)
+    _, lattice, big_l = _distances_to_z(theta)
+    return _interval(*(Fraction(e, big_l) for e in lattice(q)))
 
 
 def certified_form_dist(delta: Sequence, theta: CertifiedVector) -> CertifiedScalar:
@@ -346,7 +349,8 @@ def certified_form_dist(delta: Sequence, theta: CertifiedVector) -> CertifiedSca
     A sup-norm perturbation of theta by r moves the form value by at most
     |delta|_1 * r, and the distance to Z is 1-Lipschitz.
     """
-    return _distances_to_z(theta)[0](delta)
+    form, _, big_l = _distances_to_z(theta)
+    return _interval(*(Fraction(e, big_l) for e in form(delta)))
 
 
 def projective_distance(p: LatticePoint3, q: LatticePoint3) -> Fraction:

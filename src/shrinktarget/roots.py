@@ -79,22 +79,29 @@ def nth_root_enclosure(x, k: int, rel_bits: int = 64) -> tuple[Fraction, Fractio
 
 def _root_units(num: int, den: int, k: int, rel_bits: int = 64) -> tuple[int, int]:
     """(t, m) with t/2^m <= (num/den)^(1/k) < (t+1)/2^m and t >= 2^rel_bits,
-    for coprime num, den >= 1 and k >= 2, from one integer root.
+    for num, den >= 1 and k >= 2, from one integer root; (t, m) depend on
+    the rational num/den only, not on the pair that gives it.
 
-    The first scale m is placed from the bit lengths of num and den, so an
-    unreduced pair may start one scale off and give other (t, m).  That
-    scale already gives t >= 2^rel_bits: with mag = bl(num) - bl(den),
-    log2(num/den) > mag - 1, and m >= rel_bits + 2 - mag/k, so
-    log2(t + 1) > m + (mag - 1)/k >= rel_bits + 2 - 1/k >= rel_bits + 3/2.
+    The scale m = rel_bits + 2 + max(0, 1 - floor(mag/k)) reads the reduced
+    pair's mag = bl(num) - bl(den), and log2(num/den) > mag - 1 gives
+    log2(t + 1) > m + (mag - 1)/k >= rel_bits + 3/2.  Any pair of a rational
+    x has 2^(mag-1) < x < 2^(mag+1), so the reduced mag is f or f + 1 for
+    f = floor(log2 x), found by one comparison; m falls as mag grows, and
+    the pair is reduced only when f and f + 1 give different scales.
     """
-    mag = num.bit_length() - den.bit_length()  # about log2(num/den)
-    m = rel_bits + 2 + max(0, -(mag // k) + 1)
+    mag = num.bit_length() - den.bit_length()
+    mag -= num << max(-mag, 0) < den << max(mag, 0)  # now floor(log2(num/den))
+    if mag // k < min(1, (mag + 1) // k):  # m(mag) > m(mag + 1)
+        g = math.gcd(num, den)
+        mag = (num // g).bit_length() - (den // g).bit_length()
+    m = rel_bits + 2 + max(0, 1 - mag // k)
     return iroot((num << m * k) // den, k), m
 
 
 def _root_ends(lo: tuple[int, int], hi: tuple[int, int], k: int, rel_bits: int = 64):
     """(t_lo, m_lo, t_hi, m_hi): [lo, hi]^(1/k) lies in
-    [t_lo / 2^m_lo, t_hi / 2^m_hi], for coprime pairs 0 <= lo <= hi and k >= 2.
+    [t_lo / 2^m_lo, t_hi / 2^m_hi], for pairs 0 <= lo <= hi, reduced or
+    not, and k >= 2.
 
     The enclosure rule of every certified root: the lower end is the lower
     end of the root of lo and the upper end the upper end of the root of hi,

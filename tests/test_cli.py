@@ -909,6 +909,36 @@ def test_scales_transcript_is_the_const75_build():
     assert SCALES_TRANSCRIPT.read_text() == build_theta(a, minimal_heights(a, 2, 6), 3).to_text()
 
 
+# long series on the refined theta of a depth-50 poly:4 build (4,628-bit
+# radius denominator), and lemma22/dyadic on a theta with a nonzero radius;
+# the artifacts under tests/data/series_pinned/<config>/ were recorded while
+# each base end was still reduced to a coprime pair before its root
+LONG_SERIES_PINNED = Path(__file__).resolve().parent / "data" / "series_pinned"
+LONG_SERIES_CONFIGS = {
+    "thm5-poly4-depth50": "series=thm5\ntranscript={t}\nn_terms=50\n",
+    "prop32-poly4-depth50": "series=prop32\ntranscript={t}\nn_terms=50\n",
+    "lemma22-radius": ("series=lemma22\n"
+                       "theta=0.41421356237309504880168872, 0.73205080756887729352744634\n"
+                       "radius=1/1000000000000000000000\nk_max=12\ndelta=3/2\n"),
+    "dyadic-radius": ("series=dyadic\n"
+                      "theta=0.61803398874989484820458683, 0.25992104989487316476721060\n"
+                      "radius=1/1000000000000000000000\nk_max=7\n"),
+}
+
+
+@pytest.mark.parametrize("series", sorted(LONG_SERIES_CONFIGS))
+def test_long_series_artifacts_pinned(tmp_path, series):
+    a = lambda n: (n + 3) ** 4
+    transcript = tmp_path / "poly4_depth50.txt"
+    transcript.write_text(build_theta(a, minimal_heights(a, 1, 52), 50).to_text())
+    cfg = write_config(tmp_path, "command=criteria\n"
+                       + LONG_SERIES_CONFIGS[series].format(t=transcript))
+    out = tmp_path / "out"
+    assert cli.main(["criteria", "--config", cfg, "--out", str(out)]) == 0
+    for name in ("series.csv", "series.dat", "series.json"):
+        assert (out / name).read_text() == (LONG_SERIES_PINNED / series / name).read_text(), name
+
+
 # ---------------------------------------------------------------------------
 # artifacts of construct, series=type, linear approx and simulate, text pinned
 

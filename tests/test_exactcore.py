@@ -1,13 +1,15 @@
 """Exact rationals, lattice points, certified scalars."""
 
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from shrinktarget import criteria
 from shrinktarget.errors import DomainError, PrecisionError
 from shrinktarget.exact import (CertifiedScalar, CertifiedVector,
-                                LatticePoint3, Verdict, as_vector,
+                                LatticePoint3, Verdict, _distances_to_z, as_vector,
                                 certified_dist_nearest_lattice,
                                 certified_form_dist, dist_nearest_int,
                                 dist_nearest_lattice, is_primitive,
@@ -172,6 +174,75 @@ def test_distances_to_z_refuse_bad_arguments(call, message):
 def test_certified_form_dist():
     theta = CertifiedVector((F(2, 7), F(3, 7)))
     assert certified_form_dist((1, -1), theta).value == F(1, 7)
+
+
+def oracle_distance(value, weight, radius):
+    """The Fraction formula of the distance rule before it gave integer ends
+    over L: [|value|_Z - w r, |value|_Z + w r] as a CertifiedScalar."""
+    return CertifiedScalar(dist_nearest_int(value), weight * radius)
+
+
+@st.composite
+def radius_thetas(draw):
+    """d = 1..3 coordinates over a common denominator up to 2^300, with
+    radius 0 or a radius whose denominator may share factors with it and
+    which may exceed a distance (a negative lower end)."""
+    d = draw(st.integers(1, 3))
+    den = draw(st.integers(1, 2 ** draw(st.integers(1, 300))))
+    coords = [F(draw(st.integers(-den, 2 * den)), den) for _ in range(d)]
+    radius = draw(st.one_of(
+        st.just(F(0)),
+        st.builds(F, st.integers(1, 2 ** 64), st.integers(1, 2 ** 400)),
+        st.builds(lambda n, k: F(n, den * k), st.integers(1, 1000), st.integers(1, 2 ** 64))))
+    return CertifiedVector(coords, radius)
+
+
+@settings(deadline=None, max_examples=300)
+@given(radius_thetas(), st.lists(st.integers(-2 ** 70, 2 ** 70), min_size=3, max_size=3),
+       st.integers(-2 ** 70, 2 ** 70).filter(bool))
+@example(CertifiedVector((F(1, 100),), F(1, 50)), [3, 0, 0], 1)
+@example(CertifiedVector((F(2, 7), F(3, 7)), F(1, 7 * 2 ** 70)), [1, -1, 0], 7)
+def test_distance_ends_over_l_are_the_fraction_formula(theta, delta, q):
+    """_distances_to_z gives each end as an integer over L = lcm(den, radius
+    denominator); over L they are the old formula's ends, negative lower ends
+    included, and the public functions return them as they did."""
+    delta = delta[:theta.dim]
+    form, lattice, big_l = _distances_to_z(theta)
+    den = theta.common_denominator()[1]
+    assert big_l == math.lcm(den, theta.radius.denominator)
+    value = sum(c * x for c, x in zip(delta, theta.coords))
+    want = oracle_distance(value, sum(map(abs, delta)), theta.radius)
+    lo, hi = form(delta)
+    assert (F(lo, big_l), F(hi, big_l)) == (want.lo, want.hi)
+    assert certified_form_dist(delta, theta) == want
+    # the farthest coordinate's distance lies in [0, 1/2], its own distance to Z
+    farthest = max(dist_nearest_int(q * x) for x in theta.coords)
+    want = oracle_distance(farthest, abs(q), theta.radius)
+    lo, hi = lattice(q)
+    assert (F(lo, big_l), F(hi, big_l)) == (want.lo, want.hi)
+    assert certified_dist_nearest_lattice(q, theta) == want
+
+
+@pytest.mark.parametrize("theta", [
+    CertifiedVector((F(1, 100),), F(1, 50)),
+    CertifiedVector((F(1, 100), F(1, 2)), F(1, 50)),
+    CertifiedVector((F(0),), F(417, 500000)),
+], ids=["d1", "d2", "d1-zero"])
+def test_every_series_refuses_a_negative_lower_distance(theta):
+    """<e_1, theta>, 2 theta and the error profile's record at height 1 have
+    negative lower distances here, and every series raises before a root:
+    thm5 and prop32 on the integer ends over L, lemma22 and dyadic on the
+    record's ends."""
+    one = (1,) + (0,) * (theta.dim - 1)
+    assert certified_form_dist(one, theta).lo < 0
+    assert certified_dist_nearest_lattice(2, theta).lo < 0
+    for call in (lambda: criteria.series_thm5(theta, [one, (3,) * theta.dim], 1),
+                 lambda: criteria.series_prop32(theta, [2, 3], 1),
+                 lambda: criteria.series_lemma22(theta, 1, 2),
+                 lambda: criteria.series_lemma22(theta, 1, F(3, 2)),
+                 lambda: criteria.dyadic_condition_iii(theta, 1)):
+        with pytest.raises(DomainError, match="^invalid base interval$"):
+            call()
 
 
 def test_compare_three_valued():

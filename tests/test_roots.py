@@ -6,9 +6,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from shrinktarget.errors import DomainError
-from shrinktarget.roots import (_iroot_from, _log2_units, _root_units, iroot, iroot_ceil,
-                                log2_enclosure, nth_root_enclosure, pow_enclosure,
-                                sqrt_upper)
+from shrinktarget.roots import (_iroot_from, _log2_units, _root_ends, _root_units, iroot,
+                                iroot_ceil, log2_enclosure, nth_root_enclosure,
+                                pow_enclosure, sqrt_upper)
 
 F = Fraction
 
@@ -138,6 +138,85 @@ def test_zero_and_point_ends_take_the_enclosure_loop(x, k):
     assert pow_enclosure(x, x, 1, k) == (F(t, 2**m), F(t + 1, 2**m))
     assert pow_enclosure(0, x, 1, k) == (0, F(t + 1, 2**m))
     assert pow_enclosure(0, 0, 1, k) == (0, 0)
+
+
+# ---------------------------------------------------------------------------
+# the scale rule for unreduced pairs: _root_units(a g, b g) is _root_units of
+# the reduced pair (a, b), whose scale the oracle loop above pins; the pair
+# as given may place another scale, from a magnitude one below or one above
+
+# common factors g: powers of two (both bit lengths move alike), odd primes
+# (3 carries a leading 1.99... into a new bit and a leading 1.0... not), and
+# a ~4,000-bit g
+_FACTORS = [2, 2 ** 64, 3, 7, 65537, 2 ** 61 - 1, 3 ** 2523]
+_ORDERS = [2, 3, 6, 12, 256]
+
+
+def _scale(num, den, k, rel_bits):
+    """The scale that the bit lengths of (num, den) as given would place."""
+    mag = num.bit_length() - den.bit_length()
+    return rel_bits + 2 + max(0, 1 - mag // k)
+
+
+def _edge_pairs(k):
+    """Coprime (a, b) with bl(a) - bl(b) one below, at or one above each
+    multiple j k (j <= 1) where the scale moves: one of the two a power of
+    two and the other odd, with leading digits 1.0... or 1.99..., so that a
+    factor g puts their bit lengths one further apart or one closer."""
+    def odd(bits, high):
+        return 2 ** bits - 1 if high else 2 ** (bits - 1) + 1 if bits > 1 else 1
+    for j in (-2, 0, 1):
+        for mag in (j * k - 1, j * k, j * k + 1):
+            for extra in (0, 40, 300):
+                nb = max(1, 1 - mag) + extra
+                for high in (False, True):
+                    yield 2 ** (nb + mag - 1), odd(nb, high)
+                    yield odd(nb + mag, high), 2 ** (nb - 1)
+
+
+@pytest.mark.parametrize("k", _ORDERS)
+def test_root_units_scale_an_unreduced_pair_at_the_scale_edges(k):
+    moved = set()
+    for a, b in _edge_pairs(k):
+        for rel_bits in (32, 64):
+            want = _root_units(a, b, k, rel_bits)
+            assert want == oracle_root_units(F(a, b), k, rel_bits)
+            for g in _FACTORS:
+                got = _root_units(a * g, b * g, k, rel_bits)
+                assert got == want, (a, b, g, rel_bits)
+                given_mag = (a * g).bit_length() - (b * g).bit_length()
+                if _scale(a * g, b * g, k, rel_bits) != want[1]:
+                    moved.add(given_mag - (a.bit_length() - b.bit_length()))
+    # the pairs as given place another scale, from a magnitude one below and
+    # one above the reduced pair's
+    assert moved == {-1, 1}
+
+
+_COPRIME = st.builds(F, st.integers(1, 2 ** 300), st.integers(1, 2 ** 300))
+_FACTOR = st.one_of(st.sampled_from(_FACTORS), st.integers(1, 2 ** 4000))
+
+
+@settings(deadline=None, max_examples=200)
+@given(_COPRIME, _FACTOR, st.sampled_from(_ORDERS), st.sampled_from([32, 64]))
+@example(F(2 ** 7, 2 ** 9 - 1), 3, 2, 64)
+def test_root_units_read_an_unreduced_pair_as_its_reduced_pair(x, g, k, rel_bits):
+    a, b = x.numerator, x.denominator
+    assert _root_units(a * g, b * g, k, rel_bits) == _root_units(a, b, k, rel_bits)
+
+
+@settings(deadline=None, max_examples=100)
+@given(_COPRIME, _FACTOR, _FACTOR, st.sampled_from(_ORDERS), st.sampled_from([32, 64]))
+def test_root_ends_read_unreduced_zero_ends_and_points(x, g, h, k, rel_bits):
+    """A zero end over any denominator is 0; a point, as one pair twice or as
+    two pairs of the same rational, takes the reduced point's one root."""
+    a, b = x.numerator, x.denominator
+    point = _root_ends((a, b), (a, b), k, rel_bits)
+    t, m = _root_units(a, b, k, rel_bits)
+    assert point == (t, m, t + 1, m)
+    assert _root_ends((a * g, b * g), (a * g, b * g), k, rel_bits) == point
+    assert _root_ends((a * g, b * g), (a * h, b * h), k, rel_bits) == point
+    assert _root_ends((0, b * g), (a * h, b * h), k, rel_bits) == (0, 0, t + 1, m)
+    assert _root_ends((0, g), (0, b * h), k, rel_bits) == (0, 0, 0, 0)
 
 
 def test_nth_root_enclosure_exact_cube():
