@@ -62,23 +62,24 @@ its run within the fast margin of the record in force are ordered against
 it in lexicographic order (_order_near), as linear_min orders the cells near
 its witness.
 
-Certified bookkeeping: with a coordinate radius r, the distance attached to
-multiplier q carries radius q*r (the lattice distance is 1-Lipschitz), and a
-comparison between candidates q, q' is conclusive when the center gap exceeds
-D*r*(q+q').  A cheap uniform integer margin covers almost every comparison;
-the rare close calls are re-checked exactly, and a genuine overlap raises
-PrecisionError naming the offending pair.
+Certified bookkeeping is exact._Frame, built once per scan: with a
+coordinate radius r, the distance of multiplier q carries radius q*r (the
+lattice distance is 1-Lipschitz) and that of cell s radius |s|_1*r.  The
+frame's margin, ceil(D*r*scale) for the largest summed weight, is the fast
+margin that every candidate must lie within to matter; the few that do are
+ordered by the frame on integers, and a genuine overlap raises
+PrecisionError naming the offending pair.  The scans return each record's
+integer distance over D, which bestapprox certifies by the same frame.
 """
 
 from __future__ import annotations
 
 import importlib.util
 import sys
-from fractions import Fraction
 from functools import cached_property
 
 from .errors import DomainError, PrecisionError, ResourceError
-from .exact import CertifiedScalar, CertifiedVector, Verdict, _dist, _l1
+from .exact import CertifiedVector, Verdict, _dist, _Frame, _l1
 
 DEFAULT_BUDGET = 10**8
 _NP_LIMIT = 1 << 62
@@ -105,30 +106,6 @@ def _lazy(name: str):
 # the package's one numpy binding (orbit imports it from here): numpy loads
 # at the first scan or orbit call, so exact-only work never pays its import
 np = _lazy("numpy")
-
-
-def scan_data(theta: CertifiedVector) -> tuple[tuple[int, ...], int, Fraction]:
-    nums, d = theta.common_denominator()
-    return tuple(n % d for n in nums), d, theta.radius
-
-
-def _margin(r: Fraction, d: int, scale: int) -> int:
-    """Integer upper bound for D * r * scale (0 when r == 0)."""
-    if r == 0 or scale <= 0:
-        return 0
-    v = r * d * scale
-    return -((-v.numerator) // v.denominator)
-
-
-def _order(dist_a: int, mult_a: int, dist_b: int, mult_b: int,
-           den: int, r: Fraction) -> Verdict:
-    """Certified order of two distances over den whose radii are mult*r."""
-    if r == 0:
-        return (Verdict.LESS if dist_a < dist_b
-                else Verdict.EQUAL if dist_a == dist_b else Verdict.GREATER)
-    a = CertifiedScalar(Fraction(dist_a, den), mult_a * r)
-    b = CertifiedScalar(Fraction(dist_b, den), mult_b * r)
-    return a.compare(b)
 
 
 def _fp_up(x: int, den: int) -> int:
@@ -302,9 +279,10 @@ def simultaneous_scan(theta: CertifiedVector, q_max: int, *,
         raise DomainError("q_max must be >= 1")
     if q_max > budget:
         raise ResourceError(f"scan of {q_max} multipliers exceeds budget {budget}")
-    nums, den, r = scan_data(theta)
-    fast = _margin(r, den, 2 * q_max)
-    exact = r == 0
+    frame = _Frame(theta)
+    nums, den = frame.nums, frame.den
+    fast = frame.margin(2 * q_max)
+    exact = frame.r == 0
     # fixed-point slack: the margin plus q_max for a_q and q_max for the
     # running minimum it is compared with
     slack = _fp_up(fast, den) + 2 * q_max
@@ -328,10 +306,10 @@ def simultaneous_scan(theta: CertifiedVector, q_max: int, *,
             if best_q:  # a record must beat the running minimum
                 if dq > best_d + fast:
                     continue
-                v = _order(dq, q, best_d, best_q, den, r)
+                v = frame.order(dq, q, best_d, best_q)
                 if v is Verdict.INCONCLUSIVE:
-                    raise PrecisionError(
-                        f"cannot order |{q}*theta| against |{best_q}*theta| at radius {r}")
+                    raise PrecisionError(f"cannot order |{q}*theta| against "
+                                         f"|{best_q}*theta| at radius {frame.r}")
                 if v is not Verdict.LESS:
                     continue
             best_d, best_q = dq, q
@@ -417,24 +395,24 @@ class _LinearBox:
         return cells, np.minimum(g, self.den - g)
 
 
-def _order_cells(dist_a: int, pt_a, dist_b: int, pt_b, den: int, r: Fraction) -> Verdict:
+def _order_cells(frame: _Frame, dist_a: int, pt_a, dist_b: int, pt_b) -> Verdict:
     """Certified order of <pt_a, theta> against <pt_b, theta>; PrecisionError
     when it is inconclusive."""
-    v = _order(dist_a, _l1(pt_a), dist_b, _l1(pt_b), den, r)
+    v = frame.order(dist_a, _l1(pt_a), dist_b, _l1(pt_b))
     if v is Verdict.INCONCLUSIVE:
         raise PrecisionError(
-            f"cannot order <{pt_a},theta> against <{pt_b},theta> at radius {r}")
+            f"cannot order <{pt_a},theta> against <{pt_b},theta> at radius {frame.r}")
     return v
 
 
-def _order_near(cells, dist, best: int, pt, fast: int, den: int, r: Fraction):
+def _order_near(frame: _Frame, cells, dist, best: int, pt, fast: int):
     """Order against pt, whose distance is best, every other cell within the
     fast margin of it, in the given (lexicographic) order: PrecisionError
     names the first cell whose order is inconclusive."""
     for i in np.flatnonzero(dist <= best + fast).tolist():
         c = tuple(cells[i].tolist())
         if c != pt:
-            _order_cells(int(dist[i]), c, best, pt, den, r)
+            _order_cells(frame, int(dist[i]), c, best, pt)
 
 
 def linear_min(theta: CertifiedVector, h: int, *, budget: int = DEFAULT_BUDGET):
@@ -445,12 +423,12 @@ def linear_min(theta: CertifiedVector, h: int, *, budget: int = DEFAULT_BUDGET):
     """
     dim = theta.dim
     _check_linear_budget(h, dim, budget)
-    nums, den, r = scan_data(theta)
+    frame = _Frame(theta)
     if dim == 1:  # the last record: the least multiplier of the minimum
         _q, witness, best = simultaneous_scan(theta, h, budget=budget)[0][-1]
     else:
-        fast = _margin(r, den, 2 * dim * h)
-        box = _LinearBox(nums, den, h)
+        fast = frame.margin(2 * dim * h)
+        box = _LinearBox(frame.nums, frame.den, h)
         # pigeonhole: two of the (h+1)^d cells of {0..h}^d have form values
         # within 1/(h+1)^d on the circle, and their difference is a cell of
         # the box, so every minimizer has a(s) <= 2^64 / (h+1)^d + E
@@ -460,10 +438,10 @@ def linear_min(theta: CertifiedVector, h: int, *, budget: int = DEFAULT_BUDGET):
             i = int(np.argmin(dist))
             if best is None or dist[i] < best:
                 best, witness = int(dist[i]), tuple(cells[i].tolist())
-        if r != 0:
-            for cells, dist in box.scan(lim + _fp_up(fast, den)):
-                _order_near(cells, dist, best, witness, fast, den, r)
-    return CertifiedScalar(Fraction(best, den), _l1(witness) * r), witness
+        if frame.r:
+            for cells, dist in box.scan(lim + _fp_up(fast, frame.den)):
+                _order_near(frame, cells, dist, best, witness, fast)
+    return frame.value(best, _l1(witness)), witness
 
 
 def linear_records(theta: CertifiedVector, h_max: int, *, budget: int = DEFAULT_BUDGET):
@@ -474,9 +452,10 @@ def linear_records(theta: CertifiedVector, h_max: int, *, budget: int = DEFAULT_
     _check_linear_budget(h_max, dim, budget)
     if dim == 1:
         return simultaneous_scan(theta, h_max, budget=budget)
-    nums, den, r = scan_data(theta)
-    fast = _margin(r, den, 2 * dim * h_max)
-    exact = r == 0
+    frame = _Frame(theta)
+    nums, den = frame.nums, frame.den
+    fast = frame.margin(2 * dim * h_max)
+    exact = frame.r == 0
     out = []
     best_d = None
     best_pt = None
@@ -504,7 +483,7 @@ def linear_records(theta: CertifiedVector, h_max: int, *, budget: int = DEFAULT_
             i = a + int(np.argmin(dist[a:b]))  # the lexicographically first minimizer
             s, sh_best, sh_pt = int(norm[i]), int(dist[i]), tuple(cells[i].tolist())
             if best_d is None or _order_cells(
-                    sh_best, sh_pt, best_d, best_pt, den, r) is Verdict.LESS:
+                    frame, sh_best, sh_pt, best_d, best_pt) is Verdict.LESS:
                 best_d, best_pt = sh_best, sh_pt
                 out.append((s, sh_pt, sh_best))
             if best_d == 0 and exact:
@@ -512,7 +491,7 @@ def linear_records(theta: CertifiedVector, h_max: int, *, budget: int = DEFAULT_
             # every other cell of the shell within the fast margin of the
             # record in force may reach below the record's enclosure: order
             # each against it, in lexicographic order
-            _order_near(cells[a:b], dist[a:b], best_d, best_pt, fast, den, r)
+            _order_near(frame, cells[a:b], dist[a:b], best_d, best_pt, fast)
         lo = hi
     return out, den, False
 
@@ -533,9 +512,10 @@ def all_greater_than_baseline(theta: CertifiedVector, q_hi: int, base_q: int,
     if q_hi - 1 > DEFAULT_BUDGET:
         raise ResourceError(
             f"scan of {q_hi - 1} multipliers exceeds budget {DEFAULT_BUDGET}")
-    nums, den, r = scan_data(theta)
+    frame = _Frame(theta)
+    nums, den = frame.nums, frame.den
     base_dist = _dist(nums, den, base_q)
-    fast = base_dist + _margin(r, den, q_hi + base_q)
+    fast = base_dist + frame.margin(q_hi + base_q)
     lim = _fp_up(fast, den) + q_hi  # a_q is within q_hi - 1 of the exact value
     violations = []
     report = {}
@@ -544,7 +524,7 @@ def all_greater_than_baseline(theta: CertifiedVector, q_hi: int, base_q: int,
             dist = _dist(nums, den, q)
             if dist > fast or q == base_q:
                 continue
-            v = _order(dist, q, base_dist, base_q, den, r)
+            v = frame.order(dist, q, base_dist, base_q)
             if q in exceptions:
                 report[q] = {Verdict.GREATER: "greater", Verdict.LESS: "leq",
                              Verdict.EQUAL: "leq"}.get(v, "unresolved")

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from . import _scan
 from .errors import DomainError
-from .exact import CertifiedScalar, _l1, as_vector, rational
+from .exact import CertifiedScalar, _Frame, _l1, as_vector, rational
 
 
 @dataclass(frozen=True, slots=True)
@@ -87,15 +87,14 @@ def best_linear(theta, h_max: int, *,
 
 def _records(scan, theta, h_max: int, budget: int) -> list[ApproxRecord]:
     """The records (height, witness, dist) of scan up to h_max, each certified
-    as dist / den +- |witness|_1 times theta's radius."""
+    by theta's frame as dist over den with the weight |witness|_1."""
     theta = as_vector(theta)
     if h_max < 1:
         return []
-    recs, den, _zero = scan(theta, int(h_max), budget=budget)
-    return [
-        ApproxRecord(i, h, w, CertifiedScalar(Fraction(dist, den), _l1(w) * theta.radius))
-        for i, (h, w, dist) in enumerate(recs)
-    ]
+    recs, _den, _zero = scan(theta, int(h_max), budget=budget)
+    frame = _Frame(theta)
+    return [ApproxRecord(i, h, w, frame.value(dist, _l1(w)))
+            for i, (h, w, dist) in enumerate(recs)]
 
 
 def simultaneous_error(theta, h, *, budget: int = _scan.DEFAULT_BUDGET) -> CertifiedScalar:

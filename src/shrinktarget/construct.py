@@ -42,9 +42,8 @@ from fractions import Fraction
 
 from . import _scan
 from .errors import DomainError, InternalError, PrecisionError, ResourceError
-from .exact import (CertifiedScalar, CertifiedVector, LatticePoint3, Verdict,
-                    certified_dist_nearest_lattice, is_primitive,
-                    projective_distance, rational)
+from .exact import (CertifiedScalar, CertifiedVector, LatticePoint3, Verdict, _Frame,
+                    is_primitive, projective_distance, rational)
 from .roots import iroot
 
 # contraction ratio of consecutive projective gaps, valid for every
@@ -511,6 +510,7 @@ def verify_construction(state: ConstructionState,
 
     broken = any(c.passed is False for c in checks)
     fine = state.refined_theta()
+    frame = _Frame(fine)  # every level's orbit distance, on one denominator
     sup_hi = max(abs(c) + fine.radius for c in fine.coords)
     add("|theta| <= 1/8", "certified", sup_hi <= Fraction(1, 8),
         f"certified sup norm <= {float(sup_hi):.6f}")
@@ -530,7 +530,7 @@ def verify_construction(state: ConstructionState,
 
     add_enclosure("orbit enclosure h_{n+1}/(2q_{n+1}) <= |q_n theta| <= 3h_{n+1}/(2q_{n+1})",
                   "orbit distance",
-                  lambda n: (certified_dist_nearest_lattice(steps[n].q, fine),
+                  lambda n: (frame.value(*frame.lattice(steps[n].q)),
                              Fraction(steps[n + 1].h, 2 * steps[n + 1].q),
                              Fraction(3 * steps[n + 1].h, 2 * steps[n + 1].q)))
     add_enclosure("line-value enclosure 3/(4q_{n+1}) <= |<Delta_n, theta_bar>| <= 5/(4q_{n+1})",

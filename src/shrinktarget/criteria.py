@@ -13,14 +13,14 @@ enclosure per term suffices.
 The four series compute on integers.  A term's base is the certified error
 [lo, hi] with both ends scaled by the term's positive factor (no interval
 product), each end a pair (num, den) that is never reduced: thm5 and prop32
-read exact's distance rule as integer ends over one denominator
-L = lcm(den, radius denominator), taken once per series with its power L^d,
-and lemma22 and dyadic read the ends of eps_l's records.  Each term is
-roots._root_ends of its base, the enclosure rule of every certified root
-(stated there, with the scale rule that reads a pair as given), as integer
-dyadic ends t / 2^m that the partial sums add as integers over a power of
-two; a lo < 0 raises DomainError("invalid base interval") in every series.
-type_evidence and window_bound take their powers from pow_enclosure.
+read the ends of theta's exact._Frame, the one certified-distance rule,
+over L = lcm(den, radius denominator), once per series with its power L^d,
+and lemma22 and dyadic the ends of eps_l's records (the same rule).  Each
+term is roots._root_ends of its base, the enclosure rule of every certified
+root (stated there, with the scale rule that reads a pair as given), as
+integer dyadic ends t / 2^m that the partial sums add as integers over a
+power of two; a lo < 0 raises DomainError("invalid base interval") in every
+series.  type_evidence and window_bound take their powers from pow_enclosure.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from . import _scan
 from .bestapprox import (best_linear, best_simultaneous, linear_error, linear_profile,
                          simultaneous_error)
 from .errors import DegenerateInputError, DomainError, PrecisionError, ResourceError
-from .exact import (CertifiedScalar, Verdict, _distances_to_z, _interval, as_vector,
+from .exact import (CertifiedScalar, Verdict, _Frame, _interval, as_vector,
                     certified_form_dist, rational)
 from .roots import _MAX_ROOT_ORDER, _root_ends, pow_enclosure
 
@@ -140,10 +140,11 @@ def series_thm5(theta, x_seq, n_terms: int) -> SeriesReport:
     for a, b in zip(norms, norms[1:]):
         if b <= a:
             raise DomainError("vector norms must be strictly increasing")
-    form, _, den = _distances_to_z(theta)
+    frame = _Frame(theta)
+    den = frame.big_l
     terms = []
     for n in range(n_terms):
-        lo, hi = form(x_seq[n])
+        lo, hi = frame.ends(*frame.form(x_seq[n]))
         if hi == 0:
             raise DegenerateInputError(
                 f"<X_{n}, theta> is exactly an integer; the series degenerates")
@@ -216,11 +217,11 @@ def series_prop32(theta, q_seq, n_terms: int) -> SeriesReport:
     for a, b in zip(q_seq, q_seq[1:]):
         if b <= a:
             raise DomainError("denominator sequence must be strictly increasing")
-    _, lattice, den = _distances_to_z(theta)
-    den **= d  # L^d: the denominator of every base
+    frame = _Frame(theta)
+    den = frame.big_l ** d  # L^d: the denominator of every base
     terms = []
     for n in range(1, n_terms + 1):
-        lo, hi = lattice(q_seq[n - 1])
+        lo, hi = frame.ends(*frame.lattice(q_seq[n - 1]))
         terms.append((n, *_root_ends(*_both(_times, (lo, den), (hi, den), q_seq[n], d),
                                      d * (d + 1))))
     return _assemble("simultaneous-denominator series", terms)

@@ -299,38 +299,58 @@ def _dist(nums, den: int, q: int) -> int:
     return max(min(m, den - m) for m in (q * p % den for p in nums))
 
 
-def _distances_to_z(theta: CertifiedVector):
-    """(form, lattice, L) for theta: form(delta) and lattice(q) are the ends
-    lo <= hi of certified_form_dist(delta, theta) and
-    certified_dist_nearest_lattice(q, theta), as integers over L.
+class _Frame:
+    """theta's certified distances to Z: theta = nums / den (nums mod den)
+    with radius r = rn / rd, and L = lcm(den, rd) = den * to_l.  A distance
+    D over den whose perturbation carries the weight w (|q| for q*theta,
+    |delta|_1 for <delta, theta>) is [D / den - w r, D / den + w r], with
+    the unreduced ends D * to_l -+ w * rad over L."""
 
-    Both read theta as nums / den and its radius r as rn / rd, with
-    L = lcm(den, rd) taken once here: a centre is the integer residue s mod
-    den, and the ends |s / den|_Z -+ w r, for the weight w the value's
-    perturbation carries, are integers over L, not reduced.
-    """
-    nums, den = theta.common_denominator()
-    r, g = theta.radius, math.gcd(den, theta.radius.denominator)
-    to_l, rad = r.denominator // g, r.numerator * (den // g)  # L = den * to_l
+    __slots__ = ("nums", "den", "r", "to_l", "rad", "big_l")
 
-    def near(s: int, w: int) -> tuple[int, int]:
-        c, e = min(s % den, -s % den) * to_l, w * rad
+    def __init__(self, theta: CertifiedVector):
+        nums, den = theta.common_denominator()
+        self.nums, self.den, self.r = tuple(p % den for p in nums), den, theta.radius
+        g = math.gcd(den, self.r.denominator)
+        self.to_l, self.rad = self.r.denominator // g, self.r.numerator * (den // g)
+        self.big_l = den * self.to_l
+
+    def ends(self, dist: int, weight: int) -> tuple[int, int]:
+        c, e = dist * self.to_l, weight * self.rad
         return c - e, c + e
 
-    def form(delta: Sequence) -> tuple[int, int]:
-        delta = [int(c) for c in delta]
-        if len(delta) != len(nums):
-            raise DomainError("form vector and theta have different dimensions")
-        return near(sum(c * a for c, a in zip(delta, nums)), _l1(delta))
+    def value(self, dist: int, weight: int) -> CertifiedScalar:
+        return _interval(*(Fraction(e, self.big_l) for e in self.ends(dist, weight)))
 
-    def lattice(q: int) -> tuple[int, int]:
+    def order(self, dist_a: int, weight_a: int, dist_b: int, weight_b: int) -> Verdict:
+        """value(dist_a, weight_a).compare(value(dist_b, weight_b)), on integers:
+        conclusive when the centres are more than the summed radii apart."""
+        gap, e = (dist_b - dist_a) * self.to_l, (weight_a + weight_b) * self.rad
+        if gap > e:
+            return Verdict.LESS
+        if -gap > e:
+            return Verdict.GREATER
+        return Verdict.EQUAL if gap == e == 0 else Verdict.INCONCLUSIVE
+
+    def margin(self, scale: int) -> int:
+        """ceil(den * r * scale): the summed radii of weights up to scale."""
+        return -(-self.rad * scale // self.to_l)
+
+    def form(self, delta: Sequence) -> tuple[int, int]:
+        """(D, w) of <delta, theta>: D = |<delta, nums>|_Z over den, w = |delta|_1."""
+        delta = [int(c) for c in delta]
+        if len(delta) != len(self.nums):
+            raise DomainError("form vector and theta have different dimensions")
+        s = sum(c * a for c, a in zip(delta, self.nums)) % self.den
+        return min(s, self.den - s), _l1(delta)
+
+    def lattice(self, q: int) -> tuple[int, int]:
+        """(D_q, |q|) of q*theta."""
         if not isinstance(q, int):
             raise DomainError("multiplier must be an int")
         if q == 0:
             raise DomainError("multiplier must be nonzero")
-        return near(_dist(nums, den, q), abs(q))
-
-    return form, lattice, den * to_l
+        return _dist(self.nums, self.den, q), abs(q)
 
 
 def certified_dist_nearest_lattice(q: int, theta: CertifiedVector) -> CertifiedScalar:
@@ -339,8 +359,8 @@ def certified_dist_nearest_lattice(q: int, theta: CertifiedVector) -> CertifiedS
     The lattice distance is 1-Lipschitz in the sup metric, so a perturbation of
     theta by at most r moves the distance by at most |q| * r.
     """
-    _, lattice, big_l = _distances_to_z(theta)
-    return _interval(*(Fraction(e, big_l) for e in lattice(q)))
+    frame = _Frame(theta)
+    return frame.value(*frame.lattice(q))
 
 
 def certified_form_dist(delta: Sequence, theta: CertifiedVector) -> CertifiedScalar:
@@ -349,8 +369,8 @@ def certified_form_dist(delta: Sequence, theta: CertifiedVector) -> CertifiedSca
     A sup-norm perturbation of theta by r moves the form value by at most
     |delta|_1 * r, and the distance to Z is 1-Lipschitz.
     """
-    form, _, big_l = _distances_to_z(theta)
-    return _interval(*(Fraction(e, big_l) for e in form(delta)))
+    frame = _Frame(theta)
+    return frame.value(*frame.form(delta))
 
 
 def projective_distance(p: LatticePoint3, q: LatticePoint3) -> Fraction:

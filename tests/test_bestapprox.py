@@ -214,3 +214,45 @@ def test_inconclusive_radius_raises_precision_error():
     fat = CertifiedVector((F(2, 7),), F(1, 4))
     with pytest.raises(PrecisionError):
         best_simultaneous(fat, 10)
+
+
+def _records_or_error(fn, theta, h, witnesses=True):
+    """(height, witness, value) of each record, or the PrecisionError text;
+    without witnesses, (height, value) or the bare error."""
+    try:
+        return [(r.height, r.witness, r.value) if witnesses else (r.height, r.value)
+                for r in fn(theta, h)]
+    except PrecisionError as exc:
+        return str(exc) if witnesses else "PrecisionError"
+
+
+@st.composite
+def _torus_case(draw):
+    """theta in d = 1..3 over small or 60-70-bit denominators, with radius 0
+    or 2^-60..2^-70, a height for each record scan and an integer shift."""
+    d = draw(st.integers(1, 3))
+    den = draw(st.one_of(st.integers(2, 400), st.integers(2 ** 60, 2 ** 70)))
+    coords = [F(draw(st.integers(0, den - 1)), den) for _ in range(d)]
+    radius = draw(st.sampled_from([F(0), F(0), F(1, 2 ** 60), F(1, 2 ** 70)]))
+    shift = draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d))
+    return CertifiedVector(coords, radius), shift, draw(st.integers(1, 200)), \
+        draw(st.integers(1, {1: 60, 2: 10, 3: 3}[d]))
+
+
+@settings(deadline=None, max_examples=60)
+@given(_torus_case())
+def test_records_are_invariant_under_torus_symmetries(case):
+    """theta -> -theta and theta -> theta + k (k integer) change no record,
+    witness or error; reversing the coordinates changes no record height or
+    value (a linear witness may be another minimizer of a tie)."""
+    theta, shift, q_max, h_max = case
+    r = theta.radius
+    negated = CertifiedVector([-c for c in theta.coords], r)
+    shifted = CertifiedVector([c + k for c, k in zip(theta.coords, shift)], r)
+    reversed_ = CertifiedVector(theta.coords[::-1], r)
+    for fn, h in ((best_simultaneous, q_max), (best_linear, h_max)):
+        want = _records_or_error(fn, theta, h)
+        assert _records_or_error(fn, negated, h) == want
+        assert _records_or_error(fn, shifted, h) == want
+        assert (_records_or_error(fn, reversed_, h, witnesses=False)
+                == _records_or_error(fn, theta, h, witnesses=False))

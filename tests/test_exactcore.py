@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from shrinktarget import criteria
 from shrinktarget.errors import DomainError, PrecisionError
 from shrinktarget.exact import (CertifiedScalar, CertifiedVector,
-                                LatticePoint3, Verdict, _distances_to_z, as_vector,
+                                LatticePoint3, Verdict, _Frame, as_vector,
                                 certified_dist_nearest_lattice,
                                 certified_form_dist, dist_nearest_int,
                                 dist_nearest_lattice, is_primitive,
@@ -203,24 +203,69 @@ def radius_thetas(draw):
 @example(CertifiedVector((F(1, 100),), F(1, 50)), [3, 0, 0], 1)
 @example(CertifiedVector((F(2, 7), F(3, 7)), F(1, 7 * 2 ** 70)), [1, -1, 0], 7)
 def test_distance_ends_over_l_are_the_fraction_formula(theta, delta, q):
-    """_distances_to_z gives each end as an integer over L = lcm(den, radius
+    """The frame gives each end as an integer over L = lcm(den, radius
     denominator); over L they are the old formula's ends, negative lower ends
     included, and the public functions return them as they did."""
     delta = delta[:theta.dim]
-    form, lattice, big_l = _distances_to_z(theta)
+    frame = _Frame(theta)
+    big_l = frame.big_l
     den = theta.common_denominator()[1]
     assert big_l == math.lcm(den, theta.radius.denominator)
     value = sum(c * x for c, x in zip(delta, theta.coords))
     want = oracle_distance(value, sum(map(abs, delta)), theta.radius)
-    lo, hi = form(delta)
+    lo, hi = frame.ends(*frame.form(delta))
     assert (F(lo, big_l), F(hi, big_l)) == (want.lo, want.hi)
     assert certified_form_dist(delta, theta) == want
     # the farthest coordinate's distance lies in [0, 1/2], its own distance to Z
     farthest = max(dist_nearest_int(q * x) for x in theta.coords)
     want = oracle_distance(farthest, abs(q), theta.radius)
-    lo, hi = lattice(q)
+    lo, hi = frame.ends(*frame.lattice(q))
     assert (F(lo, big_l), F(hi, big_l)) == (want.lo, want.hi)
     assert certified_dist_nearest_lattice(q, theta) == want
+
+
+@st.composite
+def frame_pairs(draw):
+    """(theta, Da, wa, Db, wb): two distances over theta's denominator with
+    their weights, drawn apart, equal, or on the boundary
+    (Db - Da) * to_l == (wa + wb) * rad, where the enclosures touch and
+    LESS turns into INCONCLUSIVE (GREATER with the pair swapped)."""
+    theta = draw(radius_thetas())
+    frame = _Frame(theta)
+    dist, weight = st.integers(0, frame.den // 2), st.integers(0, 2 ** 70)
+    da, wa = draw(dist), draw(weight)
+    kind = draw(st.sampled_from(["apart", "equal", "boundary", "boundary-swapped"]))
+    if kind == "apart":
+        return theta, da, wa, draw(dist), draw(weight)
+    if kind == "equal":
+        return theta, da, wa, da, draw(st.sampled_from([wa, draw(weight)]))
+    ma, mb = draw(st.integers(0, 2 ** 20)), draw(st.integers(0, 2 ** 20))
+    a, b = (da, ma * frame.to_l), (da + (ma + mb) * frame.rad, mb * frame.to_l)
+    return (theta, *a, *b) if kind == "boundary" else (theta, *b, *a)
+
+
+@settings(deadline=None, max_examples=300)
+@given(frame_pairs())
+@example((CertifiedVector((F(2, 7), F(3, 7))), 1, 3, 2, 4))  # r = 0
+@example((CertifiedVector((F(2, 7), F(3, 7))), 2, 3, 2, 4))  # r = 0, equal
+@example((CertifiedVector((F(2, 7), F(3, 7)), F(1, 7 * 2 ** 70)), 2, 1, 2, 1))  # equal
+@example((CertifiedVector((F(2, 7), F(3, 7)), F(1, 7 * 2 ** 70)), 1, 2 ** 70, 2, 0))
+@example((CertifiedVector((F(2, 7), F(3, 7)), F(1, 7 * 2 ** 70)), 2, 2 ** 70, 1, 0))
+@example((CertifiedVector((F(1, 100),), F(1, 50)), 1, 3, 3, 1))  # lo < 0
+@example((CertifiedVector((F(5, 2 ** 70 - 1),), F(3, 2 ** 70 + 1)), 2, 2 ** 40, 7, 5))
+def test_frame_orders_and_bounds_as_the_fraction_rule(case):
+    """The frame's value, order and margin on integers against the Fraction
+    rule: value(D, w) is CertifiedScalar(D / den, w r), order is compare of
+    two values, and margin(s) is ceil(den r s)."""
+    theta, da, wa, db, wb = case
+    frame = _Frame(theta)
+    den, r = theta.common_denominator()[1], theta.radius
+    a, b = frame.value(da, wa), frame.value(db, wb)
+    assert a == CertifiedScalar(F(da, den), wa * r)
+    assert b == CertifiedScalar(F(db, den), wb * r)
+    assert frame.order(da, wa, db, wb) is a.compare(b)
+    for scale in (wa, wb, wa + wb):
+        assert frame.margin(scale) == math.ceil(den * r * scale)
 
 
 @pytest.mark.parametrize("theta", [

@@ -204,6 +204,28 @@ def test_fixed_point_matches_exact_oracle(bits):
         assert rec.hits == exact_orbit_hits(config, x0=x0)
 
 
+@settings(deadline=None, max_examples=40)
+@given(st.integers(1, 2), st.one_of(st.integers(3, 400), st.integers(2 ** 60, 2 ** 70)),
+       st.sampled_from([64, 96]), st.data())
+def test_negated_orbit_has_the_same_hits(dim, den, bits, data):
+    """x0 + n*theta and -x0 - n*theta are equally far from the lattice, so an
+    exact theta gives the same hits from x0 as -theta from -x0.  The
+    statistic enclosures only intersect: the half-unit rounding of _units
+    is not symmetric."""
+    coord = st.integers(0, den - 1).map(lambda p: F(p, den))
+    theta = data.draw(st.lists(coord, min_size=dim, max_size=dim))
+    x0 = data.draw(st.lists(coord, min_size=dim, max_size=dim))
+    delta = F(dim) + data.draw(st.sampled_from([0, F(1, 2), 1]))
+    recs = [orbit_hits(OrbitConfig(theta=CertifiedVector([s * c for c in theta]), delta=delta,
+                                   n_max=2000, precision_bits=bits), x0=[s * c for c in x0])
+            for s in (1, -1)]
+    assert recs[0].hits == recs[1].hits and recs[0].inconclusive == recs[1].inconclusive
+    if recs[0].stat_lo is None or recs[1].stat_lo is None:
+        assert recs[0].stat_lo is recs[1].stat_lo is None
+    else:
+        assert max(r.stat_lo for r in recs) <= min(r.stat_hi for r in recs)
+
+
 def test_exact_oracle_requires_zero_radius():
     fuzzy = CertifiedVector((F(1, 4),), F(1, 10**9))
     with pytest.raises(DomainError):

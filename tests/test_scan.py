@@ -17,15 +17,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from shrinktarget import _scan
-from shrinktarget._scan import (_RAMP, DEFAULT_BUDGET, _LinearBox, _margin,
-                                _Multipliers, _Ramp, all_greater_than_baseline, linear_min,
-                                linear_records, scan_data, simultaneous_scan)
+from shrinktarget._scan import (_RAMP, DEFAULT_BUDGET, _LinearBox, _Multipliers, _Ramp,
+                                all_greater_than_baseline, linear_min, linear_records,
+                                simultaneous_scan)
 from shrinktarget.bestapprox import best_linear, linear_error
 from shrinktarget.errors import DomainError, PrecisionError, ResourceError
-from shrinktarget.exact import (CertifiedScalar, CertifiedVector, Verdict,
+from shrinktarget.exact import (CertifiedScalar, CertifiedVector, Verdict, _Frame,
                                 dist_nearest_int, dist_nearest_lattice)
 
 F = Fraction
@@ -148,8 +148,9 @@ def _walk(nums, den, q_hi):
 
 def oracle_simultaneous(theta, q_max, records=True):
     """simultaneous_scan as a plain walk over every q."""
-    nums, den, r = scan_data(theta)
-    fast = _margin(r, den, 2 * q_max)
+    frame = _Frame(theta)
+    nums, den, r = frame.nums, frame.den, frame.r
+    fast = frame.margin(2 * q_max)
     exact = r == 0
     best_d, best_q, out = -1, 0, []
     for q, dist in _walk(nums, den, q_max + 1):
@@ -176,9 +177,10 @@ def oracle_simultaneous(theta, q_max, records=True):
 
 def oracle_baseline(theta, q_hi, base_q, exceptions):
     """all_greater_than_baseline as a plain walk over every q."""
-    nums, den, r = scan_data(theta)
+    frame = _Frame(theta)
+    nums, den, r = frame.nums, frame.den, frame.r
     base_dist = max(min(base_q * p % den, -base_q * p % den) for p in nums)
-    fast = base_dist + _margin(r, den, q_hi + base_q)
+    fast = base_dist + frame.margin(q_hi + base_q)
     violations, report = [], {}
     for q, dist in _walk(nums, den, q_hi):
         if dist > fast or q == base_q:
@@ -245,7 +247,7 @@ def _theta_for(draw, den, q_max, dim=None):
     while den > 1 and math.gcd(nums[0], den) != 1:
         nums[0] = rnd.randrange(1, den)
     theta = CertifiedVector([F(p, den) for p in nums], draw(_radius(den)))
-    assert scan_data(theta)[1] == den
+    assert _Frame(theta).den == den
     return theta, q_max
 
 
@@ -268,6 +270,9 @@ CASES = st.one_of(_scan_case(), _straddle())
 
 @settings(deadline=None, max_examples=150)
 @given(CASES)
+# the radii 11 r = 55/629 of |6 theta| = 5/37 and |5 theta| = 2/37 exceed
+# their gap 3/37 = 51/629, which a fast margin of only q_max multipliers skips
+@example((CertifiedVector((F(7, 37),), F(5, 629)), 6))
 def test_simultaneous_scan_matches_oracle(case):
     theta, q_max = case
     got = outcome(simultaneous_scan, theta, q_max)
@@ -364,7 +369,7 @@ def test_filter_hits_are_the_multipliers_within_the_limit(den, dim, q_max, limit
     ramp copies and in a short last one, with a drawn copy's a_q from
     Python ints."""
     theta, _q = data.draw(_theta_for(den, q_max, dim))
-    nums = scan_data(theta)[0]
+    nums = _Frame(theta).nums
     copies = _copies(_Multipliers(nums, den, q_max))
     assert copies[0][0] == 1 and sum(n for _q0, n in copies) == q_max
     _check_walk(nums, den, q_max, limit, data.draw(st.sampled_from(copies)))
@@ -625,9 +630,10 @@ def _hot_records(theta, q_max):
     """The multipliers simultaneous_scan re-checks exactly, from Python ints:
     q is hot when a_q <= min(2^63, a_q' for every q' < q) + slack, slack the
     margin plus 2*q_max, up to the zero of an exact theta."""
-    nums, den, r = scan_data(theta)
+    frame = _Frame(theta)
+    nums, den = frame.nums, frame.den
     recs, _den, zero = oracle_simultaneous(theta, q_max)
-    slack = -((-_margin(r, den, 2 * q_max) << 64) // den) + 2 * q_max
+    slack = -((-frame.margin(2 * q_max) << 64) // den) + 2 * q_max
     hot, low = [], 1 << 63
     for q in range(1, q_max + 1):
         a = _filter_value(nums, den, q)
@@ -687,9 +693,10 @@ def test_scans_at_ramp_copy_ends(theta, q_max):
     exceptions = {recs[-1][0], q_max - 1}
     assert (all_greater_than_baseline(theta, q_max, base_q, exceptions)
             == oracle_baseline(theta, q_max, base_q, exceptions))
-    nums, den, r = scan_data(theta)
-    fast = max(min(base_q * p % den, -base_q * p % den) for p in nums) + _margin(
-        r, den, q_max + base_q)
+    frame = _Frame(theta)
+    nums, den = frame.nums, frame.den
+    fast = max(min(base_q * p % den, -base_q * p % den) for p in nums) + frame.margin(
+        q_max + base_q)
     lim = -((-fast << 64) // den) + q_max
     hot = [q for q in range(1, q_max) if _filter_value(nums, den, q) <= lim]
     assert _rechecked(all_greater_than_baseline, theta, q_max, base_q,
@@ -704,8 +711,9 @@ def test_runs_read_the_least_value_before_them(theta):
     do not lower.  The re-checks are still the hot set and the records the
     oracle's."""
     q_max = 12 * _RAMP + 5
-    nums, den, r = scan_data(theta)
-    slack = -((-_margin(r, den, 2 * q_max) << 64) // den) + 2 * q_max
+    frame = _Frame(theta)
+    nums, den = frame.nums, frame.den
+    slack = -((-frame.margin(2 * q_max) << 64) // den) + 2 * q_max
     runs = []
     with pytest.MonkeyPatch.context() as m:
         m.setattr(_Multipliers, "_run", _spy_runs(runs))
@@ -825,12 +833,13 @@ def oracle_linear_min(theta, h):
     """linear_min as a walk over every canonical cell: the lexicographically
     first minimizer, then every cell within the fast margin ordered against
     it, in lexicographic order."""
-    nums, den, r = scan_data(theta)
+    frame = _Frame(theta)
+    nums, den, r = frame.nums, frame.den, frame.r
     cells = sorted(pt for _s, pts in canonical_shells(h, theta.dim) for pt in pts)
     dists = [_form_dist(nums, den, pt) for pt in cells]
     best = min(dists)
     witness = cells[dists.index(best)]
-    fast = _margin(r, den, 2 * theta.dim * h)
+    fast = frame.margin(2 * theta.dim * h)
     for dd, pt in zip(dists, cells):
         if r != 0 and dd <= best + fast and pt != witness:
             if _verdict(dd, _l1(pt), best, _l1(witness), den, r) is Verdict.INCONCLUSIVE:
@@ -845,8 +854,9 @@ def oracle_linear_records(theta, h_max):
     then, with a radius, every other cell of the shell within the fast
     margin of the record in force ordered against it, in lexicographic
     order."""
-    nums, den, r = scan_data(theta)
-    fast = _margin(r, den, 2 * theta.dim * h_max)
+    frame = _Frame(theta)
+    nums, den, r = frame.nums, frame.den, frame.r
+    fast = frame.margin(2 * theta.dim * h_max)
     out, best_d, best_pt = [], None, None
     for s, pts in canonical_shells(h_max, theta.dim):
         dists = [(_form_dist(nums, den, pt), pt) for pt in pts]
@@ -874,7 +884,8 @@ def oracle_linear_records(theta, h_max):
 
 def _linear_min_out(theta, h):
     value, witness = linear_min(theta, h)
-    nums, den, _r = scan_data(theta)
+    frame = _Frame(theta)
+    nums, den = frame.nums, frame.den
     return (value.value * den, value.radius, den), witness
 
 
@@ -1022,7 +1033,8 @@ def test_former_enumeration_cap_edges_answered(dim, den, h, records, refused):
     lexicographically first canonical zero, which a walk in the oracle's
     order meets within the first witness[0] + 1 rows."""
     theta = CertifiedVector([F(1 + 7 * i, den) for i in range(dim)])
-    nums, den, _r = scan_data(theta)
+    frame = _Frame(theta)
+    nums, den = frame.nums, frame.den
     if records:
         small = next(r for r in map(oracle_linear_records, [theta] * 8, range(1, 9))
                      if r[2])
