@@ -62,14 +62,13 @@ its run within the fast margin of the record in force are ordered against
 it in lexicographic order (_order_near), as linear_min orders the cells near
 its witness.
 
-Certified bookkeeping is exact._Frame, built once per scan: with a
-coordinate radius r, the distance of multiplier q carries radius q*r (the
-lattice distance is 1-Lipschitz) and that of cell s radius |s|_1*r.  The
-frame's margin, ceil(D*r*scale) for the largest summed weight, is the fast
-margin that every candidate must lie within to matter; the few that do are
-ordered by the frame on integers, and a genuine overlap raises
-PrecisionError naming the offending pair.  The scans return each record's
-integer distance over D, which bestapprox certifies by the same frame.
+Certified bookkeeping is theta's exact._Frame: the distance of multiplier q
+carries radius q*r (the lattice distance is 1-Lipschitz), that of cell s
+radius |s|_1*r.  Its margin ceil(D*r*scale), for the largest summed weight,
+is the fast margin a candidate must lie within to matter; the few that do
+are ordered by compare of their enclosures, and a genuine overlap raises
+PrecisionError naming the offending pair.  bestapprox values each record's
+integer distance over D by the frame the scan built (_Frame.of).
 """
 
 from __future__ import annotations
@@ -279,7 +278,7 @@ def simultaneous_scan(theta: CertifiedVector, q_max: int, *,
         raise DomainError("q_max must be >= 1")
     if q_max > budget:
         raise ResourceError(f"scan of {q_max} multipliers exceeds budget {budget}")
-    frame = _Frame(theta)
+    frame = _Frame.of(theta)
     nums, den = frame.nums, frame.den
     fast = frame.margin(2 * q_max)
     exact = frame.r == 0
@@ -423,7 +422,7 @@ def linear_min(theta: CertifiedVector, h: int, *, budget: int = DEFAULT_BUDGET):
     """
     dim = theta.dim
     _check_linear_budget(h, dim, budget)
-    frame = _Frame(theta)
+    frame = _Frame.of(theta)
     if dim == 1:  # the last record: the least multiplier of the minimum
         _q, witness, best = simultaneous_scan(theta, h, budget=budget)[0][-1]
     else:
@@ -452,7 +451,7 @@ def linear_records(theta: CertifiedVector, h_max: int, *, budget: int = DEFAULT_
     _check_linear_budget(h_max, dim, budget)
     if dim == 1:
         return simultaneous_scan(theta, h_max, budget=budget)
-    frame = _Frame(theta)
+    frame = _Frame.of(theta)
     nums, den = frame.nums, frame.den
     fast = frame.margin(2 * dim * h_max)
     exact = frame.r == 0
@@ -512,7 +511,7 @@ def all_greater_than_baseline(theta: CertifiedVector, q_hi: int, base_q: int,
     if q_hi - 1 > DEFAULT_BUDGET:
         raise ResourceError(
             f"scan of {q_hi - 1} multipliers exceeds budget {DEFAULT_BUDGET}")
-    frame = _Frame(theta)
+    frame = _Frame.of(theta)
     nums, den = frame.nums, frame.den
     base_dist = _dist(nums, den, base_q)
     fast = base_dist + frame.margin(q_hi + base_q)

@@ -86,15 +86,13 @@ def best_linear(theta, h_max: int, *,
 
 
 def _records(scan, theta, h_max: int, budget: int) -> list[ApproxRecord]:
-    """The records (height, witness, dist) of scan up to h_max, each certified
-    by theta's frame as dist over den with the weight |witness|_1."""
+    """scan's records up to h_max, valued by theta's frame with weight |witness|_1."""
     theta = as_vector(theta)
     if h_max < 1:
         return []
-    recs, _den, _zero = scan(theta, int(h_max), budget=budget)
-    frame = _Frame(theta)
-    return [ApproxRecord(i, h, w, frame.value(dist, _l1(w)))
-            for i, (h, w, dist) in enumerate(recs)]
+    recs = scan(theta, int(h_max), budget=budget)[0]
+    value = _Frame.of(theta).value  # the frame the scan built
+    return [ApproxRecord(i, h, w, value(dist, _l1(w))) for i, (h, w, dist) in enumerate(recs)]
 
 
 def simultaneous_error(theta, h, *, budget: int = _scan.DEFAULT_BUDGET) -> CertifiedScalar:

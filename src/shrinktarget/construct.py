@@ -510,7 +510,7 @@ def verify_construction(state: ConstructionState,
 
     broken = any(c.passed is False for c in checks)
     fine = state.refined_theta()
-    frame = _Frame(fine)  # every level's orbit distance, on one denominator
+    frame = _Frame.of(fine)  # every level's orbit distance, on one denominator
     sup_hi = max(abs(c) + fine.radius for c in fine.coords)
     add("|theta| <= 1/8", "certified", sup_hi <= Fraction(1, 8),
         f"certified sup norm <= {float(sup_hi):.6f}")

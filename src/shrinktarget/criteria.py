@@ -140,7 +140,7 @@ def series_thm5(theta, x_seq, n_terms: int) -> SeriesReport:
     for a, b in zip(norms, norms[1:]):
         if b <= a:
             raise DomainError("vector norms must be strictly increasing")
-    frame = _Frame(theta)
+    frame = _Frame.of(theta)
     den = frame.big_l
     terms = []
     for n in range(n_terms):
@@ -217,7 +217,7 @@ def series_prop32(theta, q_seq, n_terms: int) -> SeriesReport:
     for a, b in zip(q_seq, q_seq[1:]):
         if b <= a:
             raise DomainError("denominator sequence must be strictly increasing")
-    frame = _Frame(theta)
+    frame = _Frame.of(theta)
     den = frame.big_l ** d  # L^d: the denominator of every base
     terms = []
     for n in range(1, n_terms + 1):

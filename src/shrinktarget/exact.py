@@ -306,11 +306,19 @@ class _Frame:
     |delta|_1 for <delta, theta>) is [D / den - w r, D / den + w r], with
     the unreduced ends D * to_l -+ w * rad over L."""
 
-    __slots__ = ("nums", "den", "r", "to_l", "rad", "big_l")
+    __slots__ = ("theta", "nums", "den", "r", "to_l", "rad", "big_l")
+    _last = None  # the frame built last
+
+    @classmethod
+    def of(cls, theta: CertifiedVector) -> "_Frame":
+        """theta's frame, the last one built if it is theta's (a scan's own)."""
+        if (last := cls._last) is None or last.theta is not theta:
+            cls._last = last = cls(theta)
+        return last
 
     def __init__(self, theta: CertifiedVector):
-        nums, den = theta.common_denominator()
-        self.nums, self.den, self.r = tuple(p % den for p in nums), den, theta.radius
+        self.theta, self.r, (nums, den) = theta, theta.radius, theta.common_denominator()
+        self.nums, self.den = tuple(p % den for p in nums), den
         g = math.gcd(den, self.r.denominator)
         self.to_l, self.rad = self.r.denominator // g, self.r.numerator * (den // g)
         self.big_l = den * self.to_l
@@ -323,14 +331,9 @@ class _Frame:
         return _interval(*(Fraction(e, self.big_l) for e in self.ends(dist, weight)))
 
     def order(self, dist_a: int, weight_a: int, dist_b: int, weight_b: int) -> Verdict:
-        """value(dist_a, weight_a).compare(value(dist_b, weight_b)), on integers:
-        conclusive when the centres are more than the summed radii apart."""
-        gap, e = (dist_b - dist_a) * self.to_l, (weight_a + weight_b) * self.rad
-        if gap > e:
-            return Verdict.LESS
-        if -gap > e:
-            return Verdict.GREATER
-        return Verdict.EQUAL if gap == e == 0 else Verdict.INCONCLUSIVE
+        """compare of the two values, read on their integer ends over L > 0."""
+        return _interval(*self.ends(dist_a, weight_a)).compare(
+            _interval(*self.ends(dist_b, weight_b)))
 
     def margin(self, scale: int) -> int:
         """ceil(den * r * scale): the summed radii of weights up to scale."""
@@ -359,7 +362,7 @@ def certified_dist_nearest_lattice(q: int, theta: CertifiedVector) -> CertifiedS
     The lattice distance is 1-Lipschitz in the sup metric, so a perturbation of
     theta by at most r moves the distance by at most |q| * r.
     """
-    frame = _Frame(theta)
+    frame = _Frame.of(theta)
     return frame.value(*frame.lattice(q))
 
 
@@ -369,7 +372,7 @@ def certified_form_dist(delta: Sequence, theta: CertifiedVector) -> CertifiedSca
     A sup-norm perturbation of theta by r moves the form value by at most
     |delta|_1 * r, and the distance to Z is 1-Lipschitz.
     """
-    frame = _Frame(theta)
+    frame = _Frame.of(theta)
     return frame.value(*frame.form(delta))
 
 
