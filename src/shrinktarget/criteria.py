@@ -10,17 +10,19 @@ root of a rational -- e.g. the weighted-error term
 k^-1 (k^delta eps)^(1/(delta+1)) collapses to (eps/k)^(1/(delta+1)) -- so one
 enclosure per term suffices.
 
-The four series compute on integers.  A term's base is the certified error
-[lo, hi] with both ends scaled by the term's positive factor (no interval
-product), each end a pair (num, den) that is never reduced: thm5 and prop32
-read the ends of theta's exact._Frame, the one certified-distance rule,
-over L = lcm(den, radius denominator), once per series with its power L^d,
-and lemma22 and dyadic the ends of eps_l's records (the same rule).  Each
-term is roots._root_ends of its base, the enclosure rule of every certified
-root (stated there, with the scale rule that reads a pair as given), as
-integer dyadic ends t / 2^m that the partial sums add as integers over a
-power of two; a lo < 0 raises DomainError("invalid base interval") in every
-series.  type_evidence and window_bound take their powers from pow_enclosure.
+The four series compute on integers, one rule per term (_term).  Its base
+ends lo <= hi are integers over L = lcm(den, radius denominator) read off
+theta's exact._Frame, the one certified-distance rule: thm5 and prop32 read
+frame.ends of a form or lattice distance, lemma22 and dyadic frame.ends of
+the (D, |witness|_1) of the eps_l record in force at each height, from one
+walk of _scan.linear_records.  The base is [lo^e c, hi^e c] over one
+denominator (L, L^d or (L k)^q), never reduced, for the term's power e and
+positive factor c (no interval product).  Each term is roots._root_ends of
+its base, the enclosure rule of every certified root (stated there, with
+the scale rule that reads a pair as given), as integer dyadic ends t / 2^m
+that the partial sums add as integers over a power of two; a lo < 0 raises
+DomainError("invalid base interval") in every series.  type_evidence and
+window_bound take their powers from pow_enclosure.
 """
 
 from __future__ import annotations
@@ -29,10 +31,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _scan
-from .bestapprox import (best_linear, best_simultaneous, linear_error, linear_profile,
-                         simultaneous_error)
+from .bestapprox import best_linear, best_simultaneous, linear_error, simultaneous_error
 from .errors import DegenerateInputError, DomainError, PrecisionError, ResourceError
-from .exact import (CertifiedScalar, Verdict, _Frame, _interval, as_vector,
+from .exact import (CertifiedScalar, Verdict, _Frame, _interval, _l1, as_vector,
                     certified_form_dist, rational)
 from .roots import _MAX_ROOT_ORDER, _root_ends, pow_enclosure
 
@@ -49,36 +50,25 @@ def _sup_norm(vec) -> int:
     return v
 
 
-def _times(num: int, den: int, c: int, e: int = 1) -> tuple[int, int]:
-    """The pair (num^e * c, den), for a den already raised to the power e."""
-    return num ** e * c, den
-
-
-def _over(num: int, den: int, k: int, q: int) -> tuple[int, int]:
-    """(num / (den * k))^q as the pair (num^q, (den * k)^q)."""
-    return num ** q, (den * k) ** q
-
-
-def _both(f, lo, hi, *args):
-    """f of each end lo <= hi of a base, of a point once; lo < 0 raises DomainError."""
-    if lo[0] < 0:
+def _term(lo: int, hi: int, e: int, c: int, den: int, k: int):
+    """_root_ends of the base [lo^e * c, hi^e * c] / den for frame ends lo <= hi
+    (never reduced); lo < 0 raises DomainError."""
+    if lo < 0:
         raise DomainError("invalid base interval")
-    out = f(*lo, *args)
-    return out, out if hi == lo else f(*hi, *args)
+    return _root_ends((lo ** e * c, den), (hi ** e * c, den), k)
 
 
-def _profile_ends(prof, heights):
-    """The pairs (lo, hi) of eps_l at each height (ascending, within the
-    profile) from one walk of the profile's records."""
-    records = prof.records
-    i, ends = 0, None
+def _eps_ends(frame: _Frame, heights):
+    """The frame ends (lo, hi) of eps_l at each height (ascending, >= 1) from one
+    walk of linear_records' records, each read once through the frame (the one
+    the scan reads, by _Frame.of)."""
+    recs = _scan.linear_records(frame.theta, heights[-1])[0]
+    values = [frame.ends(dist, _l1(witness)) for _h, witness, dist in recs]
+    i = 0
     for h in heights:
-        while i < len(records) and records[i].height <= h:
-            i, ends = i + 1, None
-        if ends is None:
-            eps = records[i - 1].value
-            ends = (eps.lo.numerator, eps.lo.denominator), (eps.hi.numerator, eps.hi.denominator)
-        yield ends
+        while i < len(recs) and recs[i][0] <= h:
+            i += 1
+        yield values[i - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -141,15 +131,13 @@ def series_thm5(theta, x_seq, n_terms: int) -> SeriesReport:
         if b <= a:
             raise DomainError("vector norms must be strictly increasing")
     frame = _Frame.of(theta)
-    den = frame.big_l
     terms = []
     for n in range(n_terms):
         lo, hi = frame.ends(*frame.form(x_seq[n]))
         if hi == 0:
             raise DegenerateInputError(
                 f"<X_{n}, theta> is exactly an integer; the series degenerates")
-        terms.append((n, *_root_ends(*_both(_times, (lo, den), (hi, den), norms[n + 1] ** d),
-                                     d + 1)))
+        terms.append((n, *_term(lo, hi, 1, norms[n + 1] ** d, frame.big_l, d + 1)))
     return _assemble("vector-sequence series", terms)
 
 
@@ -157,7 +145,7 @@ def series_lemma22(theta, k_max: int, delta) -> SeriesReport:
     """Terms k^-1 (k^delta eps_l(k))^(1/(delta+1)) for k = 1..k_max.
 
     delta >= 1 (delta = d recovers the harmonic form of the dyadic
-    condition).  eps_l is read once per record of its profile.  Each term
+    condition).  eps_l is read off one walk of its records.  Each term
     is a root of order p + q for delta = p/q in lowest terms; p + q above
     _MAX_ROOT_ORDER = 256 is refused (ResourceError) before any work.
     """
@@ -174,11 +162,10 @@ def series_lemma22(theta, k_max: int, delta) -> SeriesReport:
         raise ResourceError(
             f"delta = {delta} asks for roots of order p + q = {p + q}, above "
             f"{_MAX_ROOT_ORDER}; use a delta with smaller terms")
-    prof = linear_profile(theta, k_max)
+    frame = _Frame.of(theta)
     heights = range(1, k_max + 1)
-    terms = []
-    for k, (lo, hi) in zip(heights, _profile_ends(prof, heights)):
-        terms.append((k, *_root_ends(*_both(_over, lo, hi, k, q), p + q)))
+    terms = [(k, *_term(lo, hi, q, 1, (frame.big_l * k) ** q, p + q))
+             for k, (lo, hi) in zip(heights, _eps_ends(frame, heights))]
     return _assemble(f"harmonic weighted-error series (delta={delta})", terms)
 
 
@@ -191,9 +178,9 @@ def dyadic_condition_iii(theta, n_max: int) -> SeriesReport:
     terms = []
     if n_max:
         heights = [2 ** n for n in range(n_max)]
-        prof = linear_profile(theta, heights[-1])
-        for n, (lo, hi) in enumerate(_profile_ends(prof, heights)):
-            terms.append((n, *_root_ends(*_both(_times, lo, hi, 1 << n * d), d + 1)))
+        frame = _Frame.of(theta)
+        for n, (lo, hi) in enumerate(_eps_ends(frame, heights)):
+            terms.append((n, *_term(lo, hi, 1, 1 << n * d, frame.big_l, d + 1)))
     return _assemble("dyadic weighted-error series", terms)
 
 
@@ -222,8 +209,7 @@ def series_prop32(theta, q_seq, n_terms: int) -> SeriesReport:
     terms = []
     for n in range(1, n_terms + 1):
         lo, hi = frame.ends(*frame.lattice(q_seq[n - 1]))
-        terms.append((n, *_root_ends(*_both(_times, (lo, den), (hi, den), q_seq[n], d),
-                                     d * (d + 1))))
+        terms.append((n, *_term(lo, hi, d, q_seq[n], den, d * (d + 1))))
     return _assemble("simultaneous-denominator series", terms)
 
 

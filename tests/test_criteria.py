@@ -5,7 +5,7 @@ from fractions import Fraction
 from itertools import accumulate
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from shrinktarget.bestapprox import best_linear, best_simultaneous, linear_profile
 from shrinktarget.construct import build_theta, minimal_heights
@@ -144,16 +144,16 @@ def test_series_lemma22_single_term_and_bad_delta():
 
 def test_series_lemma22_root_order_bound(monkeypatch):
     """Each term is a root of order p + q: 129/127 (order 256) is answered,
-    129/128 (order 257) is refused before the error profile is built; it
-    took 0.69 s at k_max = 100, and 10001/10000 did not finish in 300 s."""
+    129/128 (order 257) is refused before any records are built; it took
+    0.69 s at k_max = 100, and 10001/10000 did not finish in 300 s."""
     theta = CertifiedVector((F(2, 7), F(3, 11)))
     rep = series_lemma22(theta, 8, F(129, 127))
     assert len(rep.terms) == 8
     assert rep.terms == oracle_series_lemma22(theta, 8, F(129, 127)).terms
 
     def refuse(*_args):
-        raise AssertionError("error profile built before the root order check")
-    monkeypatch.setattr("shrinktarget.criteria.linear_profile", refuse)
+        raise AssertionError("records built before the root order check")
+    monkeypatch.setattr("shrinktarget._scan.linear_records", refuse)
     for delta in (F(129, 128), F(10001, 10000), F(256)):
         with pytest.raises(ResourceError, match="p \\+ q"):
             series_lemma22(theta, 100, delta)
@@ -441,9 +441,27 @@ def test_series_thm5_matches_oracle(data):
             == _outcome(oracle_series_thm5, theta, x_seq, n_terms))
 
 
+# Explicit inputs for the record walk over theta's frame.  RADIUS_SHARED:
+# den = 3 * 2^45 and radius 2^-60, so L = 3 * 2^60 != den, records at heights
+# 1 and 8.  D1_SHARED: d = 1 (records from simultaneous_scan), den = 226 and
+# radius 10^-6, L = 113 * 10^6, records at heights 1, 3 and 16.  D1_HIT: the
+# record at height 2 has a negative lower end.
+RADIUS_SHARED = CertifiedVector((F(12345678901, 3 * 2 ** 45), F(98765432101, 3 * 2 ** 45)),
+                                F(1, 2 ** 60))
+D1_SHARED = CertifiedVector((F(71, 226),), F(1, 10 ** 6))
+D1_HIT = CertifiedVector((F(1, 2),), F(1, 1000))
+
+
 @settings(deadline=None, max_examples=100)
 @given(thetas(), st.sampled_from(range(1, 25)),
        st.one_of(st.integers(1, 4), st.fractions(1, 5, max_denominator=6)))
+@example(RADIUS_SHARED, 8, F(3, 2))
+@example(RADIUS_SHARED, 7, F(7, 3))
+@example(D1_SHARED, 16, F(3, 2))
+@example(D1_SHARED, 15, F(2))
+@example(D1_SHARED, 3, F(5, 4))
+@example(D1_SHARED, 2, F(3, 2))
+@example(D1_HIT, 3, F(3, 2))
 def test_series_lemma22_matches_oracle(theta, k_max, delta):
     assert (_outcome(series_lemma22, theta, k_max, delta)
             == _outcome(oracle_series_lemma22, theta, k_max, delta))
@@ -451,6 +469,11 @@ def test_series_lemma22_matches_oracle(theta, k_max, delta):
 
 @settings(deadline=None, max_examples=100)
 @given(thetas(), st.sampled_from(range(6)))
+@example(RADIUS_SHARED, 4)  # last height 8, a record height
+@example(RADIUS_SHARED, 3)
+@example(D1_SHARED, 5)  # last height 16, a record height
+@example(D1_SHARED, 2)  # last height 2, one below the record at 3
+@example(D1_HIT, 2)
 def test_dyadic_condition_iii_matches_oracle(theta, n_max):
     assert (_outcome(dyadic_condition_iii, theta, n_max)
             == _outcome(oracle_dyadic_condition_iii, theta, n_max))
